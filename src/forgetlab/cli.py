@@ -77,12 +77,11 @@ from .harness import (
     paper_preset,
     run_sequence,
 )
-from .model import backward, cross_entropy, flatten, forward, init_params
+from .model import backward, cross_entropy, forward, init_params
 from .numerics import RandomStream
 from .optim import SgdConfig, apply
 from .reports import (
     emit_reports,
-    emit_surface_csv,
     read_eval_matrix_csv,
     read_surface_csv,
     render_accuracy_curves,
@@ -356,13 +355,7 @@ def cmd_grid(args) -> int:
     settings = effective_settings(args)
     config = build_config(settings)
     surface = grid_search(config, settings["lambda_grid"])
-    os.makedirs(config.out_dir, exist_ok=True)
-    written = [
-        emit_surface_csv(surface, os.path.join(config.out_dir, "surface.csv"), config),
-        render_surface_heatmap(
-            surface, os.path.join(config.out_dir, "surface_heatmap.svg")
-        ),
-    ]
+    written = emit_reports(surface, config.out_dir)
     for lam, message in surface.failures:
         print(f"failed at lambda={lam:g}: {message}", file=sys.stderr)
     if len(surface.failures) == len(surface.lambdas):
@@ -468,7 +461,7 @@ def _selftest_sgd_equivalence() -> tuple[bool, str]:
         for images, labels in batches(dataset, 16, stream.child(1)):
             grads = backward(trial, forward(trial, images), labels)
             trial = apply(trial, grads, optimizer, hook)
-        routes[target] = flatten(trial)
+        routes[target] = trial.flat
     identical = np.array_equal(routes["gradient"], routes["step"])
     return identical, "gradient-target and step-target runs are bit-identical"
 

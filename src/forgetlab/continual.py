@@ -5,6 +5,13 @@ penalties pull parameters back toward a stored snapshot by injecting an
 extra gradient before the optimizer. Velocity attenuation multiplies the
 gradient or the emitted step by a per-parameter factor that shrinks as
 importance grows, and stores no snapshots at all.
+
+Importance maps, attenuation factors and anchors share the flat
+parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
+hook needs per step is fixed when a task finishes (the factors, and
+``lam * omega`` for the penalties), and each hook writes its output into
+a buffer it owns: the returned container is overwritten by the hook's
+next call.
 """
 
 from __future__ import annotations
@@ -19,12 +26,8 @@ from .model import (
     Gradients,
     MlpParams,
     check_congruent,
-    flatten,
     forward,
-    global_norm,
     leaky_relu_grad,
-    map_blocks,
-    zeros_like_params,
 )
 from .numerics import NonFiniteError, matmul
 from .optim import StepHook
@@ -47,12 +50,10 @@ class Anchor:
 
 
 def check_importance(omega: ImportanceMap):
-    for kind in ("weights", "biases"):
-        for block in getattr(omega, kind):
-            if not np.isfinite(block).all():
-                raise NonFiniteError("importance map contains non-finite entries")
-            if np.any(block < 0):
-                raise ValueError("importance map contains negative entries")
+    if not np.isfinite(omega.flat).all():
+        raise NonFiniteError("importance map contains non-finite entries")
+    if np.any(omega.flat < 0):
+        raise ValueError("importance map contains negative entries")
 
 
 def estimate_fisher(
@@ -70,7 +71,7 @@ def estimate_fisher(
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot estimate importance from an empty dataset")
-    sums = zeros_like_params(params)
+    sums = MlpParams.zeros(params.layer_sizes)
     for start in range(0, n, chunk_size):
         xb = x[start : start + chunk_size]
         yb = y[start : start + chunk_size]
@@ -79,13 +80,15 @@ def estimate_fisher(
         delta[np.arange(len(yb)), yb] -= 1.0
         for l in range(params.num_layers - 1, -1, -1):
             below = trace.inputs if l == 0 else trace.activations[l - 1]
-            sums.weights[l] += matmul((delta**2).T, below**2)
-            sums.biases[l] += (delta**2).sum(axis=0)
+            sum_w, sum_b = sums.weights[l], sums.biases[l]
+            sum_w += matmul((delta**2).T, below**2)
+            sum_b += (delta**2).sum(axis=0)
             if l > 0:
                 delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
                     trace.pre_activations[l - 1]
                 )
-    return map_blocks(lambda s: s / n, sums)
+    sums.flat /= n
+    return sums
 
 
 def estimate_total_abs_signal(
@@ -120,15 +123,16 @@ def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float) -> Import
     """Fold a new task's importances into the running map: gamma*total + new."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return map_blocks(lambda t, n: gamma * t + n, total, new)
+    check_congruent(total, new, "importance maps")
+    return MlpParams.from_flat(gamma * total.flat + new.flat, total.layer_sizes)
 
 
 def max_normalize(omega: ImportanceMap) -> ImportanceMap:
     """Scale the whole map so its largest entry becomes 1 (zero map unchanged)."""
-    peak = float(flatten(omega).max(initial=0.0))
+    peak = float(omega.flat.max(initial=0.0))
     if peak <= 0.0:
         return omega.copy()
-    return map_blocks(lambda o: o / peak, omega)
+    return MlpParams.from_flat(omega.flat / peak, omega.layer_sizes)
 
 
 def ewc_penalty(
@@ -141,13 +145,10 @@ def ewc_penalty(
     """
     check_congruent(params, anchor.values, "params and anchor")
     check_congruent(params, omega, "params and importance map")
-    diff = map_blocks(np.subtract, params, anchor.values)
-    value = 0.0
-    for kind in ("weights", "biases"):
-        for o, d in zip(getattr(omega, kind), getattr(diff, kind)):
-            value += float(np.sum(o * d * d))
-    gradient = map_blocks(lambda o, d: lam * o * d, omega, diff)
-    return 0.5 * lam * value, gradient
+    diff = params.flat - anchor.values.flat
+    value = float(np.sum(omega.flat * diff * diff))
+    gradient = lam * omega.flat * diff
+    return 0.5 * lam * value, MlpParams.from_flat(gradient, params.layer_sizes)
 
 
 def ewc_penalty_multi_anchor(
@@ -158,8 +159,9 @@ def ewc_penalty_multi_anchor(
 ) -> tuple[float, Gradients]:
     """Sum of independent per-task quadratic penalties.
 
-    An empty anchor list is a valid state (nothing consolidated yet) and
-    yields value 0 with a zero gradient.
+    Gradients are summed from zero in anchor order. An empty anchor list
+    is a valid state (nothing consolidated yet) and yields value 0 with
+    a zero gradient.
     """
     if not len(anchors) == len(omegas) == len(lams):
         raise ValueError(
@@ -167,12 +169,12 @@ def ewc_penalty_multi_anchor(
             f"{len(lams)} lambdas"
         )
     value = 0.0
-    gradient = zeros_like_params(params)
+    gradient = np.zeros_like(params.flat)
     for anchor, omega, lam in zip(anchors, omegas, lams):
         part_value, part_grad = ewc_penalty(params, anchor, omega, lam)
         value += part_value
-        gradient = map_blocks(np.add, gradient, part_grad)
-    return value, gradient
+        gradient += part_grad.flat
+    return value, MlpParams.from_flat(gradient, params.layer_sizes)
 
 
 def safe_coefficient(omega, alpha: float, lam: float):
@@ -189,11 +191,11 @@ def safe_coefficient(omega, alpha: float, lam: float):
     return float(out) if arr.ndim == 0 else out
 
 
-def _clip_to_norm(grad: Gradients, threshold: float) -> Gradients:
-    norm = global_norm(grad)
+def _clip_to_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
+    norm = float(np.linalg.norm(grad))
     if norm <= threshold:
         return grad
-    return map_blocks(lambda g: g * (threshold / norm), grad)
+    return grad * (threshold / norm)
 
 
 def clip_separately(
@@ -207,9 +209,10 @@ def clip_separately(
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     check_congruent(task_grad, penalty_grad, "task and penalty gradients")
-    return map_blocks(
-        np.add, _clip_to_norm(task_grad, threshold), _clip_to_norm(penalty_grad, threshold)
+    summed = _clip_to_norm(task_grad.flat, threshold) + _clip_to_norm(
+        penalty_grad.flat, threshold
     )
+    return MlpParams.from_flat(summed, task_grad.layer_sizes)
 
 
 def wva_factor(omega, lam: float, kind: str):
@@ -232,7 +235,8 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     """Hook multiplying the gradient or the step by per-parameter factors.
 
     lam == 0 returns a bare hook with no transforms, so such runs take
-    exactly the same code path as an unprotected run.
+    exactly the same code path as an unprotected run. The transform
+    returns a buffer the hook owns, overwritten by its next call.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -241,10 +245,13 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     check_importance(omega)
     if lam == 0.0:
         return StepHook()
-    factors = map_blocks(lambda o: wva_factor(o, lam, kind), omega)
+    factors = wva_factor(omega.flat, lam, kind)
+    out = MlpParams.zeros(omega.layer_sizes)
 
     def scale(container: Gradients) -> Gradients:
-        return map_blocks(np.multiply, container, factors)
+        check_congruent(container, out, "attenuated values and importance map")
+        np.multiply(container.flat, factors, out=out.flat)
+        return out
 
     if target == "gradient":
         return StepHook(pre_optimizer=scale)
@@ -354,6 +361,33 @@ class WvaStrategy:
         return self.omega_total
 
 
+def _effective_omega(
+    config: StrategyConfig, omega: ImportanceMap, learning_rate: float
+) -> ImportanceMap:
+    used = omega
+    if config.normalize_importance:
+        used = max_normalize(used)
+    if config.safe_coefficient:
+        used = MlpParams.from_flat(
+            safe_coefficient(used.flat, learning_rate, config.lam), used.layer_sizes
+        )
+    return used
+
+
+def _with_task_gradient(
+    task_grad: Gradients, penalty: Gradients, threshold: Optional[float]
+) -> Gradients:
+    """task_grad + penalty (each clipped first if ``threshold`` is set).
+
+    The unclipped sum is written over ``penalty``.
+    """
+    if threshold is not None:
+        return clip_separately(task_grad, penalty, threshold)
+    check_congruent(task_grad, penalty, "task and penalty gradients")
+    np.add(task_grad.flat, penalty.flat, out=penalty.flat)
+    return penalty
+
+
 class EwcStrategy:
     """Single consolidated anchor with a summed (optionally decayed) map."""
 
@@ -362,28 +396,21 @@ class EwcStrategy:
         self.learning_rate = learning_rate
         self.omega_total: Optional[ImportanceMap] = None
         self.anchor: Optional[Anchor] = None
-        self._omega_eff: Optional[ImportanceMap] = None
-
-    def _effective_omega(self) -> ImportanceMap:
-        used = self.omega_total
-        if self.config.normalize_importance:
-            used = max_normalize(used)
-        if self.config.safe_coefficient:
-            alpha, lam = self.learning_rate, self.config.lam
-            used = map_blocks(lambda o: safe_coefficient(o, alpha, lam), used)
-        return used
+        self._lam_omega: Optional[np.ndarray] = None
+        self._penalty: Optional[Gradients] = None
 
     def step_hook(self, params: MlpParams) -> Optional[StepHook]:
         if self.anchor is None or self.config.lam == 0.0:
             return None
-        anchor, omega, lam = self.anchor, self._omega_eff, self.config.lam
+        check_congruent(params, self.anchor.values, "params and anchor")
+        anchor, lam_omega, out = self.anchor.values.flat, self._lam_omega, self._penalty
         threshold = self.config.separate_clip_threshold
 
         def pre(task_grad: Gradients) -> Gradients:
-            _, penalty_grad = ewc_penalty(params, anchor, omega, lam)
-            if threshold is not None:
-                return clip_separately(task_grad, penalty_grad, threshold)
-            return map_blocks(np.add, task_grad, penalty_grad)
+            # lam * omega * (theta - anchor), as ewc_penalty evaluates it
+            np.subtract(params.flat, anchor, out=out.flat)
+            np.multiply(lam_omega, out.flat, out=out.flat)
+            return _with_task_gradient(task_grad, out, threshold)
 
         return StepHook(pre_optimizer=pre)
 
@@ -394,7 +421,10 @@ class EwcStrategy:
         else:
             self.omega_total = accumulate(self.omega_total, new, self.config.online_decay)
         self.anchor = Anchor(values=params.copy(), task_label=task.task_id)
-        self._omega_eff = self._effective_omega()
+        omega_eff = _effective_omega(self.config, self.omega_total, self.learning_rate)
+        self._lam_omega = self.config.lam * omega_eff.flat
+        if self._penalty is None:
+            self._penalty = MlpParams.zeros(params.layer_sizes)
 
     def importance(self) -> Optional[ImportanceMap]:
         return self.omega_total
@@ -408,21 +438,27 @@ class EwcMultiAnchorStrategy:
         self.learning_rate = learning_rate
         self.anchors: list[Anchor] = []
         self.omegas: list[ImportanceMap] = []
-        self._omegas_eff: list[ImportanceMap] = []
+        self._lam_omegas: list[np.ndarray] = []
+        self._penalty: Optional[Gradients] = None
+        self._scratch: Optional[np.ndarray] = None
 
     def step_hook(self, params: MlpParams) -> Optional[StepHook]:
         if not self.anchors or self.config.lam == 0.0:
             return None
-        anchors, omegas, lam = self.anchors, self._omegas_eff, self.config.lam
+        check_congruent(params, self.anchors[0].values, "params and anchors")
+        pulls = [(a.values.flat, lo) for a, lo in zip(self.anchors, self._lam_omegas)]
+        out, scratch = self._penalty, self._scratch
         threshold = self.config.separate_clip_threshold
 
         def pre(task_grad: Gradients) -> Gradients:
-            _, penalty_grad = ewc_penalty_multi_anchor(
-                params, anchors, omegas, [lam] * len(anchors)
-            )
-            if threshold is not None:
-                return clip_separately(task_grad, penalty_grad, threshold)
-            return map_blocks(np.add, task_grad, penalty_grad)
+            # sum_k lam * omega_k * (theta - anchor_k), from zero in anchor
+            # order, as ewc_penalty_multi_anchor evaluates it
+            out.flat.fill(0.0)
+            for anchor, lam_omega in pulls:
+                np.subtract(params.flat, anchor, out=scratch)
+                np.multiply(lam_omega, scratch, out=scratch)
+                np.add(out.flat, scratch, out=out.flat)
+            return _with_task_gradient(task_grad, out, threshold)
 
         return StepHook(pre_optimizer=pre)
 
@@ -430,13 +466,11 @@ class EwcMultiAnchorStrategy:
         new = _estimate(self.config, params, task)
         self.anchors.append(Anchor(values=params.copy(), task_label=task.task_id))
         self.omegas.append(new)
-        used = new
-        if self.config.normalize_importance:
-            used = max_normalize(used)
-        if self.config.safe_coefficient:
-            alpha, lam = self.learning_rate, self.config.lam
-            used = map_blocks(lambda o: safe_coefficient(o, alpha, lam), used)
-        self._omegas_eff.append(used)
+        omega_eff = _effective_omega(self.config, new, self.learning_rate)
+        self._lam_omegas.append(self.config.lam * omega_eff.flat)
+        if self._penalty is None:
+            self._penalty = MlpParams.zeros(params.layer_sizes)
+            self._scratch = np.empty_like(params.flat)
 
     def importance(self) -> Optional[ImportanceMap]:
         if not self.omegas:

@@ -313,13 +313,15 @@ class LambdaSurface:
 
     ``avg_accuracy[i, t]`` is the mean accuracy over tasks 0..t for the
     run at ``lambdas[i]``; failed runs leave NaN rows. ``tasks_learned``
-    counts from 1 for readability in reports.
+    counts from 1 for readability in reports. ``config`` is the grid's
+    base config (its own lambda aside), echoed in report manifests.
     """
 
     lambdas: np.ndarray
     tasks_learned: np.ndarray
     avg_accuracy: np.ndarray
     failures: list[tuple[float, str]] = field(default_factory=list)
+    config: Optional[ExperimentConfig] = None
 
     def argmax_lambda(self, t: int) -> float:
         """Grid lambda with the best average accuracy after task index t.
@@ -339,7 +341,9 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     Every run re-derives its streams from the same ``config.seed``, so
     runs differ only through the strategy: the lambda = 0 column (when
     present) reproduces an unprotected baseline bit for bit. A run that
-    raises is recorded in ``failures`` and leaves a NaN gap.
+    fails numerically (a :class:`FloatingPointError`, such as
+    :class:`NonFiniteError` from a diverging run) is recorded in
+    ``failures`` and leaves a NaN gap; any other exception propagates.
     """
     grid = [float(x) for x in lambda_grid]
     if not grid:
@@ -355,7 +359,7 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
         )
         try:
             result = run_sequence(run_config, tasks=tasks)
-        except Exception as exc:  # record the gap, keep the rest of the surface
+        except FloatingPointError as exc:  # record the gap, keep the rest of the surface
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
             continue
         for t in range(config.num_tasks):
@@ -365,4 +369,5 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
         tasks_learned=np.arange(1, config.num_tasks + 1),
         avg_accuracy=surface,
         failures=failures,
+        config=config,
     )

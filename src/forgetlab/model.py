@@ -1,8 +1,15 @@
 """Fully-connected classifier with manual forward/backward passes.
 
 The default network is 784-300-150-10: two leaky-ReLU hidden layers and a
-softmax output. Parameters and gradients share one container type so the
-optimizers and importance maps can treat them uniformly.
+softmax output.
+
+Parameters live in one contiguous float64 vector, ``MlpParams.flat``:
+every layer's weights (out x in, row-major) in layer order, then every
+layer's biases. ``weights[l]`` and ``biases[l]`` are views into it, so
+writing through a view writes the vector. Gradients, Adam moments,
+importance maps, attenuation factors and EWC anchors all use this one
+layout, which lets the optimizer and the strategies update whole
+parameter sets with single in-place vector operations.
 """
 
 from __future__ import annotations
@@ -18,42 +25,84 @@ LEAKY_SLOPE = 0.01
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+def param_count(layer_sizes: tuple[int, ...]) -> int:
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
+
+
 class MlpParams:
-    """Per-layer weights (out x in) and biases (out,)."""
+    """Per-layer weights (out x in) and biases (out,) as views of ``flat``.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The constructor copies the given blocks into a fresh vector;
+    :meth:`from_flat` wraps an existing vector without copying.
+    """
 
-    def __post_init__(self):
-        if not self.weights or len(self.weights) != len(self.biases):
+    __slots__ = ("flat", "layer_sizes", "weights", "biases")
+
+    def __init__(self, weights, biases):
+        if not weights or len(weights) != len(biases):
             raise ShapeError("weights and biases must be non-empty lists of equal length")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for l, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or w.dtype != np.float64:
                 raise ShapeError(f"layer {l}: weights must be a 2-D float64 matrix")
             if b.shape != (w.shape[0],) or b.dtype != np.float64:
                 raise ShapeError(
                     f"layer {l}: biases shaped {b.shape}, expected ({w.shape[0]},)"
                 )
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and w.shape[1] != weights[l - 1].shape[0]:
                 raise ShapeError(
                     f"layer {l} expects {w.shape[1]} inputs but layer {l - 1} "
-                    f"emits {self.weights[l - 1].shape[0]}"
+                    f"emits {weights[l - 1].shape[0]}"
                 )
+        sizes = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+        flat = np.concatenate([w.ravel() for w in weights] + [b.ravel() for b in biases])
+        self._bind(flat, sizes)
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes: tuple[int, ...]) -> "MlpParams":
+        """Wrap ``flat`` (not copied) in the layout of ``layer_sizes``."""
+        layer_sizes = tuple(int(n) for n in layer_sizes)
+        expected = param_count(layer_sizes)
+        if (
+            not isinstance(flat, np.ndarray)
+            or flat.dtype != np.float64
+            or flat.shape != (expected,)
+            or not flat.flags.c_contiguous
+        ):
+            raise ShapeError(
+                f"flat parameters must be a contiguous float64 vector of {expected} "
+                f"entries for layers {layer_sizes}"
+            )
+        params = cls.__new__(cls)
+        params._bind(flat, layer_sizes)
+        return params
+
+    @classmethod
+    def zeros(cls, layer_sizes: tuple[int, ...]) -> "MlpParams":
+        return cls.from_flat(np.zeros(param_count(layer_sizes)), layer_sizes)
+
+    def _bind(self, flat: np.ndarray, layer_sizes: tuple[int, ...]):
+        weights, biases = [], []
+        offset = 0
+        for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
+            weights.append(flat[offset : offset + n_out * n_in].reshape(n_out, n_in))
+            offset += n_out * n_in
+        for n_out in layer_sizes[1:]:
+            biases.append(flat[offset : offset + n_out])
+            offset += n_out
+        self.flat = flat
+        self.layer_sizes = layer_sizes
+        self.weights = tuple(weights)
+        self.biases = tuple(biases)
+
+    def __repr__(self) -> str:
+        return f"MlpParams(layer_sizes={self.layer_sizes})"
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams.from_flat(self.flat.copy(), self.layer_sizes)
 
 
 # Gradients, optimizer moments and importance maps are all parameter-shaped.
@@ -67,37 +116,8 @@ def check_congruent(a: MlpParams, b: MlpParams, what: str = "operands"):
         )
 
 
-def zeros_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-
-
-def map_blocks(f, *objs: MlpParams) -> MlpParams:
-    """Apply ``f`` blockwise across congruent parameter containers."""
-    for other in objs[1:]:
-        check_congruent(objs[0], other)
-    return MlpParams(
-        weights=[f(*ws) for ws in zip(*(o.weights for o in objs))],
-        biases=[f(*bs) for bs in zip(*(o.biases for o in objs))],
-    )
-
-
-def flatten(params: MlpParams) -> np.ndarray:
-    return np.concatenate(
-        [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
-    )
-
-
 def global_norm(params: MlpParams) -> float:
-    return float(np.linalg.norm(flatten(params)))
-
-
-def all_finite(params: MlpParams) -> bool:
-    return all(np.isfinite(w).all() for w in params.weights) and all(
-        np.isfinite(b).all() for b in params.biases
-    )
+    return float(np.linalg.norm(params.flat))
 
 
 @dataclass(frozen=True)
@@ -147,7 +167,7 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     """Run the network on a batch of image rows.
 
     Raises :class:`NonFiniteError` naming the layer if any pre-activation
-    overflows.
+    overflows; each layer's ``z`` is checked once, after the bias add.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
@@ -158,10 +178,9 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     a = x
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        try:
-            z = matmul(a, w.T) + b
-        except NonFiniteError:
-            raise NonFiniteError(f"non-finite pre-activation in layer {l}") from None
+        z = matmul(a, w.T, check_finite=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z += b
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {l}")
         pre.append(z)
@@ -203,7 +222,10 @@ def cross_entropy(trace: ForwardTrace, labels: np.ndarray, reduction: str = "mea
 
 
 def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Gradients:
-    """Exact gradient of the mean cross-entropy for the traced batch."""
+    """Exact gradient of the mean cross-entropy for the traced batch.
+
+    Each layer's products land directly in a fresh flat gradient.
+    """
     batch = trace.inputs.shape[0]
     labels = _check_labels(labels, trace.probabilities.shape[1])
     if labels.shape[0] != batch:
@@ -211,17 +233,16 @@ def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Grad
     delta = trace.probabilities.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grad_w = [None] * params.num_layers
-    grad_b = [None] * params.num_layers
+    grads = MlpParams.from_flat(np.empty(params.flat.size), params.layer_sizes)
     for l in range(params.num_layers - 1, -1, -1):
         below = trace.inputs if l == 0 else trace.activations[l - 1]
-        grad_w[l] = matmul(delta.T, below)
-        grad_b[l] = delta.sum(axis=0)
+        matmul(delta.T, below, out=grads.weights[l])
+        np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
                 trace.pre_activations[l - 1]
             )
-    return MlpParams(weights=grad_w, biases=grad_b)
+    return grads
 
 
 def accuracy(params: MlpParams, images: np.ndarray, labels: np.ndarray) -> float:
@@ -257,6 +278,6 @@ def load_params(path: str) -> MlpParams:
             weights=[archive[f"weights_{l}"] for l in range(n)],
             biases=[archive[f"biases_{l}"] for l in range(n)],
         )
-    if not all_finite(params):
+    if not np.isfinite(params.flat).all():
         raise NonFiniteError(f"{path}: checkpoint contains non-finite values")
     return params

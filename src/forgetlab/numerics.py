@@ -39,8 +39,12 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     return m
 
 
-def matmul(a, b) -> np.ndarray:
+def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
     """Matrix product with shape checking.
+
+    Writes into ``out`` when given (which must have the product's shape).
+    With ``check_finite=False`` the caller takes over the finiteness
+    check, typically after a further elementwise step.
 
     Summation order is fixed by the BLAS build, so repeated calls with the
     same operands in the same environment are bit-identical.
@@ -55,8 +59,8 @@ def matmul(a, b) -> np.ndarray:
             f"vs {b.shape[0]}x{b.shape[1]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.isfinite(out).all():
+        out = np.matmul(a, b, out=out)
+    if check_finite and not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(f"matmul produced non-finite entry at {tuple(int(i) for i in bad)}")
     return out

@@ -9,16 +9,24 @@ the post hook runs. Multiplying by an attenuation factor on either side
 of the optimizer then rounds identically, so for SGD the two hook sides
 produce bit-equal trajectories rather than merely close ones. Adam's
 scale is 1.0, which leaves its update semantics untouched.
+
+Every update works on the flat parameter vector (see :mod:`.model`).
+Adam updates its moments in place and writes its direction into a buffer
+that the :class:`AdamState` owns, so the direction a step returns is
+overwritten by the next step. Hooks own their output buffers the same
+way. :func:`apply` is the boundary: it never mutates ``params`` or
+``grads`` and returns parameters in a freshly allocated vector, which no
+later step touches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Gradients, MlpParams, check_congruent, map_blocks, zeros_like_params
+from .model import Gradients, MlpParams, check_congruent
 from .numerics import ShapeError
 
 
@@ -42,6 +50,9 @@ class AdamState:
     first_moment: Optional[MlpParams] = None
     second_moment: Optional[MlpParams] = None
     t: int = 0
+    # Reused every step: the emitted direction and one temporary.
+    _direction: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -72,37 +83,47 @@ IDENTITY_HOOK = StepHook()
 
 def sgd_step(config: SgdConfig, grads: Gradients) -> Gradients:
     """Plain gradient descent step, -lr * g elementwise."""
-    lr = config.learning_rate
-    return map_blocks(lambda g: (-g) * lr, grads)
+    return MlpParams.from_flat((-grads.flat) * config.learning_rate, grads.layer_sizes)
 
 
 def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
     if state.first_moment is None:
-        state.first_moment = zeros_like_params(grads)
-        state.second_moment = zeros_like_params(grads)
+        state.first_moment = MlpParams.zeros(grads.layer_sizes)
+        state.second_moment = MlpParams.zeros(grads.layer_sizes)
+        state._direction = np.empty_like(grads.flat)
+        state._scratch = np.empty_like(grads.flat)
     check_congruent(state.first_moment, grads, "Adam state and grads")
+    g, m, v = grads.flat, state.first_moment.flat, state.second_moment.flat
+    d, tmp = state._direction, state._scratch
     b1, b2 = state.beta1, state.beta2
     state.t += 1
-    state.first_moment = map_blocks(
-        lambda m, g: b1 * m + (1 - b1) * g, state.first_moment, grads
-    )
-    state.second_moment = map_blocks(
-        lambda v, g: b2 * v + (1 - b2) * g * g, state.second_moment, grads
-    )
+    # m = b1 * m + (1 - b1) * g
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=tmp)
+    np.add(m, tmp, out=m)
+    # v = b2 * v + ((1 - b2) * g) * g
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1 - b2, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.add(v, tmp, out=v)
     c1 = 1 - b1**state.t
     c2 = 1 - b2**state.t
     lr, eps = state.learning_rate, state.epsilon
-    return map_blocks(
-        lambda m, v: (-lr * (m / c1)) / (np.sqrt(v / c2) + eps),
-        state.first_moment,
-        state.second_moment,
-    )
+    # d = (-lr * (m / c1)) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=d)
+    np.multiply(d, -lr, out=d)
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, eps, out=tmp)
+    np.divide(d, tmp, out=d)
+    return MlpParams.from_flat(d, grads.layer_sizes)
 
 
 def adam_step(state: AdamState, grads: Gradients) -> Gradients:
     """Bias-corrected Adam step; advances the moments and counter in place.
 
     Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
+    The returned step is the state's direction buffer.
     """
     return _adam_direction(state, grads)
 
@@ -110,7 +131,8 @@ def adam_step(state: AdamState, grads: Gradients) -> Gradients:
 def step_parts(optimizer: Optimizer, grads: Gradients) -> tuple[Gradients, float]:
     """The optimizer's step as (direction, deferred scalar)."""
     if isinstance(optimizer, SgdConfig):
-        return map_blocks(np.negative, grads), optimizer.learning_rate
+        direction = MlpParams.from_flat(np.negative(grads.flat), grads.layer_sizes)
+        return direction, optimizer.learning_rate
     if isinstance(optimizer, AdamState):
         return _adam_direction(optimizer, grads), 1.0
     raise TypeError(f"unknown optimizer {type(optimizer).__name__}")
@@ -139,8 +161,8 @@ def apply(
 ) -> MlpParams:
     """One update: pre-hook the gradient, step, post-hook the step, add.
 
-    Returns new parameters; the inputs are not mutated (optimizer state
-    is).
+    Returns new parameters in a fresh vector; ``params`` and ``grads``
+    are not mutated (optimizer and hook buffers are).
     """
     check_congruent(params, grads, "params and grads")
     g = grads
@@ -149,5 +171,5 @@ def apply(
     direction, scale = step_parts(optimizer, g)
     if hook is not None and hook.post_optimizer is not None:
         direction = _checked_hook_output(hook.post_optimizer(direction), grads, "post_optimizer")
-    step = direction if scale == 1.0 else map_blocks(lambda d: d * scale, direction)
-    return map_blocks(np.add, params, step)
+    step = direction.flat if scale == 1.0 else direction.flat * scale
+    return MlpParams.from_flat(params.flat + step, params.layer_sizes)

@@ -307,7 +307,9 @@ def emit_reports(result, outdir: str) -> list[str]:
             render_accuracy_curves(result.matrix, os.path.join(outdir, "accuracy_curves.svg"))
         )
     elif isinstance(result, LambdaSurface):
-        written.append(emit_surface_csv(result, os.path.join(outdir, "surface.csv")))
+        written.append(
+            emit_surface_csv(result, os.path.join(outdir, "surface.csv"), result.config)
+        )
         written.append(
             render_surface_heatmap(result, os.path.join(outdir, "surface_heatmap.svg"))
         )

@@ -66,3 +66,8 @@ class ScalarAdam:
         m_hat = self.m / (1 - self.beta1**self.t)
         v_hat = self.v / (1 - self.beta2**self.t)
         return -self.lr * m_hat / (v_hat**0.5 + self.epsilon)
+
+
+def map_flat(f, *params):
+    """Parameters shaped like ``params[0]`` holding ``f`` of their flat vectors."""
+    return MlpParams.from_flat(f(*(p.flat for p in params)), params[0].layer_sizes)

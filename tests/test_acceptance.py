@@ -36,7 +36,7 @@ from forgetlab.harness import (
     grid_search,
     run_sequence,
 )
-from forgetlab.model import flatten, init_params, zeros_like_params
+from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream
 from forgetlab.optim import AdamState, adam_step
 from forgetlab.reports import emit_eval_matrix_csv
@@ -128,7 +128,7 @@ def test_criterion_02_sgd_target_equivalence():
             ),
         )
         result = run_sequence(config)
-        finals[target] = (flatten(result.params), result.matrix.accuracies)
+        finals[target] = (result.params.flat, result.matrix.accuracies)
     same_params = np.array_equal(finals["gradient"][0], finals["step"][0])
     same_matrix = np.array_equal(
         finals["gradient"][1], finals["step"][1], equal_nan=True
@@ -148,7 +148,7 @@ def test_criterion_03_closed_forms():
     for block in omega.weights + omega.biases:
         np.abs(block, out=block)
     value, grad = ewc_penalty(params, Anchor(values=params.copy(), task_label=0), omega, 3.0)
-    zero_grad = np.array_equal(flatten(grad), flatten(zeros_like_params(params)))
+    zero_grad = np.array_equal(grad.flat, np.zeros_like(grad.flat))
     alphas = np.array([0.1, 1.0, 7.5])
     sc_bound = all(
         safe_coefficient(big, a, l) <= 1.0 / (a * l) + 1e-12
@@ -271,7 +271,7 @@ def test_criterion_10_scalar_adam_oracle():
     worst = 0.0
     for g in gradients:
         theta_ref += reference.step(g)
-        grads = zeros_like_params(params)
+        grads = MlpParams.zeros(params.layer_sizes)
         grads.weights[0][0, 0] = g
         step = adam_step(state, grads)
         params = params.copy()

@@ -25,17 +25,15 @@ from forgetlab.data import TaskDataset
 from forgetlab.model import (
     MlpParams,
     backward,
-    flatten,
     forward,
     global_norm,
     init_params,
-    map_blocks,
-    zeros_like_params,
+    param_count,
 )
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import AdamState, SgdConfig, apply
+from forgetlab.optim import AdamState, SgdConfig, apply, reset_state
 
-from helpers import ScalarAdam
+from helpers import ScalarAdam, map_flat
 
 
 def make_task(images, labels, task_id=0):
@@ -71,28 +69,28 @@ class TestFisher:
     def test_matches_per_sample_brute_force(self):
         params, task = random_setup(40, n=3)
         estimated = estimate_fisher(params, task)
-        total = zeros_like_params(params)
+        total = MlpParams.zeros(params.layer_sizes)
         for i in range(3):
             trace = forward(params, task.train_images[i : i + 1])
             g = backward(params, trace, task.train_labels[i : i + 1])
-            total = map_blocks(lambda t, gi: t + gi * gi, total, g)
-        brute = map_blocks(lambda t: t / 3, total)
-        assert np.max(np.abs(flatten(estimated) - flatten(brute))) < 1e-12
+            total = map_flat(lambda t, gi: t + gi * gi, total, g)
+        brute = map_flat(lambda t: t / 3, total)
+        assert np.max(np.abs(estimated.flat - brute.flat)) < 1e-12
 
     def test_single_sample_is_squared_gradient(self):
         params, task = random_setup(41, n=1)
         estimated = estimate_fisher(params, task)
         trace = forward(params, task.train_images)
         g = backward(params, trace, task.train_labels)
-        squared = map_blocks(lambda x: x * x, g)
-        gap = np.abs(flatten(estimated) - flatten(squared))
-        assert np.max(gap) <= 1e-14 * np.max(np.abs(flatten(squared)))
+        squared = map_flat(lambda x: x * x, g)
+        gap = np.abs(estimated.flat - squared.flat)
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(squared.flat))
 
     def test_chunking_does_not_change_result(self):
         params, task = random_setup(42, n=7)
         whole = estimate_fisher(params, task, chunk_size=100)
         chunked = estimate_fisher(params, task, chunk_size=2)
-        assert np.allclose(flatten(whole), flatten(chunked), rtol=0, atol=1e-15)
+        assert np.allclose(whole.flat, chunked.flat, rtol=0, atol=1e-15)
 
     def test_empty_dataset_rejected(self):
         params, task = random_setup(43)
@@ -166,7 +164,7 @@ class TestEstimatorProperties:
             for estimator in (estimate_fisher, estimate_total_abs_signal):
                 omega = estimator(params, task)
                 assert omega.layer_sizes == params.layer_sizes
-                assert np.all(flatten(omega) >= 0.0)
+                assert np.all(omega.flat >= 0.0)
                 check_importance(omega)
 
 
@@ -174,26 +172,26 @@ class TestAccumulate:
     def test_gamma_one_is_plain_sum(self):
         a = init_params(RandomStream(48), (3, 2))
         b = init_params(RandomStream(49), (3, 2))
-        absa, absb = map_blocks(np.abs, a), map_blocks(np.abs, b)
+        absa, absb = map_flat(np.abs, a), map_flat(np.abs, b)
         total = accumulate(absa, absb, 1.0)
-        assert np.array_equal(flatten(total), flatten(absa) + flatten(absb))
+        assert np.array_equal(total.flat, absa.flat + absb.flat)
 
     def test_decay_halves_totals_when_nothing_new(self):
-        a = map_blocks(np.abs, init_params(RandomStream(50), (3, 2)))
-        zero = zeros_like_params(a)
+        a = map_flat(np.abs, init_params(RandomStream(50), (3, 2)))
+        zero = MlpParams.zeros(a.layer_sizes)
         total = accumulate(a, zero, 0.5)
-        assert np.array_equal(flatten(total), 0.5 * flatten(a))
+        assert np.array_equal(total.flat, 0.5 * a.flat)
 
     def test_three_tasks_sum(self):
         maps = [
-            map_blocks(np.abs, init_params(RandomStream(s), (3, 2))) for s in (51, 52, 53)
+            map_flat(np.abs, init_params(RandomStream(s), (3, 2))) for s in (51, 52, 53)
         ]
         total = accumulate(accumulate(maps[0], maps[1], 1.0), maps[2], 1.0)
-        expected = flatten(maps[0]) + flatten(maps[1]) + flatten(maps[2])
-        assert np.allclose(flatten(total), expected, rtol=0, atol=1e-15)
+        expected = maps[0].flat + maps[1].flat + maps[2].flat
+        assert np.allclose(total.flat, expected, rtol=0, atol=1e-15)
 
     def test_gamma_validated(self):
-        a = zeros_like_params(init_params(RandomStream(54), (2, 2)))
+        a = MlpParams.zeros(init_params(RandomStream(54), (2, 2)).layer_sizes)
         with pytest.raises(ValueError):
             accumulate(a, a, 1.5)
 
@@ -207,10 +205,10 @@ class TestAccumulate:
 class TestEwcPenalty:
     def test_zero_at_anchor(self):
         params = init_params(RandomStream(56), (4, 3))
-        omega = map_blocks(np.abs, init_params(RandomStream(57), (4, 3)))
+        omega = map_flat(np.abs, init_params(RandomStream(57), (4, 3)))
         value, grad = ewc_penalty(params, Anchor(params.copy(), 0), omega, 3.0)
         assert value == 0.0
-        assert np.all(flatten(grad) == 0.0)
+        assert np.all(grad.flat == 0.0)
 
     def test_single_weight_plug_in(self):
         params = scalar_net(1.0)
@@ -223,7 +221,7 @@ class TestEwcPenalty:
     def test_gradient_matches_finite_differences(self):
         params = init_params(RandomStream(58), (3, 3, 2))
         anchor = Anchor(init_params(RandomStream(59), (3, 3, 2)), 0)
-        omega = map_blocks(np.abs, init_params(RandomStream(60), (3, 3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2)))
         lam = 1.7
         _, grad = ewc_penalty(params, anchor, omega, lam)
         h = 1e-6
@@ -242,11 +240,11 @@ class TestEwcPenalty:
     def test_translation_invariance(self):
         params = init_params(RandomStream(61), (3, 2))
         anchor_values = init_params(RandomStream(62), (3, 2))
-        omega = map_blocks(np.abs, init_params(RandomStream(63), (3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(63), (3, 2)))
         base, _ = ewc_penalty(params, Anchor(anchor_values, 0), omega, 2.0)
         shifted, _ = ewc_penalty(
-            map_blocks(lambda p: p + 7.25, params),
-            Anchor(map_blocks(lambda a: a + 7.25, anchor_values), 0),
+            map_flat(lambda p: p + 7.25, params),
+            Anchor(map_flat(lambda a: a + 7.25, anchor_values), 0),
             omega,
             2.0,
         )
@@ -272,7 +270,7 @@ class TestMultiAnchor:
         params = init_params(RandomStream(seed), sizes)
         anchors = [Anchor(init_params(RandomStream(seed + i + 1), sizes), i) for i in range(k)]
         omegas = [
-            map_blocks(np.abs, init_params(RandomStream(seed + 100 + i), sizes))
+            map_flat(np.abs, init_params(RandomStream(seed + 100 + i), sizes))
             for i in range(k)
         ]
         lams = [0.5 + 0.25 * i for i in range(k)]
@@ -282,14 +280,14 @@ class TestMultiAnchor:
         params = init_params(RandomStream(64), (3, 2))
         value, grad = ewc_penalty_multi_anchor(params, [], [], [])
         assert value == 0.0
-        assert np.all(flatten(grad) == 0.0)
+        assert np.all(grad.flat == 0.0)
 
     def test_single_anchor_reduces_to_plain_penalty(self):
         params, anchors, omegas, lams = self.setup_instance(65, 1)
         multi = ewc_penalty_multi_anchor(params, anchors, omegas, lams)
         single = ewc_penalty(params, anchors[0], omegas[0], lams[0])
         assert multi[0] == single[0]
-        assert np.array_equal(flatten(multi[1]), flatten(single[1]))
+        assert np.array_equal(multi[1].flat, single[1].flat)
 
     def test_duplicate_anchor_equals_double_lambda(self):
         params, anchors, omegas, _ = self.setup_instance(66, 1)
@@ -298,15 +296,15 @@ class TestMultiAnchor:
             params, anchors * 2, omegas * 2, [0.8, 0.8]
         )
         assert abs(doubled[0] - duplicated[0]) < 1e-12
-        assert np.max(np.abs(flatten(doubled[1]) - flatten(duplicated[1]))) < 1e-12
+        assert np.max(np.abs(doubled[1].flat - duplicated[1].flat)) < 1e-12
 
     def test_three_anchors_equal_sum_of_singles(self):
         params, anchors, omegas, lams = self.setup_instance(67, 3)
         value, grad = ewc_penalty_multi_anchor(params, anchors, omegas, lams)
         parts = [ewc_penalty(params, a, o, l) for a, o, l in zip(anchors, omegas, lams)]
         assert abs(value - sum(p[0] for p in parts)) < 1e-12
-        summed = sum(flatten(p[1]) for p in parts)
-        assert np.max(np.abs(flatten(grad) - summed)) < 1e-12
+        summed = sum(p[1].flat for p in parts)
+        assert np.max(np.abs(grad.flat - summed)) < 1e-12
 
     def test_length_mismatch_rejected(self):
         params, anchors, omegas, lams = self.setup_instance(68, 2)
@@ -349,24 +347,24 @@ class TestClipSeparately:
         a = init_params(RandomStream(69), (3, 2))
         b = init_params(RandomStream(70), (3, 2))
         combined = clip_separately(a, b, threshold=1e6)
-        assert np.array_equal(flatten(combined), flatten(a) + flatten(b))
+        assert np.array_equal(combined.flat, a.flat + b.flat)
 
     def test_zero_penalty_leaves_clipped_task_gradient(self):
         a = init_params(RandomStream(71), (3, 2))
-        zero = zeros_like_params(a)
+        zero = MlpParams.zeros(a.layer_sizes)
         clipped = clip_separately(a, zero, threshold=0.1)
         assert abs(global_norm(clipped) - 0.1) < 1e-12
 
     def test_both_rescaled_to_unit_norm(self):
         rs = RandomStream(72)
         task = MlpParams(weights=[rs.normal(0, 1, (3, 3))], biases=[rs.normal(0, 1, 3)])
-        task = map_blocks(lambda g: g * (10.0 / global_norm(task)), task)
+        task = map_flat(lambda g: g * (10.0 / global_norm(task)), task)
         penalty = MlpParams(weights=[rs.normal(0, 1, (3, 3))], biases=[rs.normal(0, 1, 3)])
-        penalty = map_blocks(lambda g: g * (1000.0 / global_norm(penalty)), penalty)
+        penalty = map_flat(lambda g: g * (1000.0 / global_norm(penalty)), penalty)
         combined = clip_separately(task, penalty, threshold=1.0)
-        unit_task = flatten(task) / 10.0
-        unit_penalty = flatten(penalty) / 1000.0
-        assert np.max(np.abs(flatten(combined) - (unit_task + unit_penalty))) < 1e-12
+        unit_task = task.flat / 10.0
+        unit_penalty = penalty.flat / 1000.0
+        assert np.max(np.abs(combined.flat - (unit_task + unit_penalty))) < 1e-12
         assert global_norm(combined) <= 2.0
 
     def test_threshold_validated(self):
@@ -422,25 +420,25 @@ class TestWvaFactor:
 
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
-        omega = zeros_like_params(init_params(RandomStream(74), (3, 2)))
+        omega = MlpParams.zeros(init_params(RandomStream(74), (3, 2)).layer_sizes)
         hook = make_wva_hook(omega, 5.0, "hyperbolic", "gradient")
         g = init_params(RandomStream(75), (3, 2))
-        assert np.array_equal(flatten(hook.pre_optimizer(g)), flatten(g))
+        assert np.array_equal(hook.pre_optimizer(g).flat, g.flat)
 
     def test_zero_lambda_returns_bare_hook(self):
-        omega = map_blocks(np.abs, init_params(RandomStream(76), (3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(76), (3, 2)))
         hook = make_wva_hook(omega, 0.0, "hyperbolic", "step")
         assert hook.pre_optimizer is None and hook.post_optimizer is None
 
     def test_target_selects_hook_side(self):
-        omega = map_blocks(np.abs, init_params(RandomStream(77), (3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(77), (3, 2)))
         grad_side = make_wva_hook(omega, 1.0, "hyperbolic", "gradient")
         step_side = make_wva_hook(omega, 1.0, "hyperbolic", "step")
         assert grad_side.pre_optimizer is not None and grad_side.post_optimizer is None
         assert step_side.post_optimizer is not None and step_side.pre_optimizer is None
 
     def test_sgd_trajectories_identical_for_both_targets(self):
-        omega = map_blocks(np.abs, init_params(RandomStream(78), (4, 3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(78), (4, 3, 2)))
         pre = make_wva_hook(omega, 2.5, "exponential", "gradient")
         post = make_wva_hook(omega, 2.5, "exponential", "step")
         p_pre = init_params(RandomStream(79), (4, 3, 2))
@@ -453,7 +451,7 @@ class TestWvaHook:
             )
             p_pre = apply(p_pre, grads, SgdConfig(), pre)
             p_post = apply(p_post, grads, SgdConfig(), post)
-        assert np.array_equal(flatten(p_pre), flatten(p_post))
+        assert np.array_equal(p_pre.flat, p_post.flat)
 
     def test_adam_targets_diverge_matching_scalar_oracle(self):
         lam, omega_value = 2.0, 0.75
@@ -542,9 +540,9 @@ class TestStrategies:
         second = strategy.importance()
         omega_a = estimate_total_abs_signal(params, task_a)
         omega_b = estimate_total_abs_signal(params, task_b)
-        assert np.array_equal(flatten(first), flatten(omega_a))
+        assert np.array_equal(first.flat, omega_a.flat)
         assert np.allclose(
-            flatten(second), flatten(omega_a) + flatten(omega_b), rtol=0, atol=1e-15
+            second.flat, omega_a.flat + omega_b.flat, rtol=0, atol=1e-15
         )
 
     def test_wva_hook_scales_by_expected_factors(self):
@@ -555,8 +553,8 @@ class TestStrategies:
         hook = strategy.step_hook(params)
         omega = estimate_total_abs_signal(params, task)
         step = init_params(RandomStream(88), params.layer_sizes)
-        expected = flatten(step) / (2.0 * flatten(omega) + 1.0)
-        assert np.max(np.abs(flatten(hook.post_optimizer(step)) - expected)) < 1e-15
+        expected = step.flat / (2.0 * omega.flat + 1.0)
+        assert np.max(np.abs(hook.post_optimizer(step).flat - expected)) < 1e-15
 
     def test_wva_normalization_rescales_factors(self):
         config = StrategyConfig(
@@ -566,10 +564,10 @@ class TestStrategies:
         params, task = random_setup(89)
         strategy.finish_task(params, task)
         hook = strategy.step_hook(params)
-        omega = flatten(estimate_total_abs_signal(params, task))
+        omega = estimate_total_abs_signal(params, task).flat
         step = init_params(RandomStream(90), params.layer_sizes)
-        expected = flatten(step) / (2.0 * (omega / omega.max()) + 1.0)
-        assert np.max(np.abs(flatten(hook.post_optimizer(step)) - expected)) < 1e-15
+        expected = step.flat / (2.0 * (omega / omega.max()) + 1.0)
+        assert np.max(np.abs(hook.post_optimizer(step).flat - expected)) < 1e-15
 
     def test_ewc_hook_adds_penalty_gradient(self):
         config = StrategyConfig(kind="ewc", lam=3.0, estimator="fisher")
@@ -581,8 +579,8 @@ class TestStrategies:
         task_grad = init_params(RandomStream(93), anchor_params.layer_sizes)
         omega = estimate_fisher(anchor_params, task)
         _, penalty_grad = ewc_penalty(current, Anchor(anchor_params, 0), omega, 3.0)
-        expected = flatten(task_grad) + flatten(penalty_grad)
-        assert np.max(np.abs(flatten(hook.pre_optimizer(task_grad)) - expected)) < 1e-15
+        expected = task_grad.flat + penalty_grad.flat
+        assert np.max(np.abs(hook.pre_optimizer(task_grad).flat - expected)) < 1e-15
 
     def test_ewc_anchor_is_snapshot_not_reference(self):
         config = StrategyConfig(kind="ewc", lam=1.0)
@@ -600,11 +598,11 @@ class TestStrategies:
         strategy.finish_task(params, task)
         current = init_params(RandomStream(96), params.layer_sizes)
         hook = strategy.step_hook(current)
-        zero = zeros_like_params(params)
-        penalty_only = flatten(hook.pre_optimizer(zero))
-        omega = flatten(strategy.omega_total)
+        zero = MlpParams.zeros(params.layer_sizes)
+        penalty_only = hook.pre_optimizer(zero).flat
+        omega = strategy.omega_total.flat
         coeff = omega / (alpha * lam * omega + 1.0)
-        diff = flatten(current) - flatten(params)
+        diff = current.flat - params.flat
         assert np.max(np.abs(penalty_only - lam * coeff * diff)) < 1e-12
 
     def test_ewc_separate_clip_applied(self):
@@ -612,9 +610,9 @@ class TestStrategies:
         strategy = build_strategy(config, 0.2)
         params, task = random_setup(97)
         strategy.finish_task(params, task)
-        current = map_blocks(lambda p: p + 5.0, params)
+        current = map_flat(lambda p: p + 5.0, params)
         hook = strategy.step_hook(current)
-        out = hook.pre_optimizer(zeros_like_params(params))
+        out = hook.pre_optimizer(MlpParams.zeros(params.layer_sizes))
         assert global_norm(out) <= 1.0 + 1e-9
 
     def test_ewc_zero_lambda_never_hooks(self):
@@ -632,7 +630,7 @@ class TestStrategies:
             strategy = build_strategy(StrategyConfig(kind=kind, lam=2.0), 0.2)
             strategy.finish_task(params, task)
             hook = strategy.step_hook(current)
-            outputs[kind] = flatten(hook.pre_optimizer(task_grad))
+            outputs[kind] = hook.pre_optimizer(task_grad).flat.copy()
         assert np.array_equal(outputs["ewc"], outputs["ewc_multi_anchor"])
 
     def test_multi_anchor_keeps_separate_anchors(self):
@@ -648,19 +646,77 @@ class TestStrategies:
         assert strategy.anchors[1].task_label == 1
         current = init_params(RandomStream(105), params_a.layer_sizes)
         hook = strategy.step_hook(current)
-        out = flatten(hook.pre_optimizer(zeros_like_params(params_a)))
+        out = hook.pre_optimizer(MlpParams.zeros(params_a.layer_sizes)).flat
         _, expected = ewc_penalty_multi_anchor(
             current, strategy.anchors, strategy.omegas, [1.0, 1.0]
         )
-        assert np.array_equal(out, flatten(expected))
+        assert np.array_equal(out, expected.flat)
 
 
 class TestMaxNormalize:
     def test_peak_becomes_one(self):
-        omega = map_blocks(np.abs, init_params(RandomStream(106), (3, 3, 2)))
+        omega = map_flat(np.abs, init_params(RandomStream(106), (3, 3, 2)))
         normalized = max_normalize(omega)
-        assert abs(flatten(normalized).max() - 1.0) < 1e-15
+        assert abs(normalized.flat.max() - 1.0) < 1e-15
 
     def test_zero_map_unchanged(self):
-        omega = zeros_like_params(init_params(RandomStream(107), (2, 2)))
-        assert np.all(flatten(max_normalize(omega)) == 0.0)
+        omega = MlpParams.zeros(init_params(RandomStream(107), (2, 2)).layer_sizes)
+        assert np.all(max_normalize(omega).flat == 0.0)
+
+
+class TestBufferAliasing:
+    """Optimizer and hook buffers are reused; apply's inputs and outputs are not."""
+
+    SIZES = (5, 4, 3)
+
+    def hooked_strategy(self, kind):
+        configs = {
+            "wva-step": StrategyConfig(kind="wva", lam=2.0, target="step"),
+            "wva-gradient": StrategyConfig(kind="wva", lam=2.0, target="gradient"),
+            "ewc": StrategyConfig(kind="ewc", lam=3.0, estimator="fisher"),
+            "ewc-multi-anchor": StrategyConfig(
+                kind="ewc_multi_anchor", lam=3.0, estimator="fisher"
+            ),
+        }
+        strategy = build_strategy(configs[kind], 0.001)
+        for task_id, seed in enumerate((110, 111)):
+            params, task = random_setup(seed, self.SIZES)
+            strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
+        return strategy
+
+    def gradients(self, seed):
+        flat = RandomStream(seed).normal(0, 1, param_count(self.SIZES))
+        return MlpParams.from_flat(flat, self.SIZES)
+
+    @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
+    def test_apply_leaves_params_and_grads_unchanged(self, kind):
+        strategy = self.hooked_strategy(kind)
+        params = init_params(RandomStream(112), self.SIZES)
+        grads = self.gradients(113)
+        before = (params.flat.tobytes(), grads.flat.tobytes())
+        apply(params, grads, AdamState(), strategy.step_hook(params))
+        assert (params.flat.tobytes(), grads.flat.tobytes()) == before
+
+    @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
+    def test_second_apply_keeps_first_result(self, kind):
+        strategy = self.hooked_strategy(kind)
+        optimizer = AdamState()
+        params = init_params(RandomStream(114), self.SIZES)
+        first = apply(params, self.gradients(115), optimizer, strategy.step_hook(params))
+        snapshot = first.flat.tobytes()
+        second = apply(first, self.gradients(116), optimizer, strategy.step_hook(first))
+        assert first.flat.tobytes() == snapshot
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.array_equal(first.flat, second.flat)
+
+    def test_reset_state_restarts_adam_exactly(self):
+        strategy = self.hooked_strategy("ewc")
+        used = AdamState()
+        params = init_params(RandomStream(117), self.SIZES)
+        for seed in (118, 119, 120):
+            params = apply(params, self.gradients(seed), used, strategy.step_hook(params))
+        reset_state(used)
+        grads = self.gradients(121)
+        restarted = apply(params, grads, used, strategy.step_hook(params))
+        fresh = apply(params, grads, AdamState(), strategy.step_hook(params))
+        assert restarted.flat.tobytes() == fresh.flat.tobytes()

@@ -21,7 +21,6 @@ from forgetlab.harness import (
 from forgetlab.model import (
     accuracy,
     backward,
-    flatten,
     forward,
     init_params,
     load_params,
@@ -120,7 +119,7 @@ class TestRunSequence:
         for xb, yb in batches(tasks[0], config.batch_size, root.child(3, 0, 0)):
             grads = backward(params, forward(params, xb), yb)
             params = apply(params, grads, state, None)
-        assert np.array_equal(flatten(result.params), flatten(params))
+        assert np.array_equal(result.params.flat, params.flat)
         assert result.matrix.accuracies.shape == (1, 1)
         expected = accuracy(params, tasks[0].test_images, tasks[0].test_labels)
         assert result.matrix.accuracies[0, 0] == expected
@@ -130,7 +129,7 @@ class TestRunSequence:
         a = run_sequence(config)
         b = run_sequence(config)
         assert np.array_equal(a.matrix.accuracies, b.matrix.accuracies, equal_nan=True)
-        assert np.array_equal(flatten(a.params), flatten(b.params))
+        assert np.array_equal(a.params.flat, b.params.flat)
 
     def test_lower_triangle_occupancy(self):
         config = tiny_config(num_tasks=3, eval_subset=20)
@@ -156,7 +155,7 @@ class TestRunSequence:
             assert np.array_equal(
                 baseline.matrix.accuracies, shielded.matrix.accuracies, equal_nan=True
             )
-            assert np.array_equal(flatten(baseline.params), flatten(shielded.params))
+            assert np.array_equal(baseline.params.flat, shielded.params.flat)
 
     def test_huge_lambda_freezes_first_task_skill(self, tmp_path):
         config = tiny_config(
@@ -167,8 +166,8 @@ class TestRunSequence:
         )
         result = run_sequence(config)
         after_first = load_params(str(tmp_path / "params_task0.npz"))
-        drift = np.max(np.abs(flatten(result.params) - flatten(after_first)))
-        scale = np.max(np.abs(flatten(after_first)))
+        drift = np.max(np.abs(result.params.flat - after_first.flat))
+        scale = np.max(np.abs(after_first.flat))
         assert drift < 1e-6 * scale
         acc = result.matrix.accuracies
         assert abs(acc[1, 0] - acc[0, 0]) < 1e-12
@@ -178,13 +177,13 @@ class TestRunSequence:
     def test_carry_optimizer_state_changes_trajectory(self):
         kept = run_sequence(tiny_config(carry_optimizer_state=True))
         reset = run_sequence(tiny_config(carry_optimizer_state=False))
-        assert not np.array_equal(flatten(kept.params), flatten(reset.params))
+        assert not np.array_equal(kept.params.flat, reset.params.flat)
 
     def test_strategy_importance_returned(self):
         config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))
         result = run_sequence(config)
         assert result.importance is not None
-        assert np.all(flatten(result.importance) >= 0.0)
+        assert np.all(result.importance.flat >= 0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
@@ -279,6 +278,22 @@ class TestGridSearch:
         assert surface.failures[0][0] == 1e60
         assert np.all(np.isnan(surface.avg_accuracy[1]))
         assert np.all(np.isfinite(surface.avg_accuracy[0]))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only numerical failures become gaps; a bug must not pass as a
+        # failed lambda
+        from forgetlab import harness
+
+        def broken_run(config, tasks=None):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(harness, "run_sequence", broken_run)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
+
+    def test_surface_records_its_config(self):
+        config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))
+        assert grid_search(config, [0.5]).config == config
 
     def test_argmax_lambda(self):
         config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))

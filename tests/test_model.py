@@ -9,15 +9,13 @@ from forgetlab.model import (
     MlpParams,
     accuracy,
     backward,
+    check_congruent,
     cross_entropy,
-    flatten,
     forward,
     init_params,
     load_params,
-    map_blocks,
     save_params,
     softmax,
-    zeros_like_params,
 )
 from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError
 
@@ -117,6 +115,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(params, np.zeros((2, 5)))
 
+    def test_bias_overflow_names_layer(self):
+        # the product is finite; only adding the bias overflows
+        params = zero_net((2, 2, 2))
+        params.weights[0][:] = 1e308
+        params.biases[0][:] = 1e308
+        with pytest.raises(NonFiniteError) as err:
+            forward(params, np.ones((1, 2)) * 0.5)
+        assert "layer 0" in str(err.value)
+
     def test_nonfinite_activation_names_layer(self):
         params = zero_net((2, 2, 2))
         params.weights[1][:] = 1e308
@@ -213,7 +220,7 @@ class TestAccuracy:
 
     def test_memorized_toy_set(self):
         params = zero_net((2, 2))
-        params.weights[0] = np.array([[10.0, 0.0], [0.0, 10.0]])
+        params.weights[0][:] = [[10.0, 0.0], [0.0, 10.0]]
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert accuracy(params, x, np.array([0, 1])) == 1.0
 
@@ -240,7 +247,7 @@ class TestTraining:
             trace = forward(params, ds.train_images)
             losses.append(cross_entropy(trace, ds.train_labels))
             grads = backward(params, trace, ds.train_labels)
-            params = map_blocks(lambda p, g: p - 0.2 * g, params, grads)
+            params = MlpParams.from_flat(params.flat - 0.2 * grads.flat, params.layer_sizes)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -250,7 +257,7 @@ class TestCheckpoints:
         path = str(tmp_path / "net.npz")
         save_params(params, path)
         restored = load_params(path)
-        assert np.array_equal(flatten(restored), flatten(params))
+        assert np.array_equal(restored.flat, params.flat)
         assert restored.layer_sizes == params.layer_sizes
 
     def test_version_checked(self, tmp_path):
@@ -270,14 +277,69 @@ class TestCheckpoints:
 
 
 class TestBlockHelpers:
-    def test_map_blocks_congruence_enforced(self):
+    def test_congruence_enforced(self):
         a = init_params(RandomStream(26), (3, 2))
         b = init_params(RandomStream(26), (4, 2))
         with pytest.raises(ShapeError):
-            map_blocks(lambda x, y: x + y, a, b)
+            check_congruent(a, b)
 
     def test_zeros_like(self):
         params = init_params(RandomStream(27), (3, 3, 2))
-        zeros = zeros_like_params(params)
+        zeros = MlpParams.zeros(params.layer_sizes)
         assert zeros.layer_sizes == params.layer_sizes
-        assert np.all(flatten(zeros) == 0.0)
+        assert np.all(zeros.flat == 0.0)
+
+
+class TestFlatLayout:
+    def test_weights_then_biases_in_layer_order(self):
+        params = init_params(RandomStream(28), (4, 3, 2))
+        expected = np.concatenate(
+            [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
+        )
+        assert np.array_equal(params.flat, expected)
+        assert params.flat.size == 4 * 3 + 3 * 2 + 3 + 2
+
+    def test_blocks_are_views_of_flat(self):
+        params = init_params(RandomStream(29), (4, 3, 2))
+        params.weights[1][0, 1] = 7.5
+        params.biases[0][2] = -2.0
+        assert params.flat[12 + 1] == 7.5
+        assert params.flat[12 + 6 + 2] == -2.0
+        params.flat[:] = 0.0
+        assert not any(w.any() for w in params.weights)
+
+    def test_constructor_copies_blocks(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        params = MlpParams(weights=[w], biases=[b])
+        w[0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+
+    def test_from_flat_wraps_without_copy(self):
+        flat = np.arange(8, dtype=np.float64)
+        params = MlpParams.from_flat(flat, (3, 2))
+        assert params.flat is flat
+        assert np.array_equal(params.weights[0], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        assert np.array_equal(params.biases[0], [6.0, 7.0])
+
+    @pytest.mark.parametrize(
+        "flat", [np.zeros(7), np.zeros(8, dtype=np.float32), np.zeros(16)[::2]]
+    )
+    def test_from_flat_rejects_bad_vectors(self, flat):
+        with pytest.raises(ShapeError):
+            MlpParams.from_flat(flat, (3, 2))
+
+    def test_copy_is_independent(self):
+        params = init_params(RandomStream(30), (3, 2))
+        clone = params.copy()
+        clone.flat[:] = 0.0
+        assert params.flat.any()
+
+    def test_checkpoint_keeps_per_layer_keys(self, tmp_path):
+        params = init_params(RandomStream(31), (4, 3, 2))
+        path = str(tmp_path / "net.npz")
+        save_params(params, path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == [
+                "biases_0", "biases_1", "num_layers", "version", "weights_0", "weights_1"
+            ]
+            assert np.array_equal(archive["weights_1"], params.weights[1])

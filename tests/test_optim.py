@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forgetlab.model import MlpParams, flatten, init_params, map_blocks
+from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream, ShapeError
 from forgetlab.optim import (
     AdamState,
@@ -13,7 +13,7 @@ from forgetlab.optim import (
     sgd_step,
 )
 
-from helpers import ScalarAdam
+from helpers import ScalarAdam, map_flat
 
 
 def scalar_net(x=0.0):
@@ -40,8 +40,8 @@ class TestSgd:
     def test_linearity(self):
         g = random_grads(1)
         single = sgd_step(SgdConfig(learning_rate=0.05), g)
-        double = sgd_step(SgdConfig(learning_rate=0.05), map_blocks(lambda x: 2 * x, g))
-        assert np.array_equal(flatten(double), 2 * flatten(single))
+        double = sgd_step(SgdConfig(learning_rate=0.05), map_flat(lambda x: 2 * x, g))
+        assert np.array_equal(double.flat, 2 * single.flat)
 
     def test_learning_rate_validated(self):
         with pytest.raises(ValueError):
@@ -115,16 +115,16 @@ class TestApply:
     def test_identity_hook_matches_plain_sgd(self):
         params = random_grads(2)
         grads = random_grads(3)
-        plain = map_blocks(np.add, params, sgd_step(SgdConfig(), grads))
+        plain = map_flat(np.add, params, sgd_step(SgdConfig(), grads))
         hooked = apply(params, grads, SgdConfig(), StepHook())
-        assert np.array_equal(flatten(plain), flatten(hooked))
+        assert np.array_equal(plain.flat, hooked.flat)
 
     def test_identity_hook_matches_plain_adam(self):
         params = random_grads(4)
         grads = random_grads(5)
-        plain = map_blocks(np.add, params, adam_step(AdamState(), grads))
+        plain = map_flat(np.add, params, adam_step(AdamState(), grads))
         hooked = apply(params, grads, AdamState(), None)
-        assert np.array_equal(flatten(plain), flatten(hooked))
+        assert np.array_equal(plain.flat, hooked.flat)
 
     def test_post_hook_halving_halves_change_exactly(self):
         # Zero starting parameters make the observed change equal the
@@ -136,16 +136,16 @@ class TestApply:
             biases=[np.zeros(4), np.zeros(2)],
         )
         grads = random_grads(7)
-        halving = StepHook(post_optimizer=lambda s: map_blocks(lambda x: 0.5 * x, s))
-        plain_change = flatten(apply(params, grads, SgdConfig(), None))
-        hooked_change = flatten(apply(params, grads, SgdConfig(), halving))
+        halving = StepHook(post_optimizer=lambda s: map_flat(lambda x: 0.5 * x, s))
+        plain_change = apply(params, grads, SgdConfig(), None).flat
+        hooked_change = apply(params, grads, SgdConfig(), halving).flat
         assert np.array_equal(hooked_change, 0.5 * plain_change)
 
     def test_sgd_pre_and_post_scaling_bit_identical(self):
         factors = init_params(RandomStream(8), (3, 4, 2))
-        factors = map_blocks(np.abs, factors)
-        pre = StepHook(pre_optimizer=lambda g: map_blocks(np.multiply, g, factors))
-        post = StepHook(post_optimizer=lambda s: map_blocks(np.multiply, s, factors))
+        factors = map_flat(np.abs, factors)
+        pre = StepHook(pre_optimizer=lambda g: map_flat(np.multiply, g, factors))
+        post = StepHook(post_optimizer=lambda s: map_flat(np.multiply, s, factors))
         params_pre = random_grads(9)
         params_post = params_pre.copy()
         stream = RandomStream(10)
@@ -156,13 +156,13 @@ class TestApply:
             )
             params_pre = apply(params_pre, grads, SgdConfig(), pre)
             params_post = apply(params_post, grads, SgdConfig(), post)
-            assert np.array_equal(flatten(params_pre), flatten(params_post))
+            assert np.array_equal(params_pre.flat, params_post.flat)
 
     def test_adam_scaling_side_matters(self):
         # Adam rescales by the gradient's running magnitude, so a constant
         # factor applied before it mostly cancels while the same factor
         # after it shrinks the step outright.
-        halve = lambda c: map_blocks(lambda x: 0.5 * x, c)
+        halve = lambda c: map_flat(lambda x: 0.5 * x, c)
         params_pre = scalar_net(1.0)
         params_post = scalar_net(1.0)
         state_pre, state_post = AdamState(), AdamState()
@@ -186,7 +186,7 @@ class TestApply:
     def test_hook_wrong_type_rejected(self):
         params = random_grads(13)
         grads = random_grads(14)
-        bad = StepHook(post_optimizer=lambda s: flatten(s))
+        bad = StepHook(post_optimizer=lambda s: s.flat)
         with pytest.raises(ShapeError):
             apply(params, grads, SgdConfig(), bad)
 

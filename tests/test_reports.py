@@ -179,6 +179,27 @@ def test_emit_reports_dispatches_on_type(tmp_path):
         emit_reports([1, 2, 3], str(tmp_path / "nope"))
 
 
+def test_surface_csv_carries_the_run_manifest(tmp_path):
+    config = desk_preset(seed=5)
+    run = RunResult(
+        matrix=small_matrix(),
+        params=init_params(RandomStream(0), (6, 5, 3)),
+        importance=None,
+        config=config,
+    )
+    surface = small_surface()
+    surface.failures = []
+    surface.config = config
+
+    def manifest(path):
+        return [line for line in open(path) if line.startswith("#")]
+
+    run_csv = emit_reports(run, str(tmp_path / "run"))[0]
+    surface_csv = emit_reports(surface, str(tmp_path / "surf"))[0]
+    assert manifest(surface_csv) == manifest(run_csv)
+    assert "# seed = 5\n" in manifest(surface_csv)
+
+
 def test_git_version_returns_some_string():
     version = git_version()
     assert isinstance(version, str)
