@@ -7,59 +7,33 @@ config lands in the CSV manifest of every run, so an artifact records
 exactly what produced it. All randomness flows from the single ``seed``
 setting; nothing reads the clock.
 
-Config file schema (INI, all keys optional)::
-
-    [experiment]
-    source = synthetic            ; or mnist
-    tasks = 5
-    epochs = 1
-    batch_size = 100
-    seed = 42
-    architecture = 784,300,150,10
-    train_subset = 10000          ; or none
-    eval_subset = 2000            ; or none
-    permute_first_task = false
-    carry_optimizer_state = false
-    save_checkpoints = false
-    synthetic_classes = 10
-    synthetic_samples_per_class = 1250
-    synthetic_spread = 0.25
-    data_dir = data
-    out_dir = out
-
-    [optimizer]
-    kind = adam                   ; or sgd
-    learning_rate = 0.001         ; empty/none = per-kind default
-
-    [strategy]
-    kind = wva                    ; none | ewc | ewc_multi_anchor | wva
-    lambda = 0.316
-    gamma = 1.0                   ; online decay for accumulated importance
-    attenuation = hyperbolic      ; or exponential
-    target = step                 ; or gradient
-    estimator = total_abs_signal  ; or fisher
-    safe_coefficient = false
-    clip = none                   ; separate clipping threshold
-    normalize_importance = false
-
-    [grid]
-    lambdas = 0.01,0.1,1.0,10.0
+Every setting is a field of :class:`~forgetlab.harness.ExperimentConfig`
+(INI section ``[experiment]``), :class:`~forgetlab.harness.OptimizerConfig`
+(``[optimizer]``) or :class:`~forgetlab.continual.StrategyConfig`
+(``[strategy]``), and each has both an INI key and a flag: the key is the
+field name and the flag is ``--field-name``, except for the older
+spellings in :data:`ALIASES` (``tasks``/``--tasks`` for ``num_tasks``,
+``lambda``/``--lambda`` for ``lam``, ``--strategy`` for the strategy
+``kind``, and so on). Values parse by the field's type: tuples are
+comma-separated (``architecture = 784,300,10``), booleans take
+true/false (flags come in ``--x``/``--no-x`` pairs), and ``none`` clears
+an optional value. ``grid`` also reads ``[grid] lambdas`` or
+``--lambda-grid``. ``forgetlab run --help`` lists every flag with its
+INI key and built-in default (a preset may change it).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
+from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .continual import (
-    ATTENUATION_KINDS,
-    ESTIMATORS,
-    STRATEGY_KINDS,
-    TARGETS,
     StrategyConfig,
     estimate_total_abs_signal,
     make_wva_hook,
@@ -111,199 +85,151 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional(convert):
-    def parse(text):
-        return None if text.strip().lower() in ("", "none") else convert(text)
+def _parser_for(hint) -> Callable[[str], Any]:
+    """Text-to-value converter for a resolved field type."""
+    if get_origin(hint) is Union:  # Optional[T]
+        (inner,) = (arg for arg in get_args(hint) if arg is not type(None))
+        parse_inner = _parser_for(inner)
 
-    return parse
+        def optional(text):
+            return None if text.strip().lower() in ("", "none") else parse_inner(text)
+
+        optional.__name__ = parse_inner.__name__  # argparse names it in errors
+        return optional
+    if get_origin(hint) is tuple:  # tuple[T, ...]
+        item = get_args(hint)[0]
+
+        def comma_separated(text):
+            return tuple(item(part) for part in text.split(","))
+
+        return comma_separated
+    if hint is bool:
+        return _parse_bool
+    return hint
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+SECTIONS = dict(experiment=ExperimentConfig, optimizer=OptimizerConfig, strategy=StrategyConfig)
 
-
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-# (section, option) -> (settings key, converter)
-CONFIG_SCHEMA = {
-    ("experiment", "source"): ("source", str),
-    ("experiment", "tasks"): ("num_tasks", int),
-    ("experiment", "epochs"): ("epochs_per_task", int),
-    ("experiment", "batch_size"): ("batch_size", int),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "architecture"): ("architecture", _parse_int_tuple),
-    ("experiment", "train_subset"): ("train_subset", _parse_optional(int)),
-    ("experiment", "eval_subset"): ("eval_subset", _parse_optional(int)),
-    ("experiment", "permute_first_task"): ("permute_first_task", _parse_bool),
-    ("experiment", "carry_optimizer_state"): ("carry_optimizer_state", _parse_bool),
-    ("experiment", "save_checkpoints"): ("save_checkpoints", _parse_bool),
-    ("experiment", "synthetic_classes"): ("synthetic_classes", int),
-    ("experiment", "synthetic_samples_per_class"): ("synthetic_samples_per_class", int),
-    ("experiment", "synthetic_spread"): ("synthetic_spread", float),
-    ("experiment", "data_dir"): ("data_dir", str),
-    ("experiment", "out_dir"): ("out_dir", str),
-    ("optimizer", "kind"): ("optimizer_kind", str),
-    ("optimizer", "learning_rate"): ("learning_rate", _parse_optional(float)),
-    ("strategy", "kind"): ("strategy_kind", str),
-    ("strategy", "lambda"): ("lam", float),
-    ("strategy", "gamma"): ("online_decay", float),
-    ("strategy", "attenuation"): ("attenuation", str),
-    ("strategy", "target"): ("target", str),
-    ("strategy", "estimator"): ("estimator", str),
-    ("strategy", "safe_coefficient"): ("safe_coefficient", _parse_bool),
-    ("strategy", "clip"): ("separate_clip_threshold", _parse_optional(float)),
-    ("strategy", "normalize_importance"): ("normalize_importance", _parse_bool),
-    ("grid", "lambdas"): ("lambda_grid", _parse_float_tuple),
+# Public spellings that differ from the field name: (INI key, flag).
+ALIASES = {
+    ("experiment", "num_tasks"): ("tasks", "--tasks"),
+    ("experiment", "epochs_per_task"): ("epochs", "--epochs"),
+    ("experiment", "out_dir"): ("out_dir", "--out"),
+    ("optimizer", "kind"): ("kind", "--optimizer"),
+    ("strategy", "kind"): ("kind", "--strategy"),
+    ("strategy", "lam"): ("lambda", "--lambda"),
+    ("strategy", "online_decay"): ("gamma", "--gamma"),
+    ("strategy", "separate_clip_threshold"): ("clip", "--clip"),
 }
 
 
-def _settings_from(config: ExperimentConfig) -> dict:
-    return {
-        "source": config.source,
-        "num_tasks": config.num_tasks,
-        "epochs_per_task": config.epochs_per_task,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "architecture": config.architecture,
-        "train_subset": config.train_subset,
-        "eval_subset": config.eval_subset,
-        "permute_first_task": config.permute_first_task,
-        "carry_optimizer_state": config.carry_optimizer_state,
-        "save_checkpoints": config.save_checkpoints,
-        "synthetic_classes": config.synthetic_classes,
-        "synthetic_samples_per_class": config.synthetic_samples_per_class,
-        "synthetic_spread": config.synthetic_spread,
-        "data_dir": config.data_dir,
-        "out_dir": config.out_dir,
-        "optimizer_kind": config.optimizer.kind,
-        "learning_rate": config.optimizer.learning_rate,
-        "strategy_kind": config.strategy.kind,
-        "lam": config.strategy.lam,
-        "online_decay": config.strategy.online_decay,
-        "attenuation": config.strategy.attenuation,
-        "target": config.strategy.target,
-        "estimator": config.strategy.estimator,
-        "safe_coefficient": config.strategy.safe_coefficient,
-        "separate_clip_threshold": config.strategy.separate_clip_threshold,
-        "normalize_importance": config.strategy.normalize_importance,
-        "lambda_grid": tuple(DEFAULT_LAMBDA_GRID),
-    }
+class Setting(NamedTuple):
+    """One setting's INI key, flag and value parser."""
+
+    section: str
+    name: str
+    key: str
+    flag: str
+    parse: Callable[[str], Any]
+    help: str
+    choices: Optional[tuple] = None
+
+    @property
+    def dest(self) -> str:
+        return f"{self.section}.{self.name}"
 
 
-def _apply_config_file(settings: dict, path: str) -> None:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise IOError(f"cannot read config file {path}")
-    for section in parser.sections():
-        for option, raw in parser.items(section):
-            try:
-                key, convert = CONFIG_SCHEMA[(section, option)]
-            except KeyError:
-                raise ValueError(
-                    f"{path}: unknown config key [{section}] {option}"
-                ) from None
-            try:
-                settings[key] = convert(raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad value for [{section}] {option}: {exc}")
-
-
-def effective_settings(args) -> dict:
-    """Defaults, then preset, then config file, then DATA_DIR, then flags."""
-    preset = getattr(args, "preset", None)
-    if preset == "desk":
-        settings = _settings_from(desk_preset())
-        settings["lambda_grid"] = tuple(DESK_LAMBDA_GRID)
-    elif preset == "paper":
-        settings = _settings_from(paper_preset())
-    else:
-        settings = _settings_from(ExperimentConfig())
-    config_path = getattr(args, "config", None)
-    if config_path:
-        _apply_config_file(settings, config_path)
-    if os.environ.get("DATA_DIR"):
-        settings["data_dir"] = os.environ["DATA_DIR"]
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+def _derive_settings() -> list[Setting]:
+    settings = []
+    for section, cls in SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(hints[f.name]):
+                continue  # a nested section, not a setting
+            key, flag = ALIASES.get((section, f.name), (f.name, "--" + f.name.replace("_", "-")))
+            parse = _parser_for(hints[f.name])
+            help_text = f"[{section}] {key} (built-in default: {f.default!r})"
+            choices = f.metadata.get("choices")
+            settings.append(Setting(section, f.name, key, flag, parse, help_text, choices))
     return settings
 
 
-def build_config(settings: dict) -> ExperimentConfig:
-    optimizer = OptimizerConfig(
-        kind=settings["optimizer_kind"], learning_rate=settings["learning_rate"]
+SETTINGS = _derive_settings()
+LAMBDA_GRID = Setting(
+    "grid", "lambdas", "lambdas", "--lambda-grid", _parser_for(tuple[float, ...]),
+    "[grid] lambdas, comma-separated (default: the preset's grid)",
+)
+_BY_KEY = {(s.section, s.key): s for s in SETTINGS + [LAMBDA_GRID]}
+_DESTS = {s.dest for s in _BY_KEY.values()}
+
+PRESETS = {
+    "desk": (desk_preset, DESK_LAMBDA_GRID),
+    "paper": (paper_preset, DEFAULT_LAMBDA_GRID),
+}
+
+
+def _read_config_file(path: str) -> dict:
+    """Parsed values of an INI file, keyed by setting ``dest``."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if not parser.read(path):
+        raise IOError(f"cannot read config file {path}")
+    values = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            setting = _BY_KEY.get((section, key))
+            if setting is None:
+                raise ValueError(f"{path}: unknown config key [{section}] {key}")
+            try:
+                values[setting.dest] = setting.parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad value for [{section}] {key}: {exc}") from None
+    return values
+
+
+def build_config(args) -> tuple[ExperimentConfig, tuple[float, ...]]:
+    """The effective config and lambda grid for parsed ``run``/``grid`` args.
+
+    Layers apply in order: defaults, preset, config file, ``DATA_DIR``,
+    flags. The config dataclasses are built once, from the final values,
+    so their validation sees the combination that will run.
+    """
+    make_base, grid = PRESETS.get(args.preset, (ExperimentConfig, DEFAULT_LAMBDA_GRID))
+    values = _read_config_file(args.config) if args.config else {}
+    if os.environ.get("DATA_DIR"):
+        values["experiment.data_dir"] = os.environ["DATA_DIR"]
+    # flags not given are absent from args, so a given `none` still overrides
+    values.update((k, v) for k, v in vars(args).items() if k in _DESTS)
+    grid = values.pop(LAMBDA_GRID.dest, grid)
+    fields = {section: {} for section in SECTIONS}
+    for dest, value in values.items():
+        section, name = dest.split(".")
+        fields[section][name] = value
+    base = make_base()
+    config = dataclasses.replace(
+        base,
+        optimizer=dataclasses.replace(base.optimizer, **fields["optimizer"]),
+        strategy=dataclasses.replace(base.strategy, **fields["strategy"]),
+        **fields["experiment"],
     )
-    strategy = StrategyConfig(
-        kind=settings["strategy_kind"],
-        lam=settings["lam"],
-        online_decay=settings["online_decay"],
-        attenuation=settings["attenuation"],
-        target=settings["target"],
-        estimator=settings["estimator"],
-        safe_coefficient=settings["safe_coefficient"],
-        separate_clip_threshold=settings["separate_clip_threshold"],
-        normalize_importance=settings["normalize_importance"],
-    )
-    keys = (
-        "source",
-        "num_tasks",
-        "epochs_per_task",
-        "batch_size",
-        "seed",
-        "architecture",
-        "train_subset",
-        "eval_subset",
-        "permute_first_task",
-        "carry_optimizer_state",
-        "save_checkpoints",
-        "synthetic_classes",
-        "synthetic_samples_per_class",
-        "synthetic_spread",
-        "data_dir",
-        "out_dir",
-    )
-    return ExperimentConfig(
-        optimizer=optimizer, strategy=strategy, **{k: settings[k] for k in keys}
-    )
+    return config, tuple(grid)
+
+
+def _add_flag(parser, setting: Setting):
+    kwargs = dict(dest=setting.dest, default=argparse.SUPPRESS, help=setting.help)
+    if setting.parse is _parse_bool:
+        parser.add_argument(setting.flag, action=argparse.BooleanOptionalAction, **kwargs)
+    else:
+        metavar = None if setting.choices else setting.name.upper()
+        parser.add_argument(
+            setting.flag, type=setting.parse, choices=setting.choices, metavar=metavar, **kwargs
+        )
 
 
 def _add_experiment_flags(parser):
     parser.add_argument("--config", help="INI config file (see module docstring)")
-    parser.add_argument("--preset", choices=("desk", "paper"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tasks", type=int, dest="num_tasks")
-    parser.add_argument("--epochs", type=int, dest="epochs_per_task")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--source", choices=("synthetic", "mnist"))
-    parser.add_argument("--train-subset", type=int, dest="train_subset")
-    parser.add_argument("--eval-subset", type=int, dest="eval_subset")
-    parser.add_argument("--data-dir", dest="data_dir")
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument(
-        "--save-checkpoints",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="save_checkpoints",
-    )
-    parser.add_argument("--optimizer", choices=("sgd", "adam"), dest="optimizer_kind")
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--strategy", choices=STRATEGY_KINDS, dest="strategy_kind")
-    parser.add_argument("--lambda", type=float, dest="lam")
-    parser.add_argument("--gamma", type=float, dest="online_decay")
-    parser.add_argument("--attenuation", choices=ATTENUATION_KINDS)
-    parser.add_argument("--target", choices=TARGETS)
-    parser.add_argument("--estimator", choices=ESTIMATORS)
-    parser.add_argument(
-        "--safe-coefficient",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="safe_coefficient",
-    )
-    parser.add_argument("--clip", type=float, dest="separate_clip_threshold")
+    parser.add_argument("--preset", choices=tuple(PRESETS))
+    for setting in SETTINGS:
+        _add_flag(parser, setting)
 
 
 def build_parser() -> _Parser:
@@ -316,12 +242,7 @@ def build_parser() -> _Parser:
 
     grid = subparsers.add_parser("grid", help="sweep lambda over a grid")
     _add_experiment_flags(grid)
-    grid.add_argument(
-        "--lambda-grid",
-        type=_parse_float_tuple,
-        dest="lambda_grid",
-        help="comma-separated lambdas (default: preset grid)",
-    )
+    _add_flag(grid, LAMBDA_GRID)
     grid.set_defaults(func=cmd_grid)
 
     report = subparsers.add_parser("report", help="re-render SVG from existing CSV")
@@ -340,7 +261,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_run(args) -> int:
-    config = build_config(effective_settings(args))
+    config, _ = build_config(args)
     result = run_sequence(config)
     written = emit_reports(result, config.out_dir)
     final = config.num_tasks - 1
@@ -352,9 +273,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    settings = effective_settings(args)
-    config = build_config(settings)
-    surface = grid_search(config, settings["lambda_grid"])
+    config, lambda_grid = build_config(args)
+    surface = grid_search(config, lambda_grid)
     written = emit_reports(surface, config.out_dir)
     for lam, message in surface.failures:
         print(f"failed at lambda={lam:g}: {message}", file=sys.stderr)
@@ -397,7 +317,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_fetch_data(args) -> int:
-    data_dir = args.data_dir or os.environ.get("DATA_DIR") or "data"
+    data_dir = args.data_dir or os.environ.get("DATA_DIR") or ExperimentConfig.data_dir
     fetched = fetch_idx_files(args.base_url, data_dir)
     for path in fetched:
         print(f"fetched {path}")

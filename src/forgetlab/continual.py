@@ -16,7 +16,7 @@ next call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -268,12 +268,12 @@ class StrategyConfig:
     modify the penalty and are rejected for non-anchored kinds.
     """
 
-    kind: str = "none"
+    kind: str = field(default="none", metadata={"choices": STRATEGY_KINDS})
     lam: float = 0.0
     online_decay: float = 1.0
-    attenuation: str = "hyperbolic"
-    target: str = "step"
-    estimator: str = "total_abs_signal"
+    attenuation: str = field(default="hyperbolic", metadata={"choices": ATTENUATION_KINDS})
+    target: str = field(default="step", metadata={"choices": TARGETS})
+    estimator: str = field(default="total_abs_signal", metadata={"choices": ESTIMATORS})
     safe_coefficient: bool = False
     separate_clip_threshold: Optional[float] = None
     normalize_importance: bool = False

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .numerics import RandomStream, ShapeError
 
 IMAGE_MAGIC = 0x00000803
@@ -50,28 +51,32 @@ class IdxCountMismatchError(IdxFormatError):
 
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _parse_idx(fh.read(), expected_magic, path)
+
+
+def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
+    """Decode one IDX payload; errors name its ``origin`` (a path or URL)."""
     if len(raw) < 4:
-        raise IdxTruncatedError(f"{path}: missing IDX header")
+        raise IdxTruncatedError(f"{origin}: missing IDX header")
     (magic,) = struct.unpack(">i", raw[:4])
     if magic != expected_magic:
         raise IdxMagicError(
-            f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
+            f"{origin}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
     ndims = magic & 0xFF
     header_len = 4 + 4 * ndims
     if len(raw) < header_len:
-        raise IdxTruncatedError(f"{path}: header truncated")
+        raise IdxTruncatedError(f"{origin}: header truncated")
     dims = struct.unpack(f">{ndims}i", raw[4:header_len])
     expected = int(np.prod(dims))
     payload = raw[header_len:]
     if len(payload) < expected:
         raise IdxTruncatedError(
-            f"{path}: payload has {len(payload)} bytes, header implies {expected}"
+            f"{origin}: payload has {len(payload)} bytes, header implies {expected}"
         )
     if len(payload) > expected:
         raise IdxFormatError(
-            f"{path}: payload has {len(payload)} bytes, {len(payload) - expected} more "
+            f"{origin}: payload has {len(payload)} bytes, {len(payload) - expected} more "
             f"than the header implies"
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
@@ -112,11 +117,11 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
 
     Tries ``<base_url>/<name>.gz`` first, then the raw name. Each payload
     is validated against its own header (magic, dimension counts, exact
-    byte length) before being written, and image/label counts are
-    cross-checked per split.
+    byte length) and image/label counts are cross-checked per split, all
+    before any file is written, so a bad download leaves ``data_dir``
+    untouched.
     """
-    os.makedirs(data_dir, exist_ok=True)
-    written = []
+    payloads = {}
     blobs = {}
     for key, name in MNIST_FILE_NAMES.items():
         data = None
@@ -134,17 +139,21 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
                 data = None
         if data is None:
             raise IOError("could not fetch IDX file:\n  " + "\n  ".join(errors))
-        path = os.path.join(data_dir, name)
-        with open(path, "wb") as fh:
-            fh.write(data)
         expected_magic = IMAGE_MAGIC if "images" in key else LABEL_MAGIC
-        blobs[key] = _read_idx(path, expected_magic)
-        written.append(path)
+        blobs[key] = _parse_idx(data, expected_magic, url)
+        payloads[name] = data
     for split in ("train", "test"):
         n_img = blobs[f"{split}_images"].shape[0]
         n_lab = blobs[f"{split}_labels"].shape[0]
         if n_img != n_lab:
             raise IdxCountMismatchError(f"{split}: {n_img} images vs {n_lab} labels")
+    os.makedirs(data_dir, exist_ok=True)
+    written = []
+    for name, data in payloads.items():
+        path = os.path.join(data_dir, name)
+        with atomic_write(path, "wb") as fh:
+            fh.write(data)
+        written.append(path)
     return written
 
 
@@ -234,12 +243,6 @@ def synth_dataset(spec: SyntheticSpec) -> TaskDataset:
 def apply_permutation(images: np.ndarray, permutation: np.ndarray) -> np.ndarray:
     """Reorder pixel columns: output column j holds input column permutation[j]."""
     return np.ascontiguousarray(images[:, permutation])
-
-
-def invert_permutation(permutation: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(permutation)
-    inverse[permutation] = np.arange(len(permutation))
-    return inverse
 
 
 def make_permuted_tasks(

@@ -47,6 +47,9 @@ SHUFFLE_STREAM_ID = 3
 EVAL_SUBSET_STREAM_ID = 4
 TRAIN_SUBSET_STREAM_ID = 5
 
+SOURCES = ("synthetic", "mnist")
+OPTIMIZER_KINDS = ("sgd", "adam")
+
 DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.logspace(-3.0, 3.0, 13))
 
 # Seven half-decade points bracketing the desk-preset optimum for
@@ -59,17 +62,16 @@ DESK_LAMBDA_GRID = (0.316, 1.0, 3.16, 10.0, 31.6, 100.0, 316.0)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Optimizer choice plus hyperparameters; rate defaults per kind."""
+    """Optimizer choice plus learning rate; the rate defaults per kind."""
 
-    kind: str = "adam"
+    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
     learning_rate: Optional[float] = None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"optimizer kind must be sgd or adam, got {self.kind!r}")
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ValueError(
+                f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {self.kind!r}"
+            )
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
@@ -77,22 +79,25 @@ class OptimizerConfig:
     def resolved_rate(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
-        return 0.2 if self.kind == "sgd" else 0.001
+        return SgdConfig.learning_rate if self.kind == "sgd" else AdamState.learning_rate
 
     def build(self):
         if self.kind == "sgd":
             return SgdConfig(learning_rate=self.resolved_rate)
-        return AdamState(
-            learning_rate=self.resolved_rate,
-            beta1=self.adam_beta1,
-            beta2=self.adam_beta2,
-            epsilon=self.adam_epsilon,
-        )
+        return AdamState(learning_rate=self.resolved_rate)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: str = "synthetic"
+    """Everything that determines a run.
+
+    Together with the fields of :class:`OptimizerConfig` and
+    :class:`~forgetlab.continual.StrategyConfig`, these fields are the
+    lab's settings: the command line derives its INI keys and flags from
+    them (see :mod:`forgetlab.cli`).
+    """
+
+    source: str = field(default="synthetic", metadata={"choices": SOURCES})
     num_tasks: int = 10
     epochs_per_task: int = 4
     batch_size: int = 100
@@ -112,8 +117,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.source not in ("mnist", "synthetic"):
-            raise ValueError(f"source must be mnist or synthetic, got {self.source!r}")
+        if self.source not in SOURCES:
+            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
         for name in ("num_tasks", "epochs_per_task", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .numerics import NonFiniteError, RandomStream, ShapeError, matmul
 
 DEFAULT_LAYER_SIZES = (784, 300, 150, 10)
@@ -259,7 +260,7 @@ def save_params(params: MlpParams, path: str):
     """Write a versioned npz checkpoint (also used for importance maps)."""
     arrays = {f"weights_{l}": w for l, w in enumerate(params.weights)}
     arrays.update({f"biases_{l}": b for l, b in enumerate(params.biases)})
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(
             fh,
             version=np.int64(CHECKPOINT_VERSION),

@@ -24,21 +24,6 @@ class NonFiniteError(FloatingPointError):
     """A NaN or infinity appeared where finite values are required."""
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce ``data`` to a 2-D float64 C-order array, validating shape and finiteness."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {m.shape[1]}")
-    if not np.isfinite(m).all():
-        bad = np.argwhere(~np.isfinite(m))[0]
-        raise NonFiniteError(f"non-finite entry at index {tuple(int(i) for i in bad)}")
-    return m
-
-
 def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
     """Matrix product with shape checking.
 
@@ -63,24 +48,6 @@ def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) ->
     if check_finite and not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(f"matmul produced non-finite entry at {tuple(int(i) for i in bad)}")
-    return out
-
-
-def elementwise(a, f) -> np.ndarray:
-    """Apply the scalar function ``f`` to every entry of ``a``.
-
-    Raises :class:`NonFiniteError` naming the first offending index if
-    ``f`` produces a NaN or infinity.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    out = np.vectorize(f, otypes=[np.float64])(a)
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        raise NonFiniteError(
-            f"elementwise function produced non-finite value at index "
-            f"{tuple(int(i) for i in bad)}"
-        )
     return out
 
 
@@ -114,12 +81,6 @@ class RandomStream:
     def child(self, *ids: int) -> "RandomStream":
         """Derive an independent stream identified by ``ids`` under the same seed."""
         return RandomStream(self.seed, self.key + ids)
-
-    def next_uniform(self, lo: float, hi: float) -> float:
-        """One double in ``[lo, hi)``; advances the stream."""
-        if not lo < hi:
-            raise ValueError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
-        return float(self._gen.uniform(lo, hi))
 
     def uniform(self, lo: float, hi: float, size) -> np.ndarray:
         """Array of doubles in ``[lo, hi)``."""

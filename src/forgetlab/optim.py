@@ -78,15 +78,12 @@ class StepHook:
     post_optimizer: Optional[Callable[[Gradients], Gradients]] = None
 
 
-IDENTITY_HOOK = StepHook()
-
-
-def sgd_step(config: SgdConfig, grads: Gradients) -> Gradients:
-    """Plain gradient descent step, -lr * g elementwise."""
-    return MlpParams.from_flat((-grads.flat) * config.learning_rate, grads.layer_sizes)
-
-
 def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
+    """Bias-corrected Adam step; advances the moments and counter in place.
+
+    Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
+    The returned step is the state's direction buffer.
+    """
     if state.first_moment is None:
         state.first_moment = MlpParams.zeros(grads.layer_sizes)
         state.second_moment = MlpParams.zeros(grads.layer_sizes)
@@ -119,17 +116,12 @@ def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
     return MlpParams.from_flat(d, grads.layer_sizes)
 
 
-def adam_step(state: AdamState, grads: Gradients) -> Gradients:
-    """Bias-corrected Adam step; advances the moments and counter in place.
-
-    Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
-    The returned step is the state's direction buffer.
-    """
-    return _adam_direction(state, grads)
-
-
 def step_parts(optimizer: Optimizer, grads: Gradients) -> tuple[Gradients, float]:
-    """The optimizer's step as (direction, deferred scalar)."""
+    """The optimizer's step as (direction, deferred scalar).
+
+    SGD: ``(-g, learning_rate)``, so the step is ``-lr * g``. Adam:
+    ``(step, 1.0)`` with the bias-corrected step from the state's buffer.
+    """
     if isinstance(optimizer, SgdConfig):
         direction = MlpParams.from_flat(np.negative(grads.flat), grads.layer_sizes)
         return direction, optimizer.learning_rate

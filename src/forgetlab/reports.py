@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .fileio import atomic_write
 from .harness import EvalMatrix, ExperimentConfig, LambdaSurface, RunResult
 
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -59,18 +60,11 @@ def manifest_lines(config: Optional[ExperimentConfig]) -> list[str]:
     return lines
 
 
-def _open_for_write(path: str):
-    try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
-
-
 def emit_eval_matrix_csv(
     matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
 ) -> str:
     """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
-    with _open_for_write(path) as fh:
+    with atomic_write(path, newline="") as fh:
         for line in manifest_lines(config):
             fh.write(line + "\n")
         writer = csv.writer(fh)
@@ -111,7 +105,7 @@ def emit_surface_csv(
     Failed cells keep their place with accuracy `nan`; the failure
     messages ride along as trailing comment lines.
     """
-    with _open_for_write(path) as fh:
+    with atomic_write(path, newline="") as fh:
         for line in manifest_lines(config):
             fh.write(line + "\n")
         writer = csv.writer(fh)
@@ -219,7 +213,7 @@ def render_accuracy_curves(matrix: EvalMatrix, path: str) -> str:
             f'font-family="sans-serif">task {j}</text>'
         )
     parts.append("</svg>")
-    with _open_for_write(path) as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
 
@@ -288,7 +282,7 @@ def render_surface_heatmap(surface: LambdaSurface, path: str) -> str:
         f'font-family="sans-serif">{hi:.3f}</text>'
     )
     parts.append("</svg>")
-    with _open_for_write(path) as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
 

@@ -38,7 +38,7 @@ from forgetlab.harness import (
 )
 from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream
-from forgetlab.optim import AdamState, adam_step
+from forgetlab.optim import AdamState, step_parts
 from forgetlab.reports import emit_eval_matrix_csv
 
 from helpers import ScalarAdam, max_relative_gradient_error
@@ -273,7 +273,7 @@ def test_criterion_10_scalar_adam_oracle():
         theta_ref += reference.step(g)
         grads = MlpParams.zeros(params.layer_sizes)
         grads.weights[0][0, 0] = g
-        step = adam_step(state, grads)
+        step = step_parts(state, grads)[0]
         params = params.copy()
         params.weights[0][0, 0] += step.weights[0][0, 0]
         worst = max(worst, abs(params.weights[0][0, 0] - theta_ref))

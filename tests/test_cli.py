@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: exit codes, layering, artifacts."""
 
+import dataclasses
 import gzip
 import os
 import struct
+import typing
 
 import pytest
 
-from forgetlab.cli import build_config, effective_settings, main, parse_and_dispatch
+from forgetlab.cli import build_config, build_parser, main, parse_and_dispatch
+from forgetlab.continual import StrategyConfig
 from forgetlab.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILE_NAMES
+from forgetlab.harness import ExperimentConfig, OptimizerConfig
 
 TINY_INI = """
 [experiment]
@@ -70,61 +74,49 @@ class TestUsageErrors:
 
 class TestSettingsLayers:
     def test_config_file_overrides_defaults(self, tiny_config):
-        args = build_parser_args(["run", "--config", tiny_config])
-        settings = effective_settings(args)
-        assert settings["num_tasks"] == 2
-        assert settings["seed"] == 7
-        assert settings["architecture"] == (12, 10, 4)
-        assert settings["strategy_kind"] == "wva"
-        assert settings["lam"] == 0.5
+        config, _ = resolve(["run", "--config", tiny_config])
+        assert config.num_tasks == 2
+        assert config.seed == 7
+        assert config.architecture == (12, 10, 4)
+        assert config.strategy.kind == "wva"
+        assert config.strategy.lam == 0.5
 
     def test_flags_override_config_file(self, tiny_config):
-        args = build_parser_args(
-            ["run", "--config", tiny_config, "--seed", "9", "--lambda", "2.0"]
-        )
-        settings = effective_settings(args)
-        assert settings["seed"] == 9
-        assert settings["lam"] == 2.0
-        assert settings["num_tasks"] == 2
+        config, _ = resolve(["run", "--config", tiny_config, "--seed", "9", "--lambda", "2.0"])
+        assert config.seed == 9
+        assert config.strategy.lam == 2.0
+        assert config.num_tasks == 2
 
     def test_config_file_overrides_preset(self, tiny_config):
-        args = build_parser_args(["run", "--preset", "desk", "--config", tiny_config])
-        settings = effective_settings(args)
-        assert settings["num_tasks"] == 2
-        assert settings["train_subset"] == 10_000
+        config, _ = resolve(["run", "--preset", "desk", "--config", tiny_config])
+        assert config.num_tasks == 2
+        assert config.train_subset == 10_000
 
     def test_preset_changes_defaults_and_grid(self):
-        desk = effective_settings(build_parser_args(["grid", "--preset", "desk"]))
-        assert desk["num_tasks"] == 5
-        assert len(desk["lambda_grid"]) == 7
-        bare = effective_settings(build_parser_args(["grid"]))
-        assert bare["num_tasks"] == 10
-        assert len(bare["lambda_grid"]) == 13
+        desk, desk_grid = resolve(["grid", "--preset", "desk"])
+        assert desk.num_tasks == 5
+        assert len(desk_grid) == 7
+        bare, bare_grid = resolve(["grid"])
+        assert bare.num_tasks == 10
+        assert len(bare_grid) == 13
 
     def test_data_dir_env_beats_config_but_not_flag(self, tiny_config, monkeypatch):
         monkeypatch.setenv("DATA_DIR", "/from-env")
-        settings = effective_settings(build_parser_args(["run", "--config", tiny_config]))
-        assert settings["data_dir"] == "/from-env"
-        settings = effective_settings(
-            build_parser_args(["run", "--config", tiny_config, "--data-dir", "/flag"])
-        )
-        assert settings["data_dir"] == "/flag"
+        config, _ = resolve(["run", "--config", tiny_config])
+        assert config.data_dir == "/from-env"
+        config, _ = resolve(["run", "--config", tiny_config, "--data-dir", "/flag"])
+        assert config.data_dir == "/flag"
 
     def test_boolean_flag_pair(self):
-        on = effective_settings(
-            build_parser_args(["run", "--strategy", "ewc", "--safe-coefficient"])
-        )
-        assert on["safe_coefficient"] is True
-        off = effective_settings(
-            build_parser_args(["run", "--strategy", "ewc", "--no-safe-coefficient"])
-        )
-        assert off["safe_coefficient"] is False
+        on, _ = resolve(["run", "--strategy", "ewc", "--safe-coefficient"])
+        assert on.strategy.safe_coefficient is True
+        off, _ = resolve(["run", "--strategy", "ewc", "--no-safe-coefficient"])
+        assert off.strategy.safe_coefficient is False
 
     def test_build_config_wires_nested_objects(self, tiny_config):
-        args = build_parser_args(
+        config, _ = resolve(
             ["run", "--config", tiny_config, "--optimizer", "sgd", "--learning-rate", "0.3"]
         )
-        config = build_config(effective_settings(args))
         assert config.optimizer.kind == "sgd"
         assert config.optimizer.resolved_rate == 0.3
         assert config.strategy.kind == "wva"
@@ -147,10 +139,158 @@ class TestSettingsLayers:
         assert "tasks" in capsys.readouterr().err
 
 
-def build_parser_args(argv):
-    from forgetlab.cli import build_parser
+def resolve(argv):
+    return build_config(build_parser().parse_args(argv))
 
-    return build_parser().parse_args(argv)
+
+SECTIONS = {"experiment": ExperimentConfig, "optimizer": OptimizerConfig, "strategy": StrategyConfig}
+
+# The documented spellings that differ from the field name: (INI key, flag).
+LEGACY_SPELLINGS = {
+    ("experiment", "num_tasks"): ("tasks", "--tasks"),
+    ("experiment", "epochs_per_task"): ("epochs", "--epochs"),
+    ("experiment", "out_dir"): ("out_dir", "--out"),
+    ("optimizer", "kind"): ("kind", "--optimizer"),
+    ("strategy", "kind"): ("kind", "--strategy"),
+    ("strategy", "lam"): ("lambda", "--lambda"),
+    ("strategy", "online_decay"): ("gamma", "--gamma"),
+    ("strategy", "separate_clip_threshold"): ("clip", "--clip"),
+}
+
+# A non-default value for every setting, with the settings it needs to be valid.
+EWC = {("strategy", "kind"): "ewc"}
+NON_DEFAULT = {
+    ("experiment", "source"): ("mnist", {}),
+    ("experiment", "num_tasks"): ("3", {}),
+    ("experiment", "epochs_per_task"): ("2", {}),
+    ("experiment", "batch_size"): ("32", {}),
+    ("experiment", "seed"): ("5", {}),
+    ("experiment", "architecture"): ("784,20,10", {}),
+    ("experiment", "train_subset"): ("500", {}),
+    ("experiment", "eval_subset"): ("200", {}),
+    ("experiment", "permute_first_task"): ("true", {}),
+    ("experiment", "carry_optimizer_state"): ("true", {}),
+    ("experiment", "save_checkpoints"): ("true", {}),
+    ("experiment", "synthetic_classes"): ("4", {("experiment", "architecture"): "12,10,4"}),
+    ("experiment", "synthetic_samples_per_class"): ("40", {}),
+    ("experiment", "synthetic_spread"): ("0.5", {}),
+    ("experiment", "data_dir"): ("elsewhere", {}),
+    ("experiment", "out_dir"): ("results", {}),
+    ("optimizer", "kind"): ("sgd", {}),
+    ("optimizer", "learning_rate"): ("0.05", {}),
+    ("strategy", "kind"): ("wva", {}),
+    ("strategy", "lam"): ("3.5", {}),
+    ("strategy", "online_decay"): ("0.8", {}),
+    ("strategy", "attenuation"): ("exponential", {}),
+    ("strategy", "target"): ("gradient", {}),
+    ("strategy", "estimator"): ("fisher", {}),
+    ("strategy", "safe_coefficient"): ("true", EWC),
+    ("strategy", "separate_clip_threshold"): ("2.0", EWC),
+    ("strategy", "normalize_importance"): ("true", {}),
+}
+
+
+def all_settings():
+    for section, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if not dataclasses.is_dataclass(hints[f.name]):
+                yield section, f.name, hints[f.name]
+
+
+def spellings(section, name):
+    return LEGACY_SPELLINGS.get((section, name), (name, "--" + name.replace("_", "-")))
+
+
+def value_of(config, section, name):
+    return getattr(config if section == "experiment" else getattr(config, section), name)
+
+
+def write_ini(tmp_path, values):
+    lines = []
+    for section in SECTIONS:
+        lines.append(f"[{section}]")
+        for (s, name), text in values.items():
+            if s == section:
+                lines.append(f"{spellings(s, name)[0]} = {text}")
+    path = tmp_path / "settings.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def via_ini(tmp_path, values, *extra_argv):
+    return resolve(["run", *extra_argv, "--config", write_ini(tmp_path, values)])[0]
+
+
+def via_flags(values):
+    argv = ["run"]
+    for (section, name), text in values.items():
+        flag = spellings(section, name)[1]
+        if text in ("true", "false"):
+            argv.append(flag if text == "true" else "--no-" + flag[2:])
+        else:
+            argv += [flag, text]
+    return resolve(argv)[0]
+
+
+class TestSettingsParity:
+    @pytest.fixture(autouse=True)
+    def no_data_dir_env(self, monkeypatch):
+        monkeypatch.delenv("DATA_DIR", raising=False)
+
+    def test_every_field_has_a_non_default_case(self):
+        assert {(s, n) for s, n, _ in all_settings()} == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("section,name", sorted(NON_DEFAULT))
+    def test_ini_key_and_flag_agree(self, section, name, tmp_path):
+        text, companions = NON_DEFAULT[(section, name)]
+        values = {**companions, (section, name): text}
+        from_ini = via_ini(tmp_path, values)
+        from_flags = via_flags(values)
+        assert from_ini == from_flags
+        assert value_of(from_ini, section, name) != getattr(SECTIONS[section](), name)
+
+    @pytest.mark.parametrize(
+        "section,name",
+        [(s, n) for s, n, hint in all_settings() if type(None) in typing.get_args(hint)],
+    )
+    def test_optional_fields_accept_none(self, section, name, tmp_path):
+        text, companions = NON_DEFAULT[(section, name)]
+        # the desk preset sets both subsets, so `none` in the file clears them
+        from_ini = via_ini(tmp_path, {**companions, (section, name): "none"}, "--preset", "desk")
+        assert value_of(from_ini, section, name) is None
+        # a `none` flag overrides a value the config file set
+        ini = write_ini(tmp_path, {**companions, (section, name): text})
+        assert value_of(resolve(["run", "--config", ini])[0], section, name) is not None
+        from_flag = resolve(["run", "--config", ini, spellings(section, name)[1], "none"])[0]
+        assert value_of(from_flag, section, name) is None
+
+    def test_legacy_spellings_keep_their_meaning(self, tmp_path):
+        config, _ = resolve(
+            "run --tasks 3 --epochs 2 --out o --optimizer sgd "
+            "--strategy ewc --lambda 4 --gamma 0.5 --clip 1.5".split()
+        )
+        assert (config.num_tasks, config.epochs_per_task, config.out_dir) == (3, 2, "o")
+        assert config.optimizer.kind == "sgd"
+        strategy = config.strategy
+        assert (strategy.kind, strategy.lam, strategy.online_decay) == ("ewc", 4.0, 0.5)
+        assert strategy.separate_clip_threshold == 1.5
+        path = tmp_path / "legacy.ini"
+        path.write_text(
+            "[experiment]\ntasks = 3\nepochs = 2\nout_dir = o\n"
+            "[optimizer]\nkind = sgd\n"
+            "[strategy]\nkind = ewc\nlambda = 4\ngamma = 0.5\nclip = 1.5\n"
+            "[grid]\nlambdas = 0.5,2\n"
+        )
+        from_file, grid = resolve(["grid", "--config", str(path)])
+        assert from_file == config
+        assert grid == (0.5, 2.0)
+        assert resolve(["grid", "--config", str(path), "--lambda-grid", "1,3"])[1] == (1.0, 3.0)
+
+    def test_desk_preset_on_the_full_train_split(self):
+        config, _ = resolve(["run", "--preset", "desk", "--train-subset", "none"])
+        assert config.train_subset is None
+        assert config.eval_subset == 2_000
 
 
 class TestRunAndGrid:

@@ -1,4 +1,5 @@
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -17,7 +18,6 @@ from forgetlab.data import (
     apply_permutation,
     batches,
     fetch_idx_files,
-    invert_permutation,
     load_idx,
     make_permuted_tasks,
     synth_dataset,
@@ -124,6 +124,22 @@ class TestFetch:
             (src / name).write_bytes(blob)
         with pytest.raises(IdxCountMismatchError):
             fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
+        assert not (tmp_path / "dest").exists()
+
+    def test_truncated_download_writes_nothing(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        for key, name in MNIST_FILE_NAMES.items():
+            if "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [2, 1, 1], bytes(2 if "test" in key else 1))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [2], bytes(2))
+            (src / name).write_bytes(blob)
+        dest = tmp_path / "dest"
+        dest.mkdir()
+        with pytest.raises(IdxTruncatedError):
+            fetch_idx_files(src.as_uri(), str(dest))
+        assert os.listdir(dest) == []
 
     def test_fetch_missing_everything(self, tmp_path):
         empty = tmp_path / "empty"
@@ -265,7 +281,7 @@ class TestPermutedTasks:
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
-        restored = apply_permutation(task.train_images, invert_permutation(task.permutation))
+        restored = apply_permutation(task.train_images, np.argsort(task.permutation))
         assert np.array_equal(restored, train[0])
 
     def test_width_mismatch_raises(self):

@@ -1,37 +1,31 @@
 import numpy as np
 import pytest
 
-from forgetlab.numerics import (
-    NonFiniteError,
-    RandomStream,
-    ShapeError,
-    as_matrix,
-    elementwise,
-    matmul,
-)
+from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError, matmul
 
 
-class TestAsMatrix:
+class TestMatmul:
     def test_coerces_nested_lists(self):
-        m = as_matrix([[1, 2], [3, 4]])
+        m = matmul([[1, 2], [3, 4]], [[1, 0], [0, 1]])
         assert m.dtype == np.float64
         assert m.shape == (2, 2)
         assert m.flags["C_CONTIGUOUS"]
 
-    def test_shape_enforced(self):
+    def test_rejects_one_dimensional(self):
         with pytest.raises(ShapeError):
-            as_matrix([[1.0, 2.0]], rows=2, cols=2)
+            matmul([1.0, 2.0, 3.0], np.eye(3))
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteError):
-            as_matrix([[np.nan, 0.0]])
+            matmul([[np.nan, 0.0]], np.eye(2))
 
-    def test_rejects_one_dimensional(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0, 3.0])
+    def test_nonfinite_result_reports_position(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        b = np.array([[1.0, 1e308], [1.0, 1e308]])
+        with pytest.raises(NonFiniteError) as err:
+            matmul(a, b)
+        assert "(0, 1)" in str(err.value)
 
-
-class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 4))
@@ -74,35 +68,16 @@ class TestMatmul:
         assert np.array_equal(matmul(a, b).T, matmul(b.T, a.T))
 
 
-class TestElementwise:
-    def test_negate(self):
-        a = np.array([[1.0, -2.0], [0.0, 3.5]])
-        assert np.array_equal(elementwise(a, lambda x: -x), -a)
-
-    def test_square_and_exp(self):
-        a = np.array([[0.5, 2.0]])
-        assert np.allclose(elementwise(a, lambda x: x * x), a**2)
-        assert np.allclose(elementwise(a, np.exp), np.exp(a))
-
-    def test_nonfinite_result_reports_position(self):
-        a = np.array([[1.0, 0.0], [2.0, 3.0]])
-        with pytest.raises(NonFiniteError) as err:
-            elementwise(a, lambda x: float("inf") if x == 0 else x)
-        assert "(0, 1)" in str(err.value)
-
-
 class TestRandomStream:
     def test_same_seed_same_draws(self):
         a = RandomStream(42)
         b = RandomStream(42)
-        assert [a.next_uniform(0, 1) for _ in range(10)] == [
-            b.next_uniform(0, 1) for _ in range(10)
-        ]
+        assert np.array_equal(a.uniform(0, 1, 10), b.uniform(0, 1, 10))
 
     def test_different_seeds_diverge(self):
-        a = [RandomStream(1).next_uniform(0, 1) for _ in range(4)]
-        b = [RandomStream(2).next_uniform(0, 1) for _ in range(4)]
-        assert a != b
+        a = RandomStream(1).uniform(0, 1, 4)
+        b = RandomStream(2).uniform(0, 1, 4)
+        assert not np.array_equal(a, b)
 
     def test_range_half_open(self):
         rs = RandomStream(3)
@@ -117,7 +92,7 @@ class TestRandomStream:
     def test_invalid_bounds(self):
         rs = RandomStream(0)
         with pytest.raises(ValueError):
-            rs.next_uniform(1.0, 1.0)
+            rs.uniform(1.0, 1.0, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):

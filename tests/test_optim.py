@@ -3,15 +3,7 @@ import pytest
 
 from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import (
-    AdamState,
-    SgdConfig,
-    StepHook,
-    adam_step,
-    apply,
-    reset_state,
-    sgd_step,
-)
+from forgetlab.optim import AdamState, SgdConfig, StepHook, apply, reset_state, step_parts
 
 from helpers import ScalarAdam, map_flat
 
@@ -28,19 +20,25 @@ def random_grads(seed, layer_sizes=(3, 4, 2)):
     return init_params(RandomStream(seed), layer_sizes)
 
 
+def full_step(optimizer, grads):
+    """The whole step ``apply`` adds: direction times deferred scale."""
+    direction, scale = step_parts(optimizer, grads)
+    return map_flat(lambda d: d * scale, direction)
+
+
 class TestSgd:
     def test_zero_gradient_zero_step(self):
-        step = sgd_step(SgdConfig(), scalar_grad(0.0))
+        step = full_step(SgdConfig(), scalar_grad(0.0))
         assert step.weights[0][0, 0] == 0.0
 
     def test_unit_gradient_default_rate(self):
-        step = sgd_step(SgdConfig(), scalar_grad(1.0))
+        step = full_step(SgdConfig(), scalar_grad(1.0))
         assert step.weights[0][0, 0] == -0.2
 
     def test_linearity(self):
         g = random_grads(1)
-        single = sgd_step(SgdConfig(learning_rate=0.05), g)
-        double = sgd_step(SgdConfig(learning_rate=0.05), map_flat(lambda x: 2 * x, g))
+        single = full_step(SgdConfig(learning_rate=0.05), g)
+        double = full_step(SgdConfig(learning_rate=0.05), map_flat(lambda x: 2 * x, g))
         assert np.array_equal(double.flat, 2 * single.flat)
 
     def test_learning_rate_validated(self):
@@ -52,37 +50,39 @@ class TestAdam:
     def test_first_step_approaches_signed_learning_rate(self):
         for g in (1e-3, 1.0, 50.0, -2.5):
             state = AdamState()
-            step = adam_step(state, scalar_grad(g)).weights[0][0, 0]
+            step = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
             target = -state.learning_rate * np.sign(g)
             assert abs(step - target) <= state.learning_rate * state.epsilon / abs(g)
 
     def test_zero_gradient_zero_state_zero_step(self):
-        step = adam_step(AdamState(), scalar_grad(0.0))
+        step, scale = step_parts(AdamState(), scalar_grad(0.0))
         assert step.weights[0][0, 0] == 0.0
+        assert scale == 1.0
 
     def test_five_step_sequence_matches_scalar_reference(self):
         state = AdamState()
         reference = ScalarAdam()
         for g in (1.0, 1.0, 1.0, -1.0, -1.0):
-            mine = adam_step(state, scalar_grad(g)).weights[0][0, 0]
+            mine = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
             theirs = reference.step(g)
             assert abs(mine - theirs) < 1e-12
 
     def test_state_advances(self):
         state = AdamState()
         assert state.t == 0 and state.first_moment is None
-        adam_step(state, scalar_grad(1.0))
-        adam_step(state, scalar_grad(1.0))
+        step_parts(state, scalar_grad(1.0))
+        step_parts(state, scalar_grad(1.0))
         assert state.t == 2
         assert state.first_moment.weights[0][0, 0] != 0.0
 
     def test_reset_clears_accumulators(self):
         state = AdamState()
-        adam_step(state, scalar_grad(1.0))
+        step_parts(state, scalar_grad(1.0))
         reset_state(state)
         assert state.t == 0 and state.first_moment is None
-        fresh = adam_step(state, scalar_grad(1.0)).weights[0][0, 0]
-        assert abs(fresh - adam_step(AdamState(), scalar_grad(1.0)).weights[0][0, 0]) == 0.0
+        fresh = step_parts(state, scalar_grad(1.0))[0].weights[0][0, 0]
+        first = step_parts(AdamState(), scalar_grad(1.0))[0].weights[0][0, 0]
+        assert abs(fresh - first) == 0.0
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestAdam:
         for seq in sequences:
             state = AdamState()
             for g in seq:
-                step = adam_step(state, scalar_grad(g)).weights[0][0, 0]
+                step = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
                 assert abs(step) <= lr * (1 + 1e-9)
 
 
@@ -115,14 +115,14 @@ class TestApply:
     def test_identity_hook_matches_plain_sgd(self):
         params = random_grads(2)
         grads = random_grads(3)
-        plain = map_flat(np.add, params, sgd_step(SgdConfig(), grads))
+        plain = map_flat(np.add, params, full_step(SgdConfig(), grads))
         hooked = apply(params, grads, SgdConfig(), StepHook())
         assert np.array_equal(plain.flat, hooked.flat)
 
     def test_identity_hook_matches_plain_adam(self):
         params = random_grads(4)
         grads = random_grads(5)
-        plain = map_flat(np.add, params, adam_step(AdamState(), grads))
+        plain = map_flat(np.add, params, full_step(AdamState(), grads))
         hooked = apply(params, grads, AdamState(), None)
         assert np.array_equal(plain.flat, hooked.flat)
 
