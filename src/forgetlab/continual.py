@@ -67,13 +67,13 @@ def estimate_fisher(
     gradient factors as delta_i * a_j, so the squared sum is the matrix
     product of delta**2 and a**2.
     """
-    x, y = dataset.train_images, dataset.train_labels
-    n = x.shape[0]
+    y = dataset.train_labels
+    n = y.shape[0]
     if n == 0:
         raise ValueError("cannot estimate importance from an empty dataset")
     sums = MlpParams.zeros(params.layer_sizes)
     for start in range(0, n, chunk_size):
-        xb = x[start : start + chunk_size]
+        xb = dataset.train_rows(slice(start, start + chunk_size))
         yb = y[start : start + chunk_size]
         trace = forward(params, xb)
         delta = trace.probabilities.copy()
@@ -101,13 +101,12 @@ def estimate_total_abs_signal(
     of |a_j|. Biases contribute a constant signal, so their importance is
     |b_i|.
     """
-    x = dataset.train_images
-    n = x.shape[0]
+    n = dataset.train_labels.shape[0]
     if n == 0:
         raise ValueError("cannot estimate importance from an empty dataset")
     abs_sums = [np.zeros(w.shape[1]) for w in params.weights]
     for start in range(0, n, chunk_size):
-        trace = forward(params, x[start : start + chunk_size])
+        trace = forward(params, dataset.train_rows(slice(start, start + chunk_size)))
         for l in range(params.num_layers):
             below = trace.inputs if l == 0 else trace.activations[l - 1]
             abs_sums[l] += np.abs(below).sum(axis=0)

@@ -1,8 +1,11 @@
 """Task data: IDX ingestion, permuted task sequences, synthetic fallback, batching.
 
 A task sequence is built from one base dataset (MNIST-style images or a
-synthetic stand-in) by applying a fixed, seeded pixel permutation per
-task. Every array leaving this module is float64 with pixels in [0, 1].
+synthetic stand-in) plus a fixed, seeded pixel permutation per task.
+Every task shares the same read-only base arrays; a task's pixels are
+gathered and permuted per batch, chunk or eval subset, so a sequence
+costs one copy of the data whatever its length. Every image array
+leaving this module is float64 with pixels in [0, 1].
 """
 
 from __future__ import annotations
@@ -159,7 +162,16 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TaskDataset:
-    """One task of a sequence: permuted train/test splits plus its permutation."""
+    """One task of a sequence: the shared base splits plus its pixel permutation.
+
+    ``train_images``/``test_images`` and their labels are the unpermuted
+    base splits, the same arrays in every task of a sequence (read-only
+    when built by :func:`make_permuted_tasks`). Read a task's pixels only
+    through :meth:`train_rows` and :meth:`test_rows`, which gather the
+    requested rows and apply ``permutation`` to them. The constructor
+    checks shapes and the permutation; pixel and label ranges are
+    checked once per base by :func:`make_permuted_tasks`.
+    """
 
     task_id: int
     train_images: np.ndarray
@@ -178,18 +190,18 @@ class TaskDataset:
                 raise ShapeError(
                     f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels"
                 )
-            if images.size and (images.min() < 0.0 or images.max() > 1.0):
-                raise ValueError(f"{name}_images has pixels outside [0, 1]")
-            if labels.size and (labels.min() < 0 or labels.max() > 9):
-                raise ValueError(f"{name}_labels outside 0..9")
         width = self.train_images.shape[1]
         perm = np.asarray(self.permutation)
         if not np.array_equal(np.sort(perm), np.arange(width)):
             raise ValueError(f"permutation is not a bijection on 0..{width - 1}")
 
-    @property
-    def width(self) -> int:
-        return self.train_images.shape[1]
+    def train_rows(self, rows) -> np.ndarray:
+        """This task's train images at ``rows``, as a fresh C-contiguous array."""
+        return apply_permutation(self.train_images[rows], self.permutation)
+
+    def test_rows(self, rows) -> np.ndarray:
+        """This task's test images at ``rows``, as a fresh C-contiguous array."""
+        return apply_permutation(self.test_images[rows], self.permutation)
 
 
 @dataclass(frozen=True)
@@ -242,7 +254,19 @@ def synth_dataset(spec: SyntheticSpec) -> TaskDataset:
 
 def apply_permutation(images: np.ndarray, permutation: np.ndarray) -> np.ndarray:
     """Reorder pixel columns: output column j holds input column permutation[j]."""
-    return np.ascontiguousarray(images[:, permutation])
+    return np.take(images, permutation, axis=1)
+
+
+def _shared_split(name: str, images: np.ndarray, labels: np.ndarray):
+    """Range-check one base split once and return read-only views of it."""
+    if images.size and (images.min() < 0.0 or images.max() > 1.0):
+        raise ValueError(f"{name}_images has pixels outside [0, 1]")
+    if labels.size and (labels.min() < 0 or labels.max() > 9):
+        raise ValueError(f"{name}_labels outside 0..9")
+    images, labels = images.view(), labels.view()
+    images.flags.writeable = False
+    labels.flags.writeable = False
+    return images, labels
 
 
 def make_permuted_tasks(
@@ -259,11 +283,16 @@ def make_permuted_tasks(
     function of ``(seed, t)``, to every train and test image. Task 0 keeps
     the identity permutation unless ``permute_first_task`` is set, so
     first-task curves stay comparable with an unpermuted baseline.
+
+    The base's pixel and label ranges are checked once, and every task
+    holds the same read-only views of it, so no task copies the data and
+    none can write into another's. The tasks do see later writes to the
+    caller's own arrays.
     """
     if num_tasks < 1:
         raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
-    train_images, train_labels = base_train
-    test_images, test_labels = base_test
+    train_images, train_labels = _shared_split("train", *base_train)
+    test_images, test_labels = _shared_split("test", *base_test)
     if train_images.shape[1] != expected_width or test_images.shape[1] != expected_width:
         raise ShapeError(
             f"expected image width {expected_width}, got train {train_images.shape[1]} "
@@ -279,10 +308,10 @@ def make_permuted_tasks(
         tasks.append(
             TaskDataset(
                 task_id=t,
-                train_images=apply_permutation(train_images, perm),
-                train_labels=train_labels.copy(),
-                test_images=apply_permutation(test_images, perm),
-                test_labels=test_labels.copy(),
+                train_images=train_images,
+                train_labels=train_labels,
+                test_images=test_images,
+                test_labels=test_labels,
                 permutation=perm,
             )
         )
@@ -304,4 +333,4 @@ def batches(dataset: TaskDataset, batch_size: int, stream: RandomStream):
     order = stream.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield dataset.train_images[idx], dataset.train_labels[idx]
+        yield dataset.train_rows(idx), dataset.train_labels[idx]

@@ -211,7 +211,11 @@ class RunResult:
 
 
 def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
-    """Materialize the permuted task sequence for a config."""
+    """Build the permuted task sequence for a config.
+
+    The tasks share one read-only copy of the base data (after the train
+    subset is drawn); each task's pixels are gathered per batch.
+    """
     if config.source == "synthetic":
         spec = SyntheticSpec(
             classes=config.synthetic_classes,
@@ -241,17 +245,20 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
 
 
 def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
-    """Per-task evaluation sets, subsetted once with task-keyed streams."""
+    """Per-task evaluation sets, subsetted with task-keyed streams.
+
+    Each task's eval rows are gathered once here and kept for the run.
+    """
     splits = []
     root = RandomStream(config.seed)
     for task in tasks:
-        x, y = task.test_images, task.test_labels
+        picks, y = slice(None), task.test_labels
         if config.eval_subset is not None and config.eval_subset < len(y):
             picks = root.child(EVAL_SUBSET_STREAM_ID, task.task_id).choice(
                 len(y), config.eval_subset
             )
-            x, y = x[picks], y[picks]
-        splits.append((x, y))
+            y = y[picks]
+        splits.append((task.test_rows(picks), y))
     return splits
 
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from forgetlab.continual import estimate_fisher, estimate_total_abs_signal
 from forgetlab.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -22,6 +23,7 @@ from forgetlab.data import (
     make_permuted_tasks,
     synth_dataset,
 )
+from forgetlab.model import init_params
 from forgetlab.numerics import RandomStream, ShapeError
 
 
@@ -158,31 +160,26 @@ def tiny_task(width=4, n=6):
         train_labels=labels,
         test_images=images[:2].copy(),
         test_labels=labels[:2].copy(),
-        permutation=np.arange(width),
+        permutation=np.arange(width)[::-1].copy(),
     )
 
 
 class TestTaskDataset:
+    # Pixel and label ranges are checked once per base, when tasks are built.
     def test_rejects_pixels_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            TaskDataset(
-                task_id=0,
-                train_images=np.array([[1.5]]),
-                train_labels=np.array([0]),
-                test_images=np.array([[0.5]]),
-                test_labels=np.array([0]),
-                permutation=np.arange(1),
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            make_permuted_tasks(
+                (np.array([[1.5]]), np.array([0])),
+                (np.array([[0.5]]), np.array([0])),
+                2, seed=1, expected_width=1,
             )
 
     def test_rejects_labels_above_nine(self):
-        with pytest.raises(ValueError):
-            TaskDataset(
-                task_id=0,
-                train_images=np.array([[0.5]]),
-                train_labels=np.array([12]),
-                test_images=np.array([[0.5]]),
-                test_labels=np.array([0]),
-                permutation=np.arange(1),
+        with pytest.raises(ValueError, match="outside 0..9"):
+            make_permuted_tasks(
+                (np.array([[0.5]]), np.array([12])),
+                (np.array([[0.5]]), np.array([0])),
+                2, seed=1, expected_width=1,
             )
 
     def test_rejects_count_mismatch(self):
@@ -253,7 +250,7 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
         assert np.array_equal(tasks[0].permutation, np.arange(6))
-        assert np.array_equal(tasks[0].train_images, train[0])
+        assert np.array_equal(tasks[0].train_rows(slice(None)), train[0])
 
     def test_permute_first_task_flag(self):
         train, test = self.base()
@@ -274,14 +271,14 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6)
         t = tasks[2]
-        assert np.array_equal(t.train_images, train[0][:, t.permutation])
-        assert np.array_equal(t.test_images, test[0][:, t.permutation])
+        assert np.array_equal(t.train_rows(slice(None)), train[0][:, t.permutation])
+        assert np.array_equal(t.test_rows(slice(None)), test[0][:, t.permutation])
         assert np.array_equal(t.train_labels, train[1])
 
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
-        restored = apply_permutation(task.train_images, np.argsort(task.permutation))
+        restored = apply_permutation(task.train_rows(slice(None)), np.argsort(task.permutation))
         assert np.array_equal(restored, train[0])
 
     def test_width_mismatch_raises(self):
@@ -295,13 +292,107 @@ class TestPermutedTasks:
             make_permuted_tasks(train, test, 0, seed=1, expected_width=6)
 
 
+def gather_base(n=1100, width=20, n_test=300):
+    rs = RandomStream(71)
+    return (
+        (rs.uniform(0, 1, (n, width)), np.arange(n, dtype=np.int64) % 10),
+        (rs.uniform(0, 1, (n_test, width)), np.arange(n_test, dtype=np.int64) % 10),
+    )
+
+
+def materialized(task):
+    """The task holding its own permuted copies: the reference for the gather."""
+    return TaskDataset(
+        task_id=task.task_id,
+        train_images=np.ascontiguousarray(task.train_images[:, task.permutation]),
+        train_labels=task.train_labels.copy(),
+        test_images=np.ascontiguousarray(task.test_images[:, task.permutation]),
+        test_labels=task.test_labels.copy(),
+        permutation=np.arange(task.train_images.shape[1]),
+    )
+
+
+class TestSharedBase:
+    def test_tasks_share_one_base(self):
+        train, test = gather_base()
+        tasks = make_permuted_tasks(train, test, 4, seed=5, expected_width=20)
+        for task in tasks:
+            assert np.shares_memory(task.train_images, train[0])
+            assert np.shares_memory(task.test_images, test[0])
+            assert np.shares_memory(task.train_labels, train[1])
+            assert np.shares_memory(task.test_labels, test[1])
+
+    def test_base_is_read_only(self):
+        train, test = gather_base()
+        tasks = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)
+        with pytest.raises(ValueError):
+            tasks[0].train_images[0, 0] = 0.5
+        for name in ("train_labels", "test_images", "test_labels"):
+            with pytest.raises(ValueError):
+                getattr(tasks[1], name)[0] = 0
+        assert np.array_equal(tasks[1].train_images, train[0])
+
+    def test_rows_and_batches_are_fresh_and_writable(self):
+        train, test = gather_base()
+        task = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)[1]
+        arrays = [task.train_rows(slice(0, 10)), task.test_rows(np.array([3, 1]))]
+        arrays += [a for batch in batches(task, 256, RandomStream(2)) for a in batch]
+        for array in arrays:
+            assert array.flags.writeable
+            assert not np.shares_memory(array, task.train_images)
+            assert not np.shares_memory(array, task.test_images)
+            array[0] = 0
+
+
+class TestGatherEquivalence:
+    """Gathering then permuting gives the bytes the materialized copies gave."""
+
+    def tasks(self):
+        train, test = gather_base()
+        return make_permuted_tasks(train, test, 3, seed=8, expected_width=20)[1:]
+
+    def test_train_rows(self):
+        idx = RandomStream(3).permutation(1100)[:100]
+        for task in self.tasks():
+            rows = task.train_rows(idx)
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == materialized(task).train_images[idx].tobytes()
+
+    def test_test_rows(self):
+        picks = RandomStream(4).choice(300, 120)
+        for task in self.tasks():
+            rows = task.test_rows(picks)
+            assert rows.flags.c_contiguous
+            assert rows.tobytes() == materialized(task).test_images[picks].tobytes()
+
+    def test_one_epoch_of_batches(self):
+        for task in self.tasks():
+            old = materialized(task)
+            new_epoch = batches(task, 100, RandomStream(6))
+            old_epoch = batches(old, 100, RandomStream(6))
+            count = 0
+            for (x, y), (old_x, old_y) in zip(new_epoch, old_epoch, strict=True):
+                assert x.flags.c_contiguous
+                assert x.tobytes() == old_x.tobytes()
+                assert np.array_equal(y, old_y)
+                count += 1
+            assert count == 11
+
+    @pytest.mark.parametrize("estimate", [estimate_fisher, estimate_total_abs_signal])
+    def test_estimators(self, estimate):
+        params = init_params(RandomStream(9), (20, 16, 10))
+        for task in self.tasks():
+            new = estimate(params, task)
+            assert new.flat.tobytes() == estimate(params, materialized(task)).flat.tobytes()
+
+
 class TestBatches:
     def test_epoch_covers_every_row_once(self):
         ds = tiny_task(n=7)
         seen = np.concatenate([b[0] for b in batches(ds, 3, RandomStream(1))])
         assert seen.shape == ds.train_images.shape
         assert np.array_equal(
-            np.sort(seen, axis=0), np.sort(ds.train_images, axis=0)
+            np.sort(seen, axis=0), np.sort(ds.train_rows(slice(None)), axis=0)
         )
 
     def test_final_short_batch_kept(self):
@@ -326,7 +417,7 @@ class TestBatches:
         ds = tiny_task(n=6)
         for images, labels in batches(ds, 2, RandomStream(4)):
             for row, lab in zip(images, labels):
-                src = np.flatnonzero((ds.train_images == row).all(axis=1))[0]
+                src = np.flatnonzero((ds.train_rows(slice(None)) == row).all(axis=1))[0]
                 assert ds.train_labels[src] == lab
 
     def test_batch_size_validated(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from forgetlab.continual import StrategyConfig
 from forgetlab.data import batches
 from forgetlab.harness import (
     DEFAULT_LAMBDA_GRID,
+    _eval_splits,
     DESK_LAMBDA_GRID,
     EvalMatrix,
     ExperimentConfig,
@@ -106,6 +108,33 @@ class TestBuildTasks:
         flagged = build_tasks(tiny_config(permute_first_task=True))
         assert not np.array_equal(flagged[0].permutation, np.arange(12))
 
+    def test_peak_memory_flat_in_task_count(self):
+        # Tasks share one base; per-task copies would grow the peak ~linearly.
+        def traced_peak(num_tasks):
+            config = tiny_config(
+                num_tasks=num_tasks, architecture=(784, 16, 10),
+                synthetic_classes=10, synthetic_samples_per_class=100,
+            )
+            tracemalloc.start()
+            try:
+                build_tasks(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(10) < 1.5 * traced_peak(1)
+
+    @pytest.mark.parametrize("eval_subset", [None, 20])
+    def test_eval_rows_are_fresh_and_writable(self, eval_subset):
+        config = tiny_config(num_tasks=3, eval_subset=eval_subset)
+        tasks = build_tasks(config)
+        for task, (x, y) in zip(tasks, _eval_splits(config, tasks)):
+            assert x.flags.writeable and x.flags.c_contiguous
+            assert not np.shares_memory(x, task.test_images)
+            assert x.shape == (len(y), 12)
+            permuted = task.test_rows(slice(None))
+            assert all((permuted == row).all(axis=1).any() for row in x)
+
 
 class TestRunSequence:
     def test_single_task_matches_hand_rolled_loop(self):
@@ -121,7 +150,7 @@ class TestRunSequence:
             params = apply(params, grads, state, None)
         assert np.array_equal(result.params.flat, params.flat)
         assert result.matrix.accuracies.shape == (1, 1)
-        expected = accuracy(params, tasks[0].test_images, tasks[0].test_labels)
+        expected = accuracy(params, tasks[0].test_rows(slice(None)), tasks[0].test_labels)
         assert result.matrix.accuracies[0, 0] == expected
 
     def test_repeat_run_bit_identical(self):
