@@ -6,6 +6,13 @@ extra gradient before the optimizer. Velocity attenuation multiplies the
 gradient or the emitted step by a per-parameter factor that shrinks as
 importance grows, and stores no snapshots at all.
 
+Both EWC kinds hold exactly one anchor. ``ewc_multi_anchor`` keeps the
+sum of per-task penalties as the single quadratic it equals (Huszar,
+"Note on the quadratic penalties in elastic weight consolidation",
+PNAS 2018): sum_k lam*w_k*(theta - a_k) = lam*W*(theta - a_bar), with
+W = sum_k w_k and a_bar the w-weighted mean of the task anchors. Its
+memory and per-step cost are therefore constant in the task count.
+
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
 hook needs per step is fixed when a task finishes (the factors, and
@@ -39,14 +46,6 @@ ATTENUATION_KINDS = ("hyperbolic", "exponential")
 TARGETS = ("gradient", "step")
 ESTIMATORS = ("fisher", "total_abs_signal")
 STRATEGY_KINDS = ("none", "ewc", "ewc_multi_anchor", "wva")
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """Parameter snapshot a quadratic penalty attracts toward."""
-
-    values: MlpParams
-    task_label: int
 
 
 def check_importance(omega: ImportanceMap):
@@ -135,16 +134,16 @@ def max_normalize(omega: ImportanceMap) -> ImportanceMap:
 
 
 def ewc_penalty(
-    params: MlpParams, anchor: Anchor, omega: ImportanceMap, lam: float
+    params: MlpParams, anchor: MlpParams, omega: ImportanceMap, lam: float
 ) -> tuple[float, Gradients]:
     """Quadratic pull toward the anchor: value and gradient.
 
     value = (lam/2) * sum_i omega_i * (theta_i - anchor_i)**2
     gradient_i = lam * omega_i * (theta_i - anchor_i)
     """
-    check_congruent(params, anchor.values, "params and anchor")
+    check_congruent(params, anchor, "params and anchor")
     check_congruent(params, omega, "params and importance map")
-    diff = params.flat - anchor.values.flat
+    diff = params.flat - anchor.flat
     value = float(np.sum(omega.flat * diff * diff))
     gradient = lam * omega.flat * diff
     return 0.5 * lam * value, MlpParams.from_flat(gradient, params.layer_sizes)
@@ -152,15 +151,16 @@ def ewc_penalty(
 
 def ewc_penalty_multi_anchor(
     params: MlpParams,
-    anchors: list[Anchor],
+    anchors: list[MlpParams],
     omegas: list[ImportanceMap],
     lams: list[float],
 ) -> tuple[float, Gradients]:
     """Sum of independent per-task quadratic penalties.
 
-    Gradients are summed from zero in anchor order. An empty anchor list
-    is a valid state (nothing consolidated yet) and yields value 0 with
-    a zero gradient.
+    The explicit sum the ``ewc_multi_anchor`` strategy's single anchor
+    stands for. Gradients are summed from zero in anchor order. An empty
+    anchor list is a valid state (nothing consolidated yet) and yields
+    value 0 with a zero gradient.
     """
     if not len(anchors) == len(omegas) == len(lams):
         raise ValueError(
@@ -388,21 +388,31 @@ def _with_task_gradient(
 
 
 class EwcStrategy:
-    """Single consolidated anchor with a summed (optionally decayed) map."""
+    """One quadratic pull, lam * weight * (theta - anchor), for both EWC kinds.
+
+    The kinds differ only in how a finished task moves the anchor and the
+    weight. ``ewc`` consolidates: the anchor is the latest parameters and
+    the weight the effective running map. ``ewc_multi_anchor`` adds each
+    task's effective importance w to the running weight W and moves the
+    anchor by (w / W) * (theta - anchor), which keeps it the w-weighted
+    mean of the task snapshots. Where W is 0 no task pulls, so the anchor
+    stays put and the pull is exactly 0.
+    """
 
     def __init__(self, config: StrategyConfig, learning_rate: float):
         self.config = config
         self.learning_rate = learning_rate
         self.omega_total: Optional[ImportanceMap] = None
-        self.anchor: Optional[Anchor] = None
+        self.anchor: Optional[MlpParams] = None
+        self._weight: Optional[np.ndarray] = None
         self._lam_omega: Optional[np.ndarray] = None
         self._penalty: Optional[Gradients] = None
 
     def step_hook(self, params: MlpParams) -> Optional[StepHook]:
         if self.anchor is None or self.config.lam == 0.0:
             return None
-        check_congruent(params, self.anchor.values, "params and anchor")
-        anchor, lam_omega, out = self.anchor.values.flat, self._lam_omega, self._penalty
+        check_congruent(params, self.anchor, "params and anchor")
+        anchor, lam_omega, out = self.anchor.flat, self._lam_omega, self._penalty
         threshold = self.config.separate_clip_threshold
 
         def pre(task_grad: Gradients) -> Gradients:
@@ -419,9 +429,20 @@ class EwcStrategy:
             self.omega_total = new
         else:
             self.omega_total = accumulate(self.omega_total, new, self.config.online_decay)
-        self.anchor = Anchor(values=params.copy(), task_label=task.task_id)
-        omega_eff = _effective_omega(self.config, self.omega_total, self.learning_rate)
-        self._lam_omega = self.config.lam * omega_eff.flat
+        if self.config.kind == "ewc":
+            self._weight = _effective_omega(
+                self.config, self.omega_total, self.learning_rate
+            ).flat
+            self.anchor = params.copy()
+        elif self.anchor is None:
+            self._weight = _effective_omega(self.config, new, self.learning_rate).flat.copy()
+            self.anchor = params.copy()
+        else:
+            w = _effective_omega(self.config, new, self.learning_rate).flat
+            self._weight += w
+            share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
+            self.anchor.flat += share * (params.flat - self.anchor.flat)
+        self._lam_omega = self.config.lam * self._weight
         if self._penalty is None:
             self._penalty = MlpParams.zeros(params.layer_sizes)
 
@@ -429,58 +450,7 @@ class EwcStrategy:
         return self.omega_total
 
 
-class EwcMultiAnchorStrategy:
-    """One quadratic penalty per finished task, each with its own anchor."""
-
-    def __init__(self, config: StrategyConfig, learning_rate: float):
-        self.config = config
-        self.learning_rate = learning_rate
-        self.anchors: list[Anchor] = []
-        self.omegas: list[ImportanceMap] = []
-        self._lam_omegas: list[np.ndarray] = []
-        self._penalty: Optional[Gradients] = None
-        self._scratch: Optional[np.ndarray] = None
-
-    def step_hook(self, params: MlpParams) -> Optional[StepHook]:
-        if not self.anchors or self.config.lam == 0.0:
-            return None
-        check_congruent(params, self.anchors[0].values, "params and anchors")
-        pulls = [(a.values.flat, lo) for a, lo in zip(self.anchors, self._lam_omegas)]
-        out, scratch = self._penalty, self._scratch
-        threshold = self.config.separate_clip_threshold
-
-        def pre(task_grad: Gradients) -> Gradients:
-            # sum_k lam * omega_k * (theta - anchor_k), from zero in anchor
-            # order, as ewc_penalty_multi_anchor evaluates it
-            out.flat.fill(0.0)
-            for anchor, lam_omega in pulls:
-                np.subtract(params.flat, anchor, out=scratch)
-                np.multiply(lam_omega, scratch, out=scratch)
-                np.add(out.flat, scratch, out=out.flat)
-            return _with_task_gradient(task_grad, out, threshold)
-
-        return StepHook(pre_optimizer=pre)
-
-    def finish_task(self, params: MlpParams, task: TaskDataset):
-        new = _estimate(self.config, params, task)
-        self.anchors.append(Anchor(values=params.copy(), task_label=task.task_id))
-        self.omegas.append(new)
-        omega_eff = _effective_omega(self.config, new, self.learning_rate)
-        self._lam_omegas.append(self.config.lam * omega_eff.flat)
-        if self._penalty is None:
-            self._penalty = MlpParams.zeros(params.layer_sizes)
-            self._scratch = np.empty_like(params.flat)
-
-    def importance(self) -> Optional[ImportanceMap]:
-        if not self.omegas:
-            return None
-        total = self.omegas[0].copy()
-        for omega in self.omegas[1:]:
-            total = accumulate(total, omega, 1.0)
-        return total
-
-
-Strategy = NoStrategy | WvaStrategy | EwcStrategy | EwcMultiAnchorStrategy
+Strategy = NoStrategy | WvaStrategy | EwcStrategy
 
 
 def build_strategy(config: StrategyConfig, learning_rate: float) -> Strategy:
@@ -490,6 +460,4 @@ def build_strategy(config: StrategyConfig, learning_rate: float) -> Strategy:
         return NoStrategy()
     if config.kind == "wva":
         return WvaStrategy(config)
-    if config.kind == "ewc":
-        return EwcStrategy(config, learning_rate)
-    return EwcMultiAnchorStrategy(config, learning_rate)
+    return EwcStrategy(config, learning_rate)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forgetlab.continual import (
-    Anchor,
     StrategyConfig,
     accumulate,
     build_strategy,
@@ -206,13 +205,13 @@ class TestEwcPenalty:
     def test_zero_at_anchor(self):
         params = init_params(RandomStream(56), (4, 3))
         omega = map_flat(np.abs, init_params(RandomStream(57), (4, 3)))
-        value, grad = ewc_penalty(params, Anchor(params.copy(), 0), omega, 3.0)
+        value, grad = ewc_penalty(params, params.copy(), omega, 3.0)
         assert value == 0.0
         assert np.all(grad.flat == 0.0)
 
     def test_single_weight_plug_in(self):
         params = scalar_net(1.0)
-        anchor = Anchor(scalar_net(0.5), 0)
+        anchor = scalar_net(0.5)
         omega = scalar_map(2.0)
         value, grad = ewc_penalty(params, anchor, omega, 3.0)
         assert abs(value - 0.75) < 1e-12
@@ -220,7 +219,7 @@ class TestEwcPenalty:
 
     def test_gradient_matches_finite_differences(self):
         params = init_params(RandomStream(58), (3, 3, 2))
-        anchor = Anchor(init_params(RandomStream(59), (3, 3, 2)), 0)
+        anchor = init_params(RandomStream(59), (3, 3, 2))
         omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2)))
         lam = 1.7
         _, grad = ewc_penalty(params, anchor, omega, lam)
@@ -241,10 +240,10 @@ class TestEwcPenalty:
         params = init_params(RandomStream(61), (3, 2))
         anchor_values = init_params(RandomStream(62), (3, 2))
         omega = map_flat(np.abs, init_params(RandomStream(63), (3, 2)))
-        base, _ = ewc_penalty(params, Anchor(anchor_values, 0), omega, 2.0)
+        base, _ = ewc_penalty(params, anchor_values, omega, 2.0)
         shifted, _ = ewc_penalty(
             map_flat(lambda p: p + 7.25, params),
-            Anchor(map_flat(lambda a: a + 7.25, anchor_values), 0),
+            map_flat(lambda a: a + 7.25, anchor_values),
             omega,
             2.0,
         )
@@ -254,7 +253,7 @@ class TestEwcPenalty:
         # Per coordinate the penalty gradient is lam*omega*(theta-anchor),
         # so moving theta by d moves the gradient by exactly lam*omega*d.
         params = scalar_net(0.3)
-        anchor = Anchor(scalar_net(-0.2), 0)
+        anchor = scalar_net(-0.2)
         omega = scalar_map(1.75)
         lam = 4.0
         _, g1 = ewc_penalty(params, anchor, omega, lam)
@@ -268,7 +267,7 @@ class TestMultiAnchor:
     def setup_instance(self, seed, k):
         sizes = (3, 3, 2)
         params = init_params(RandomStream(seed), sizes)
-        anchors = [Anchor(init_params(RandomStream(seed + i + 1), sizes), i) for i in range(k)]
+        anchors = [init_params(RandomStream(seed + i + 1), sizes) for i in range(k)]
         omegas = [
             map_flat(np.abs, init_params(RandomStream(seed + 100 + i), sizes))
             for i in range(k)
@@ -578,7 +577,7 @@ class TestStrategies:
         hook = strategy.step_hook(current)
         task_grad = init_params(RandomStream(93), anchor_params.layer_sizes)
         omega = estimate_fisher(anchor_params, task)
-        _, penalty_grad = ewc_penalty(current, Anchor(anchor_params, 0), omega, 3.0)
+        _, penalty_grad = ewc_penalty(current, anchor_params, omega, 3.0)
         expected = task_grad.flat + penalty_grad.flat
         assert np.max(np.abs(hook.pre_optimizer(task_grad).flat - expected)) < 1e-15
 
@@ -588,7 +587,7 @@ class TestStrategies:
         params, task = random_setup(94)
         strategy.finish_task(params, task)
         params.weights[0][0, 0] += 100.0
-        assert strategy.anchor.values.weights[0][0, 0] != params.weights[0][0, 0]
+        assert strategy.anchor.weights[0][0, 0] != params.weights[0][0, 0]
 
     def test_ewc_safe_coefficient_caps_effective_importance(self):
         lam, alpha = 10.0, 0.5
@@ -633,24 +632,78 @@ class TestStrategies:
             outputs[kind] = hook.pre_optimizer(task_grad).flat.copy()
         assert np.array_equal(outputs["ewc"], outputs["ewc_multi_anchor"])
 
-    def test_multi_anchor_keeps_separate_anchors(self):
-        config = StrategyConfig(kind="ewc_multi_anchor", lam=1.0)
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"safe_coefficient": True}, {"normalize_importance": True}],
+        ids=["default", "safe_coefficient", "normalize_importance"],
+    )
+    def test_multi_anchor_matches_explicit_sum(self, options):
+        lam, learning_rate = 2.0, 0.5
+        config = StrategyConfig(kind="ewc_multi_anchor", lam=lam, **options)
+        strategy = build_strategy(config, learning_rate)
+        anchors, omegas = [], []
+        for task_id in range(4):
+            params, task = random_setup(130 + task_id)
+            strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
+            omega = estimate_total_abs_signal(params, task)
+            if config.normalize_importance:
+                omega = max_normalize(omega)
+            if config.safe_coefficient:
+                omega = MlpParams.from_flat(
+                    safe_coefficient(omega.flat, learning_rate, lam), omega.layer_sizes
+                )
+            anchors.append(params.copy())
+            omegas.append(omega)
+        current = init_params(RandomStream(140), anchors[0].layer_sizes)
+        pull = strategy.step_hook(current).pre_optimizer(
+            MlpParams.zeros(current.layer_sizes)
+        ).flat
+        _, expected = ewc_penalty_multi_anchor(current, anchors, omegas, [lam] * 4)
+        scale = np.max(np.abs(expected.flat))
+        assert scale > 0
+        assert np.max(np.abs(pull - expected.flat)) <= 1e-12 * scale
+
+    def test_multi_anchor_zero_importance_keeps_anchor_finite(self):
+        # Pixel 0 is blank in every task, so the weights reading it have
+        # zero importance in each: no task pulls them.
+        config = StrategyConfig(kind="ewc_multi_anchor", lam=2.0, estimator="fisher")
         strategy = build_strategy(config, 0.2)
-        params_a, task_a = random_setup(102)
-        params_b = init_params(RandomStream(103), params_a.layer_sizes)
-        _, task_b = random_setup(104)
-        strategy.finish_task(params_a, task_a)
-        strategy.finish_task(params_b, make_task(task_b.train_images, task_b.train_labels, 1))
-        assert len(strategy.anchors) == 2
-        assert strategy.anchors[0].task_label == 0
-        assert strategy.anchors[1].task_label == 1
-        current = init_params(RandomStream(105), params_a.layer_sizes)
-        hook = strategy.step_hook(current)
-        out = hook.pre_optimizer(MlpParams.zeros(params_a.layer_sizes)).flat
-        _, expected = ewc_penalty_multi_anchor(
-            current, strategy.anchors, strategy.omegas, [1.0, 1.0]
-        )
-        assert np.array_equal(out, expected.flat)
+        total = None
+        for task_id in range(3):
+            params, task = random_setup(150 + task_id)
+            images = task.train_images.copy()
+            images[:, 0] = 0.0
+            blank = make_task(images, task.train_labels, task_id)
+            strategy.finish_task(params, blank)
+            omega = estimate_fisher(params, blank).flat
+            total = omega if total is None else total + omega
+        unpulled = total == 0.0
+        assert np.array_equal(np.flatnonzero(unpulled), np.arange(4) * 5)
+        assert np.isfinite(strategy.anchor.flat).all()
+        current = map_flat(lambda p: p + 3.0, params)
+        pull = strategy.step_hook(current).pre_optimizer(MlpParams.zeros(params.layer_sizes))
+        assert np.all(pull.flat[unpulled] == 0.0)
+        assert np.all(pull.flat[~unpulled] != 0.0)
+
+    @pytest.mark.parametrize("kind", ["ewc", "ewc_multi_anchor"])
+    def test_state_constant_in_task_count(self, kind):
+        def held_bytes(value):
+            if isinstance(value, MlpParams):
+                return value.flat.nbytes
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, (list, tuple)):
+                return sum(held_bytes(v) for v in value)
+            return 0
+
+        strategy = build_strategy(StrategyConfig(kind=kind, lam=1.0), 0.2)
+        held = {}
+        for task_id in range(6):
+            params, task = random_setup(160 + task_id)
+            strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
+            held[task_id + 1] = sum(held_bytes(v) for v in vars(strategy).values())
+        assert held[2] > 0
+        assert held[6] == held[2]
 
 
 class TestMaxNormalize:

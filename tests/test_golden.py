@@ -138,11 +138,18 @@ def test_trajectory_matches_golden(golden, tasks, name):
 
 
 def bless():
+    """Rewrite the golden file, printing whether each case's entry moved."""
+    previous = {}
+    if GOLDEN.exists():
+        with open(GOLDEN) as fh:
+            previous = json.load(fh)["cases"]
     tasks = build_tasks(base_config())
     stored = {
         "environment": environment_stamp(),
         "cases": {name: run_case(name, tasks) for name in sorted(CASES)},
     }
+    for name, entry in stored["cases"].items():
+        print(f"{name}: {'unchanged' if previous.get(name) == entry else 'changed'}")
     GOLDEN.parent.mkdir(exist_ok=True)
     with open(GOLDEN, "w") as fh:
         json.dump(stored, fh, indent=1, sort_keys=True)
