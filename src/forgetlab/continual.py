@@ -149,33 +149,6 @@ def ewc_penalty(
     return 0.5 * lam * value, MlpParams.from_flat(gradient, params.layer_sizes)
 
 
-def ewc_penalty_multi_anchor(
-    params: MlpParams,
-    anchors: list[MlpParams],
-    omegas: list[ImportanceMap],
-    lams: list[float],
-) -> tuple[float, Gradients]:
-    """Sum of independent per-task quadratic penalties.
-
-    The explicit sum the ``ewc_multi_anchor`` strategy's single anchor
-    stands for. Gradients are summed from zero in anchor order. An empty
-    anchor list is a valid state (nothing consolidated yet) and yields
-    value 0 with a zero gradient.
-    """
-    if not len(anchors) == len(omegas) == len(lams):
-        raise ValueError(
-            f"got {len(anchors)} anchors, {len(omegas)} importance maps, "
-            f"{len(lams)} lambdas"
-        )
-    value = 0.0
-    gradient = np.zeros_like(params.flat)
-    for anchor, omega, lam in zip(anchors, omegas, lams):
-        part_value, part_grad = ewc_penalty(params, anchor, omega, lam)
-        value += part_value
-        gradient += part_grad.flat
-    return value, MlpParams.from_flat(gradient, params.layer_sizes)
-
-
 def safe_coefficient(omega, alpha: float, lam: float):
     """Saturating replacement for omega: omega / (alpha*lam*omega + 1).
 

@@ -3,9 +3,11 @@
 A task sequence is built from one base dataset (MNIST-style images or a
 synthetic stand-in) plus a fixed, seeded pixel permutation per task.
 Every task shares the same read-only base arrays; a task's pixels are
-gathered and permuted per batch, chunk or eval subset, so a sequence
-costs one copy of the data whatever its length. Every image array
-leaving this module is float64 with pixels in [0, 1].
+gathered and permuted per batch, chunk or evaluation, so a sequence
+costs one copy of the data whatever its length. Building that copy
+holds no second one: the IDX loader scales in place and the synthetic
+source writes into preallocated splits. Every image array leaving this
+module is float64 with pixels in [0, 1].
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
         raise IdxCountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat /= 255.0  # in place: one float64 copy at the peak, not two
     return flat, labels.astype(np.int64)
 
 
@@ -229,25 +232,30 @@ def synth_dataset(spec: SyntheticSpec) -> TaskDataset:
     Each class is an isotropic Gaussian around a center drawn uniformly in
     [0.2, 0.8] per dimension; samples are clipped to [0, 1] and split
     80/20 per class into train/test. Fully determined by ``spec.seed``.
+
+    Both splits are allocated once and each class's samples are written
+    into their own rows, so the build holds the output plus one class's
+    samples at a time.
     """
     rs = RandomStream(spec.seed, key=(SYNTH_STREAM_ID,))
     centers = rs.uniform(0.2, 0.8, (spec.classes, spec.dims))
     n_train = int(spec.samples_per_class * 0.8)
-    train_parts, test_parts = [], []
-    train_labels, test_labels = [], []
+    n_test = spec.samples_per_class - n_train
+    train_images = np.empty((spec.classes * n_train, spec.dims))
+    test_images = np.empty((spec.classes * n_test, spec.dims))
     for c in range(spec.classes):
-        noise = rs.normal(0.0, 1.0, (spec.samples_per_class, spec.dims))
-        samples = np.clip(centers[c] + spec.cluster_spread * noise, 0.0, 1.0)
-        train_parts.append(samples[:n_train])
-        test_parts.append(samples[n_train:])
-        train_labels.append(np.full(n_train, c, dtype=np.int64))
-        test_labels.append(np.full(spec.samples_per_class - n_train, c, dtype=np.int64))
+        samples = rs.normal(0.0, 1.0, (spec.samples_per_class, spec.dims))
+        samples *= spec.cluster_spread
+        samples += centers[c]
+        np.clip(samples[:n_train], 0.0, 1.0, out=train_images[c * n_train : (c + 1) * n_train])
+        np.clip(samples[n_train:], 0.0, 1.0, out=test_images[c * n_test : (c + 1) * n_test])
+    classes = np.arange(spec.classes, dtype=np.int64)
     return TaskDataset(
         task_id=0,
-        train_images=np.ascontiguousarray(np.concatenate(train_parts)),
-        train_labels=np.concatenate(train_labels),
-        test_images=np.ascontiguousarray(np.concatenate(test_parts)),
-        test_labels=np.concatenate(test_labels),
+        train_images=train_images,
+        train_labels=np.repeat(classes, n_train),
+        test_images=test_images,
+        test_labels=np.repeat(classes, n_test),
         permutation=np.arange(spec.dims),
     )
 

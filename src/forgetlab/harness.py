@@ -245,9 +245,12 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
 
 
 def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
-    """Per-task evaluation sets, subsetted with task-keyed streams.
+    """Per-task ``(picks, labels)`` of the test rows to evaluate on.
 
-    Each task's eval rows are gathered once here and kept for the run.
+    ``picks`` selects each task's eval subset, drawn once per run from a
+    task-keyed stream (``slice(None)`` for the whole test split). Only
+    indices and labels are kept; the caller gathers a task's rows with
+    ``task.test_rows(picks)`` when it evaluates that task.
     """
     splits = []
     root = RandomStream(config.seed)
@@ -258,7 +261,7 @@ def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
                 len(y), config.eval_subset
             )
             y = y[picks]
-        splits.append((task.test_rows(picks), y))
+        splits.append((picks, y))
     return splits
 
 
@@ -269,7 +272,10 @@ def run_sequence(
 
     The strategy is naturally inert while task 0 trains (no importance
     accumulated yet). After each task it estimates importance on that
-    task's train split, then all tasks seen so far are evaluated.
+    task's train split, then all tasks seen so far are evaluated. Each
+    evaluation gathers that task's eval rows afresh (the same bytes every
+    time), so at most one task's rows are held at once and memory does
+    not grow with the task count.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -300,8 +306,8 @@ def run_sequence(
                 params = apply(params, grads, optimizer, strategy.step_hook(params))
         strategy.finish_task(params, task)
         for j in range(t + 1):
-            x, y = eval_splits[j]
-            acc[t, j] = accuracy(params, x, y)
+            picks, y = eval_splits[j]
+            acc[t, j] = accuracy(params, tasks[j].test_rows(picks), y)
             n_samples[t, j] = len(y)
         if config.save_checkpoints:
             os.makedirs(config.out_dir, exist_ok=True)

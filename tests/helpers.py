@@ -1,7 +1,12 @@
-"""Shared test oracles: finite-difference gradients and a scalar Adam."""
+"""Shared test oracles: finite-difference gradients, a scalar Adam, the
+explicit multi-anchor EWC sum, and a traced-memory probe.
+"""
+
+import tracemalloc
 
 import numpy as np
 
+from forgetlab.continual import ewc_penalty
 from forgetlab.model import MlpParams, backward, cross_entropy, forward
 
 
@@ -71,3 +76,44 @@ class ScalarAdam:
 def map_flat(f, *params):
     """Parameters shaped like ``params[0]`` holding ``f`` of their flat vectors."""
     return MlpParams.from_flat(f(*(p.flat for p in params)), params[0].layer_sizes)
+
+
+def ewc_penalty_multi_anchor(
+    params: MlpParams,
+    anchors: list[MlpParams],
+    omegas: list[MlpParams],
+    lams: list[float],
+) -> tuple[float, MlpParams]:
+    """Sum of independent per-task quadratic penalties.
+
+    The explicit sum the ``ewc_multi_anchor`` strategy's single anchor
+    stands for. Gradients are summed from zero in anchor order. An empty
+    anchor list is a valid state (nothing consolidated yet) and yields
+    value 0 with a zero gradient.
+    """
+    if not len(anchors) == len(omegas) == len(lams):
+        raise ValueError(
+            f"got {len(anchors)} anchors, {len(omegas)} importance maps, "
+            f"{len(lams)} lambdas"
+        )
+    value = 0.0
+    gradient = np.zeros_like(params.flat)
+    for anchor, omega, lam in zip(anchors, omegas, lams):
+        part_value, part_grad = ewc_penalty(params, anchor, omega, lam)
+        value += part_value
+        gradient += part_grad.flat
+    return value, MlpParams.from_flat(gradient, params.layer_sizes)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(peak traced bytes, result)`` of calling ``fn(*args, **kwargs)``.
+
+    Counts only allocations made during the call (numpy reports its
+    buffers to tracemalloc), so inputs built beforehand are excluded.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -14,7 +14,6 @@ from forgetlab.continual import (
     estimate_fisher,
     estimate_total_abs_signal,
     ewc_penalty,
-    ewc_penalty_multi_anchor,
     make_wva_hook,
     max_normalize,
     safe_coefficient,
@@ -32,7 +31,7 @@ from forgetlab.model import (
 from forgetlab.numerics import RandomStream, ShapeError
 from forgetlab.optim import AdamState, SgdConfig, apply, reset_state
 
-from helpers import ScalarAdam, map_flat
+from helpers import ScalarAdam, ewc_penalty_multi_anchor, map_flat
 
 
 def make_task(images, labels, task_id=0):

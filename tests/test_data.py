@@ -25,6 +25,7 @@ from forgetlab.data import (
 )
 from forgetlab.model import init_params
 from forgetlab.numerics import RandomStream, ShapeError
+from helpers import traced_peak
 
 
 def idx_bytes(magic, dims, payload):
@@ -33,7 +34,7 @@ def idx_bytes(magic, dims, payload):
 
 
 def write_pair(tmp_path, n=3, rows=2, cols=2):
-    pixels = bytes(range(n * rows * cols))
+    pixels = (np.arange(n * rows * cols) % 256).astype(np.uint8).tobytes()
     labels = bytes([i % 10 for i in range(n)])
     img_path = tmp_path / "images"
     lab_path = tmp_path / "labels"
@@ -51,6 +52,16 @@ class TestLoadIdx:
         assert labels.dtype == np.int64
         assert images[0, 1] == 1.0 / 255.0
         assert np.array_equal(labels, [0, 1, 2])
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_peak_memory_one_float_copy(self, tmp_path, n):
+        # The scale to [0, 1] runs in place, so the loader holds one
+        # float64 copy at the peak. Dividing into a new array holds two
+        # (about 2.1x the output) unless numpy elides the temporary,
+        # which it does only for arrays of 256 KiB and more.
+        img_path, lab_path = write_pair(tmp_path, n=n, rows=28, cols=28)
+        peak, (images, labels) = traced_peak(load_idx, img_path, lab_path)
+        assert peak < 1.5 * (images.nbytes + labels.nbytes)
 
     def test_wrong_magic(self, tmp_path):
         img_path, lab_path = write_pair(tmp_path)
@@ -225,6 +236,14 @@ class TestSynthetic:
         )
         assert ds.train_images.min() >= 0.0
         assert ds.train_images.max() <= 1.0
+
+    def test_peak_memory_below_two_copies(self):
+        # Classes are written into preallocated splits. Collecting them
+        # and concatenating holds about 2.1x the output at the peak.
+        spec = SyntheticSpec(classes=10, dims=784, samples_per_class=100, seed=5)
+        peak, ds = traced_peak(synth_dataset, spec)
+        arrays = (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels)
+        assert peak < 1.75 * sum(a.nbytes for a in arrays)
 
     def test_zero_spread_rejected(self):
         with pytest.raises(ValueError):

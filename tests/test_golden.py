@@ -7,8 +7,12 @@ keep the arithmetic must pass these unchanged.
 
 Matrix products round differently under another numpy or BLAS build, so
 the golden file records the environment it was blessed on and the test
-skips elsewhere. To re-bless after an intended numerical change, or on a
-new BLAS, run from the repository root:
+skips elsewhere. They also round differently with another OpenBLAS
+thread count, so the stamp records the blessed count and the test pins
+OpenBLAS to it while it runs (restoring the caller's count afterwards);
+it therefore passes under any ``OPENBLAS_NUM_THREADS``. To re-bless
+after an intended numerical change, or on a new BLAS, run from the
+repository root:
 
     PYTHONPATH=src python tests/test_golden.py --bless
 """
@@ -68,17 +72,34 @@ def base_config():
     return desk_preset(num_tasks=3, train_subset=3000, eval_subset=1000)
 
 
-def _blas_core() -> str:
-    """The OpenBLAS kernel family picked at runtime, which fixes the rounding."""
+def _openblas_function(name: str, restype, argtypes):
+    """A function of numpy's bundled OpenBLAS, or None under another BLAS."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
-            get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            function = getattr(ctypes.CDLL(str(lib)), name)
         except (OSError, AttributeError):
             continue
-        get.restype, get.argtypes = ctypes.c_char_p, []
-        return get().decode()
-    return "unknown"
+        function.restype, function.argtypes = restype, argtypes
+        return function
+    return None
+
+
+def _blas_core() -> str:
+    """The OpenBLAS kernel family picked at runtime, which fixes the rounding."""
+    get = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p, [])
+    return get().decode() if get else "unknown"
+
+
+def _blas_threads():
+    """OpenBLAS's current thread count, which also fixes the rounding."""
+    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int, [])
+    return get() if get else None
+
+
+def _set_blas_threads(count: int) -> None:
+    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
+    set_(count)
 
 
 def environment_stamp() -> dict:
@@ -87,6 +108,7 @@ def environment_stamp() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_core": _blas_core(),
+        "blas_threads": _blas_threads(),
         "machine": platform.machine(),
     }
 
@@ -110,14 +132,21 @@ def run_case(name: str, tasks) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
+    """The golden file, with OpenBLAS pinned to its blessed thread count."""
     with open(GOLDEN) as fh:
         stored = json.load(fh)
-    if stored["environment"] != environment_stamp():
+    blessed, here = dict(stored["environment"]), environment_stamp()
+    threads, caller_threads = blessed.pop("blas_threads"), here.pop("blas_threads")
+    if blessed != here:
         pytest.skip(
-            f"golden file blessed on {stored['environment']}, this is "
-            f"{environment_stamp()}; re-bless with: {BLESS_COMMAND}"
+            f"golden file blessed on {blessed}, this is {here}; "
+            f"re-bless with: {BLESS_COMMAND}"
         )
-    return stored
+    _set_blas_threads(threads)
+    try:
+        yield stored
+    finally:
+        _set_blas_threads(caller_threads)
 
 
 @pytest.fixture(scope="module")

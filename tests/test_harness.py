@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from forgetlab.model import (
 )
 from forgetlab.numerics import NonFiniteError, RandomStream
 from forgetlab.optim import AdamState, apply
+from helpers import traced_peak
 
 
 def tiny_config(**overrides):
@@ -45,6 +45,14 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def mnist_sized_config(num_tasks):
+    """784-pixel synthetic tasks with whole test splits of 200 rows each."""
+    return tiny_config(
+        num_tasks=num_tasks, architecture=(784, 16, 10),
+        synthetic_classes=10, synthetic_samples_per_class=100,
+    )
 
 
 class TestConfigs:
@@ -110,25 +118,17 @@ class TestBuildTasks:
 
     def test_peak_memory_flat_in_task_count(self):
         # Tasks share one base; per-task copies would grow the peak ~linearly.
-        def traced_peak(num_tasks):
-            config = tiny_config(
-                num_tasks=num_tasks, architecture=(784, 16, 10),
-                synthetic_classes=10, synthetic_samples_per_class=100,
-            )
-            tracemalloc.start()
-            try:
-                build_tasks(config)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def peak(num_tasks):
+            return traced_peak(build_tasks, mnist_sized_config(num_tasks))[0]
 
-        assert traced_peak(10) < 1.5 * traced_peak(1)
+        assert peak(10) < 1.5 * peak(1)
 
     @pytest.mark.parametrize("eval_subset", [None, 20])
     def test_eval_rows_are_fresh_and_writable(self, eval_subset):
         config = tiny_config(num_tasks=3, eval_subset=eval_subset)
         tasks = build_tasks(config)
-        for task, (x, y) in zip(tasks, _eval_splits(config, tasks)):
+        for task, (picks, y) in zip(tasks, _eval_splits(config, tasks)):
+            x = task.test_rows(picks)
             assert x.flags.writeable and x.flags.c_contiguous
             assert not np.shares_memory(x, task.test_images)
             assert x.shape == (len(y), 12)
@@ -137,6 +137,14 @@ class TestBuildTasks:
 
 
 class TestRunSequence:
+    def test_peak_memory_flat_in_task_count(self):
+        # Eval rows are gathered per evaluation. Keeping every task's rows
+        # for the whole run grows this peak about 1.25x from 2 to 8 tasks.
+        def peak(num_tasks):
+            return traced_peak(run_sequence, mnist_sized_config(num_tasks))[0]
+
+        assert peak(8) < 1.1 * peak(2)
+
     def test_single_task_matches_hand_rolled_loop(self):
         config = tiny_config(num_tasks=1)
         result = run_sequence(config)
