@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .continual import (
+    Strategy,
     StrategyConfig,
     accumulate,
-    build_strategy,
     estimate_fisher,
     estimate_total_abs_signal,
     ewc_penalty,
@@ -33,9 +33,9 @@ from .reports import emit_reports
 
 __all__ = [
     "__version__",
+    "Strategy",
     "StrategyConfig",
     "accumulate",
-    "build_strategy",
     "estimate_fisher",
     "estimate_total_abs_signal",
     "ewc_penalty",

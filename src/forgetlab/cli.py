@@ -51,7 +51,7 @@ from .harness import (
     paper_preset,
     run_sequence,
 )
-from .model import backward, cross_entropy, forward, init_params
+from .model import backward, forward, init_params, max_relative_gradient_error
 from .numerics import RandomStream
 from .optim import SgdConfig, apply
 from .reports import (
@@ -329,25 +329,7 @@ def _selftest_gradients() -> tuple[bool, str]:
     params = init_params(stream.child(0), (4, 4, 3))
     images = stream.child(1).uniform(0.0, 1.0, (8, 4))
     labels = stream.child(2).permutation(8) % 3
-    grads = backward(params, forward(params, images), labels)
-    h = 1e-5
-    worst = 0.0
-    blocks = params.weights + params.biases
-    grad_blocks = grads.weights + grads.biases
-    for block_idx, block in enumerate(blocks):
-        it = np.nditer(block, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            saved = block[idx]
-            block[idx] = saved + h
-            up = cross_entropy(forward(params, images), labels)
-            block[idx] = saved - h
-            down = cross_entropy(forward(params, images), labels)
-            block[idx] = saved
-            numeric = (up - down) / (2 * h)
-            analytic = grad_blocks[block_idx][idx]
-            scale = max(1.0, abs(numeric), abs(analytic))
-            worst = max(worst, abs(numeric - analytic) / scale)
+    worst = max_relative_gradient_error(params, images, labels)
     return worst < 1e-6, f"max relative gradient error {worst:.2e}"
 
 

@@ -13,6 +13,12 @@ PNAS 2018): sum_k lam*w_k*(theta - a_k) = lam*W*(theta - a_bar), with
 W = sum_k w_k and a_bar the w-weighted mean of the task anchors. Its
 memory and per-step cost are therefore constant in the task count.
 
+One :class:`Strategy` class runs every kind. When a task ends it
+estimates the task's importance and folds it into a running map, then
+builds the step hook used until the next task ends. Hooks are called as
+``hook(values, params)`` with the current parameters, so nothing is
+rebuilt per step.
+
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
 hook needs per step is fixed when a task finishes (the factors, and
@@ -208,7 +214,8 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
 
     lam == 0 returns a bare hook with no transforms, so such runs take
     exactly the same code path as an unprotected run. The transform
-    returns a buffer the hook owns, overwritten by its next call.
+    ignores its ``params`` argument and returns a buffer the hook owns,
+    overwritten by its next call.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -220,7 +227,7 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     factors = wva_factor(omega.flat, lam, kind)
     out = MlpParams.zeros(omega.layer_sizes)
 
-    def scale(container: Gradients) -> Gradients:
+    def scale(container: Gradients, params: MlpParams) -> Gradients:
         check_congruent(container, out, "attenuated values and importance map")
         np.multiply(container.flat, factors, out=out.flat)
         return out
@@ -290,49 +297,6 @@ def _estimate(config: StrategyConfig, params: MlpParams, task: TaskDataset) -> I
     return estimate_total_abs_signal(params, task)
 
 
-class NoStrategy:
-    """Unprotected sequential training."""
-
-    def step_hook(self, params: MlpParams) -> Optional[StepHook]:
-        return None
-
-    def finish_task(self, params: MlpParams, task: TaskDataset):
-        pass
-
-    def importance(self) -> Optional[ImportanceMap]:
-        return None
-
-
-class WvaStrategy:
-    """Attenuates updates by accumulated importance; stores no anchors."""
-
-    def __init__(self, config: StrategyConfig):
-        self.config = config
-        self.omega_total: Optional[ImportanceMap] = None
-        self._hook: Optional[StepHook] = None
-
-    def step_hook(self, params: MlpParams) -> Optional[StepHook]:
-        return self._hook
-
-    def finish_task(self, params: MlpParams, task: TaskDataset):
-        new = _estimate(self.config, params, task)
-        if self.omega_total is None:
-            self.omega_total = new
-        else:
-            self.omega_total = accumulate(self.omega_total, new, self.config.online_decay)
-        if self.config.lam == 0.0:
-            return
-        used = self.omega_total
-        if self.config.normalize_importance:
-            used = max_normalize(used)
-        self._hook = make_wva_hook(
-            used, self.config.lam, self.config.attenuation, self.config.target
-        )
-
-    def importance(self) -> Optional[ImportanceMap]:
-        return self.omega_total
-
-
 def _effective_omega(
     config: StrategyConfig, omega: ImportanceMap, learning_rate: float
 ) -> ImportanceMap:
@@ -360,16 +324,45 @@ def _with_task_gradient(
     return penalty
 
 
-class EwcStrategy:
-    """One quadratic pull, lam * weight * (theta - anchor), for both EWC kinds.
+def _make_ewc_hook(
+    anchor: MlpParams, lam_weight: np.ndarray, threshold: Optional[float]
+) -> StepHook:
+    """Pre-hook adding lam * weight * (theta - anchor) to the task gradient.
 
-    The kinds differ only in how a finished task moves the anchor and the
-    weight. ``ewc`` consolidates: the anchor is the latest parameters and
-    the weight the effective running map. ``ewc_multi_anchor`` adds each
-    task's effective importance w to the running weight W and moves the
-    anchor by (w / W) * (theta - anchor), which keeps it the w-weighted
-    mean of the task snapshots. Where W is 0 no task pulls, so the anchor
-    stays put and the pull is exactly 0.
+    ``theta`` is the ``params`` argument of each call. The pull is written
+    into a buffer the hook owns, overwritten by its next call.
+    """
+    out = MlpParams.zeros(anchor.layer_sizes)
+
+    def pre(task_grad: Gradients, params: MlpParams) -> Gradients:
+        # lam * weight * (theta - anchor), as ewc_penalty evaluates it
+        np.subtract(params.flat, anchor.flat, out=out.flat)
+        np.multiply(lam_weight, out.flat, out=out.flat)
+        return _with_task_gradient(task_grad, out, threshold)
+
+    return StepHook(pre_optimizer=pre)
+
+
+class Strategy:
+    """The configured countermeasure: importance bookkeeping and its hook.
+
+    ``finish_task`` does the lambda-independent half once for every kind
+    that protects anything: estimate the task's importance and fold it
+    into ``omega_total``. kind="none" skips it, so an unprotected run does
+    no estimation work. The lambda-dependent half then sets ``hook``, the
+    step hook used until the next task ends: WVA's attenuation factors, or
+    the EWC pull. ``hook`` is None before the first task ends, whenever
+    ``lam`` is 0, and for kind="none". ``learning_rate`` feeds the safe
+    coefficient's alpha.
+
+    Both EWC kinds pull with lam * weight * (theta - anchor) and differ
+    only in how a finished task moves the anchor and the weight. ``ewc``
+    consolidates: the anchor is the latest parameters and the weight the
+    effective running map. ``ewc_multi_anchor`` adds each task's effective
+    importance w to the running weight W and moves the anchor by
+    (w / W) * (theta - anchor), which keeps it the w-weighted mean of the
+    task snapshots. Where W is 0 no task pulls, so the anchor stays put
+    and the pull is exactly 0.
     """
 
     def __init__(self, config: StrategyConfig, learning_rate: float):
@@ -377,60 +370,40 @@ class EwcStrategy:
         self.learning_rate = learning_rate
         self.omega_total: Optional[ImportanceMap] = None
         self.anchor: Optional[MlpParams] = None
+        self.hook: Optional[StepHook] = None
         self._weight: Optional[np.ndarray] = None
-        self._lam_omega: Optional[np.ndarray] = None
-        self._penalty: Optional[Gradients] = None
-
-    def step_hook(self, params: MlpParams) -> Optional[StepHook]:
-        if self.anchor is None or self.config.lam == 0.0:
-            return None
-        check_congruent(params, self.anchor, "params and anchor")
-        anchor, lam_omega, out = self.anchor.flat, self._lam_omega, self._penalty
-        threshold = self.config.separate_clip_threshold
-
-        def pre(task_grad: Gradients) -> Gradients:
-            # lam * omega * (theta - anchor), as ewc_penalty evaluates it
-            np.subtract(params.flat, anchor, out=out.flat)
-            np.multiply(lam_omega, out.flat, out=out.flat)
-            return _with_task_gradient(task_grad, out, threshold)
-
-        return StepHook(pre_optimizer=pre)
 
     def finish_task(self, params: MlpParams, task: TaskDataset):
-        new = _estimate(self.config, params, task)
+        config = self.config
+        if config.kind == "none":
+            return
+        # The finished task's hook is stale; free its buffers before estimating.
+        self.hook = None
+        new = _estimate(config, params, task)
         if self.omega_total is None:
             self.omega_total = new
         else:
-            self.omega_total = accumulate(self.omega_total, new, self.config.online_decay)
-        if self.config.kind == "ewc":
-            self._weight = _effective_omega(
-                self.config, self.omega_total, self.learning_rate
-            ).flat
+            self.omega_total = accumulate(self.omega_total, new, config.online_decay)
+        if config.kind == "wva":
+            if config.lam != 0.0:
+                used = _effective_omega(config, self.omega_total, self.learning_rate)
+                self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
+            return
+        if config.kind == "ewc":
+            self._weight = _effective_omega(config, self.omega_total, self.learning_rate).flat
             self.anchor = params.copy()
         elif self.anchor is None:
-            self._weight = _effective_omega(self.config, new, self.learning_rate).flat.copy()
+            self._weight = _effective_omega(config, new, self.learning_rate).flat.copy()
             self.anchor = params.copy()
         else:
-            w = _effective_omega(self.config, new, self.learning_rate).flat
+            w = _effective_omega(config, new, self.learning_rate).flat
             self._weight += w
             share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
             self.anchor.flat += share * (params.flat - self.anchor.flat)
-        self._lam_omega = self.config.lam * self._weight
-        if self._penalty is None:
-            self._penalty = MlpParams.zeros(params.layer_sizes)
+        if config.lam != 0.0:
+            self.hook = _make_ewc_hook(
+                self.anchor, config.lam * self._weight, config.separate_clip_threshold
+            )
 
     def importance(self) -> Optional[ImportanceMap]:
         return self.omega_total
-
-
-Strategy = NoStrategy | WvaStrategy | EwcStrategy
-
-
-def build_strategy(config: StrategyConfig, learning_rate: float) -> Strategy:
-    """Instantiate the configured strategy; ``learning_rate`` feeds the
-    safe coefficient's alpha."""
-    if config.kind == "none":
-        return NoStrategy()
-    if config.kind == "wva":
-        return WvaStrategy(config)
-    return EwcStrategy(config, learning_rate)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .continual import StrategyConfig, build_strategy
+from .continual import Strategy, StrategyConfig
 from .data import (
     SyntheticSpec,
     TaskDataset,
@@ -284,7 +284,7 @@ def run_sequence(
     root = RandomStream(config.seed)
     params = init_params(root.child(INIT_STREAM_ID), config.architecture)
     optimizer = config.optimizer.build()
-    strategy = build_strategy(config.strategy, config.optimizer.resolved_rate)
+    strategy = Strategy(config.strategy, config.optimizer.resolved_rate)
     eval_splits = _eval_splits(config, tasks)
     t_count = len(tasks)
     acc = np.full((t_count, t_count), np.nan)
@@ -303,7 +303,7 @@ def run_sequence(
                         f"loss {loss}, parameter norm {global_norm(params):.3e}"
                     )
                 grads = backward(params, trace, yb)
-                params = apply(params, grads, optimizer, strategy.step_hook(params))
+                params = apply(params, grads, optimizer, strategy.hook)
         strategy.finish_task(params, task)
         for j in range(t + 1):
             picks, y = eval_splits[j]

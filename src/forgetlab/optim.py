@@ -2,13 +2,17 @@
 
 A strategy can transform the gradient before the optimizer sees it
 (``pre_optimizer``) or transform the step the optimizer emits
-(``post_optimizer``). Internally each optimizer reports its step as a
-``(direction, scale)`` pair whose product is the step: SGD's direction is
-the negated gradient and its scale is the learning rate, applied after
-the post hook runs. Multiplying by an attenuation factor on either side
-of the optimizer then rounds identically, so for SGD the two hook sides
-produce bit-equal trajectories rather than merely close ones. Adam's
-scale is 1.0, which leaves its update semantics untouched.
+(``post_optimizer``). Both are called as ``hook(values, params)`` with
+the parameters being updated, so a strategy builds its hook once per
+task rather than once per step.
+
+Internally each optimizer reports its step as a ``(direction, scale)``
+pair whose product is the step: SGD's direction is the negated gradient
+and its scale is the learning rate, applied after the post hook runs.
+Multiplying by an attenuation factor on either side of the optimizer
+then rounds identically, so for SGD the two hook sides produce bit-equal
+trajectories rather than merely close ones. Adam's scale is 1.0, which
+leaves its update semantics untouched.
 
 Every update works on the flat parameter vector (see :mod:`.model`).
 Adam updates its moments in place and writes its direction into a buffer
@@ -72,10 +76,14 @@ Optimizer = SgdConfig | AdamState
 
 @dataclass(frozen=True)
 class StepHook:
-    """Optional gradient and step transforms, both shape-preserving."""
+    """Optional gradient and step transforms, both shape-preserving.
 
-    pre_optimizer: Optional[Callable[[Gradients], Gradients]] = None
-    post_optimizer: Optional[Callable[[Gradients], Gradients]] = None
+    Each is called as ``transform(values, params)``: the gradient or the
+    step, and the parameters the update starts from (read-only).
+    """
+
+    pre_optimizer: Optional[Callable[[Gradients, MlpParams], Gradients]] = None
+    post_optimizer: Optional[Callable[[Gradients, MlpParams], Gradients]] = None
 
 
 def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
@@ -159,9 +167,11 @@ def apply(
     check_congruent(params, grads, "params and grads")
     g = grads
     if hook is not None and hook.pre_optimizer is not None:
-        g = _checked_hook_output(hook.pre_optimizer(g), grads, "pre_optimizer")
+        g = _checked_hook_output(hook.pre_optimizer(g, params), grads, "pre_optimizer")
     direction, scale = step_parts(optimizer, g)
     if hook is not None and hook.post_optimizer is not None:
-        direction = _checked_hook_output(hook.post_optimizer(direction), grads, "post_optimizer")
+        direction = _checked_hook_output(
+            hook.post_optimizer(direction, params), grads, "post_optimizer"
+        )
     step = direction.flat if scale == 1.0 else direction.flat * scale
     return MlpParams.from_flat(params.flat + step, params.layer_sizes)

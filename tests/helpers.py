@@ -1,5 +1,5 @@
-"""Shared test oracles: finite-difference gradients, a scalar Adam, the
-explicit multi-anchor EWC sum, and a traced-memory probe.
+"""Shared test oracles: a scalar Adam, the explicit multi-anchor EWC sum,
+and a traced-memory probe.
 """
 
 import tracemalloc
@@ -7,49 +7,7 @@ import tracemalloc
 import numpy as np
 
 from forgetlab.continual import ewc_penalty
-from forgetlab.model import MlpParams, backward, cross_entropy, forward
-
-
-def finite_difference_grads(params, batch, labels, h=1e-5):
-    """Central-difference gradient of the mean cross-entropy, parameter by parameter."""
-
-    def loss_at(p):
-        return cross_entropy(forward(p, batch), labels)
-
-    grads = MlpParams(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-    for kind in ("weights", "biases"):
-        for block, out in zip(getattr(params, kind), getattr(grads, kind)):
-            it = np.nditer(block, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = block[idx]
-                block[idx] = original + h
-                up = loss_at(params)
-                block[idx] = original - h
-                down = loss_at(params)
-                block[idx] = original
-                out[idx] = (up - down) / (2 * h)
-    return grads
-
-
-def max_relative_gradient_error(params, batch, labels, h=1e-5):
-    """Worst-case relative disagreement between backprop and central differences.
-
-    The denominator is floored at 1 so coordinates whose true gradient is
-    near zero compare absolutely, where finite-difference round-off
-    (about 1e-11 at h=1e-5) would otherwise dominate the ratio.
-    """
-    analytic = backward(params, forward(params, batch), labels)
-    numeric = finite_difference_grads(params, batch, labels, h=h)
-    worst = 0.0
-    for kind in ("weights", "biases"):
-        for a, n in zip(getattr(analytic, kind), getattr(numeric, kind)):
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)
-            worst = max(worst, float(np.max(np.abs(a - n) / scale)))
-    return worst
+from forgetlab.model import MlpParams
 
 
 class ScalarAdam:

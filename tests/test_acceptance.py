@@ -35,12 +35,12 @@ from forgetlab.harness import (
     grid_search,
     run_sequence,
 )
-from forgetlab.model import MlpParams, init_params
+from forgetlab.model import MlpParams, init_params, max_relative_gradient_error
 from forgetlab.numerics import RandomStream
 from forgetlab.optim import AdamState, step_parts
 from forgetlab.reports import emit_eval_matrix_csv
 
-from helpers import ScalarAdam, max_relative_gradient_error
+from helpers import ScalarAdam
 
 FORGETTING_MARGIN = 0.19
 PROTECTION_MARGIN = 0.08

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forgetlab.continual import (
+    Strategy,
     StrategyConfig,
     accumulate,
-    build_strategy,
     check_importance,
     clip_separately,
     estimate_fisher,
@@ -23,13 +23,14 @@ from forgetlab.data import TaskDataset
 from forgetlab.model import (
     MlpParams,
     backward,
+    finite_difference_grads,
     forward,
     global_norm,
     init_params,
     param_count,
 )
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import AdamState, SgdConfig, apply, reset_state
+from forgetlab.optim import AdamState, SgdConfig, StepHook, apply, reset_state
 
 from helpers import ScalarAdam, ewc_penalty_multi_anchor, map_flat
 
@@ -222,18 +223,10 @@ class TestEwcPenalty:
         omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2)))
         lam = 1.7
         _, grad = ewc_penalty(params, anchor, omega, lam)
-        h = 1e-6
-        for l in (0, 1):
-            w = params.weights[l]
-            for idx in ((0, 0), (1, 1)):
-                original = w[idx]
-                w[idx] = original + h
-                up, _ = ewc_penalty(params, anchor, omega, lam)
-                w[idx] = original - h
-                down, _ = ewc_penalty(params, anchor, omega, lam)
-                w[idx] = original
-                numeric = (up - down) / (2 * h)
-                assert abs(numeric - grad.weights[l][idx]) < 1e-8
+        numeric = finite_difference_grads(
+            lambda p: ewc_penalty(p, anchor, omega, lam)[0], params, h=1e-6
+        )
+        assert np.max(np.abs(numeric.flat - grad.flat)) < 1e-8
 
     def test_translation_invariance(self):
         params = init_params(RandomStream(61), (3, 2))
@@ -418,10 +411,10 @@ class TestWvaFactor:
 
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
-        omega = MlpParams.zeros(init_params(RandomStream(74), (3, 2)).layer_sizes)
-        hook = make_wva_hook(omega, 5.0, "hyperbolic", "gradient")
+        params = init_params(RandomStream(74), (3, 2))
+        hook = make_wva_hook(MlpParams.zeros(params.layer_sizes), 5.0, "hyperbolic", "gradient")
         g = init_params(RandomStream(75), (3, 2))
-        assert np.array_equal(hook.pre_optimizer(g).flat, g.flat)
+        assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
 
     def test_zero_lambda_returns_bare_hook(self):
         omega = map_flat(np.abs, init_params(RandomStream(76), (3, 2)))
@@ -507,29 +500,29 @@ class TestStrategyConfig:
 
 class TestStrategies:
     def test_none_strategy_has_no_hook(self):
-        strategy = build_strategy(StrategyConfig(kind="none"), 0.2)
+        strategy = Strategy(StrategyConfig(kind="none"), 0.2)
         params, task = random_setup(82)
-        assert strategy.step_hook(params) is None
+        assert strategy.hook is None
         strategy.finish_task(params, task)
-        assert strategy.step_hook(params) is None
+        assert strategy.hook is None
         assert strategy.importance() is None
 
     def test_wva_inert_before_first_task(self):
-        strategy = build_strategy(StrategyConfig(kind="wva", lam=1.0), 0.001)
+        strategy = Strategy(StrategyConfig(kind="wva", lam=1.0), 0.001)
         params, task = random_setup(83)
-        assert strategy.step_hook(params) is None
+        assert strategy.hook is None
         strategy.finish_task(params, task)
-        assert strategy.step_hook(params) is not None
+        assert strategy.hook is not None
 
     def test_wva_zero_lambda_never_hooks(self):
-        strategy = build_strategy(StrategyConfig(kind="wva", lam=0.0), 0.001)
+        strategy = Strategy(StrategyConfig(kind="wva", lam=0.0), 0.001)
         params, task = random_setup(84)
         strategy.finish_task(params, task)
-        assert strategy.step_hook(params) is None
+        assert strategy.hook is None
 
     def test_wva_accumulates_importance_across_tasks(self):
         config = StrategyConfig(kind="wva", lam=1.0, estimator="total_abs_signal")
-        strategy = build_strategy(config, 0.001)
+        strategy = Strategy(config, 0.001)
         params, task_a = random_setup(85)
         _, task_b = random_setup(86)
         strategy.finish_task(params, task_a)
@@ -545,44 +538,63 @@ class TestStrategies:
 
     def test_wva_hook_scales_by_expected_factors(self):
         config = StrategyConfig(kind="wva", lam=2.0, attenuation="hyperbolic", target="step")
-        strategy = build_strategy(config, 0.001)
+        strategy = Strategy(config, 0.001)
         params, task = random_setup(87)
         strategy.finish_task(params, task)
-        hook = strategy.step_hook(params)
+        hook = strategy.hook
         omega = estimate_total_abs_signal(params, task)
         step = init_params(RandomStream(88), params.layer_sizes)
         expected = step.flat / (2.0 * omega.flat + 1.0)
-        assert np.max(np.abs(hook.post_optimizer(step).flat - expected)) < 1e-15
+        assert np.max(np.abs(hook.post_optimizer(step, params).flat - expected)) < 1e-15
 
     def test_wva_normalization_rescales_factors(self):
         config = StrategyConfig(
             kind="wva", lam=2.0, target="step", normalize_importance=True
         )
-        strategy = build_strategy(config, 0.001)
+        strategy = Strategy(config, 0.001)
         params, task = random_setup(89)
         strategy.finish_task(params, task)
-        hook = strategy.step_hook(params)
+        hook = strategy.hook
         omega = estimate_total_abs_signal(params, task).flat
         step = init_params(RandomStream(90), params.layer_sizes)
         expected = step.flat / (2.0 * (omega / omega.max()) + 1.0)
-        assert np.max(np.abs(hook.post_optimizer(step).flat - expected)) < 1e-15
+        assert np.max(np.abs(hook.post_optimizer(step, params).flat - expected)) < 1e-15
 
     def test_ewc_hook_adds_penalty_gradient(self):
         config = StrategyConfig(kind="ewc", lam=3.0, estimator="fisher")
-        strategy = build_strategy(config, 0.2)
+        strategy = Strategy(config, 0.2)
         anchor_params, task = random_setup(91)
         strategy.finish_task(anchor_params, task)
         current = init_params(RandomStream(92), anchor_params.layer_sizes)
-        hook = strategy.step_hook(current)
+        hook = strategy.hook
         task_grad = init_params(RandomStream(93), anchor_params.layer_sizes)
         omega = estimate_fisher(anchor_params, task)
         _, penalty_grad = ewc_penalty(current, anchor_params, omega, 3.0)
         expected = task_grad.flat + penalty_grad.flat
-        assert np.max(np.abs(hook.pre_optimizer(task_grad).flat - expected)) < 1e-15
+        assert np.max(np.abs(hook.pre_optimizer(task_grad, current).flat - expected)) < 1e-15
+
+    def test_ewc_hook_reads_params_argument(self):
+        # One hook, two parameter sets: the pulls differ by exactly
+        # lam * W * (p1 - p2). With p2 the anchor itself, its pull is 0.
+        lam = 3.0
+        strategy = Strategy(StrategyConfig(kind="ewc", lam=lam), 0.2)
+        anchor, task = random_setup(170)
+        strategy.finish_task(anchor, task)
+        hook = strategy.hook
+        zero = MlpParams.zeros(anchor.layer_sizes)
+        p1 = init_params(RandomStream(171), anchor.layer_sizes)
+        p2 = anchor.copy()
+        pull_1 = hook.pre_optimizer(zero, p1).flat.copy()
+        pull_2 = hook.pre_optimizer(zero, p2).flat.copy()
+        assert np.all(pull_2 == 0.0)
+        expected = (lam * strategy.omega_total.flat) * (p1.flat - p2.flat)
+        assert np.any(expected != 0.0)
+        assert np.array_equal(pull_1 - pull_2, expected)
+        assert np.array_equal(hook.pre_optimizer(zero, p1).flat, pull_1)
 
     def test_ewc_anchor_is_snapshot_not_reference(self):
         config = StrategyConfig(kind="ewc", lam=1.0)
-        strategy = build_strategy(config, 0.2)
+        strategy = Strategy(config, 0.2)
         params, task = random_setup(94)
         strategy.finish_task(params, task)
         params.weights[0][0, 0] += 100.0
@@ -591,13 +603,13 @@ class TestStrategies:
     def test_ewc_safe_coefficient_caps_effective_importance(self):
         lam, alpha = 10.0, 0.5
         config = StrategyConfig(kind="ewc", lam=lam, safe_coefficient=True)
-        strategy = build_strategy(config, alpha)
+        strategy = Strategy(config, alpha)
         params, task = random_setup(95)
         strategy.finish_task(params, task)
         current = init_params(RandomStream(96), params.layer_sizes)
-        hook = strategy.step_hook(current)
+        hook = strategy.hook
         zero = MlpParams.zeros(params.layer_sizes)
-        penalty_only = hook.pre_optimizer(zero).flat
+        penalty_only = hook.pre_optimizer(zero, current).flat
         omega = strategy.omega_total.flat
         coeff = omega / (alpha * lam * omega + 1.0)
         diff = current.flat - params.flat
@@ -605,19 +617,19 @@ class TestStrategies:
 
     def test_ewc_separate_clip_applied(self):
         config = StrategyConfig(kind="ewc", lam=1e6, separate_clip_threshold=1.0)
-        strategy = build_strategy(config, 0.2)
+        strategy = Strategy(config, 0.2)
         params, task = random_setup(97)
         strategy.finish_task(params, task)
         current = map_flat(lambda p: p + 5.0, params)
-        hook = strategy.step_hook(current)
-        out = hook.pre_optimizer(MlpParams.zeros(params.layer_sizes))
+        hook = strategy.hook
+        out = hook.pre_optimizer(MlpParams.zeros(params.layer_sizes), current)
         assert global_norm(out) <= 1.0 + 1e-9
 
     def test_ewc_zero_lambda_never_hooks(self):
-        strategy = build_strategy(StrategyConfig(kind="ewc", lam=0.0), 0.2)
+        strategy = Strategy(StrategyConfig(kind="ewc", lam=0.0), 0.2)
         params, task = random_setup(98)
         strategy.finish_task(params, task)
-        assert strategy.step_hook(params) is None
+        assert strategy.hook is None
 
     def test_multi_anchor_matches_consolidated_after_one_task(self):
         params, task = random_setup(99)
@@ -625,10 +637,10 @@ class TestStrategies:
         task_grad = init_params(RandomStream(101), params.layer_sizes)
         outputs = {}
         for kind in ("ewc", "ewc_multi_anchor"):
-            strategy = build_strategy(StrategyConfig(kind=kind, lam=2.0), 0.2)
+            strategy = Strategy(StrategyConfig(kind=kind, lam=2.0), 0.2)
             strategy.finish_task(params, task)
-            hook = strategy.step_hook(current)
-            outputs[kind] = hook.pre_optimizer(task_grad).flat.copy()
+            hook = strategy.hook
+            outputs[kind] = hook.pre_optimizer(task_grad, current).flat.copy()
         assert np.array_equal(outputs["ewc"], outputs["ewc_multi_anchor"])
 
     @pytest.mark.parametrize(
@@ -639,7 +651,7 @@ class TestStrategies:
     def test_multi_anchor_matches_explicit_sum(self, options):
         lam, learning_rate = 2.0, 0.5
         config = StrategyConfig(kind="ewc_multi_anchor", lam=lam, **options)
-        strategy = build_strategy(config, learning_rate)
+        strategy = Strategy(config, learning_rate)
         anchors, omegas = [], []
         for task_id in range(4):
             params, task = random_setup(130 + task_id)
@@ -654,8 +666,8 @@ class TestStrategies:
             anchors.append(params.copy())
             omegas.append(omega)
         current = init_params(RandomStream(140), anchors[0].layer_sizes)
-        pull = strategy.step_hook(current).pre_optimizer(
-            MlpParams.zeros(current.layer_sizes)
+        pull = strategy.hook.pre_optimizer(
+            MlpParams.zeros(current.layer_sizes), current
         ).flat
         _, expected = ewc_penalty_multi_anchor(current, anchors, omegas, [lam] * 4)
         scale = np.max(np.abs(expected.flat))
@@ -666,7 +678,7 @@ class TestStrategies:
         # Pixel 0 is blank in every task, so the weights reading it have
         # zero importance in each: no task pulls them.
         config = StrategyConfig(kind="ewc_multi_anchor", lam=2.0, estimator="fisher")
-        strategy = build_strategy(config, 0.2)
+        strategy = Strategy(config, 0.2)
         total = None
         for task_id in range(3):
             params, task = random_setup(150 + task_id)
@@ -680,7 +692,7 @@ class TestStrategies:
         assert np.array_equal(np.flatnonzero(unpulled), np.arange(4) * 5)
         assert np.isfinite(strategy.anchor.flat).all()
         current = map_flat(lambda p: p + 3.0, params)
-        pull = strategy.step_hook(current).pre_optimizer(MlpParams.zeros(params.layer_sizes))
+        pull = strategy.hook.pre_optimizer(MlpParams.zeros(params.layer_sizes), current)
         assert np.all(pull.flat[unpulled] == 0.0)
         assert np.all(pull.flat[~unpulled] != 0.0)
 
@@ -693,9 +705,16 @@ class TestStrategies:
                 return value.nbytes
             if isinstance(value, (list, tuple)):
                 return sum(held_bytes(v) for v in value)
+            if isinstance(value, StepHook):
+                return sum(
+                    held_bytes(cell.cell_contents)
+                    for fn in (value.pre_optimizer, value.post_optimizer)
+                    if fn is not None
+                    for cell in fn.__closure__ or ()
+                )
             return 0
 
-        strategy = build_strategy(StrategyConfig(kind=kind, lam=1.0), 0.2)
+        strategy = Strategy(StrategyConfig(kind=kind, lam=1.0), 0.2)
         held = {}
         for task_id in range(6):
             params, task = random_setup(160 + task_id)
@@ -730,7 +749,7 @@ class TestBufferAliasing:
                 kind="ewc_multi_anchor", lam=3.0, estimator="fisher"
             ),
         }
-        strategy = build_strategy(configs[kind], 0.001)
+        strategy = Strategy(configs[kind], 0.001)
         for task_id, seed in enumerate((110, 111)):
             params, task = random_setup(seed, self.SIZES)
             strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
@@ -746,7 +765,7 @@ class TestBufferAliasing:
         params = init_params(RandomStream(112), self.SIZES)
         grads = self.gradients(113)
         before = (params.flat.tobytes(), grads.flat.tobytes())
-        apply(params, grads, AdamState(), strategy.step_hook(params))
+        apply(params, grads, AdamState(), strategy.hook)
         assert (params.flat.tobytes(), grads.flat.tobytes()) == before
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
@@ -754,9 +773,9 @@ class TestBufferAliasing:
         strategy = self.hooked_strategy(kind)
         optimizer = AdamState()
         params = init_params(RandomStream(114), self.SIZES)
-        first = apply(params, self.gradients(115), optimizer, strategy.step_hook(params))
+        first = apply(params, self.gradients(115), optimizer, strategy.hook)
         snapshot = first.flat.tobytes()
-        second = apply(first, self.gradients(116), optimizer, strategy.step_hook(first))
+        second = apply(first, self.gradients(116), optimizer, strategy.hook)
         assert first.flat.tobytes() == snapshot
         assert not np.shares_memory(first.flat, second.flat)
         assert not np.array_equal(first.flat, second.flat)
@@ -766,9 +785,9 @@ class TestBufferAliasing:
         used = AdamState()
         params = init_params(RandomStream(117), self.SIZES)
         for seed in (118, 119, 120):
-            params = apply(params, self.gradients(seed), used, strategy.step_hook(params))
+            params = apply(params, self.gradients(seed), used, strategy.hook)
         reset_state(used)
         grads = self.gradients(121)
-        restarted = apply(params, grads, used, strategy.step_hook(params))
-        fresh = apply(params, grads, AdamState(), strategy.step_hook(params))
+        restarted = apply(params, grads, used, strategy.hook)
+        fresh = apply(params, grads, AdamState(), strategy.hook)
         assert restarted.flat.tobytes() == fresh.flat.tobytes()

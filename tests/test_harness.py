@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from forgetlab import harness
 from forgetlab.continual import StrategyConfig
 from forgetlab.data import batches
 from forgetlab.harness import (
@@ -231,6 +234,77 @@ class TestRunSequence:
         )
         with pytest.raises(NonFiniteError):
             run_sequence(config)
+
+
+class TestHookLifetime:
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            StrategyConfig(kind="ewc", lam=1.0),
+            StrategyConfig(kind="ewc_multi_anchor", lam=1.0),
+            StrategyConfig(kind="wva", lam=1.0, target="step"),
+        ],
+        ids=["ewc", "ewc_multi_anchor", "wva-step"],
+    )
+    def test_hook_built_once_per_task(self, monkeypatch, strategy):
+        # Evaluation follows each task's training, so an accuracy call
+        # closes the current task's run of steps.
+        per_task = [[]]
+        real_apply, real_accuracy = harness.apply, harness.accuracy
+
+        def recording_apply(params, grads, optimizer, hook=None):
+            per_task[-1].append(hook)
+            return real_apply(params, grads, optimizer, hook)
+
+        def recording_accuracy(params, images, labels):
+            if per_task[-1]:
+                per_task.append([])
+            return real_accuracy(params, images, labels)
+
+        monkeypatch.setattr(harness, "apply", recording_apply)
+        monkeypatch.setattr(harness, "accuracy", recording_accuracy)
+        harness.run_sequence(tiny_config(num_tasks=3, epochs_per_task=2, strategy=strategy))
+        hooks = [steps for steps in per_task if steps]
+        assert len(hooks) == 3
+        assert all(hook is None for hook in hooks[0])
+        for steps in hooks[1:]:
+            assert steps[0] is not None
+            assert all(hook is steps[0] for hook in steps)
+        assert hooks[1][0] is not hooks[2][0]
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer still binds to every layer it measures.
+
+    ``bench/tracing.py`` patches functions and the strategy class by name
+    and only warns when one is missing, so a rename would silently zero
+    the benchmark's per-layer metrics. The tracer is loaded unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "strategy, hook_span",
+        [
+            (StrategyConfig(kind="ewc", lam=1.0), "continual.pre_hook"),
+            (StrategyConfig(kind="wva", lam=1.0, target="step"), "continual.post_hook"),
+        ],
+        ids=["ewc", "wva-step"],
+    )
+    def test_tracer_binds_every_layer(self, capsys, strategy, hook_span):
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        with tracer.installed("guard"):
+            harness.run_sequence(
+                tiny_config(optimizer=OptimizerConfig(kind="adam"), strategy=strategy)
+            )
+        assert "not traced" not in capsys.readouterr().err
+        names = [span[0] for span in tracer.spans]
+        assert names.count("continual.finish_task") == 2
+        assert hook_span in names
+        assert "optim.apply" in names
+        assert tracer.nesting_errors() == []
 
 
 class TestAverageAccuracy:

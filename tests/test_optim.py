@@ -136,7 +136,7 @@ class TestApply:
             biases=[np.zeros(4), np.zeros(2)],
         )
         grads = random_grads(7)
-        halving = StepHook(post_optimizer=lambda s: map_flat(lambda x: 0.5 * x, s))
+        halving = StepHook(post_optimizer=lambda s, p: map_flat(lambda x: 0.5 * x, s))
         plain_change = apply(params, grads, SgdConfig(), None).flat
         hooked_change = apply(params, grads, SgdConfig(), halving).flat
         assert np.array_equal(hooked_change, 0.5 * plain_change)
@@ -144,8 +144,8 @@ class TestApply:
     def test_sgd_pre_and_post_scaling_bit_identical(self):
         factors = init_params(RandomStream(8), (3, 4, 2))
         factors = map_flat(np.abs, factors)
-        pre = StepHook(pre_optimizer=lambda g: map_flat(np.multiply, g, factors))
-        post = StepHook(post_optimizer=lambda s: map_flat(np.multiply, s, factors))
+        pre = StepHook(pre_optimizer=lambda g, p: map_flat(np.multiply, g, factors))
+        post = StepHook(post_optimizer=lambda s, p: map_flat(np.multiply, s, factors))
         params_pre = random_grads(9)
         params_post = params_pre.copy()
         stream = RandomStream(10)
@@ -162,7 +162,7 @@ class TestApply:
         # Adam rescales by the gradient's running magnitude, so a constant
         # factor applied before it mostly cancels while the same factor
         # after it shrinks the step outright.
-        halve = lambda c: map_flat(lambda x: 0.5 * x, c)
+        halve = lambda c, p: map_flat(lambda x: 0.5 * x, c)
         params_pre = scalar_net(1.0)
         params_post = scalar_net(1.0)
         state_pre, state_post = AdamState(), AdamState()
@@ -179,14 +179,14 @@ class TestApply:
     def test_hook_shape_violation_rejected(self):
         params = random_grads(11)
         grads = random_grads(12)
-        bad = StepHook(pre_optimizer=lambda g: init_params(RandomStream(0), (2, 2)))
+        bad = StepHook(pre_optimizer=lambda g, p: init_params(RandomStream(0), (2, 2)))
         with pytest.raises(ShapeError):
             apply(params, grads, SgdConfig(), bad)
 
     def test_hook_wrong_type_rejected(self):
         params = random_grads(13)
         grads = random_grads(14)
-        bad = StepHook(post_optimizer=lambda s: s.flat)
+        bad = StepHook(post_optimizer=lambda s, p: s.flat)
         with pytest.raises(ShapeError):
             apply(params, grads, SgdConfig(), bad)
 
