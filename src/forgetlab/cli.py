@@ -33,13 +33,8 @@ from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_ori
 
 import numpy as np
 
-from .continual import (
-    StrategyConfig,
-    estimate_total_abs_signal,
-    make_wva_hook,
-    wva_factor,
-)
-from .data import SyntheticSpec, batches, fetch_idx_files, synth_dataset
+from .continual import StrategyConfig, wva_factor
+from .data import fetch_idx_files
 from .harness import (
     DEFAULT_LAMBDA_GRID,
     DESK_LAMBDA_GRID,
@@ -50,10 +45,10 @@ from .harness import (
     grid_search,
     paper_preset,
     run_sequence,
+    sgd_target_equivalence,
 )
-from .model import backward, forward, init_params, max_relative_gradient_error
+from .model import init_params, max_relative_gradient_error
 from .numerics import RandomStream
-from .optim import SgdConfig, apply
 from .reports import (
     emit_reports,
     read_eval_matrix_csv,
@@ -350,22 +345,19 @@ def _selftest_attenuation() -> tuple[bool, str]:
 
 
 def _selftest_sgd_equivalence() -> tuple[bool, str]:
-    spec = SyntheticSpec(classes=4, dims=6, samples_per_class=30, cluster_spread=0.3, seed=11)
-    dataset = synth_dataset(spec)
-    stream = RandomStream(303)
-    params = init_params(stream.child(0), (6, 5, 4))
-    omega = estimate_total_abs_signal(params, dataset)
-    optimizer = SgdConfig(learning_rate=0.1)
-    routes = {}
-    for target in ("gradient", "step"):
-        trial = params.copy()
-        hook = make_wva_hook(omega, 0.7, "hyperbolic", target)
-        for images, labels in batches(dataset, 16, stream.child(1)):
-            grads = backward(trial, forward(trial, images), labels)
-            trial = apply(trial, grads, optimizer, hook)
-        routes[target] = trial.flat
-    identical = np.array_equal(routes["gradient"], routes["step"])
-    return identical, "gradient-target and step-target runs are bit-identical"
+    config = ExperimentConfig(
+        num_tasks=2,
+        epochs_per_task=1,
+        batch_size=16,
+        seed=303,
+        architecture=(6, 5, 4),
+        optimizer=OptimizerConfig(kind="sgd", learning_rate=0.1),
+        strategy=StrategyConfig(kind="wva", lam=0.7),
+        synthetic_classes=4,
+        synthetic_samples_per_class=30,
+        synthetic_spread=0.3,
+    )
+    return sgd_target_equivalence(config)
 
 
 def cmd_selftest(args) -> int:

@@ -90,7 +90,7 @@ def estimate_fisher(
             sum_b += (delta**2).sum(axis=0)
             if l > 0:
                 delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
-                    trace.pre_activations[l - 1]
+                    trace.activations[l - 1]
                 )
     sums.flat /= n
     return sums

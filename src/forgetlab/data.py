@@ -4,10 +4,11 @@ A task sequence is built from one base dataset (MNIST-style images or a
 synthetic stand-in) plus a fixed, seeded pixel permutation per task.
 Every task shares the same read-only base arrays; a task's pixels are
 gathered and permuted per batch, chunk or evaluation, so a sequence
-costs one copy of the data whatever its length. Building that copy
-holds no second one: the IDX loader scales in place and the synthetic
-source writes into preallocated splits. Every image array leaving this
-module is float64 with pixels in [0, 1].
+costs one copy of the data whatever its length. Each gather writes its
+permuted rows straight into its output, holding no second copy of them.
+Building the base holds no second copy either: the IDX loader scales in
+place and the synthetic source writes into preallocated splits. Every
+image array leaving this module is float64 with pixels in [0, 1].
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .numerics import RandomStream, ShapeError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+
+# Rows per block when a gather of scattered rows permutes them into its
+# output: the only unpermuted rows held at once.
+GATHER_BLOCK_ROWS = 256
 
 # Stream ids used when deriving children from an experiment seed.
 PERMUTATION_STREAM_ID = 1
@@ -200,11 +205,30 @@ class TaskDataset:
 
     def train_rows(self, rows) -> np.ndarray:
         """This task's train images at ``rows``, as a fresh C-contiguous array."""
-        return apply_permutation(self.train_images[rows], self.permutation)
+        return _gather(self.train_images, rows, self.permutation)
 
     def test_rows(self, rows) -> np.ndarray:
         """This task's test images at ``rows``, as a fresh C-contiguous array."""
-        return apply_permutation(self.test_images[rows], self.permutation)
+        return _gather(self.test_images, rows, self.permutation)
+
+
+def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
+    """``images[rows]`` with column j taken from column ``permutation[j]``.
+
+    A slice of ``images`` is a view, so one ``take`` copies it once. An
+    index array is gathered in blocks of ``GATHER_BLOCK_ROWS`` rows, each
+    permuted straight into its rows of the output. ``mode="clip"`` only
+    skips ``take``'s buffered bounds check: the permutation was checked
+    to be a bijection when the task was built.
+    """
+    if isinstance(rows, slice):
+        return np.take(images[rows], permutation, axis=1)
+    rows = np.asarray(rows)
+    out = np.empty((rows.shape[0], images.shape[1]))
+    for start in range(0, rows.shape[0], GATHER_BLOCK_ROWS):
+        stop = start + GATHER_BLOCK_ROWS
+        np.take(images[rows[start:stop]], permutation, axis=1, out=out[start:stop], mode="clip")
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,11 +282,6 @@ def synth_dataset(spec: SyntheticSpec) -> TaskDataset:
         test_labels=np.repeat(classes, n_test),
         permutation=np.arange(spec.dims),
     )
-
-
-def apply_permutation(images: np.ndarray, permutation: np.ndarray) -> np.ndarray:
-    """Reorder pixel columns: output column j holds input column permutation[j]."""
-    return np.take(images, permutation, axis=1)
 
 
 def _shared_split(name: str, images: np.ndarray, labels: np.ndarray):

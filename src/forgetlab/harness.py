@@ -325,6 +325,38 @@ def run_sequence(
     )
 
 
+def sgd_target_equivalence(config: ExperimentConfig) -> tuple[bool, str]:
+    """Whether gradient- and step-target WVA give bit-equal runs under SGD.
+
+    SGD's direction is the negated gradient and its learning rate is
+    applied after the post-optimizer hook, so attenuating the gradient or
+    the step multiplies the same values in the same order. Runs
+    ``config`` (a WVA strategy under SGD) once per target on one set of
+    tasks and returns the verdict with a line naming whether the final
+    parameters and the eval matrices are bit-identical.
+    """
+    if config.optimizer.kind != "sgd" or config.strategy.kind != "wva":
+        raise ValueError("the target equivalence holds for a wva strategy under sgd")
+    tasks = build_tasks(config)
+    gradient, step = (
+        run_sequence(
+            dataclasses.replace(
+                config, strategy=dataclasses.replace(config.strategy, target=target)
+            ),
+            tasks,
+        )
+        for target in ("gradient", "step")
+    )
+    same_params = np.array_equal(gradient.params.flat, step.params.flat)
+    same_matrix = np.array_equal(
+        gradient.matrix.accuracies, step.matrix.accuracies, equal_nan=True
+    )
+    return same_params and same_matrix, (
+        "SGD attenuation on gradient vs step: final parameters "
+        f"bit-identical={same_params}, eval matrices bit-identical={same_matrix}"
+    )
+
+
 @dataclass
 class LambdaSurface:
     """Average accuracy as a function of (lambda, tasks learned).

@@ -1,7 +1,10 @@
 """Fully-connected classifier with manual forward/backward passes.
 
 The default network is 784-300-150-10: two leaky-ReLU hidden layers and a
-softmax output.
+softmax output. The forward pass keeps one array per layer: each hidden
+layer's leaky ReLU overwrites its affine output in place, so a batch's
+trace holds the hidden activations, the logits and the probabilities and
+no separate pre-activations.
 
 Parameters live in one contiguous float64 vector, ``MlpParams.flat``:
 every layer's weights (out x in, row-major) in layer order, then every
@@ -126,14 +129,16 @@ def global_norm(params: MlpParams) -> float:
 class ForwardTrace:
     """Backprop cache for one minibatch.
 
-    ``pre_activations[l]`` holds layer l's affine outputs; ``activations``
-    holds the hidden layers' post-leaky-ReLU values (the output layer's
-    nonlinearity is the softmax in ``probabilities``).
+    ``activations[l]`` holds hidden layer l's post-leaky-ReLU values, the
+    only array kept for that layer: its pre-activations were overwritten
+    in place, and :func:`leaky_relu_grad` reads the slope from the
+    activation. ``logits`` holds the output layer's affine outputs and
+    ``probabilities`` their softmax.
     """
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
+    logits: np.ndarray
     probabilities: np.ndarray
 
 
@@ -152,11 +157,23 @@ def init_params(
 
 
 def leaky_relu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    """Leaky ReLU of a finite ``z``, written over ``z``; returns ``z``.
+
+    For finite values ``z <= 0`` is exactly ``not z > 0``, so this equals
+    ``np.where(z > 0, z, LEAKY_SLOPE * z)`` bit for bit.
+    """
+    np.multiply(z, LEAKY_SLOPE, out=z, where=z <= 0)
+    return z
 
 
-def leaky_relu_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+def leaky_relu_grad(activation: np.ndarray) -> np.ndarray:
+    """Slope of the leaky ReLU, read from its output ``activation``.
+
+    ``activation > 0`` holds exactly where the pre-activation was
+    positive: a non-positive ``z`` maps to ``LEAKY_SLOPE * z <= 0``,
+    including ``-0.0`` and negatives whose product underflows to zero.
+    """
+    return np.where(activation > 0, 1.0, LEAKY_SLOPE)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -169,14 +186,15 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     """Run the network on a batch of image rows.
 
     Raises :class:`NonFiniteError` naming the layer if any pre-activation
-    overflows; each layer's ``z`` is checked once, after the bias add.
+    overflows; each layer's ``z`` is checked once, after the bias add and
+    before the leaky ReLU overwrites it.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
             f"batch shaped {x.shape}, expected (B, {params.weights[0].shape[1]})"
         )
-    pre, act = [], []
+    act = []
     a = x
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -185,13 +203,10 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
             z += b
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {l}")
-        pre.append(z)
         if l < last:
             a = leaky_relu(z)
             act.append(a)
-    return ForwardTrace(
-        inputs=x, pre_activations=pre, activations=act, probabilities=softmax(pre[-1])
-    )
+    return ForwardTrace(inputs=x, activations=act, logits=z, probabilities=softmax(z))
 
 
 def _check_labels(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -209,7 +224,7 @@ def cross_entropy(trace: ForwardTrace, labels: np.ndarray) -> float:
     Uses the log-sum-exp form so the result stays finite even when some
     probabilities underflow.
     """
-    logits = trace.pre_activations[-1]
+    logits = trace.logits
     labels = _check_labels(labels, logits.shape[1])
     if labels.shape[0] != logits.shape[0]:
         raise ShapeError(f"{logits.shape[0]} rows vs {labels.shape[0]} labels")
@@ -238,7 +253,7 @@ def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Grad
         np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
-                trace.pre_activations[l - 1]
+                trace.activations[l - 1]
             )
     return grads
 

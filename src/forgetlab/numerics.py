@@ -9,9 +9,17 @@ Random streams wrap the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
 always reproduce the same sequence, and child streams derived with
 distinct ids are statistically independent without sharing state.
+
+A product's rounding also depends on the numeric environment: the numpy
+and BLAS builds, the BLAS kernel family and its thread count.
+:func:`numeric_environment` reports them, and every CSV manifest records
+them.
 """
 
 from __future__ import annotations
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +57,38 @@ def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) ->
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(f"matmul produced non-finite entry at {tuple(int(i) for i in bad)}")
     return out
+
+
+def openblas_function(name: str, restype, argtypes):
+    """A function of numpy's bundled OpenBLAS, or None under another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            function = getattr(ctypes.CDLL(str(lib)), name)
+        except (OSError, AttributeError):
+            continue
+        function.restype, function.argtypes = restype, argtypes
+        return function
+    return None
+
+
+def numeric_environment() -> dict:
+    """What fixes the rounding of a matrix product here.
+
+    The numpy version, the BLAS build (name and version), the OpenBLAS
+    kernel family picked at runtime (``"unknown"`` under another BLAS) and
+    the BLAS thread count at the time of the call (``None`` when it
+    cannot be asked).
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p, [])
+    threads = openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int, [])
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": core().decode() if core else "unknown",
+        "blas_threads": threads() if threads else None,
+    }
 
 
 class RandomStream:

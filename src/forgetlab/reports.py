@@ -1,11 +1,11 @@
 """CSV and SVG artifacts for runs and lambda surfaces.
 
-CSV files open with '#'-prefixed manifest lines (config echo, seed, git
-version) followed by a header row and data rows. Floats are written with
-``repr`` so parsing them back is exact and repeated runs produce
-byte-identical files. The SVG charts are static hand-written XML: line
-charts of per-task accuracy over the sequence, and a heatmap of the
-lambda surface.
+CSV files open with '#'-prefixed manifest lines (git version, numeric
+environment, config echo including the seed) followed by a header row
+and data rows. Floats are written with ``repr`` so parsing them back is
+exact and repeated runs produce byte-identical files. The SVG charts are
+static hand-written XML: line charts of per-task accuracy over the
+sequence, and a heatmap of the lambda surface.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .fileio import atomic_write
 from .harness import EvalMatrix, ExperimentConfig, LambdaSurface, RunResult
+from .numerics import numeric_environment
 
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -55,6 +56,7 @@ def _flatten_config(config: ExperimentConfig) -> list[tuple[str, str]]:
 
 def manifest_lines(config: Optional[ExperimentConfig]) -> list[str]:
     lines = [f"# forgetlab {__version__}", f"# git = {git_version()}"]
+    lines.extend(f"# numeric.{k} = {v!r}" for k, v in numeric_environment().items())
     if config is not None:
         lines.extend(f"# {key} = {value}" for key, value in _flatten_config(config))
     return lines

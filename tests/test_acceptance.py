@@ -34,6 +34,7 @@ from forgetlab.harness import (
     desk_preset,
     grid_search,
     run_sequence,
+    sgd_target_equivalence,
 )
 from forgetlab.model import MlpParams, init_params, max_relative_gradient_error
 from forgetlab.numerics import RandomStream
@@ -116,28 +117,13 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_sgd_target_equivalence():
-    finals = {}
-    for target in ("gradient", "step"):
-        config = desk_preset(
-            num_tasks=2,
-            epochs_per_task=2,
-            optimizer=OptimizerConfig(kind="sgd"),
-            strategy=StrategyConfig(
-                kind="wva", lam=31.6, attenuation="hyperbolic", target=target
-            ),
-        )
-        result = run_sequence(config)
-        finals[target] = (result.params.flat, result.matrix.accuracies)
-    same_params = np.array_equal(finals["gradient"][0], finals["step"][0])
-    same_matrix = np.array_equal(
-        finals["gradient"][1], finals["step"][1], equal_nan=True
+    config = desk_preset(
+        num_tasks=2,
+        epochs_per_task=2,
+        optimizer=OptimizerConfig(kind="sgd"),
+        strategy=StrategyConfig(kind="wva", lam=31.6, attenuation="hyperbolic"),
     )
-    report(
-        2,
-        same_params and same_matrix,
-        "SGD attenuation on gradient vs step: final parameters "
-        f"bit-identical={same_params}, eval matrices bit-identical={same_matrix}",
-    )
+    report(2, *sgd_target_equivalence(config))
 
 
 def test_criterion_03_closed_forms():

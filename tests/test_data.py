@@ -16,7 +16,6 @@ from forgetlab.data import (
     IdxTruncatedError,
     SyntheticSpec,
     TaskDataset,
-    apply_permutation,
     batches,
     fetch_idx_files,
     load_idx,
@@ -297,7 +296,7 @@ class TestPermutedTasks:
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
-        restored = apply_permutation(task.train_rows(slice(None)), np.argsort(task.permutation))
+        restored = task.train_rows(slice(None))[:, np.argsort(task.permutation)]
         assert np.array_equal(restored, train[0])
 
     def test_width_mismatch_raises(self):
@@ -383,6 +382,21 @@ class TestGatherEquivalence:
             rows = task.test_rows(picks)
             assert rows.flags.c_contiguous
             assert rows.tobytes() == materialized(task).test_images[picks].tobytes()
+
+    def test_rows_spanning_several_gather_blocks(self):
+        idx = RandomStream(5).permutation(1100)  # four full blocks and a short one
+        for task in self.tasks():
+            rows = task.train_rows(idx)
+            assert rows.tobytes() == materialized(task).train_images[idx].tobytes()
+
+    def test_peak_memory_one_copy_of_the_rows(self):
+        # Rows are permuted block by block straight into the output.
+        # Gathering them whole and then permuting holds about 2x it.
+        train, test = gather_base(n=10, width=784, n_test=3000)
+        task = make_permuted_tasks(train, test, 2, seed=8)[1]
+        picks = RandomStream(4).choice(3000, 2000)
+        peak, rows = traced_peak(task.test_rows, picks)
+        assert peak < 1.25 * rows.nbytes
 
     def test_one_epoch_of_batches(self):
         for task in self.tasks():

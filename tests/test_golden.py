@@ -6,8 +6,9 @@ by layer) against ``golden/equivalence.json``. A refactor that claims to
 keep the arithmetic must pass these unchanged.
 
 Matrix products round differently under another numpy or BLAS build, so
-the golden file records the environment it was blessed on and the test
-skips elsewhere. They also round differently with another OpenBLAS
+the golden file records the environment it was blessed on
+(``forgetlab.numerics.numeric_environment`` plus the machine) and the
+test skips elsewhere. They also round differently with another OpenBLAS
 thread count, so the stamp records the blessed count and the test pins
 OpenBLAS to it while it runs (restoring the caller's count afterwards);
 it therefore passes under any ``OPENBLAS_NUM_THREADS``. To re-bless
@@ -33,6 +34,7 @@ import pytest
 
 from forgetlab.continual import StrategyConfig
 from forgetlab.harness import OptimizerConfig, build_tasks, desk_preset, run_sequence
+from forgetlab.numerics import numeric_environment, openblas_function
 from forgetlab.reports import emit_eval_matrix_csv
 
 GOLDEN = Path(__file__).with_name("golden") / "equivalence.json"
@@ -72,45 +74,13 @@ def base_config():
     return desk_preset(num_tasks=3, train_subset=3000, eval_subset=1000)
 
 
-def _openblas_function(name: str, restype, argtypes):
-    """A function of numpy's bundled OpenBLAS, or None under another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
-        try:
-            function = getattr(ctypes.CDLL(str(lib)), name)
-        except (OSError, AttributeError):
-            continue
-        function.restype, function.argtypes = restype, argtypes
-        return function
-    return None
-
-
-def _blas_core() -> str:
-    """The OpenBLAS kernel family picked at runtime, which fixes the rounding."""
-    get = _openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p, [])
-    return get().decode() if get else "unknown"
-
-
-def _blas_threads():
-    """OpenBLAS's current thread count, which also fixes the rounding."""
-    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int, [])
-    return get() if get else None
-
-
 def _set_blas_threads(count: int) -> None:
-    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
+    set_ = openblas_function("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
     set_(count)
 
 
 def environment_stamp() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_core": _blas_core(),
-        "blas_threads": _blas_threads(),
-        "machine": platform.machine(),
-    }
+    return {**numeric_environment(), "machine": platform.machine()}
 
 
 def fingerprint(result) -> dict:

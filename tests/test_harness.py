@@ -21,6 +21,7 @@ from forgetlab.harness import (
     grid_search,
     paper_preset,
     run_sequence,
+    sgd_target_equivalence,
 )
 from forgetlab.model import (
     accuracy,
@@ -234,6 +235,16 @@ class TestRunSequence:
         )
         with pytest.raises(NonFiniteError):
             run_sequence(config)
+
+
+class TestSgdTargetEquivalence:
+    @pytest.mark.parametrize("optimizer, kind", [("adam", "wva"), ("sgd", "ewc")])
+    def test_needs_wva_under_sgd(self, optimizer, kind):
+        config = tiny_config(
+            optimizer=OptimizerConfig(kind=optimizer), strategy=StrategyConfig(kind=kind)
+        )
+        with pytest.raises(ValueError):
+            sgd_target_equivalence(config)
 
 
 class TestHookLifetime:

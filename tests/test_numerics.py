@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError, matmul
+from forgetlab.numerics import (
+    NonFiniteError,
+    RandomStream,
+    ShapeError,
+    matmul,
+    numeric_environment,
+)
 
 
 class TestMatmul:
@@ -121,3 +127,11 @@ class TestRandomStream:
         picks = RandomStream(8).choice(20, 10)
         assert len(set(picks.tolist())) == 10
         assert picks.min() >= 0 and picks.max() < 20
+
+
+class TestNumericEnvironment:
+    def test_reports_numpy_blas_core_and_threads(self):
+        env = numeric_environment()
+        assert sorted(env) == ["blas", "blas_core", "blas_threads", "numpy"]
+        assert env["numpy"] == np.__version__
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1

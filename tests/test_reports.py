@@ -13,7 +13,7 @@ from forgetlab.harness import (
     desk_preset,
 )
 from forgetlab.model import init_params
-from forgetlab.numerics import RandomStream
+from forgetlab.numerics import RandomStream, numeric_environment
 from forgetlab.reports import (
     emit_eval_matrix_csv,
     emit_reports,
@@ -212,3 +212,9 @@ def test_manifest_flattens_nested_config():
     joined = "\n".join(lines)
     assert "# optimizer.kind = 'adam'" in joined
     assert "# strategy.lam = 0.0" in joined
+
+
+def test_manifest_records_the_numeric_environment():
+    lines = manifest_lines(None)
+    for key, value in numeric_environment().items():
+        assert f"# numeric.{key} = {value!r}" in lines
