@@ -19,7 +19,6 @@ from .harness import (
     EvalMatrix,
     ExperimentConfig,
     LambdaSurface,
-    OptimizerConfig,
     RunResult,
     average_accuracy,
     desk_preset,
@@ -29,6 +28,7 @@ from .harness import (
 )
 from .model import MlpParams, accuracy, backward, cross_entropy, forward, init_params
 from .numerics import RandomStream
+from .optim import OptimizerConfig
 from .reports import emit_reports
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "EvalMatrix",
     "ExperimentConfig",
     "LambdaSurface",
-    "OptimizerConfig",
     "RunResult",
     "average_accuracy",
     "desk_preset",
@@ -65,5 +64,6 @@ __all__ = [
     "forward",
     "init_params",
     "RandomStream",
+    "OptimizerConfig",
     "emit_reports",
 ]

@@ -8,7 +8,7 @@ exactly what produced it. All randomness flows from the single ``seed``
 setting; nothing reads the clock.
 
 Every setting is a field of :class:`~forgetlab.harness.ExperimentConfig`
-(INI section ``[experiment]``), :class:`~forgetlab.harness.OptimizerConfig`
+(INI section ``[experiment]``), :class:`~forgetlab.optim.OptimizerConfig`
 (``[optimizer]``) or :class:`~forgetlab.continual.StrategyConfig`
 (``[strategy]``), and each has both an INI key and a flag: the key is the
 field name and the flag is ``--field-name``, except for the older
@@ -39,7 +39,6 @@ from .harness import (
     DEFAULT_LAMBDA_GRID,
     DESK_LAMBDA_GRID,
     ExperimentConfig,
-    OptimizerConfig,
     average_accuracy,
     desk_preset,
     grid_search,
@@ -49,6 +48,7 @@ from .harness import (
 )
 from .model import init_params, max_relative_gradient_error
 from .numerics import RandomStream
+from .optim import OptimizerConfig
 from .reports import (
     emit_reports,
     read_eval_matrix_csv,

@@ -212,18 +212,15 @@ def wva_factor(omega, lam: float, kind: str):
 def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> StepHook:
     """Hook multiplying the gradient or the step by per-parameter factors.
 
-    lam == 0 returns a bare hook with no transforms, so such runs take
-    exactly the same code path as an unprotected run. The transform
-    ignores its ``params`` argument and returns a buffer the hook owns,
-    overwritten by its next call.
+    The transform ignores its ``params`` argument and returns a buffer the
+    hook owns, overwritten by its next call. At lam == 0 every factor is
+    exactly 1, so the hook is an identity; :class:`Strategy` builds none.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     if kind not in ATTENUATION_KINDS:
         raise ValueError(f"kind must be one of {ATTENUATION_KINDS}, got {kind!r}")
     check_importance(omega)
-    if lam == 0.0:
-        return StepHook()
     factors = wva_factor(omega.flat, lam, kind)
     out = MlpParams.zeros(omega.layer_sizes)
 

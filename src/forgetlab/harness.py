@@ -30,6 +30,7 @@ from .data import (
     synth_dataset,
 )
 from .model import (
+    DEFAULT_LAYER_SIZES,
     MlpParams,
     accuracy,
     backward,
@@ -40,7 +41,7 @@ from .model import (
     save_params,
 )
 from .numerics import NonFiniteError, RandomStream
-from .optim import AdamState, SgdConfig, apply, reset_state
+from .optim import Optimizer, OptimizerConfig, apply
 
 INIT_STREAM_ID = 0
 SHUFFLE_STREAM_ID = 3
@@ -48,7 +49,6 @@ EVAL_SUBSET_STREAM_ID = 4
 TRAIN_SUBSET_STREAM_ID = 5
 
 SOURCES = ("synthetic", "mnist")
-OPTIMIZER_KINDS = ("sgd", "adam")
 
 DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.logspace(-3.0, 3.0, 13))
 
@@ -61,38 +61,11 @@ DESK_LAMBDA_GRID = (0.316, 1.0, 3.16, 10.0, 31.6, 100.0, 316.0)
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Optimizer choice plus learning rate; the rate defaults per kind."""
-
-    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
-    learning_rate: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(
-                f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {self.kind!r}"
-            )
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-    @property
-    def resolved_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return SgdConfig.learning_rate if self.kind == "sgd" else AdamState.learning_rate
-
-    def build(self):
-        if self.kind == "sgd":
-            return SgdConfig(learning_rate=self.resolved_rate)
-        return AdamState(learning_rate=self.resolved_rate)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines a run.
 
-    Together with the fields of :class:`OptimizerConfig` and
-    :class:`~forgetlab.continual.StrategyConfig`, these fields are the
+    Together with the fields of :class:`~forgetlab.optim.OptimizerConfig`
+    and :class:`~forgetlab.continual.StrategyConfig`, these fields are the
     lab's settings: the command line derives its INI keys and flags from
     them (see :mod:`forgetlab.cli`).
     """
@@ -102,7 +75,7 @@ class ExperimentConfig:
     epochs_per_task: int = 4
     batch_size: int = 100
     seed: int = 42
-    architecture: tuple[int, ...] = (784, 300, 150, 10)
+    architecture: tuple[int, ...] = DEFAULT_LAYER_SIZES
     train_subset: Optional[int] = None
     eval_subset: Optional[int] = None
     permute_first_task: bool = False
@@ -283,7 +256,7 @@ def run_sequence(
         raise ValueError(f"got {len(tasks)} tasks for num_tasks={config.num_tasks}")
     root = RandomStream(config.seed)
     params = init_params(root.child(INIT_STREAM_ID), config.architecture)
-    optimizer = config.optimizer.build()
+    optimizer = Optimizer(config.optimizer)
     strategy = Strategy(config.strategy, config.optimizer.resolved_rate)
     eval_splits = _eval_splits(config, tasks)
     t_count = len(tasks)
@@ -291,7 +264,7 @@ def run_sequence(
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
         if not config.carry_optimizer_state:
-            reset_state(optimizer)
+            optimizer.reset()
         for epoch in range(config.epochs_per_task):
             shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)
             for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):

@@ -6,7 +6,13 @@ A strategy can transform the gradient before the optimizer sees it
 the parameters being updated, so a strategy builds its hook once per
 task rather than once per step.
 
-Internally each optimizer reports its step as a ``(direction, scale)``
+:class:`OptimizerConfig` chooses the kind and the learning rate, and
+:class:`Optimizer` is the one optimizer type it configures: the kind,
+the resolved rate and Adam's running state. Every optimizer constant
+(the default rate per kind, Adam's beta1, beta2 and epsilon) is defined
+once, in this module.
+
+Internally the optimizer reports its step as a ``(direction, scale)``
 pair whose product is the step: SGD's direction is the negated gradient
 and its scale is the learning rate, applied after the post hook runs.
 Multiplying by an attenuation factor on either side of the optimizer
@@ -16,7 +22,7 @@ leaves its update semantics untouched.
 
 Every update works on the flat parameter vector (see :mod:`.model`).
 Adam updates its moments in place and writes its direction into a buffer
-that the :class:`AdamState` owns, so the direction a step returns is
+that the :class:`Optimizer` owns, so the direction a step returns is
 overwritten by the next step. Hooks own their output buffers the same
 way. :func:`apply` is the boundary: it never mutates ``params`` or
 ``grads`` and returns parameters in a freshly allocated vector, which no
@@ -33,45 +39,55 @@ import numpy as np
 from .model import Gradients, MlpParams, check_congruent
 from .numerics import ShapeError
 
+OPTIMIZER_KINDS = ("sgd", "adam")
+DEFAULT_LEARNING_RATES = {"sgd": 0.2, "adam": 0.001}
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
-class SgdConfig:
-    learning_rate: float = 0.2
+class OptimizerConfig:
+    """Optimizer choice plus learning rate; the rate defaults per kind."""
+
+    kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
+    learning_rate: Optional[float] = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ValueError(
+                f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {self.kind!r}"
+            )
+        if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
-
-@dataclass
-class AdamState:
-    """Adam hyperparameters plus its moment accumulators and step counter."""
-
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    first_moment: Optional[MlpParams] = None
-    second_moment: Optional[MlpParams] = None
-    t: int = 0
-    # Reused every step: the emitted direction and one temporary.
-    _direction: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.t < 0:
-            raise ValueError(f"step counter must be >= 0, got {self.t}")
+    @property
+    def resolved_rate(self) -> float:
+        if self.learning_rate is not None:
+            return self.learning_rate
+        return DEFAULT_LEARNING_RATES[self.kind]
 
 
-Optimizer = SgdConfig | AdamState
+class Optimizer:
+    """The configured optimizer: its kind, its rate, and Adam's running state.
+
+    Adam's moments and its direction and scratch buffers are allocated on
+    the first step after a reset and then updated in place every step.
+    SGD keeps no state.
+    """
+
+    def __init__(self, config: OptimizerConfig):
+        self.kind = config.kind
+        self.learning_rate = config.resolved_rate
+        self.reset()
+
+    def reset(self):
+        """Drop accumulated state, as if no step had been taken."""
+        self.first_moment: Optional[MlpParams] = None
+        self.second_moment: Optional[MlpParams] = None
+        self.t = 0
+        self._direction: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -86,11 +102,11 @@ class StepHook:
     post_optimizer: Optional[Callable[[Gradients, MlpParams], Gradients]] = None
 
 
-def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
+def _adam_direction(state: Optimizer, grads: Gradients) -> Gradients:
     """Bias-corrected Adam step; advances the moments and counter in place.
 
     Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
-    The returned step is the state's direction buffer.
+    The returned step is the optimizer's direction buffer.
     """
     if state.first_moment is None:
         state.first_moment = MlpParams.zeros(grads.layer_sizes)
@@ -100,7 +116,7 @@ def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
     check_congruent(state.first_moment, grads, "Adam state and grads")
     g, m, v = grads.flat, state.first_moment.flat, state.second_moment.flat
     d, tmp = state._direction, state._scratch
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     # m = b1 * m + (1 - b1) * g
     np.multiply(m, b1, out=m)
@@ -113,7 +129,7 @@ def _adam_direction(state: AdamState, grads: Gradients) -> Gradients:
     np.add(v, tmp, out=v)
     c1 = 1 - b1**state.t
     c2 = 1 - b2**state.t
-    lr, eps = state.learning_rate, state.epsilon
+    lr, eps = state.learning_rate, ADAM_EPSILON
     # d = (-lr * (m / c1)) / (sqrt(v / c2) + eps)
     np.divide(m, c1, out=d)
     np.multiply(d, -lr, out=d)
@@ -128,22 +144,13 @@ def step_parts(optimizer: Optimizer, grads: Gradients) -> tuple[Gradients, float
     """The optimizer's step as (direction, deferred scalar).
 
     SGD: ``(-g, learning_rate)``, so the step is ``-lr * g``. Adam:
-    ``(step, 1.0)`` with the bias-corrected step from the state's buffer.
+    ``(step, 1.0)`` with the bias-corrected step from the optimizer's
+    direction buffer. The kind was validated by :class:`OptimizerConfig`.
     """
-    if isinstance(optimizer, SgdConfig):
+    if optimizer.kind == "sgd":
         direction = MlpParams.from_flat(np.negative(grads.flat), grads.layer_sizes)
         return direction, optimizer.learning_rate
-    if isinstance(optimizer, AdamState):
-        return _adam_direction(optimizer, grads), 1.0
-    raise TypeError(f"unknown optimizer {type(optimizer).__name__}")
-
-
-def reset_state(optimizer: Optimizer):
-    """Drop accumulated optimizer state; a no-op for SGD."""
-    if isinstance(optimizer, AdamState):
-        optimizer.first_moment = None
-        optimizer.second_moment = None
-        optimizer.t = 0
+    return _adam_direction(optimizer, grads), 1.0
 
 
 def _checked_hook_output(result, template: Gradients, label: str) -> Gradients:

@@ -1,5 +1,5 @@
 """Shared test oracles: a scalar Adam, the explicit multi-anchor EWC sum,
-and a traced-memory probe.
+and a traced-memory probe; plus fresh optimizers of each kind.
 """
 
 import tracemalloc
@@ -8,6 +8,17 @@ import numpy as np
 
 from forgetlab.continual import ewc_penalty
 from forgetlab.model import MlpParams
+from forgetlab.optim import Optimizer, OptimizerConfig
+
+
+def sgd(learning_rate=None):
+    """A fresh SGD optimizer, at the default rate unless one is given."""
+    return Optimizer(OptimizerConfig(kind="sgd", learning_rate=learning_rate))
+
+
+def adam():
+    """A fresh Adam optimizer at the default rate, with empty moments."""
+    return Optimizer(OptimizerConfig(kind="adam"))
 
 
 class ScalarAdam:

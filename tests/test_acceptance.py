@@ -38,10 +38,10 @@ from forgetlab.harness import (
 )
 from forgetlab.model import MlpParams, init_params, max_relative_gradient_error
 from forgetlab.numerics import RandomStream
-from forgetlab.optim import AdamState, step_parts
+from forgetlab.optim import step_parts
 from forgetlab.reports import emit_eval_matrix_csv
 
-from helpers import ScalarAdam
+from helpers import ScalarAdam, adam
 
 FORGETTING_MARGIN = 0.19
 PROTECTION_MARGIN = 0.08
@@ -250,7 +250,7 @@ def test_criterion_10_scalar_adam_oracle():
     params = init_params(stream, (1, 1))
     params.weights[0][0, 0] = 0.5
     params.biases[0][0] = 0.0
-    state = AdamState()
+    state = adam()
     gradients = [0.3, -0.2, 0.05, 0.4, -0.1]
     theta_ref = 0.5
     worst = 0.0

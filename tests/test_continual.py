@@ -30,9 +30,9 @@ from forgetlab.model import (
     param_count,
 )
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import AdamState, SgdConfig, StepHook, apply, reset_state
+from forgetlab.optim import StepHook, apply
 
-from helpers import ScalarAdam, ewc_penalty_multi_anchor, map_flat
+from helpers import ScalarAdam, adam, ewc_penalty_multi_anchor, map_flat, sgd
 
 
 def make_task(images, labels, task_id=0):
@@ -411,15 +411,16 @@ class TestWvaFactor:
 
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
+        # Zero importance, or lam == 0 with any importance: every factor is 1.
         params = init_params(RandomStream(74), (3, 2))
-        hook = make_wva_hook(MlpParams.zeros(params.layer_sizes), 5.0, "hyperbolic", "gradient")
         g = init_params(RandomStream(75), (3, 2))
-        assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
-
-    def test_zero_lambda_returns_bare_hook(self):
-        omega = map_flat(np.abs, init_params(RandomStream(76), (3, 2)))
-        hook = make_wva_hook(omega, 0.0, "hyperbolic", "step")
-        assert hook.pre_optimizer is None and hook.post_optimizer is None
+        for omega, lam in (
+            (MlpParams.zeros(params.layer_sizes), 5.0),
+            (map_flat(np.abs, init_params(RandomStream(76), (3, 2))), 0.0),
+        ):
+            for kind in ("hyperbolic", "exponential"):
+                hook = make_wva_hook(omega, lam, kind, "gradient")
+                assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
 
     def test_target_selects_hook_side(self):
         omega = map_flat(np.abs, init_params(RandomStream(77), (3, 2)))
@@ -440,8 +441,8 @@ class TestWvaHook:
                 weights=[stream.normal(0, 1, w.shape) for w in p_pre.weights],
                 biases=[stream.normal(0, 1, b.shape) for b in p_pre.biases],
             )
-            p_pre = apply(p_pre, grads, SgdConfig(), pre)
-            p_post = apply(p_post, grads, SgdConfig(), post)
+            p_pre = apply(p_pre, grads, sgd(), pre)
+            p_post = apply(p_post, grads, sgd(), post)
         assert np.array_equal(p_pre.flat, p_post.flat)
 
     def test_adam_targets_diverge_matching_scalar_oracle(self):
@@ -460,7 +461,7 @@ class TestWvaHook:
         results = {}
         for target in ("gradient", "step"):
             hook = make_wva_hook(omega, lam, "hyperbolic", target)
-            params, state = scalar_net(0.0), AdamState()
+            params, state = scalar_net(0.0), adam()
             for g in grads:
                 params = apply(params, scalar_map(g), state, hook)
             results[target] = params.weights[0][0, 0]
@@ -765,13 +766,13 @@ class TestBufferAliasing:
         params = init_params(RandomStream(112), self.SIZES)
         grads = self.gradients(113)
         before = (params.flat.tobytes(), grads.flat.tobytes())
-        apply(params, grads, AdamState(), strategy.hook)
+        apply(params, grads, adam(), strategy.hook)
         assert (params.flat.tobytes(), grads.flat.tobytes()) == before
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
     def test_second_apply_keeps_first_result(self, kind):
         strategy = self.hooked_strategy(kind)
-        optimizer = AdamState()
+        optimizer = adam()
         params = init_params(RandomStream(114), self.SIZES)
         first = apply(params, self.gradients(115), optimizer, strategy.hook)
         snapshot = first.flat.tobytes()
@@ -780,14 +781,14 @@ class TestBufferAliasing:
         assert not np.shares_memory(first.flat, second.flat)
         assert not np.array_equal(first.flat, second.flat)
 
-    def test_reset_state_restarts_adam_exactly(self):
+    def test_reset_restarts_adam_exactly(self):
         strategy = self.hooked_strategy("ewc")
-        used = AdamState()
+        used = adam()
         params = init_params(RandomStream(117), self.SIZES)
         for seed in (118, 119, 120):
             params = apply(params, self.gradients(seed), used, strategy.hook)
-        reset_state(used)
+        used.reset()
         grads = self.gradients(121)
         restarted = apply(params, grads, used, strategy.hook)
-        fresh = apply(params, grads, AdamState(), strategy.hook)
+        fresh = apply(params, grads, adam(), strategy.hook)
         assert restarted.flat.tobytes() == fresh.flat.tobytes()

@@ -31,7 +31,7 @@ from forgetlab.model import (
     load_params,
 )
 from forgetlab.numerics import NonFiniteError, RandomStream
-from forgetlab.optim import AdamState, apply
+from forgetlab.optim import Optimizer, apply
 from helpers import traced_peak
 
 
@@ -66,10 +66,10 @@ class TestConfigs:
         assert OptimizerConfig(kind="sgd", learning_rate=0.05).resolved_rate == 0.05
 
     def test_optimizer_build_types(self):
-        from forgetlab.optim import SgdConfig
-
-        assert isinstance(OptimizerConfig(kind="sgd").build(), SgdConfig)
-        assert isinstance(OptimizerConfig(kind="adam").build(), AdamState)
+        sgd = Optimizer(OptimizerConfig(kind="sgd"))
+        assert (sgd.kind, sgd.learning_rate) == ("sgd", 0.2)
+        adam = Optimizer(OptimizerConfig(kind="adam", learning_rate=0.05))
+        assert (adam.kind, adam.learning_rate) == ("adam", 0.05)
 
     def test_optimizer_kind_validated(self):
         with pytest.raises(ValueError):
@@ -149,21 +149,31 @@ class TestRunSequence:
 
         assert peak(8) < 1.1 * peak(2)
 
-    def test_single_task_matches_hand_rolled_loop(self):
-        config = tiny_config(num_tasks=1)
+    @pytest.mark.parametrize(
+        "num_tasks, carry",
+        [(1, False), (2, False), (2, True)],
+        ids=["one-task", "two-tasks-reset", "two-tasks-carry"],
+    )
+    def test_run_matches_hand_rolled_loop(self, num_tasks, carry):
+        config = tiny_config(num_tasks=num_tasks, carry_optimizer_state=carry)
         result = run_sequence(config)
-        # Independent re-derivation of the same run from the stream registry.
+        # Independent re-derivation of the same run from the stream registry;
+        # the optimizer restarts at each task unless the config carries it.
         tasks = build_tasks(config)
         root = RandomStream(config.seed)
         params = init_params(root.child(0), config.architecture)
-        state = AdamState()
-        for xb, yb in batches(tasks[0], config.batch_size, root.child(3, 0, 0)):
-            grads = backward(params, forward(params, xb), yb)
-            params = apply(params, grads, state, None)
+        optimizer = Optimizer(config.optimizer)
+        for t, task in enumerate(tasks):
+            if not carry:
+                optimizer.reset()
+            for xb, yb in batches(task, config.batch_size, root.child(3, t, 0)):
+                grads = backward(params, forward(params, xb), yb)
+                params = apply(params, grads, optimizer, None)
         assert np.array_equal(result.params.flat, params.flat)
-        assert result.matrix.accuracies.shape == (1, 1)
-        expected = accuracy(params, tasks[0].test_rows(slice(None)), tasks[0].test_labels)
-        assert result.matrix.accuracies[0, 0] == expected
+        assert result.matrix.accuracies.shape == (num_tasks, num_tasks)
+        for j, task in enumerate(tasks):
+            expected = accuracy(params, task.test_rows(slice(None)), task.test_labels)
+            assert result.matrix.accuracies[-1, j] == expected
 
     def test_repeat_run_bit_identical(self):
         config = tiny_config(num_tasks=3)
@@ -315,6 +325,7 @@ class TestBenchmarkTracer:
         assert names.count("continual.finish_task") == 2
         assert hook_span in names
         assert "optim.apply" in names
+        assert "optim.step_parts" in names
         assert tracer.nesting_errors() == []
 
 

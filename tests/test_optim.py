@@ -3,9 +3,9 @@ import pytest
 
 from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import AdamState, SgdConfig, StepHook, apply, reset_state, step_parts
+from forgetlab.optim import ADAM_EPSILON, OptimizerConfig, StepHook, apply, step_parts
 
-from helpers import ScalarAdam, map_flat
+from helpers import ScalarAdam, adam, map_flat, sgd
 
 
 def scalar_net(x=0.0):
@@ -28,39 +28,39 @@ def full_step(optimizer, grads):
 
 class TestSgd:
     def test_zero_gradient_zero_step(self):
-        step = full_step(SgdConfig(), scalar_grad(0.0))
+        step = full_step(sgd(), scalar_grad(0.0))
         assert step.weights[0][0, 0] == 0.0
 
     def test_unit_gradient_default_rate(self):
-        step = full_step(SgdConfig(), scalar_grad(1.0))
+        step = full_step(sgd(), scalar_grad(1.0))
         assert step.weights[0][0, 0] == -0.2
 
     def test_linearity(self):
         g = random_grads(1)
-        single = full_step(SgdConfig(learning_rate=0.05), g)
-        double = full_step(SgdConfig(learning_rate=0.05), map_flat(lambda x: 2 * x, g))
+        single = full_step(sgd(0.05), g)
+        double = full_step(sgd(0.05), map_flat(lambda x: 2 * x, g))
         assert np.array_equal(double.flat, 2 * single.flat)
 
     def test_learning_rate_validated(self):
         with pytest.raises(ValueError):
-            SgdConfig(learning_rate=0.0)
+            OptimizerConfig(kind="sgd", learning_rate=0.0)
 
 
 class TestAdam:
     def test_first_step_approaches_signed_learning_rate(self):
         for g in (1e-3, 1.0, 50.0, -2.5):
-            state = AdamState()
+            state = adam()
             step = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
             target = -state.learning_rate * np.sign(g)
-            assert abs(step - target) <= state.learning_rate * state.epsilon / abs(g)
+            assert abs(step - target) <= state.learning_rate * ADAM_EPSILON / abs(g)
 
     def test_zero_gradient_zero_state_zero_step(self):
-        step, scale = step_parts(AdamState(), scalar_grad(0.0))
+        step, scale = step_parts(adam(), scalar_grad(0.0))
         assert step.weights[0][0, 0] == 0.0
         assert scale == 1.0
 
     def test_five_step_sequence_matches_scalar_reference(self):
-        state = AdamState()
+        state = adam()
         reference = ScalarAdam()
         for g in (1.0, 1.0, 1.0, -1.0, -1.0):
             mine = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
@@ -68,7 +68,7 @@ class TestAdam:
             assert abs(mine - theirs) < 1e-12
 
     def test_state_advances(self):
-        state = AdamState()
+        state = adam()
         assert state.t == 0 and state.first_moment is None
         step_parts(state, scalar_grad(1.0))
         step_parts(state, scalar_grad(1.0))
@@ -76,21 +76,13 @@ class TestAdam:
         assert state.first_moment.weights[0][0, 0] != 0.0
 
     def test_reset_clears_accumulators(self):
-        state = AdamState()
+        state = adam()
         step_parts(state, scalar_grad(1.0))
-        reset_state(state)
+        state.reset()
         assert state.t == 0 and state.first_moment is None
         fresh = step_parts(state, scalar_grad(1.0))[0].weights[0][0, 0]
-        first = step_parts(AdamState(), scalar_grad(1.0))[0].weights[0][0, 0]
+        first = step_parts(adam(), scalar_grad(1.0))[0].weights[0][0, 0]
         assert abs(fresh - first) == 0.0
-
-    def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            AdamState(beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamState(beta2=0.0)
-        with pytest.raises(ValueError):
-            AdamState(epsilon=0.0)
 
     def test_step_magnitude_bounded_on_steady_sequences(self):
         # Holds when gradient magnitudes are steady or shrinking, since
@@ -98,14 +90,14 @@ class TestAdam:
         # mean. Growing magnitudes or sign-consistent bursts after a
         # quiet stretch push |step| past lr (1.3x-plus is reachable), so
         # the bound is deliberately not asserted for arbitrary inputs.
-        lr = AdamState().learning_rate
+        lr = adam().learning_rate
         sequences = [
             np.ones(200),
             1.0 / np.sqrt(np.arange(1, 201)),
             2.0 + np.sin(np.arange(200.0)),
         ]
         for seq in sequences:
-            state = AdamState()
+            state = adam()
             for g in seq:
                 step = step_parts(state, scalar_grad(g))[0].weights[0][0, 0]
                 assert abs(step) <= lr * (1 + 1e-9)
@@ -115,15 +107,15 @@ class TestApply:
     def test_identity_hook_matches_plain_sgd(self):
         params = random_grads(2)
         grads = random_grads(3)
-        plain = map_flat(np.add, params, full_step(SgdConfig(), grads))
-        hooked = apply(params, grads, SgdConfig(), StepHook())
+        plain = map_flat(np.add, params, full_step(sgd(), grads))
+        hooked = apply(params, grads, sgd(), StepHook())
         assert np.array_equal(plain.flat, hooked.flat)
 
     def test_identity_hook_matches_plain_adam(self):
         params = random_grads(4)
         grads = random_grads(5)
-        plain = map_flat(np.add, params, full_step(AdamState(), grads))
-        hooked = apply(params, grads, AdamState(), None)
+        plain = map_flat(np.add, params, full_step(adam(), grads))
+        hooked = apply(params, grads, adam(), None)
         assert np.array_equal(plain.flat, hooked.flat)
 
     def test_post_hook_halving_halves_change_exactly(self):
@@ -137,8 +129,8 @@ class TestApply:
         )
         grads = random_grads(7)
         halving = StepHook(post_optimizer=lambda s, p: map_flat(lambda x: 0.5 * x, s))
-        plain_change = apply(params, grads, SgdConfig(), None).flat
-        hooked_change = apply(params, grads, SgdConfig(), halving).flat
+        plain_change = apply(params, grads, sgd(), None).flat
+        hooked_change = apply(params, grads, sgd(), halving).flat
         assert np.array_equal(hooked_change, 0.5 * plain_change)
 
     def test_sgd_pre_and_post_scaling_bit_identical(self):
@@ -154,8 +146,8 @@ class TestApply:
                 weights=[stream.normal(0, 1, w.shape) for w in params_pre.weights],
                 biases=[stream.normal(0, 1, b.shape) for b in params_pre.biases],
             )
-            params_pre = apply(params_pre, grads, SgdConfig(), pre)
-            params_post = apply(params_post, grads, SgdConfig(), post)
+            params_pre = apply(params_pre, grads, sgd(), pre)
+            params_post = apply(params_post, grads, sgd(), post)
             assert np.array_equal(params_pre.flat, params_post.flat)
 
     def test_adam_scaling_side_matters(self):
@@ -165,7 +157,7 @@ class TestApply:
         halve = lambda c, p: map_flat(lambda x: 0.5 * x, c)
         params_pre = scalar_net(1.0)
         params_post = scalar_net(1.0)
-        state_pre, state_post = AdamState(), AdamState()
+        state_pre, state_post = adam(), adam()
         for g in (1.0, 1.0):
             params_pre = apply(
                 params_pre, scalar_grad(g), state_pre, StepHook(pre_optimizer=halve)
@@ -181,15 +173,15 @@ class TestApply:
         grads = random_grads(12)
         bad = StepHook(pre_optimizer=lambda g, p: init_params(RandomStream(0), (2, 2)))
         with pytest.raises(ShapeError):
-            apply(params, grads, SgdConfig(), bad)
+            apply(params, grads, sgd(), bad)
 
     def test_hook_wrong_type_rejected(self):
         params = random_grads(13)
         grads = random_grads(14)
         bad = StepHook(post_optimizer=lambda s, p: s.flat)
         with pytest.raises(ShapeError):
-            apply(params, grads, SgdConfig(), bad)
+            apply(params, grads, sgd(), bad)
 
     def test_params_grads_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            apply(random_grads(15), random_grads(16, (2, 2)), SgdConfig(), None)
+            apply(random_grads(15), random_grads(16, (2, 2)), sgd(), None)
