@@ -411,16 +411,29 @@ class TestWvaFactor:
 
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
-        # Zero importance, or lam == 0 with any importance: every factor is 1.
         params = init_params(RandomStream(74), (3, 2))
+        omega = MlpParams.zeros(params.layer_sizes)
         g = init_params(RandomStream(75), (3, 2))
-        for omega, lam in (
-            (MlpParams.zeros(params.layer_sizes), 5.0),
-            (map_flat(np.abs, init_params(RandomStream(76), (3, 2))), 0.0),
-        ):
-            for kind in ("hyperbolic", "exponential"):
-                hook = make_wva_hook(omega, lam, kind, "gradient")
-                assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
+        for kind in ("hyperbolic", "exponential"):
+            hook = make_wva_hook(omega, 5.0, kind, "gradient")
+            assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
+
+    def test_zero_lambda_returns_bare_hook(self):
+        # lam == 0 with any importance: every factor is 1, so Adam under the
+        # hook follows the trajectory of a bare StepHook bit for bit.
+        omega = map_flat(np.abs, init_params(RandomStream(76), (3, 2)))
+        start = init_params(RandomStream(74), (3, 2))
+        grads = [init_params(RandomStream(seed), (3, 2)) for seed in (75, 81, 82)]
+        bare, bare_state = start.copy(), adam()
+        for g in grads:
+            bare = apply(bare, g, bare_state, StepHook())
+        for kind in ("hyperbolic", "exponential"):
+            for target in ("gradient", "step"):
+                hook = make_wva_hook(omega, 0.0, kind, target)
+                p, state = start.copy(), adam()
+                for g in grads:
+                    p = apply(p, g, state, hook)
+                assert np.array_equal(p.flat, bare.flat)
 
     def test_target_selects_hook_side(self):
         omega = map_flat(np.abs, init_params(RandomStream(77), (3, 2)))
