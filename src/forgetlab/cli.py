@@ -17,9 +17,13 @@ spellings in :data:`ALIASES` (``tasks``/``--tasks`` for ``num_tasks``,
 ``kind``, and so on). Values parse by the field's type: tuples are
 comma-separated (``architecture = 784,300,10``), booleans take
 true/false (flags come in ``--x``/``--no-x`` pairs), and ``none`` clears
-an optional value. ``grid`` also reads ``[grid] lambdas`` or
-``--lambda-grid``. ``forgetlab run --help`` lists every flag with its
-INI key and built-in default (a preset may change it).
+an optional value. A field's ``choices`` metadata gives its flag's
+choices; a config-file value is checked against the same metadata when
+the config is built (:func:`~forgetlab.numerics.check_choices`). ``grid``
+also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
+--help`` lists every flag with its INI key and built-in default (a
+preset may change it). ``report`` re-renders each CSV as the SVG its
+header calls for.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ import os
 import sys
 from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .continual import StrategyConfig, wva_factor
+from .continual import StrategyConfig, attenuation_closed_forms
 from .data import fetch_idx_files
 from .harness import (
     DEFAULT_LAMBDA_GRID,
@@ -49,13 +51,7 @@ from .harness import (
 from .model import init_params, max_relative_gradient_error
 from .numerics import RandomStream
 from .optim import OptimizerConfig
-from .reports import (
-    emit_reports,
-    read_eval_matrix_csv,
-    read_surface_csv,
-    render_accuracy_curves,
-    render_surface_heatmap,
-)
+from .reports import emit_reports, read_report_csv, render_svg
 
 
 class _UsageError(Exception):
@@ -283,29 +279,13 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _sniff_header(path: str) -> str:
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            return line.strip()
-    raise ValueError(f"{path}: no header row")
-
-
 def cmd_report(args) -> int:
     written = []
     for path in args.csv:
         out_dir = args.out_dir or (os.path.dirname(path) or ".")
         os.makedirs(out_dir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(path))[0]
-        target = os.path.join(out_dir, stem + ".svg")
-        header = _sniff_header(path)
-        if header == "after_task,eval_task,accuracy,n_samples":
-            written.append(render_accuracy_curves(read_eval_matrix_csv(path), target))
-        elif header == "lambda,tasks_learned,avg_accuracy":
-            written.append(render_surface_heatmap(read_surface_csv(path), target))
-        else:
-            raise ValueError(f"{path}: unrecognized CSV header {header!r}")
+        written.append(render_svg(read_report_csv(path), os.path.join(out_dir, stem + ".svg")))
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -328,22 +308,6 @@ def _selftest_gradients() -> tuple[bool, str]:
     return worst < 1e-6, f"max relative gradient error {worst:.2e}"
 
 
-def _selftest_attenuation() -> tuple[bool, str]:
-    values = np.logspace(-6.0, 2.0, 60)
-    hyp = wva_factor(values, 1.0, "hyperbolic")
-    exp = wva_factor(values, 1.0, "exponential")
-    ok = (
-        np.all((hyp > 0) & (hyp <= 1))
-        and np.all((exp > 0) & (exp <= 1))
-        and np.all(hyp >= exp)
-        and wva_factor(0.0, 1.0, "hyperbolic") == 1.0
-        and wva_factor(0.0, 1.0, "exponential") == 1.0
-        and wva_factor(1.0, 1.0, "hyperbolic") == 0.5
-        and abs(wva_factor(np.log(2.0), 1.0, "exponential") - 0.5) < 1e-12
-    )
-    return bool(ok), "bounds, ordering, and fixed points on a 60-point grid"
-
-
 def _selftest_sgd_equivalence() -> tuple[bool, str]:
     config = ExperimentConfig(
         num_tasks=2,
@@ -353,7 +317,6 @@ def _selftest_sgd_equivalence() -> tuple[bool, str]:
         architecture=(6, 5, 4),
         optimizer=OptimizerConfig(kind="sgd", learning_rate=0.1),
         strategy=StrategyConfig(kind="wva", lam=0.7),
-        synthetic_classes=4,
         synthetic_samples_per_class=30,
         synthetic_spread=0.3,
     )
@@ -363,7 +326,7 @@ def _selftest_sgd_equivalence() -> tuple[bool, str]:
 def cmd_selftest(args) -> int:
     checks = [
         ("gradient-check", _selftest_gradients),
-        ("attenuation-bounds", _selftest_attenuation),
+        ("attenuation-bounds", attenuation_closed_forms),
         ("sgd-equivalence", _selftest_sgd_equivalence),
     ]
     failures = 0

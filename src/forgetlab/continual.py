@@ -42,7 +42,7 @@ from .model import (
     forward,
     leaky_relu_grad,
 )
-from .numerics import NonFiniteError, matmul
+from .numerics import NonFiniteError, check_choices, matmul
 from .optim import StepHook
 
 # Importance maps are parameter-shaped containers of non-negative values.
@@ -209,6 +209,36 @@ def wva_factor(omega, lam: float, kind: str):
     return float(out) if arr.ndim == 0 else out
 
 
+def attenuation_closed_forms() -> tuple[bool, str]:
+    """Whether both attenuation kinds meet their closed-form identities.
+
+    Bounds (0, 1] and hyperbolic >= exponential on 60 log-spaced omegas in
+    [1e-6, 100]; both are 1 at omega 0, and 0.5 at lam*omega = 1
+    (hyperbolic) and ln 2 (exponential). Returns the verdict and a detail.
+    """
+    values = np.logspace(-6.0, 2.0, 60)
+    hyp = wva_factor(values, 1.0, "hyperbolic")
+    exp = wva_factor(values, 1.0, "exponential")
+    checks = {
+        "hyperbolic in (0, 1]": np.all((hyp > 0) & (hyp <= 1)),
+        "exponential in (0, 1]": np.all((exp > 0) & (exp <= 1)),
+        "hyperbolic >= exponential": np.all(hyp >= exp),
+        "hyperbolic(0)=1": wva_factor(0.0, 1.0, "hyperbolic") == 1.0
+        and abs(wva_factor(0.0, 5.0, "hyperbolic") - 1.0) < 1e-12,
+        "exponential(0)=1": wva_factor(0.0, 1.0, "exponential") == 1.0
+        and abs(wva_factor(0.0, 5.0, "exponential") - 1.0) < 1e-12,
+        "hyperbolic(lam*omega=1)=0.5": wva_factor(1.0, 1.0, "hyperbolic") == 0.5
+        and abs(wva_factor(0.5, 2.0, "hyperbolic") - 0.5) < 1e-12,
+        "exponential(lam*omega=ln2)=0.5": abs(
+            wva_factor(np.log(2.0), 1.0, "exponential") - 0.5
+        ) < 1e-12,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    return not failed, (
+        f"failed: {failed}" if failed else "bounds, ordering, and fixed points on a 60-point grid"
+    )
+
+
 def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> StepHook:
     """Hook multiplying the gradient or the step by per-parameter factors.
 
@@ -255,22 +285,11 @@ class StrategyConfig:
     normalize_importance: bool = False
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
+        check_choices(self)
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not 0.0 <= self.online_decay <= 1.0:
             raise ValueError(f"online_decay must lie in [0, 1], got {self.online_decay}")
-        if self.attenuation not in ATTENUATION_KINDS:
-            raise ValueError(
-                f"attenuation must be one of {ATTENUATION_KINDS}, got {self.attenuation!r}"
-            )
-        if self.target not in TARGETS:
-            raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(
-                f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}"
-            )
         anchored = self.kind in ("ewc", "ewc_multi_anchor")
         if self.safe_coefficient and not anchored:
             raise ValueError("safe_coefficient modifies the anchored penalty; use kind=ewc")
@@ -401,6 +420,3 @@ class Strategy:
             self.hook = _make_ewc_hook(
                 self.anchor, config.lam * self._weight, config.separate_clip_threshold
             )
-
-    def importance(self) -> Optional[ImportanceMap]:
-        return self.omega_total

@@ -40,7 +40,7 @@ from .model import (
     init_params,
     save_params,
 )
-from .numerics import NonFiniteError, RandomStream
+from .numerics import NonFiniteError, RandomStream, check_choices
 from .optim import Optimizer, OptimizerConfig, apply
 
 INIT_STREAM_ID = 0
@@ -67,7 +67,9 @@ class ExperimentConfig:
     Together with the fields of :class:`~forgetlab.optim.OptimizerConfig`
     and :class:`~forgetlab.continual.StrategyConfig`, these fields are the
     lab's settings: the command line derives its INI keys and flags from
-    them (see :mod:`forgetlab.cli`).
+    them (see :mod:`forgetlab.cli`). ``architecture`` runs from the input
+    width to the class count; the synthetic source makes
+    ``architecture[-1]`` classes.
     """
 
     source: str = field(default="synthetic", metadata={"choices": SOURCES})
@@ -83,15 +85,13 @@ class ExperimentConfig:
     save_checkpoints: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    synthetic_classes: int = 10
     synthetic_samples_per_class: int = 1250
     synthetic_spread: float = 0.25
     data_dir: str = "data"
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+        check_choices(self)
         for name in ("num_tasks", "epochs_per_task", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -107,11 +107,6 @@ class ExperimentConfig:
             raise ValueError("mnist images have width 784")
         if self.source == "mnist" and self.architecture[-1] != 10:
             raise ValueError("mnist has 10 classes")
-        if self.source == "synthetic" and self.architecture[-1] != self.synthetic_classes:
-            raise ValueError(
-                f"output layer has {self.architecture[-1]} units but the synthetic "
-                f"source makes {self.synthetic_classes} classes"
-            )
 
 
 def desk_preset(**overrides) -> ExperimentConfig:
@@ -179,7 +174,6 @@ def average_accuracy(matrix: EvalMatrix, t: int) -> float:
 class RunResult:
     matrix: EvalMatrix
     params: MlpParams
-    importance: Optional[MlpParams]
     config: ExperimentConfig
 
 
@@ -191,7 +185,7 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
     """
     if config.source == "synthetic":
         spec = SyntheticSpec(
-            classes=config.synthetic_classes,
+            classes=config.architecture[-1],
             dims=config.architecture[0],
             samples_per_class=config.synthetic_samples_per_class,
             cluster_spread=config.synthetic_spread,
@@ -285,16 +279,13 @@ def run_sequence(
         if config.save_checkpoints:
             os.makedirs(config.out_dir, exist_ok=True)
             save_params(params, os.path.join(config.out_dir, f"params_task{t}.npz"))
-            importance = strategy.importance()
-            if importance is not None:
+            if strategy.omega_total is not None:
                 save_params(
-                    importance, os.path.join(config.out_dir, f"importance_task{t}.npz")
+                    strategy.omega_total,
+                    os.path.join(config.out_dir, f"importance_task{t}.npz"),
                 )
     return RunResult(
-        matrix=EvalMatrix(accuracies=acc, n_samples=n_samples),
-        params=params,
-        importance=strategy.importance(),
-        config=config,
+        matrix=EvalMatrix(accuracies=acc, n_samples=n_samples), params=params, config=config
     )
 
 

@@ -2,8 +2,9 @@
 
 Matrices are plain 2-D C-order ``numpy.float64`` arrays. The helpers here
 add the contract checks the rest of the package relies on: shape
-validation with informative errors, and a guarantee that no NaN or
-infinity leaves an operation silently.
+validation with informative errors, a guarantee that no NaN or
+infinity leaves an operation silently, and :func:`check_choices`, which
+checks every config field that declares its allowed values.
 
 Random streams wrap the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
@@ -19,6 +20,7 @@ them.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,15 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A NaN or infinity appeared where finite values are required."""
+
+
+def check_choices(config):
+    """Reject any dataclass field whose value lies outside its ``choices`` metadata."""
+    for f in dataclasses.fields(config):
+        choices = f.metadata.get("choices")
+        value = getattr(config, f.name)
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
 
 
 def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:

@@ -62,41 +62,33 @@ def manifest_lines(config: Optional[ExperimentConfig]) -> list[str]:
     return lines
 
 
-def emit_eval_matrix_csv(
-    matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
-) -> str:
-    """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
+EVAL_MATRIX_HEADER = ("after_task", "eval_task", "accuracy", "n_samples")
+SURFACE_HEADER = ("lambda", "tasks_learned", "avg_accuracy")
+
+
+def _write_csv(path, config, header, rows, comments=()) -> str:
+    """Manifest, header, data rows, then trailing comment lines."""
     with atomic_write(path, newline="") as fh:
         for line in manifest_lines(config):
             fh.write(line + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["after_task", "eval_task", "accuracy", "n_samples"])
-        for t in range(matrix.num_tasks):
-            for j in range(t + 1):
-                writer.writerow(
-                    [t, j, repr(float(matrix.accuracies[t, j])), int(matrix.n_samples[t, j])]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+        for comment in comments:
+            fh.write(f"# {comment}\n")
     return path
 
 
-def read_eval_matrix_csv(path: str) -> EvalMatrix:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != ["after_task", "eval_task", "accuracy", "n_samples"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for after, evalt, acc, n in reader:
-            rows.append((int(after), int(evalt), float(acc), int(n)))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    size = max(r[0] for r in rows) + 1
-    acc = np.full((size, size), np.nan)
-    counts = np.zeros((size, size), dtype=np.int64)
-    for after, evalt, value, n in rows:
-        acc[after, evalt] = value
-        counts[after, evalt] = n
-    return EvalMatrix(accuracies=acc, n_samples=counts)
+def emit_eval_matrix_csv(
+    matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
+) -> str:
+    """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
+    rows = (
+        [t, j, repr(float(matrix.accuracies[t, j])), int(matrix.n_samples[t, j])]
+        for t in range(matrix.num_tasks)
+        for j in range(t + 1)
+    )
+    return _write_csv(path, config, EVAL_MATRIX_HEADER, rows)
 
 
 def emit_surface_csv(
@@ -107,42 +99,60 @@ def emit_surface_csv(
     Failed cells keep their place with accuracy `nan`; the failure
     messages ride along as trailing comment lines.
     """
-    with atomic_write(path, newline="") as fh:
-        for line in manifest_lines(config):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "tasks_learned", "avg_accuracy"])
-        for i, lam in enumerate(surface.lambdas):
-            for k, t in enumerate(surface.tasks_learned):
-                writer.writerow(
-                    [repr(float(lam)), int(t), repr(float(surface.avg_accuracy[i, k]))]
-                )
-        for lam, message in surface.failures:
-            fh.write(f"# failed lambda={lam!r}: {message}\n")
-    return path
+    rows = (
+        [repr(float(lam)), int(t), repr(float(surface.avg_accuracy[i, k]))]
+        for i, lam in enumerate(surface.lambdas)
+        for k, t in enumerate(surface.tasks_learned)
+    )
+    comments = (f"failed lambda={lam!r}: {message}" for lam, message in surface.failures)
+    return _write_csv(path, config, SURFACE_HEADER, rows, comments)
+
+
+def _eval_matrix(rows: list[list[str]]) -> EvalMatrix:
+    size = max(int(row[0]) for row in rows) + 1
+    acc = np.full((size, size), np.nan)
+    counts = np.zeros((size, size), dtype=np.int64)
+    for after, evalt, value, n in rows:
+        acc[int(after), int(evalt)] = float(value)
+        counts[int(after), int(evalt)] = int(n)
+    return EvalMatrix(accuracies=acc, n_samples=counts)
+
+
+def _surface(rows: list[list[str]]) -> LambdaSurface:
+    lambdas = sorted({float(row[0]) for row in rows})
+    tasks = sorted({int(row[1]) for row in rows})
+    avg = np.full((len(lambdas), len(tasks)), np.nan)
+    for lam, t, value in rows:
+        avg[lambdas.index(float(lam)), tasks.index(int(t))] = float(value)
+    return LambdaSurface(np.asarray(lambdas), np.asarray(tasks), avg)
+
+
+_PARSERS = {EVAL_MATRIX_HEADER: _eval_matrix, SURFACE_HEADER: _surface}
+
+
+def _read_csv(path: str, headers, complaint: str):
+    """Parse a CSV whose header is one of ``headers``; '#' and blank lines are skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
+        header, rows = tuple(next(reader, ())), list(reader)
+    if header not in headers:
+        raise ValueError(f"{path}: {complaint} {','.join(header)!r}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return _PARSERS[header](rows)
+
+
+def read_report_csv(path: str):
+    """The eval matrix or lambda surface in a CSV, recognised by its header."""
+    return _read_csv(path, _PARSERS, "unrecognized CSV header")
+
+
+def read_eval_matrix_csv(path: str) -> EvalMatrix:
+    return _read_csv(path, [EVAL_MATRIX_HEADER], "unexpected header")
 
 
 def read_surface_csv(path: str) -> LambdaSurface:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != ["lambda", "tasks_learned", "avg_accuracy"]:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for lam, t, acc in reader:
-            rows.append((float(lam), int(t), float(acc)))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    lambdas = sorted({r[0] for r in rows})
-    tasks = sorted({r[1] for r in rows})
-    avg = np.full((len(lambdas), len(tasks)), np.nan)
-    for lam, t, value in rows:
-        avg[lambdas.index(lam), tasks.index(t)] = value
-    return LambdaSurface(
-        lambdas=np.asarray(lambdas),
-        tasks_learned=np.asarray(tasks),
-        avg_accuracy=avg,
-    )
+    return _read_csv(path, [SURFACE_HEADER], "unexpected header")
 
 
 def _svg_header(width, height, title):
@@ -289,26 +299,28 @@ def render_surface_heatmap(surface: LambdaSurface, path: str) -> str:
     return path
 
 
+def render_svg(result, path: str) -> str:
+    """Accuracy curves for an eval matrix, a heatmap for a lambda surface."""
+    if isinstance(result, EvalMatrix):
+        return render_accuracy_curves(result, path)
+    if isinstance(result, LambdaSurface):
+        return render_surface_heatmap(result, path)
+    raise TypeError(f"cannot render {type(result).__name__}")
+
+
 def emit_reports(result, outdir: str) -> list[str]:
     """Write the CSV plus SVG pair for a run result or a lambda surface."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
     if isinstance(result, RunResult):
-        written.append(
+        return [
             emit_eval_matrix_csv(
                 result.matrix, os.path.join(outdir, "eval_matrix.csv"), result.config
-            )
-        )
-        written.append(
-            render_accuracy_curves(result.matrix, os.path.join(outdir, "accuracy_curves.svg"))
-        )
-    elif isinstance(result, LambdaSurface):
-        written.append(
-            emit_surface_csv(result, os.path.join(outdir, "surface.csv"), result.config)
-        )
-        written.append(
-            render_surface_heatmap(result, os.path.join(outdir, "surface_heatmap.svg"))
-        )
-    else:
-        raise TypeError(f"cannot report on {type(result).__name__}")
-    return written
+            ),
+            render_accuracy_curves(result.matrix, os.path.join(outdir, "accuracy_curves.svg")),
+        ]
+    if isinstance(result, LambdaSurface):
+        return [
+            emit_surface_csv(result, os.path.join(outdir, "surface.csv"), result.config),
+            render_surface_heatmap(result, os.path.join(outdir, "surface_heatmap.svg")),
+        ]
+    raise TypeError(f"cannot report on {type(result).__name__}")

@@ -8,7 +8,7 @@ import typing
 
 import pytest
 
-from forgetlab.cli import build_config, build_parser, main, parse_and_dispatch
+from forgetlab.cli import SETTINGS, build_config, build_parser, main, parse_and_dispatch
 from forgetlab.continual import StrategyConfig
 from forgetlab.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILE_NAMES
 from forgetlab.harness import ExperimentConfig, OptimizerConfig
@@ -20,7 +20,6 @@ epochs = 1
 batch_size = 16
 seed = 7
 architecture = 12,10,4
-synthetic_classes = 4
 synthetic_samples_per_class = 40
 synthetic_spread = 0.2
 eval_subset = 20
@@ -138,6 +137,16 @@ class TestSettingsLayers:
         assert run_cli("run", "--config", str(path)) == 2
         assert "tasks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting", [s for s in SETTINGS if s.choices], ids=lambda s: s.dest
+    )
+    def test_config_value_outside_choices_fails(self, setting, tmp_path, capsys):
+        # argparse checks a flag's choices; the config file is checked by the config
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = bogus\n")
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"{setting.name} must be one of" in capsys.readouterr().err
+
 
 def resolve(argv):
     return build_config(build_parser().parse_args(argv))
@@ -171,7 +180,6 @@ NON_DEFAULT = {
     ("experiment", "permute_first_task"): ("true", {}),
     ("experiment", "carry_optimizer_state"): ("true", {}),
     ("experiment", "save_checkpoints"): ("true", {}),
-    ("experiment", "synthetic_classes"): ("4", {("experiment", "architecture"): "12,10,4"}),
     ("experiment", "synthetic_samples_per_class"): ("40", {}),
     ("experiment", "synthetic_spread"): ("0.5", {}),
     ("experiment", "data_dir"): ("elsewhere", {}),

@@ -519,7 +519,7 @@ class TestStrategies:
         assert strategy.hook is None
         strategy.finish_task(params, task)
         assert strategy.hook is None
-        assert strategy.importance() is None
+        assert strategy.omega_total is None
 
     def test_wva_inert_before_first_task(self):
         strategy = Strategy(StrategyConfig(kind="wva", lam=1.0), 0.001)
@@ -540,9 +540,9 @@ class TestStrategies:
         params, task_a = random_setup(85)
         _, task_b = random_setup(86)
         strategy.finish_task(params, task_a)
-        first = strategy.importance()
+        first = strategy.omega_total
         strategy.finish_task(params, task_b)
-        second = strategy.importance()
+        second = strategy.omega_total
         omega_a = estimate_total_abs_signal(params, task_a)
         omega_b = estimate_total_abs_signal(params, task_b)
         assert np.array_equal(first.flat, omega_a.flat)

@@ -43,7 +43,6 @@ def tiny_config(**overrides):
         batch_size=16,
         seed=7,
         architecture=(12, 10, 4),
-        synthetic_classes=4,
         synthetic_samples_per_class=40,
         synthetic_spread=0.2,
     )
@@ -54,8 +53,7 @@ def tiny_config(**overrides):
 def mnist_sized_config(num_tasks):
     """784-pixel synthetic tasks with whole test splits of 200 rows each."""
     return tiny_config(
-        num_tasks=num_tasks, architecture=(784, 16, 10),
-        synthetic_classes=10, synthetic_samples_per_class=100,
+        num_tasks=num_tasks, architecture=(784, 16, 10), synthetic_samples_per_class=100,
     )
 
 
@@ -80,8 +78,6 @@ class TestConfigs:
             tiny_config(source="cifar")
         with pytest.raises(ValueError):
             tiny_config(num_tasks=0)
-        with pytest.raises(ValueError):
-            tiny_config(architecture=(12, 10, 5))  # classes mismatch
         with pytest.raises(ValueError):
             ExperimentConfig(source="mnist", architecture=(100, 10, 10))
 
@@ -230,11 +226,17 @@ class TestRunSequence:
         reset = run_sequence(tiny_config(carry_optimizer_state=False))
         assert not np.array_equal(kept.params.flat, reset.params.flat)
 
-    def test_strategy_importance_returned(self):
-        config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))
-        result = run_sequence(config)
-        assert result.importance is not None
-        assert np.all(result.importance.flat >= 0.0)
+    def test_strategy_importance_returned(self, tmp_path):
+        config = tiny_config(
+            strategy=StrategyConfig(kind="wva", lam=1.0),
+            save_checkpoints=True,
+            out_dir=str(tmp_path),
+        )
+        run_sequence(config)
+        for t in range(config.num_tasks):
+            importance = load_params(str(tmp_path / f"importance_task{t}.npz"))
+            assert importance.layer_sizes == config.architecture
+            assert np.all(importance.flat >= 0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):

@@ -156,13 +156,11 @@ def test_emit_reports_dispatches_on_type(tmp_path):
     config = ExperimentConfig(
         num_tasks=2,
         architecture=(6, 5, 3),
-        synthetic_classes=3,
         synthetic_samples_per_class=10,
     )
     result = RunResult(
         matrix=small_matrix(),
         params=init_params(RandomStream(0), (6, 5, 3)),
-        importance=None,
         config=config,
     )
     run_files = emit_reports(result, str(tmp_path / "run"))
@@ -184,7 +182,6 @@ def test_surface_csv_carries_the_run_manifest(tmp_path):
     run = RunResult(
         matrix=small_matrix(),
         params=init_params(RandomStream(0), (6, 5, 3)),
-        importance=None,
         config=config,
     )
     surface = small_surface()
