@@ -19,7 +19,8 @@ comma-separated (``architecture = 784,300,10``), booleans take
 true/false (flags come in ``--x``/``--no-x`` pairs), and ``none`` clears
 an optional value. A field's ``choices`` metadata gives its flag's
 choices; a config-file value is checked against the same metadata when
-the config is built (:func:`~forgetlab.numerics.check_choices`). ``grid``
+the config is built (:func:`~forgetlab.numerics.check_fields`, which also
+rejects a non-finite float setting). ``grid``
 also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
 --help`` lists every flag with its INI key and built-in default (a
 preset may change it). ``report`` re-renders each CSV as the SVG its

@@ -40,9 +40,10 @@ from .model import (
     MlpParams,
     check_congruent,
     forward,
-    leaky_relu_grad,
+    layer_deltas,
+    output_delta,
 )
-from .numerics import NonFiniteError, check_choices, matmul
+from .numerics import NonFiniteError, check_fields, matmul
 from .optim import StepHook
 
 # Importance maps are parameter-shaped containers of non-negative values.
@@ -70,7 +71,7 @@ def estimate_fisher(
     log p(true label). Samples are processed in chunks but each sample's
     gradient is squared individually: for weight (i, j) the per-sample
     gradient factors as delta_i * a_j, so the squared sum is the matrix
-    product of delta**2 and a**2.
+    product of delta**2 and a**2. The deltas come unscaled from ``model.layer_deltas``.
     """
     y = dataset.train_labels
     n = y.shape[0]
@@ -81,17 +82,10 @@ def estimate_fisher(
         xb = dataset.train_rows(slice(start, start + chunk_size))
         yb = y[start : start + chunk_size]
         trace = forward(params, xb)
-        delta = trace.probabilities.copy()
-        delta[np.arange(len(yb)), yb] -= 1.0
-        for l in range(params.num_layers - 1, -1, -1):
-            below = trace.inputs if l == 0 else trace.activations[l - 1]
+        for l, delta in layer_deltas(params, trace, output_delta(trace, yb)):
             sum_w, sum_b = sums.weights[l], sums.biases[l]
-            sum_w += matmul((delta**2).T, below**2)
+            sum_w += matmul((delta**2).T, trace.layer_inputs[l] ** 2)
             sum_b += (delta**2).sum(axis=0)
-            if l > 0:
-                delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
-                    trace.activations[l - 1]
-                )
     sums.flat /= n
     return sums
 
@@ -112,9 +106,8 @@ def estimate_total_abs_signal(
     abs_sums = [np.zeros(w.shape[1]) for w in params.weights]
     for start in range(0, n, chunk_size):
         trace = forward(params, dataset.train_rows(slice(start, start + chunk_size)))
-        for l in range(params.num_layers):
-            below = trace.inputs if l == 0 else trace.activations[l - 1]
-            abs_sums[l] += np.abs(below).sum(axis=0)
+        for abs_sum, below in zip(abs_sums, trace.layer_inputs):
+            abs_sum += np.abs(below).sum(axis=0)
     return MlpParams(
         weights=[
             np.abs(w) * (s / n)[None, :] for w, s in zip(params.weights, abs_sums)
@@ -285,7 +278,7 @@ class StrategyConfig:
     normalize_importance: bool = False
 
     def __post_init__(self):
-        check_choices(self)
+        check_fields(self)
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not 0.0 <= self.online_decay <= 1.0:

@@ -2,6 +2,8 @@
 
 A task sequence is built from one base dataset (MNIST-style images or a
 synthetic stand-in) plus a fixed, seeded pixel permutation per task.
+Both sources return the base as ``((train_images, train_labels),
+(test_images, test_labels))``.
 Every task shares the same read-only base arrays; a task's pixels are
 gathered and permuted per batch, chunk or evaluation, so a sequence
 costs one copy of the data whatever its length. Each gather writes its
@@ -231,56 +233,37 @@ def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian-cluster stand-in dataset, one cluster per class."""
+def synth_dataset(
+    classes: int, dims: int, samples_per_class: int, spread: float, seed: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Gaussian-cluster stand-in base, one cluster per class.
 
-    classes: int = 10
-    dims: int = 784
-    samples_per_class: int = 100
-    cluster_spread: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.classes < 1 or self.dims < 1 or self.samples_per_class < 1:
-            raise ValueError("classes, dims and samples_per_class must be >= 1")
-        if not self.cluster_spread > 0:
-            raise ValueError(f"cluster_spread must be > 0, got {self.cluster_spread}")
-        if self.classes > 10:
-            raise ValueError("labels are restricted to 0..9")
-
-
-def synth_dataset(spec: SyntheticSpec) -> TaskDataset:
-    """Build the synthetic fallback dataset described by ``spec``.
-
-    Each class is an isotropic Gaussian around a center drawn uniformly in
-    [0.2, 0.8] per dimension; samples are clipped to [0, 1] and split
-    80/20 per class into train/test. Fully determined by ``spec.seed``.
+    Each class is an isotropic Gaussian (standard deviation ``spread``)
+    around a center drawn uniformly in [0.2, 0.8] per dimension; samples
+    are clipped to [0, 1] and split 80/20 per class into train/test.
+    Returns ``((train_images, train_labels), (test_images, test_labels))``
+    like :func:`load_mnist`, fully determined by the arguments.
 
     Both splits are allocated once and each class's samples are written
     into their own rows, so the build holds the output plus one class's
     samples at a time.
     """
-    rs = RandomStream(spec.seed, key=(SYNTH_STREAM_ID,))
-    centers = rs.uniform(0.2, 0.8, (spec.classes, spec.dims))
-    n_train = int(spec.samples_per_class * 0.8)
-    n_test = spec.samples_per_class - n_train
-    train_images = np.empty((spec.classes * n_train, spec.dims))
-    test_images = np.empty((spec.classes * n_test, spec.dims))
-    for c in range(spec.classes):
-        samples = rs.normal(0.0, 1.0, (spec.samples_per_class, spec.dims))
-        samples *= spec.cluster_spread
+    rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
+    centers = rs.uniform(0.2, 0.8, (classes, dims))
+    n_train = int(samples_per_class * 0.8)
+    n_test = samples_per_class - n_train
+    train_images = np.empty((classes * n_train, dims))
+    test_images = np.empty((classes * n_test, dims))
+    for c in range(classes):
+        samples = rs.normal(0.0, 1.0, (samples_per_class, dims))
+        samples *= spread
         samples += centers[c]
         np.clip(samples[:n_train], 0.0, 1.0, out=train_images[c * n_train : (c + 1) * n_train])
         np.clip(samples[n_train:], 0.0, 1.0, out=test_images[c * n_test : (c + 1) * n_test])
-    classes = np.arange(spec.classes, dtype=np.int64)
-    return TaskDataset(
-        task_id=0,
-        train_images=train_images,
-        train_labels=np.repeat(classes, n_train),
-        test_images=test_images,
-        test_labels=np.repeat(classes, n_test),
-        permutation=np.arange(spec.dims),
+    labels = np.arange(classes, dtype=np.int64)
+    return (
+        (train_images, np.repeat(labels, n_train)),
+        (test_images, np.repeat(labels, n_test)),
     )
 
 

@@ -21,14 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .continual import Strategy, StrategyConfig
-from .data import (
-    SyntheticSpec,
-    TaskDataset,
-    batches,
-    load_mnist,
-    make_permuted_tasks,
-    synth_dataset,
-)
+from .data import TaskDataset, batches, load_mnist, make_permuted_tasks, synth_dataset
 from .model import (
     DEFAULT_LAYER_SIZES,
     MlpParams,
@@ -40,7 +33,7 @@ from .model import (
     init_params,
     save_params,
 )
-from .numerics import NonFiniteError, RandomStream, check_choices
+from .numerics import NonFiniteError, RandomStream, check_fields
 from .optim import Optimizer, OptimizerConfig, apply
 
 INIT_STREAM_ID = 0
@@ -69,7 +62,9 @@ class ExperimentConfig:
     lab's settings: the command line derives its INI keys and flags from
     them (see :mod:`forgetlab.cli`). ``architecture`` runs from the input
     width to the class count; the synthetic source makes
-    ``architecture[-1]`` classes.
+    ``architecture[-1]`` classes. Every setting, the synthetic source's
+    included, is checked here, when the config is built, and every float
+    setting must be finite.
     """
 
     source: str = field(default="synthetic", metadata={"choices": SOURCES})
@@ -91,7 +86,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        check_choices(self)
+        check_fields(self)
         for name in ("num_tasks", "epochs_per_task", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -107,6 +102,15 @@ class ExperimentConfig:
             raise ValueError("mnist images have width 784")
         if self.source == "mnist" and self.architecture[-1] != 10:
             raise ValueError("mnist has 10 classes")
+        if self.architecture[-1] > 10:  # labels are 0..9
+            raise ValueError(f"architecture must end in <= 10 classes, got {self.architecture}")
+        # the synthetic 80/20 split needs a train and a test sample of each class
+        if self.synthetic_samples_per_class < 2:
+            raise ValueError(
+                f"synthetic_samples_per_class must be >= 2, got {self.synthetic_samples_per_class}"
+            )
+        if not self.synthetic_spread > 0:
+            raise ValueError(f"synthetic_spread must be > 0, got {self.synthetic_spread}")
 
 
 def desk_preset(**overrides) -> ExperimentConfig:
@@ -184,16 +188,13 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
     subset is drawn); each task's pixels are gathered per batch.
     """
     if config.source == "synthetic":
-        spec = SyntheticSpec(
-            classes=config.architecture[-1],
-            dims=config.architecture[0],
-            samples_per_class=config.synthetic_samples_per_class,
-            cluster_spread=config.synthetic_spread,
-            seed=config.seed,
+        base_train, base_test = synth_dataset(
+            config.architecture[-1],
+            config.architecture[0],
+            config.synthetic_samples_per_class,
+            config.synthetic_spread,
+            config.seed,
         )
-        base = synth_dataset(spec)
-        base_train = (base.train_images, base.train_labels)
-        base_test = (base.test_images, base.test_labels)
     else:
         base_train, base_test = load_mnist(config.data_dir)
     if config.train_subset is not None and config.train_subset < len(base_train[1]):
@@ -358,19 +359,22 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     fails numerically (a :class:`FloatingPointError`, such as
     :class:`NonFiniteError` from a diverging run) is recorded in
     ``failures`` and leaves a NaN gap; any other exception propagates.
+    Every lambda's config is built before the first run, so a bad lambda
+    fails the grid up front.
     """
     grid = [float(x) for x in lambda_grid]
     if not grid:
         raise ValueError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
+    run_configs = [
+        dataclasses.replace(config, strategy=dataclasses.replace(config.strategy, lam=lam))
+        for lam in grid
+    ]
     tasks = build_tasks(config)
     surface = np.full((len(grid), config.num_tasks), np.nan)
     failures: list[tuple[float, str]] = []
-    for i, lam in enumerate(grid):
-        run_config = dataclasses.replace(
-            config, strategy=dataclasses.replace(config.strategy, lam=lam)
-        )
+    for i, (lam, run_config) in enumerate(zip(grid, run_configs)):
         try:
             result = run_sequence(run_config, tasks=tasks)
         except FloatingPointError as exc:  # record the gap, keep the rest of the surface

@@ -4,7 +4,8 @@ The default network is 784-300-150-10: two leaky-ReLU hidden layers and a
 softmax output. The forward pass keeps one array per layer: each hidden
 layer's leaky ReLU overwrites its affine output in place, so a batch's
 trace holds the hidden activations, the logits and the probabilities and
-no separate pre-activations.
+no separate pre-activations. One backprop walk, :func:`layer_deltas`,
+serves :func:`backward` and the Fisher estimator in :mod:`.continual`.
 
 Parameters live in one contiguous float64 vector, ``MlpParams.flat``:
 every layer's weights (out x in, row-major) in layer order, then every
@@ -129,15 +130,15 @@ def global_norm(params: MlpParams) -> float:
 class ForwardTrace:
     """Backprop cache for one minibatch.
 
-    ``activations[l]`` holds hidden layer l's post-leaky-ReLU values, the
-    only array kept for that layer: its pre-activations were overwritten
-    in place, and :func:`leaky_relu_grad` reads the slope from the
-    activation. ``logits`` holds the output layer's affine outputs and
-    ``probabilities`` their softmax.
+    ``layer_inputs[l]`` is what layer l multiplies by its weights: the
+    batch for l = 0, else hidden layer l-1's post-leaky-ReLU values. That
+    activation is the only array kept for its layer: the pre-activations
+    were overwritten in place, and :func:`leaky_relu_grad` reads the slope
+    from the activation. ``logits`` holds the output layer's affine
+    outputs and ``probabilities`` their softmax.
     """
 
-    inputs: np.ndarray
-    activations: list[np.ndarray]
+    layer_inputs: list[np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
 
@@ -194,25 +195,26 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
         raise ShapeError(
             f"batch shaped {x.shape}, expected (B, {params.weights[0].shape[1]})"
         )
-    act = []
-    a = x
+    layer_inputs = [x]
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = matmul(a, w.T, check_finite=False)
+        z = matmul(layer_inputs[l], w.T, check_finite=False)
         with np.errstate(over="ignore", invalid="ignore"):
             z += b
         if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite pre-activation in layer {l}")
         if l < last:
-            a = leaky_relu(z)
-            act.append(a)
-    return ForwardTrace(inputs=x, activations=act, logits=z, probabilities=softmax(z))
+            layer_inputs.append(leaky_relu(z))
+    return ForwardTrace(layer_inputs=layer_inputs, logits=z, probabilities=softmax(z))
 
 
-def _check_labels(labels: np.ndarray, classes: int) -> np.ndarray:
+def _check_labels(labels: np.ndarray, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as int64: one per row, each in 0..classes-1."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.shape[0] != rows:
+        raise ShapeError(f"{rows} rows vs {labels.shape[0]} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError(f"labels outside 0..{classes - 1}")
     return labels.astype(np.int64)
@@ -225,13 +227,31 @@ def cross_entropy(trace: ForwardTrace, labels: np.ndarray) -> float:
     probabilities underflow.
     """
     logits = trace.logits
-    labels = _check_labels(labels, logits.shape[1])
-    if labels.shape[0] != logits.shape[0]:
-        raise ShapeError(f"{logits.shape[0]} rows vs {labels.shape[0]} labels")
+    labels = _check_labels(labels, *logits.shape)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     per_sample = log_z - shifted[np.arange(len(labels)), labels]
     return float(per_sample.mean())
+
+
+def output_delta(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of -log p(label) by the logits: p - onehot(label)."""
+    labels = _check_labels(labels, *trace.probabilities.shape)
+    delta = trace.probabilities.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    return delta
+
+
+def layer_deltas(params: MlpParams, trace: ForwardTrace, delta: np.ndarray):
+    """Backpropagate ``delta`` from the output layer down, yielding ``(l, delta_l)``.
+
+    ``delta_l`` holds one row per sample of the gradient by layer l's
+    affine outputs; layer l's weight gradient is ``delta_l.T @ trace.layer_inputs[l]``.
+    """
+    for l in range(params.num_layers - 1, -1, -1):
+        yield l, delta
+        if l > 0:
+            delta = matmul(delta, params.weights[l]) * leaky_relu_grad(trace.layer_inputs[l])
 
 
 def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Gradients:
@@ -239,22 +259,12 @@ def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Grad
 
     Each layer's products land directly in a fresh flat gradient.
     """
-    batch = trace.inputs.shape[0]
-    labels = _check_labels(labels, trace.probabilities.shape[1])
-    if labels.shape[0] != batch:
-        raise ShapeError(f"{batch} rows vs {labels.shape[0]} labels")
-    delta = trace.probabilities.copy()
-    delta[np.arange(batch), labels] -= 1.0
-    delta /= batch
+    delta = output_delta(trace, labels)
+    delta /= delta.shape[0]
     grads = MlpParams.from_flat(np.empty(params.flat.size), params.layer_sizes)
-    for l in range(params.num_layers - 1, -1, -1):
-        below = trace.inputs if l == 0 else trace.activations[l - 1]
-        matmul(delta.T, below, out=grads.weights[l])
+    for l, delta in layer_deltas(params, trace, delta):
+        matmul(delta.T, trace.layer_inputs[l], out=grads.weights[l])
         np.sum(delta, axis=0, out=grads.biases[l])
-        if l > 0:
-            delta = matmul(delta, params.weights[l]) * leaky_relu_grad(
-                trace.activations[l - 1]
-            )
     return grads
 
 
@@ -299,7 +309,7 @@ def accuracy(params: MlpParams, images: np.ndarray, labels: np.ndarray) -> float
     images = np.asarray(images, dtype=np.float64)
     if images.shape[0] == 0:
         raise ValueError("accuracy of an empty evaluation set is undefined")
-    labels = _check_labels(labels, params.weights[-1].shape[0])
+    labels = _check_labels(labels, images.shape[0], params.weights[-1].shape[0])
     predictions = np.argmax(forward(params, images).probabilities, axis=1)
     return float(np.mean(predictions == labels))
 

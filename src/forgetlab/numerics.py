@@ -3,8 +3,9 @@
 Matrices are plain 2-D C-order ``numpy.float64`` arrays. The helpers here
 add the contract checks the rest of the package relies on: shape
 validation with informative errors, a guarantee that no NaN or
-infinity leaves an operation silently, and :func:`check_choices`, which
-checks every config field that declares its allowed values.
+infinity leaves an operation silently, and :func:`check_fields`, which
+checks every config field against its declared allowed values and every
+float setting for finiteness.
 
 Random streams wrap the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +36,15 @@ class NonFiniteError(FloatingPointError):
     """A NaN or infinity appeared where finite values are required."""
 
 
-def check_choices(config):
-    """Reject any dataclass field whose value lies outside its ``choices`` metadata."""
+def check_fields(config):
+    """Reject any dataclass field outside its ``choices`` metadata, or a non-finite float."""
     for f in dataclasses.fields(config):
         choices = f.metadata.get("choices")
         value = getattr(config, f.name)
         if choices is not None and value not in choices:
             raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:

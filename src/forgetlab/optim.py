@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import Gradients, MlpParams, check_congruent
-from .numerics import ShapeError, check_choices
+from .numerics import ShapeError, check_fields
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 DEFAULT_LEARNING_RATES = {"sgd": 0.2, "adam": 0.001}
@@ -54,7 +54,7 @@ class OptimizerConfig:
     learning_rate: Optional[float] = None
 
     def __post_init__(self):
-        check_choices(self)
+        check_fields(self)
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 

@@ -130,29 +130,19 @@ def _surface(rows: list[list[str]]) -> LambdaSurface:
 _PARSERS = {EVAL_MATRIX_HEADER: _eval_matrix, SURFACE_HEADER: _surface}
 
 
-def _read_csv(path: str, headers, complaint: str):
-    """Parse a CSV whose header is one of ``headers``; '#' and blank lines are skipped."""
+def read_report_csv(path: str):
+    """The eval matrix or lambda surface in a CSV, recognised by its header.
+
+    '#' lines and blank lines are skipped.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
         header, rows = tuple(next(reader, ())), list(reader)
-    if header not in headers:
-        raise ValueError(f"{path}: {complaint} {','.join(header)!r}")
+    if header not in _PARSERS:
+        raise ValueError(f"{path}: unrecognized CSV header {','.join(header)!r}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return _PARSERS[header](rows)
-
-
-def read_report_csv(path: str):
-    """The eval matrix or lambda surface in a CSV, recognised by its header."""
-    return _read_csv(path, _PARSERS, "unrecognized CSV header")
-
-
-def read_eval_matrix_csv(path: str) -> EvalMatrix:
-    return _read_csv(path, [EVAL_MATRIX_HEADER], "unexpected header")
-
-
-def read_surface_csv(path: str) -> LambdaSurface:
-    return _read_csv(path, [SURFACE_HEADER], "unexpected header")
 
 
 def _svg_header(width, height, title):

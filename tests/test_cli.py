@@ -45,6 +45,9 @@ def run_cli(*argv):
     return parse_and_dispatch(list(argv))
 
 
+SECTIONS = {"experiment": ExperimentConfig, "optimizer": OptimizerConfig, "strategy": StrategyConfig}
+
+
 class TestUsageErrors:
     def test_no_arguments_prints_usage(self, capsys):
         assert run_cli() == 1
@@ -147,12 +150,41 @@ class TestSettingsLayers:
         assert run_cli("run", "--config", str(path)) == 2
         assert f"{setting.name} must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "setting",
+        [s for s in SETTINGS if typing.get_type_hints(SECTIONS[s.section])[s.name]
+         in (float, typing.Optional[float])],
+        ids=lambda s: s.dest,
+    )
+    def test_non_finite_float_setting_fails(self, setting, value, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = {value}\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "desk", "--config", str(path), "--out", str(out)) == 2
+        assert f"{setting.name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--architecture", "12,10,11", "architecture"),
+            ("--synthetic-samples-per-class", "1", "synthetic_samples_per_class"),
+            ("--synthetic-spread", "0", "synthetic_spread"),
+        ],
+    )
+    def test_bad_synthetic_setting_fails_before_running(
+        self, flag, value, name, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "desk", flag, value, "--out", str(out)) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 def resolve(argv):
     return build_config(build_parser().parse_args(argv))
 
-
-SECTIONS = {"experiment": ExperimentConfig, "optimizer": OptimizerConfig, "strategy": StrategyConfig}
 
 # The documented spellings that differ from the field name: (INI key, flag).
 LEGACY_SPELLINGS = {

@@ -14,7 +14,6 @@ from forgetlab.data import (
     IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
-    SyntheticSpec,
     TaskDataset,
     batches,
     fetch_idx_files,
@@ -22,6 +21,7 @@ from forgetlab.data import (
     make_permuted_tasks,
     synth_dataset,
 )
+from forgetlab.harness import ExperimentConfig
 from forgetlab.model import init_params
 from forgetlab.numerics import RandomStream, ShapeError
 from helpers import traced_peak
@@ -217,42 +217,37 @@ class TestTaskDataset:
 
 class TestSynthetic:
     def test_deterministic_in_seed(self):
-        a = synth_dataset(SyntheticSpec(classes=3, dims=5, samples_per_class=10, seed=4))
-        b = synth_dataset(SyntheticSpec(classes=3, dims=5, samples_per_class=10, seed=4))
-        assert np.array_equal(a.train_images, b.train_images)
-        assert np.array_equal(a.test_labels, b.test_labels)
+        a = synth_dataset(3, 5, 10, 0.25, seed=4)
+        b = synth_dataset(3, 5, 10, 0.25, seed=4)
+        for x, y in zip(a[0] + a[1], b[0] + b[1]):
+            assert np.array_equal(x, y)
 
     def test_split_sizes_and_balance(self):
-        ds = synth_dataset(SyntheticSpec(classes=4, dims=3, samples_per_class=10, seed=1))
-        assert ds.train_images.shape == (32, 3)
-        assert ds.test_images.shape == (8, 3)
-        counts = np.bincount(ds.train_labels, minlength=4)
+        (train_images, train_labels), (test_images, _) = synth_dataset(4, 3, 10, 0.25, seed=1)
+        assert train_images.shape == (32, 3)
+        assert test_images.shape == (8, 3)
+        counts = np.bincount(train_labels, minlength=4)
         assert np.array_equal(counts, [8, 8, 8, 8])
 
     def test_pixels_clipped_to_unit_interval(self):
-        ds = synth_dataset(
-            SyntheticSpec(classes=2, dims=4, samples_per_class=50, cluster_spread=3.0, seed=2)
-        )
-        assert ds.train_images.min() >= 0.0
-        assert ds.train_images.max() <= 1.0
+        (train_images, _), _ = synth_dataset(2, 4, 50, 3.0, seed=2)
+        assert train_images.min() >= 0.0
+        assert train_images.max() <= 1.0
 
     def test_peak_memory_below_two_copies(self):
         # Classes are written into preallocated splits. Collecting them
         # and concatenating holds about 2.1x the output at the peak.
-        spec = SyntheticSpec(classes=10, dims=784, samples_per_class=100, seed=5)
-        peak, ds = traced_peak(synth_dataset, spec)
-        arrays = (ds.train_images, ds.train_labels, ds.test_images, ds.test_labels)
-        assert peak < 1.75 * sum(a.nbytes for a in arrays)
+        peak, (train, test) = traced_peak(synth_dataset, 10, 784, 100, 0.25, 5)
+        assert peak < 1.75 * sum(a.nbytes for a in train + test)
 
     def test_zero_spread_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(cluster_spread=0.0)
+        # the synthetic source's settings are checked with the config
+        with pytest.raises(ValueError, match="synthetic_spread must be > 0"):
+            ExperimentConfig(synthetic_spread=0.0)
 
     def test_classes_separable_at_small_spread(self):
-        ds = synth_dataset(
-            SyntheticSpec(classes=2, dims=8, samples_per_class=20, cluster_spread=0.01, seed=3)
-        )
-        means = [ds.train_images[ds.train_labels == c].mean(axis=0) for c in (0, 1)]
+        (train_images, train_labels), _ = synth_dataset(2, 8, 20, 0.01, seed=3)
+        means = [train_images[train_labels == c].mean(axis=0) for c in (0, 1)]
         assert np.linalg.norm(means[0] - means[1]) > 0.1
 
 

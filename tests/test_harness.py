@@ -80,6 +80,9 @@ class TestConfigs:
             tiny_config(num_tasks=0)
         with pytest.raises(ValueError):
             ExperimentConfig(source="mnist", architecture=(100, 10, 10))
+        # synthetic labels are 0..9
+        with pytest.raises(ValueError, match="architecture"):
+            tiny_config(architecture=(12, 10, 11))
 
     def test_presets(self):
         desk = desk_preset()
@@ -398,6 +401,15 @@ class TestGridSearch:
             grid_search(config, [])
         with pytest.raises(ValueError):
             grid_search(config, [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_lambda_fails_before_any_run(self, bad, monkeypatch):
+        # NaN passes the increasing-order check; each lambda's config rejects it
+        runs = []
+        monkeypatch.setattr(harness, "run_sequence", lambda config, tasks=None: runs.append(config))
+        with pytest.raises(ValueError, match="lam must be finite"):
+            grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [1.0, bad])
+        assert runs == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_leaves_gap(self):

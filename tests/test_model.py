@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from forgetlab.data import SyntheticSpec, synth_dataset
+from forgetlab.data import synth_dataset
 from forgetlab.model import (
     DEFAULT_LAYER_SIZES,
     MlpParams,
@@ -143,7 +143,7 @@ class TestForward:
         params = init_params(stream.child(0), DEFAULT_LAYER_SIZES)
         batch = stream.child(1).uniform(0.0, 1.0, (2000, 784))
         peak, trace = traced_peak(forward, params, batch)
-        kept = trace.activations + [trace.logits, trace.probabilities]
+        kept = trace.layer_inputs[1:] + [trace.logits, trace.probabilities]
         assert peak < 1.5 * sum(a.nbytes for a in kept)
 
 
@@ -239,11 +239,11 @@ class TestBackward:
 
 class TestAccuracy:
     def test_zero_params_on_balanced_fixture(self):
-        ds = synth_dataset(SyntheticSpec(classes=10, dims=6, samples_per_class=20, seed=21))
+        _, (test_images, test_labels) = synth_dataset(10, 6, 20, 0.25, seed=21)
         params = zero_net((6, 4, 10))
         # Uniform output ties every row; argmax picks class 0, which holds
         # exactly a tenth of the balanced test split.
-        assert accuracy(params, ds.test_images, ds.test_labels) == 0.1
+        assert accuracy(params, test_images, test_labels) == 0.1
 
     def test_memorized_toy_set(self):
         params = zero_net((2, 2))
@@ -265,15 +265,13 @@ class TestAccuracy:
 
 class TestTraining:
     def test_sgd_steps_decrease_epoch_loss_on_separable_task(self):
-        ds = synth_dataset(
-            SyntheticSpec(classes=3, dims=8, samples_per_class=30, cluster_spread=0.05, seed=22)
-        )
+        (images, labels), _ = synth_dataset(3, 8, 30, 0.05, seed=22)
         params = init_params(RandomStream(23), (8, 6, 3))
         losses = []
         for _ in range(100):
-            trace = forward(params, ds.train_images)
-            losses.append(cross_entropy(trace, ds.train_labels))
-            grads = backward(params, trace, ds.train_labels)
+            trace = forward(params, images)
+            losses.append(cross_entropy(trace, labels))
+            grads = backward(params, trace, labels)
             params = MlpParams.from_flat(params.flat - 0.2 * grads.flat, params.layer_sizes)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 

@@ -20,8 +20,7 @@ from forgetlab.reports import (
     emit_surface_csv,
     git_version,
     manifest_lines,
-    read_eval_matrix_csv,
-    read_surface_csv,
+    read_report_csv,
     render_accuracy_curves,
     render_surface_heatmap,
 )
@@ -60,7 +59,8 @@ def test_matrix_csv_has_three_data_rows_for_two_tasks(tmp_path):
 def test_matrix_csv_round_trips_exactly(tmp_path):
     matrix = small_matrix()
     path = emit_eval_matrix_csv(matrix, str(tmp_path / "m.csv"))
-    back = read_eval_matrix_csv(path)
+    back = read_report_csv(path)
+    assert isinstance(back, EvalMatrix)
     # repr-formatted floats parse back to the identical doubles, and the
     # unevaluated upper triangle comes back as NaN.
     assert np.array_equal(back.accuracies, matrix.accuracies, equal_nan=True)
@@ -79,21 +79,22 @@ def test_matrix_csv_manifest_mentions_seed_and_version(tmp_path):
 def test_matrix_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="unexpected header"):
-        read_eval_matrix_csv(str(path))
+    with pytest.raises(ValueError, match="unrecognized CSV header 'a,b'"):
+        read_report_csv(str(path))
 
 
 def test_matrix_csv_rejects_empty_body(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("after_task,eval_task,accuracy,n_samples\n")
     with pytest.raises(ValueError, match="no data rows"):
-        read_eval_matrix_csv(str(path))
+        read_report_csv(str(path))
 
 
 def test_surface_csv_round_trips_with_nan_gaps(tmp_path):
     surface = small_surface()
     path = emit_surface_csv(surface, str(tmp_path / "s.csv"))
-    back = read_surface_csv(path)
+    back = read_report_csv(path)
+    assert isinstance(back, LambdaSurface)
     assert np.array_equal(back.lambdas, surface.lambdas)
     assert np.array_equal(back.tasks_learned, surface.tasks_learned)
     assert np.array_equal(back.avg_accuracy, surface.avg_accuracy, equal_nan=True)
