@@ -24,7 +24,8 @@ rejects a non-finite float setting). ``grid``
 also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
 --help`` lists every flag with its INI key and built-in default (a
 preset may change it). ``report`` re-renders each CSV as the SVG its
-header calls for.
+header calls for; it reads every CSV before writing any SVG, and refuses
+two inputs that would write the same SVG.
 """
 
 from __future__ import annotations
@@ -281,14 +282,16 @@ def cmd_grid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    written = []
+    charts = {}
     for path in args.csv:
         out_dir = args.out_dir or (os.path.dirname(path) or ".")
-        os.makedirs(out_dir, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(path))[0]
-        written.append(render_svg(read_report_csv(path), os.path.join(out_dir, stem + ".svg")))
-    for path in written:
-        print(f"wrote {path}")
+        svg = os.path.join(out_dir, os.path.splitext(os.path.basename(path))[0] + ".svg")
+        if (key := os.path.realpath(svg)) in charts:
+            raise ValueError(f"{charts[key][0]} and {path} would both write {svg}")
+        charts[key] = (path, svg, read_report_csv(path))
+    for _, svg, result in charts.values():
+        os.makedirs(os.path.dirname(svg), exist_ok=True)
+        print(f"wrote {render_svg(result, svg)}")
     return 0
 
 

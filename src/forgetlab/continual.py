@@ -83,9 +83,10 @@ def estimate_fisher(
         yb = y[start : start + chunk_size]
         trace = forward(params, xb)
         for l, delta in layer_deltas(params, trace, output_delta(trace, yb)):
+            squared = delta**2
             sum_w, sum_b = sums.weights[l], sums.biases[l]
-            sum_w += matmul((delta**2).T, trace.layer_inputs[l] ** 2)
-            sum_b += (delta**2).sum(axis=0)
+            sum_w += matmul(squared.T, trace.layer_inputs[l] ** 2)
+            sum_b += squared.sum(axis=0)
     sums.flat /= n
     return sums
 

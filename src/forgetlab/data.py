@@ -20,6 +20,7 @@ import os
 import struct
 import urllib.request
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,7 @@ GATHER_BLOCK_ROWS = 256
 PERMUTATION_STREAM_ID = 1
 SYNTH_STREAM_ID = 2
 
+# Train pair, then test pair, each images first: load_mnist relies on the order.
 MNIST_FILE_NAMES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -59,11 +61,6 @@ class IdxTruncatedError(IdxFormatError):
 
 class IdxCountMismatchError(IdxFormatError):
     """Image and label files disagree on the number of items."""
-
-
-def _read_idx(path: str, expected_magic: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return _parse_idx(fh.read(), expected_magic, path)
 
 
 def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
@@ -94,79 +91,67 @@ def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load an IDX image/label pair.
-
-    Returns ``(images, labels)`` with images flattened to rows and scaled
-    by 1/255 into [0, 1], and labels as int64. Image and label counts must
-    agree.
-    """
-    images = _read_idx(images_path, IMAGE_MAGIC)
-    labels = _read_idx(labels_path, LABEL_MAGIC)
+def _parse_pair(images_raw: bytes, labels_raw: bytes, origins) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an image/label IDX pair: both magics, then equal counts; errors name ``origins``."""
+    images = _parse_idx(images_raw, IMAGE_MAGIC, origins[0])
+    labels = _parse_idx(labels_raw, LABEL_MAGIC, origins[1])
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
+            f"{origins[0]} has {images.shape[0]} images, {origins[1]} has {labels.shape[0]} labels"
         )
+    return images, labels
+
+
+def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Load an IDX image/label pair, checked as :func:`_parse_pair` checks it.
+
+    Returns ``(images, labels)`` with images flattened to rows and scaled
+    by 1/255 into [0, 1], and labels as int64.
+    """
+    raw = [Path(path).read_bytes() for path in (images_path, labels_path)]
+    images, labels = _parse_pair(*raw, (images_path, labels_path))
     flat = images.reshape(images.shape[0], -1).astype(np.float64)
     flat /= 255.0  # in place: one float64 copy at the peak, not two
     return flat, labels.astype(np.int64)
 
 
 def load_mnist(data_dir: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Load the four canonical MNIST IDX files from ``data_dir``."""
-    train = load_idx(
-        os.path.join(data_dir, MNIST_FILE_NAMES["train_images"]),
-        os.path.join(data_dir, MNIST_FILE_NAMES["train_labels"]),
-    )
-    test = load_idx(
-        os.path.join(data_dir, MNIST_FILE_NAMES["test_images"]),
-        os.path.join(data_dir, MNIST_FILE_NAMES["test_labels"]),
-    )
-    return train, test
+    """Load the four canonical MNIST IDX files from ``data_dir``: ``(train, test)``."""
+    paths = [os.path.join(data_dir, name) for name in MNIST_FILE_NAMES.values()]
+    return load_idx(*paths[:2]), load_idx(*paths[2:])
 
 
 def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
     """Download the four IDX files from ``base_url`` into ``data_dir``.
 
-    Tries ``<base_url>/<name>.gz`` first, then the raw name. Each payload
-    is validated against its own header (magic, dimension counts, exact
-    byte length) and image/label counts are cross-checked per split, all
-    before any file is written, so a bad download leaves ``data_dir``
+    Tries ``<base_url>/<name>.gz`` first, then the raw name. Each split's
+    image/label pair is checked by :func:`_parse_pair` (magic, dimension
+    counts, exact byte length, matching counts; errors name the URLs),
+    all before any file is written, so a bad download leaves ``data_dir``
     untouched.
     """
-    payloads = {}
-    blobs = {}
+    fetched = {}  # key -> (payload, URL it came from)
     for key, name in MNIST_FILE_NAMES.items():
-        data = None
         errors = []
         for candidate, compressed in ((f"{name}.gz", True), (name, False)):
             url = base_url.rstrip("/") + "/" + candidate
             try:
                 with urllib.request.urlopen(url) as resp:
                     data = resp.read()
-                if compressed:
-                    data = gzip.decompress(data)
+                fetched[key] = (gzip.decompress(data) if compressed else data, url)
                 break
             except OSError as exc:  # urllib wraps HTTP and file errors in OSError
                 errors.append(f"{url}: {exc}")
-                data = None
-        if data is None:
+        else:
             raise IOError("could not fetch IDX file:\n  " + "\n  ".join(errors))
-        expected_magic = IMAGE_MAGIC if "images" in key else LABEL_MAGIC
-        blobs[key] = _parse_idx(data, expected_magic, url)
-        payloads[name] = data
     for split in ("train", "test"):
-        n_img = blobs[f"{split}_images"].shape[0]
-        n_lab = blobs[f"{split}_labels"].shape[0]
-        if n_img != n_lab:
-            raise IdxCountMismatchError(f"{split}: {n_img} images vs {n_lab} labels")
+        images, labels = fetched[f"{split}_images"], fetched[f"{split}_labels"]
+        _parse_pair(images[0], labels[0], (images[1], labels[1]))
     os.makedirs(data_dir, exist_ok=True)
-    written = []
-    for name, data in payloads.items():
-        path = os.path.join(data_dir, name)
+    written = [os.path.join(data_dir, name) for name in MNIST_FILE_NAMES.values()]
+    for path, (data, _) in zip(written, fetched.values()):
         with atomic_write(path, "wb") as fh:
             fh.write(data)
-        written.append(path)
     return written
 
 

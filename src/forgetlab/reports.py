@@ -1,11 +1,12 @@
 """CSV and SVG artifacts for runs and lambda surfaces.
 
-CSV files open with '#'-prefixed manifest lines (git version, numeric
-environment, config echo including the seed) followed by a header row
-and data rows. Floats are written with ``repr`` so parsing them back is
-exact and repeated runs produce byte-identical files. The SVG charts are
-static hand-written XML: line charts of per-task accuracy over the
-sequence, and a heatmap of the lambda surface.
+CSV files open with '#'-prefixed manifest lines (forgetlab's git version,
+numeric environment, config echo including the seed) followed by a header
+row and data rows. Floats are written with ``repr`` so parsing them back is
+exact and repeated runs produce byte-identical files; a CSV is read back only
+if encoding what was parsed gives its data rows again. The SVG charts are
+static hand-written XML, each written by one envelope and text template:
+line charts of per-task accuracy over the sequence, and a lambda heatmap.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import math
 import os
 import subprocess
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -29,14 +31,17 @@ CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def git_version() -> str:
-    """Best-effort `git describe` of the working tree; "unknown" off-repo."""
+    """`git describe` of the checkout holding this package, whatever the working directory.
+
+    "unknown" if that directory has no ``.git`` (an installed copy, even one
+    inside some other repository) or git cannot be run.
+    """
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return "unknown"
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                             capture_output=True, text=True, timeout=10)
     except OSError:
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
@@ -79,16 +84,27 @@ def _write_csv(path, config, header, rows, comments=()) -> str:
     return path
 
 
-def emit_eval_matrix_csv(
-    matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
-) -> str:
-    """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
-    rows = (
+def _matrix_rows(matrix: EvalMatrix):
+    return (
         [t, j, repr(float(matrix.accuracies[t, j])), int(matrix.n_samples[t, j])]
         for t in range(matrix.num_tasks)
         for j in range(t + 1)
     )
-    return _write_csv(path, config, EVAL_MATRIX_HEADER, rows)
+
+
+def _surface_rows(surface: LambdaSurface):
+    return (
+        [repr(float(lam)), int(t), repr(float(surface.avg_accuracy[i, k]))]
+        for i, lam in enumerate(surface.lambdas)
+        for k, t in enumerate(surface.tasks_learned)
+    )
+
+
+def emit_eval_matrix_csv(
+    matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
+) -> str:
+    """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
+    return _write_csv(path, config, EVAL_MATRIX_HEADER, _matrix_rows(matrix))
 
 
 def emit_surface_csv(
@@ -99,17 +115,14 @@ def emit_surface_csv(
     Failed cells keep their place with accuracy `nan`; the failure
     messages ride along as trailing comment lines.
     """
-    rows = (
-        [repr(float(lam)), int(t), repr(float(surface.avg_accuracy[i, k]))]
-        for i, lam in enumerate(surface.lambdas)
-        for k, t in enumerate(surface.tasks_learned)
-    )
     comments = (f"failed lambda={lam!r}: {message}" for lam, message in surface.failures)
-    return _write_csv(path, config, SURFACE_HEADER, rows, comments)
+    return _write_csv(path, config, SURFACE_HEADER, _surface_rows(surface), comments)
 
 
 def _eval_matrix(rows: list[list[str]]) -> EvalMatrix:
     size = max(int(row[0]) for row in rows) + 1
+    if size * (size + 1) // 2 != len(rows):
+        raise ValueError(f"{len(rows)} rows cannot fill the lower triangle of {size} tasks")
     acc = np.full((size, size), np.nan)
     counts = np.zeros((size, size), dtype=np.int64)
     for after, evalt, value, n in rows:
@@ -121,38 +134,67 @@ def _eval_matrix(rows: list[list[str]]) -> EvalMatrix:
 def _surface(rows: list[list[str]]) -> LambdaSurface:
     lambdas = sorted({float(row[0]) for row in rows})
     tasks = sorted({int(row[1]) for row in rows})
+    if len(lambdas) * len(tasks) != len(rows):
+        raise ValueError(f"{len(rows)} rows cannot fill a {len(lambdas)} x {len(tasks)} grid")
     avg = np.full((len(lambdas), len(tasks)), np.nan)
     for lam, t, value in rows:
         avg[lambdas.index(float(lam)), tasks.index(int(t))] = float(value)
     return LambdaSurface(np.asarray(lambdas), np.asarray(tasks), avg)
 
 
-_PARSERS = {EVAL_MATRIX_HEADER: _eval_matrix, SURFACE_HEADER: _surface}
+# Each CSV format: its header, its parser, and the row encoder its writer uses.
+_FORMATS = {
+    EVAL_MATRIX_HEADER: (_eval_matrix, _matrix_rows),
+    SURFACE_HEADER: (_surface, _surface_rows),
+}
 
 
 def read_report_csv(path: str):
     """The eval matrix or lambda surface in a CSV, recognised by its header.
 
-    '#' lines and blank lines are skipped.
+    '#' lines and blank lines are skipped. Only rows as forgetlab writes
+    them are read: the result is encoded again, and the first data row
+    that differs (a negative, duplicate or upper-triangle cell, a float not
+    in ``repr`` form) raises ``ValueError``. Every error names the path.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
         header, rows = tuple(next(reader, ())), list(reader)
-    if header not in _PARSERS:
+    if header not in _FORMATS:
         raise ValueError(f"{path}: unrecognized CSV header {','.join(header)!r}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return _PARSERS[header](rows)
+    parse, encode = _FORMATS[header]
+    try:
+        result = parse(rows)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for number, (row, written) in enumerate(zip(rows, encode(result)), start=1):
+        if row != [str(value) for value in written]:
+            shown = ",".join(row)
+            raise ValueError(f"{path}: data row {number} {shown!r} is not as forgetlab writes it")
+    return result
 
 
-def _svg_header(width, height, title):
-    return [
+def _text(x, y, body, size, anchor=None) -> str:
+    """One sans-serif ``<text>`` element, attributes in the order every chart uses."""
+    attr = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{attr} font-size="{size}" font-family="sans-serif">{body}</text>'
+
+
+def _svg(width, height, title, body, path) -> str:
+    """Write one chart: open tag, white background, title, ``body`` elements, close tag."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
+        _text(width / 2, 20, title, 14, "middle"),
+        *body,
+        "</svg>",
     ]
+    with atomic_write(path, newline="") as fh:
+        fh.write("\n".join(parts) + "\n")
+    return path
 
 
 def render_accuracy_curves(matrix: EvalMatrix, path: str) -> str:
@@ -169,33 +211,17 @@ def render_accuracy_curves(matrix: EvalMatrix, path: str) -> str:
     def sy(acc):
         return top + (1.0 - acc) * plot_h
 
-    parts = _svg_header(width, height, "Accuracy per task across the sequence")
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
-    )
-    parts.append(
+    parts = [
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
-        f'y2="{top + plot_h}" stroke="black"/>'
-    )
+        f'y2="{top + plot_h}" stroke="black"/>',
+    ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = sy(tick)
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{tick:g}</text>'
-        )
-        parts.append(
-            f'<line x1="{left - 4}" y1="{y}" x2="{left}" y2="{y}" stroke="black"/>'
-        )
-    for t in range(t_count):
-        x = sx(t)
-        parts.append(
-            f'<text x="{x}" y="{top + plot_h + 16}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{t}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2}" y="{height - 8}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">tasks trained</text>'
-    )
+        parts.append(_text(left - 8, y + 4, f"{tick:g}", 11, "end"))
+        parts.append(f'<line x1="{left - 4}" y1="{y}" x2="{left}" y2="{y}" stroke="black"/>')
+    parts.extend(_text(sx(t), top + plot_h + 16, t, 11, "middle") for t in range(t_count))
+    parts.append(_text(left + plot_w / 2, height - 8, "tasks trained", 12, "middle"))
     for j in range(t_count):
         color = CURVE_COLORS[j % len(CURVE_COLORS)]
         points = " ".join(
@@ -203,21 +229,13 @@ def render_accuracy_curves(matrix: EvalMatrix, path: str) -> str:
             for t in range(j, t_count)
             if not math.isnan(matrix.accuracies[t, j])
         )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
         ly = top + 14 * j
-        parts.append(
-            f'<rect x="{left + plot_w + 12}" y="{ly}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{left + plot_w + 27}" y="{ly + 9}" font-size="11" '
-            f'font-family="sans-serif">task {j}</text>'
-        )
-    parts.append("</svg>")
-    with atomic_write(path, newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+        parts += [
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>',
+            f'<rect x="{left + plot_w + 12}" y="{ly}" width="10" height="10" fill="{color}"/>',
+            _text(left + plot_w + 27, ly + 9, f"task {j}", 11),
+        ]
+    return _svg(width, height, "Accuracy per task across the sequence", parts, path)
 
 
 def _heat_color(value, lo, hi):
@@ -241,52 +259,31 @@ def render_surface_heatmap(surface: LambdaSurface, path: str) -> str:
     finite = surface.avg_accuracy[np.isfinite(surface.avg_accuracy)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
-    parts = _svg_header(width, height, "Average accuracy over the lambda grid")
-    for i in range(n_lam):
-        for k in range(n_tasks):
-            x, y = left + k * cell, top + i * cell
-            color = _heat_color(float(surface.avg_accuracy[i, k]), lo, hi)
-            parts.append(
-                f'<rect class="cell" x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{color}" stroke="white"/>'
-            )
-    for i, lam in enumerate(surface.lambdas):
-        parts.append(
-            f'<text x="{left - 6}" y="{top + i * cell + cell / 2 + 4}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{float(lam):g}</text>'
-        )
-    for k, t in enumerate(surface.tasks_learned):
-        parts.append(
-            f'<text x="{left + k * cell + cell / 2}" y="{top - 6}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{int(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{left - 70}" y="{top + n_lam * cell / 2}" font-size="12" '
-        f'font-family="sans-serif">lambda</text>'
+    parts = [
+        f'<rect class="cell" x="{left + k * cell}" y="{top + i * cell}" width="{cell}" '
+        f'height="{cell}" fill="{_heat_color(float(value), lo, hi)}" stroke="white"/>'
+        for i, row in enumerate(surface.avg_accuracy)
+        for k, value in enumerate(row)
+    ]
+    parts.extend(
+        _text(left - 6, top + i * cell + cell / 2 + 4, f"{float(lam):g}", 11, "end")
+        for i, lam in enumerate(surface.lambdas)
     )
-    parts.append(
-        f'<text x="{left + n_tasks * cell / 2}" y="{top - 28}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">tasks learned</text>'
+    parts.extend(
+        _text(left + k * cell + cell / 2, top - 6, int(t), 11, "middle")
+        for k, t in enumerate(surface.tasks_learned)
     )
+    parts.append(_text(left - 70, top + n_lam * cell / 2, "lambda", 12))
+    parts.append(_text(left + n_tasks * cell / 2, top - 28, "tasks learned", 12, "middle"))
     legend_x = left + n_tasks * cell + 20
-    for step in range(11):
-        value = lo + (hi - lo) * step / 10
-        parts.append(
-            f'<rect x="{legend_x}" y="{top + (10 - step) * 12}" width="14" height="12" '
-            f'fill="{_heat_color(value, lo, hi)}"/>'
-        )
-    parts.append(
-        f'<text x="{legend_x + 18}" y="{top + 130}" font-size="10" '
-        f'font-family="sans-serif">{lo:.3f}</text>'
+    parts.extend(
+        f'<rect x="{legend_x}" y="{top + (10 - step) * 12}" width="14" height="12" '
+        f'fill="{_heat_color(lo + (hi - lo) * step / 10, lo, hi)}"/>'
+        for step in range(11)
     )
-    parts.append(
-        f'<text x="{legend_x + 18}" y="{top + 10}" font-size="10" '
-        f'font-family="sans-serif">{hi:.3f}</text>'
-    )
-    parts.append("</svg>")
-    with atomic_write(path, newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    parts.append(_text(legend_x + 18, top + 130, f"{lo:.3f}", 10))
+    parts.append(_text(legend_x + 18, top + 10, f"{hi:.3f}", 10))
+    return _svg(width, height, "Average accuracy over the lambda grid", parts, path)
 
 
 def render_svg(result, path: str) -> str:
@@ -299,18 +296,15 @@ def render_svg(result, path: str) -> str:
 
 
 def emit_reports(result, outdir: str) -> list[str]:
-    """Write the CSV plus SVG pair for a run result or a lambda surface."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write the CSV, then its chart through :func:`render_svg`; returns ``[csv, svg]``."""
     if isinstance(result, RunResult):
-        return [
-            emit_eval_matrix_csv(
-                result.matrix, os.path.join(outdir, "eval_matrix.csv"), result.config
-            ),
-            render_accuracy_curves(result.matrix, os.path.join(outdir, "accuracy_curves.svg")),
-        ]
-    if isinstance(result, LambdaSurface):
-        return [
-            emit_surface_csv(result, os.path.join(outdir, "surface.csv"), result.config),
-            render_surface_heatmap(result, os.path.join(outdir, "surface_heatmap.svg")),
-        ]
-    raise TypeError(f"cannot report on {type(result).__name__}")
+        chart, emit_csv = result.matrix, emit_eval_matrix_csv
+        names = ("eval_matrix.csv", "accuracy_curves.svg")
+    elif isinstance(result, LambdaSurface):
+        chart, emit_csv = result, emit_surface_csv
+        names = ("surface.csv", "surface_heatmap.svg")
+    else:
+        raise TypeError(f"cannot report on {type(result).__name__}")
+    os.makedirs(outdir, exist_ok=True)
+    csv_path, svg_path = (os.path.join(outdir, name) for name in names)
+    return [emit_csv(chart, csv_path, result.config), render_svg(chart, svg_path)]

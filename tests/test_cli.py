@@ -391,6 +391,9 @@ class TestRunAndGrid:
         assert "safe" in capsys.readouterr().err.lower()
 
 
+MATRIX_HEADER = "after_task,eval_task,accuracy,n_samples"
+
+
 class TestReportCommand:
     def test_rerenders_both_csv_kinds(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -421,6 +424,48 @@ class TestReportCommand:
         path.write_text("x,y\n1,2\n")
         assert run_cli("report", str(path)) == 2
         assert "unrecognized CSV header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # a negative eval task, then a duplicate cell; (1, 0) never written
+            ["0,0,0.9,10", "1,-1,0.5,10", "1,1,0.7,10", "1,1,0.2,10"],
+            # an upper-triangle cell in place of (0, 0)
+            ["0,1,0.9,10", "1,0,0.5,10", "1,1,0.7,10"],
+            # a short row
+            ["0,0,0.9"],
+            # a float not written as repr writes it
+            ["0,0,0.90,10"],
+        ],
+        ids=["negative-and-duplicate", "upper-triangle", "short-row", "float-spelling"],
+    )
+    def test_malformed_matrix_rows_fail_naming_the_path(self, tmp_path, capsys, rows):
+        path = tmp_path / "eval_matrix.csv"
+        path.write_text("\n".join([MATRIX_HEADER, *rows]) + "\n")
+        assert run_cli("report", str(path), "--out", str(tmp_path / "figs")) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "figs").exists()
+
+    def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
+        inputs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            inputs.append(tmp_path / sub / "eval_matrix.csv")
+            inputs[-1].write_text(MATRIX_HEADER + "\n0,0,0.9,10\n")
+        figs = tmp_path / "figs"
+        assert run_cli("report", *map(str, inputs), "--out", str(figs)) == 2
+        err = capsys.readouterr().err
+        assert str(inputs[0]) in err and str(inputs[1]) in err
+        assert not list(figs.glob("*.svg"))
+
+    def test_a_bad_input_writes_no_svg(self, tmp_path, capsys):
+        good = tmp_path / "eval_matrix.csv"
+        good.write_text(MATRIX_HEADER + "\n0,0,0.9,10\n")
+        missing = tmp_path / "missing.csv"
+        figs = tmp_path / "figs2"
+        assert run_cli("report", str(good), str(missing), "--out", str(figs)) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not list(figs.glob("*.svg"))
 
 
 class TestFetchData:

@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 
 import numpy as np
@@ -18,6 +19,7 @@ from forgetlab.data import (
     batches,
     fetch_idx_files,
     load_idx,
+    load_mnist,
     make_permuted_tasks,
     synth_dataset,
 )
@@ -88,7 +90,9 @@ class TestLoadIdx:
         img.write_bytes(idx_bytes(IMAGE_MAGIC, [2, 2, 2], b"\x00" * 8))
         lab = tmp_path / "labels"
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [3], b"\x00\x01\x02"))
-        with pytest.raises(IdxCountMismatchError):
+        with pytest.raises(
+            IdxCountMismatchError, match=re.escape(f"{img} has 2 images, {lab} has 3 labels")
+        ):
             load_idx(str(img), str(lab))
 
 
@@ -125,6 +129,23 @@ class TestFetch:
         dest = tmp_path / "dest"
         assert len(fetch_idx_files(src.as_uri(), str(dest))) == 4
 
+    def test_fetched_files_load_as_train_then_test(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        for key, name in MNIST_FILE_NAMES.items():
+            n = 3 if key.startswith("train") else 2
+            if "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [n, 28, 28], bytes(n * 784))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [n], bytes(n))
+            (src / name).write_bytes(blob)
+        fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
+        (train_images, train_labels), (test_images, test_labels) = load_mnist(
+            str(tmp_path / "dest")
+        )
+        assert train_images.shape == (3, 784) and train_labels.shape == (3,)
+        assert test_images.shape == (2, 784) and test_labels.shape == (2,)
+
     def test_fetch_rejects_count_mismatch(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -134,7 +155,10 @@ class TestFetch:
             else:
                 blob = idx_bytes(LABEL_MAGIC, [3], bytes(3))
             (src / name).write_bytes(blob)
-        with pytest.raises(IdxCountMismatchError):
+        with pytest.raises(
+            IdxCountMismatchError,
+            match="/train-images-idx3-ubyte has 2 images, .*/train-labels-idx1-ubyte has 3 labels",
+        ):
             fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
         assert not (tmp_path / "dest").exists()
 

@@ -1,6 +1,12 @@
 """CSV round-trips and SVG well-formedness for the report writers."""
 
+import hashlib
+import os
+import re
+import shutil
+import subprocess
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +30,8 @@ from forgetlab.reports import (
     render_accuracy_curves,
     render_surface_heatmap,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_matrix():
@@ -87,6 +95,23 @@ def test_matrix_csv_rejects_empty_body(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("after_task,eval_task,accuracy,n_samples\n")
     with pytest.raises(ValueError, match="no data rows"):
+        read_report_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["1.0,1,0.5", "1.0,1,0.6"],  # a duplicate cell
+        ["1.0,1,0.5", "1.0,2,0.5", "10.0,1,0.5"],  # a missing cell
+        ["10.0,1,0.5", "1.0,1,0.5"],  # lambdas out of the writer's order
+        ["1.0,x,0.5"],  # not a number
+    ],
+    ids=["duplicate", "missing", "order", "not-a-number"],
+)
+def test_surface_csv_rejects_rows_the_writer_never_emits(tmp_path, rows):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["lambda,tasks_learned,avg_accuracy", *rows]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_report_csv(str(path))
 
 
@@ -204,6 +229,28 @@ def test_git_version_returns_some_string():
     assert version
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_git_version_names_the_package_checkout_not_the_working_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(REPO_ROOT)
+    ours = git_version()
+    other = tmp_path / "other"
+    other.mkdir()
+    subprocess.run(["git", "init", "-q"], cwd=other, check=True)
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t", "-c", "commit.gpgsign=false"]
+        + ["commit", "-q", "--allow-empty", "-m", "x"],
+        cwd=other,
+        check=True,
+    )
+    theirs = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=other, capture_output=True, text=True
+    ).stdout.strip()
+    monkeypatch.chdir(other)
+    assert git_version() == ours != theirs
+
+
 def test_manifest_flattens_nested_config():
     config = desk_preset(seed=5)
     lines = manifest_lines(config)
@@ -216,3 +263,51 @@ def test_manifest_records_the_numeric_environment():
     lines = manifest_lines(None)
     for key, value in numeric_environment().items():
         assert f"# numeric.{key} = {value!r}" in lines
+
+
+def pinned_run():
+    acc = np.full((3, 3), np.nan)
+    acc[0, 0] = 0.9375
+    acc[1, :2] = [0.8125, 0.90625]
+    acc[2, :] = [0.6875, 0.78125, 0.953125]
+    n = np.where(np.isnan(acc), 0, 160).astype(np.int64)
+    config = ExperimentConfig(num_tasks=3, architecture=(6, 5, 3))
+    return RunResult(
+        matrix=EvalMatrix(accuracies=acc, n_samples=n),
+        params=init_params(RandomStream(0), (6, 5, 3)),
+        config=config,
+    )
+
+
+def pinned_surface():
+    return LambdaSurface(
+        lambdas=np.array([1.0, 10.0, 100.0]),
+        tasks_learned=np.array([1, 2, 3]),
+        avg_accuracy=np.array(
+            [[0.9, 0.75, 0.6], [0.875, 0.8, np.nan], [0.85, 0.7, 2.0 / 3.0]]
+        ),
+        failures=[(10.0, "NonFiniteError: diverged after task 2")],
+    )
+
+
+# SHA-256 of each artifact as written before the SVG and CSV writers were
+# folded into shared templates. A CSV is hashed from its header row on, so
+# the manifest (git version, numeric environment) stays out of the digest.
+PINNED_DIGESTS = {
+    "eval_matrix.csv": "67259424bbcc96f80ba93c7538922fac00a0e60095e46fd085766b1c68859f9b",
+    "accuracy_curves.svg": "d1d0b6cefef20b117aab278bfe077dd35577047e4ddcdeb49796185262580d37",
+    "surface.csv": "51d7d3f2e62298068579a44d9d86c20a172edb6657bb602b6342442559a1158c",
+    "surface_heatmap.svg": "5e8a34c5e4f846ed03c1874e79109f02c24f163321bbf1abc2eb706fa09f60b2",
+}
+
+
+@pytest.mark.parametrize("result", [pinned_run, pinned_surface])
+def test_artifact_bytes_are_pinned(tmp_path, result):
+    for path in emit_reports(result(), str(tmp_path)):
+        raw = open(path, "rb").read()
+        if path.endswith(".csv"):
+            lines = raw.splitlines(keepends=True)
+            first = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+            raw = b"".join(lines[first:])
+        name = os.path.basename(path)
+        assert hashlib.sha256(raw).hexdigest() == PINNED_DIGESTS[name], name
