@@ -360,3 +360,7 @@ def parse_and_dispatch(argv) -> int:
 
 def main(argv=None) -> int:
     return parse_and_dispatch(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -242,8 +242,6 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    if kind not in ATTENUATION_KINDS:
-        raise ValueError(f"kind must be one of {ATTENUATION_KINDS}, got {kind!r}")
     check_importance(omega)
     factors = wva_factor(omega.flat, lam, kind)
     out = MlpParams.zeros(omega.layer_sizes)
@@ -269,31 +267,22 @@ class StrategyConfig:
     """
 
     kind: str = field(default="none", metadata={"choices": STRATEGY_KINDS})
-    lam: float = 0.0
-    online_decay: float = 1.0
+    lam: float = field(default=0.0, metadata={"min": 0})
+    online_decay: float = field(default=1.0, metadata={"min": 0, "max": 1})
     attenuation: str = field(default="hyperbolic", metadata={"choices": ATTENUATION_KINDS})
     target: str = field(default="step", metadata={"choices": TARGETS})
     estimator: str = field(default="total_abs_signal", metadata={"choices": ESTIMATORS})
     safe_coefficient: bool = False
-    separate_clip_threshold: Optional[float] = None
+    separate_clip_threshold: Optional[float] = field(default=None, metadata={"above": 0})
     normalize_importance: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not 0.0 <= self.online_decay <= 1.0:
-            raise ValueError(f"online_decay must lie in [0, 1], got {self.online_decay}")
         anchored = self.kind in ("ewc", "ewc_multi_anchor")
         if self.safe_coefficient and not anchored:
             raise ValueError("safe_coefficient modifies the anchored penalty; use kind=ewc")
-        if self.separate_clip_threshold is not None:
-            if not anchored:
-                raise ValueError("separate_clip_threshold applies to anchored penalties only")
-            if not self.separate_clip_threshold > 0:
-                raise ValueError(
-                    f"separate_clip_threshold must be > 0, got {self.separate_clip_threshold}"
-                )
+        if self.separate_clip_threshold is not None and not anchored:
+            raise ValueError("separate_clip_threshold applies to anchored penalties only")
         if self.kind == "ewc_multi_anchor" and self.online_decay != 1.0:
             raise ValueError(
                 "online_decay applies to the consolidated map; per-task anchors keep "
@@ -394,19 +383,20 @@ class Strategy:
             self.omega_total = new
         else:
             self.omega_total = accumulate(self.omega_total, new, config.online_decay)
+        mapped = new if config.kind == "ewc_multi_anchor" else self.omega_total
+        used = _effective_omega(config, mapped, self.learning_rate)
         if config.kind == "wva":
             if config.lam != 0.0:
-                used = _effective_omega(config, self.omega_total, self.learning_rate)
                 self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
             return
         if config.kind == "ewc":
-            self._weight = _effective_omega(config, self.omega_total, self.learning_rate).flat
+            self._weight = used.flat
             self.anchor = params.copy()
         elif self.anchor is None:
-            self._weight = _effective_omega(config, new, self.learning_rate).flat.copy()
+            self._weight = used.flat.copy()  # updated in place by later tasks
             self.anchor = params.copy()
         else:
-            w = _effective_omega(config, new, self.learning_rate).flat
+            w = used.flat
             self._weight += w
             share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
             self.anchor.flat += share * (params.flat - self.anchor.flat)

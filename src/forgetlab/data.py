@@ -19,6 +19,7 @@ import gzip
 import os
 import struct
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,11 +125,11 @@ def load_mnist(data_dir: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.n
 def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
     """Download the four IDX files from ``base_url`` into ``data_dir``.
 
-    Tries ``<base_url>/<name>.gz`` first, then the raw name. Each split's
-    image/label pair is checked by :func:`_parse_pair` (magic, dimension
-    counts, exact byte length, matching counts; errors name the URLs),
-    all before any file is written, so a bad download leaves ``data_dir``
-    untouched.
+    Tries ``<base_url>/<name>.gz`` first, then the raw name (also after a
+    truncated or corrupt ``.gz``). Each split's image/label pair is checked
+    by :func:`_parse_pair` (magic, dimension counts, exact byte length,
+    matching counts; errors name the URLs), all before any file is
+    written, so a bad download leaves ``data_dir`` untouched.
     """
     fetched = {}  # key -> (payload, URL it came from)
     for key, name in MNIST_FILE_NAMES.items():
@@ -140,7 +141,7 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
                     data = resp.read()
                 fetched[key] = (gzip.decompress(data) if compressed else data, url)
                 break
-            except OSError as exc:  # urllib wraps HTTP and file errors in OSError
+            except (OSError, EOFError, zlib.error) as exc:  # HTTP/file, cut or corrupt .gz
                 errors.append(f"{url}: {exc}")
         else:
             raise IOError("could not fetch IDX file:\n  " + "\n  ".join(errors))

@@ -62,55 +62,41 @@ class ExperimentConfig:
     lab's settings: the command line derives its INI keys and flags from
     them (see :mod:`forgetlab.cli`). ``architecture`` runs from the input
     width to the class count; the synthetic source makes
-    ``architecture[-1]`` classes. Every setting, the synthetic source's
-    included, is checked here, when the config is built, and every float
-    setting must be finite.
+    ``architecture[-1]`` classes. Every setting is checked when the config
+    is built: each field's choices and bounds are declared in its metadata
+    and checked by :func:`~forgetlab.numerics.check_fields` (with float
+    finiteness); ``__post_init__`` adds the ``architecture`` rules.
     """
 
     source: str = field(default="synthetic", metadata={"choices": SOURCES})
-    num_tasks: int = 10
-    epochs_per_task: int = 4
-    batch_size: int = 100
-    seed: int = 42
+    num_tasks: int = field(default=10, metadata={"min": 1})
+    epochs_per_task: int = field(default=4, metadata={"min": 1})
+    batch_size: int = field(default=100, metadata={"min": 1})
+    seed: int = field(default=42, metadata={"min": 0})
     architecture: tuple[int, ...] = DEFAULT_LAYER_SIZES
-    train_subset: Optional[int] = None
-    eval_subset: Optional[int] = None
+    train_subset: Optional[int] = field(default=None, metadata={"min": 1})
+    eval_subset: Optional[int] = field(default=None, metadata={"min": 1})
     permute_first_task: bool = False
     carry_optimizer_state: bool = False
     save_checkpoints: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    synthetic_samples_per_class: int = 1250
-    synthetic_spread: float = 0.25
+    # the synthetic 80/20 split needs a train and a test sample of each class
+    synthetic_samples_per_class: int = field(default=1250, metadata={"min": 2})
+    synthetic_spread: float = field(default=0.25, metadata={"above": 0})
     data_dir: str = "data"
     out_dir: str = "out"
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("num_tasks", "epochs_per_task", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.architecture) < 2 or any(n < 1 for n in self.architecture):
             raise ValueError(f"bad architecture {self.architecture}")
-        for name in ("train_subset", "eval_subset"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.source == "mnist" and self.architecture[0] != 784:
             raise ValueError("mnist images have width 784")
         if self.source == "mnist" and self.architecture[-1] != 10:
             raise ValueError("mnist has 10 classes")
         if self.architecture[-1] > 10:  # labels are 0..9
             raise ValueError(f"architecture must end in <= 10 classes, got {self.architecture}")
-        # the synthetic 80/20 split needs a train and a test sample of each class
-        if self.synthetic_samples_per_class < 2:
-            raise ValueError(
-                f"synthetic_samples_per_class must be >= 2, got {self.synthetic_samples_per_class}"
-            )
-        if not self.synthetic_spread > 0:
-            raise ValueError(f"synthetic_spread must be > 0, got {self.synthetic_spread}")
 
 
 def desk_preset(**overrides) -> ExperimentConfig:

@@ -4,8 +4,8 @@ Matrices are plain 2-D C-order ``numpy.float64`` arrays. The helpers here
 add the contract checks the rest of the package relies on: shape
 validation with informative errors, a guarantee that no NaN or
 infinity leaves an operation silently, and :func:`check_fields`, which
-checks every config field against its declared allowed values and every
-float setting for finiteness.
+checks every config field against the choices and bounds its metadata
+declares, and every float setting for finiteness.
 
 Random streams wrap the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
@@ -37,7 +37,10 @@ class NonFiniteError(FloatingPointError):
 
 
 def check_fields(config):
-    """Reject any dataclass field outside its ``choices`` metadata, or a non-finite float."""
+    """Check each field's ``choices``, finiteness (floats) and bounds, in field order.
+
+    ``min`` and ``max`` (only with ``min``) are inclusive, ``above`` exclusive; None meets any.
+    """
     for f in dataclasses.fields(config):
         choices = f.metadata.get("choices")
         value = getattr(config, f.name)
@@ -45,6 +48,15 @@ def check_fields(config):
             raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if value is None:
+            continue
+        lo, hi, above = (f.metadata.get(key) for key in ("min", "max", "above"))
+        if hi is not None and not lo <= value <= hi:
+            raise ValueError(f"{f.name} must lie in [{lo}, {hi}], got {value}")
+        if lo is not None and not value >= lo:
+            raise ValueError(f"{f.name} must be >= {lo}, got {value}")
+        if above is not None and not value > above:
+            raise ValueError(f"{f.name} must be > {above}, got {value}")
 
 
 def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:

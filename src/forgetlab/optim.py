@@ -51,12 +51,10 @@ class OptimizerConfig:
     """Optimizer choice plus learning rate; the rate defaults per kind."""
 
     kind: str = field(default="adam", metadata={"choices": OPTIMIZER_KINDS})
-    learning_rate: Optional[float] = None
+    learning_rate: Optional[float] = field(default=None, metadata={"above": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
     @property
     def resolved_rate(self) -> float:

@@ -34,7 +34,7 @@ def git_version() -> str:
     """`git describe` of the checkout holding this package, whatever the working directory.
 
     "unknown" if that directory has no ``.git`` (an installed copy, even one
-    inside some other repository) or git cannot be run.
+    inside some other repository) or git cannot be run or times out.
     """
     root = Path(__file__).resolve().parents[2]
     if not (root / ".git").exists():
@@ -42,7 +42,7 @@ def git_version() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                              capture_output=True, text=True, timeout=10)
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # not found, or timed out
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 

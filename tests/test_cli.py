@@ -4,7 +4,10 @@ import dataclasses
 import gzip
 import os
 import struct
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,25 @@ def run_cli(*argv):
 
 
 SECTIONS = {"experiment": ExperimentConfig, "optimizer": OptimizerConfig, "strategy": StrategyConfig}
+
+
+def numeric_kinds(hint):
+    """The scalar types a field's hint admits: ``Optional[int]`` gives int and NoneType."""
+    return set(typing.get_args(hint)) if typing.get_origin(hint) is typing.Union else {hint}
+
+
+def bound_cases():
+    """(setting, a value just outside one declared bound, that bound if inclusive else None)."""
+    for s in SETTINGS:
+        cls = SECTIONS[s.section]
+        meta = {f.name: f.metadata for f in dataclasses.fields(cls)}[s.name]
+        step = 1 if int in numeric_kinds(typing.get_type_hints(cls)[s.name]) else 0.5
+        if "min" in meta:
+            yield s, meta["min"] - step, meta["min"]
+        if "max" in meta:
+            yield s, meta["max"] + step, meta["max"]
+        if "above" in meta:
+            yield s, meta["above"], None
 
 
 class TestUsageErrors:
@@ -180,6 +202,37 @@ class TestSettingsLayers:
         assert run_cli("run", "--preset", "desk", flag, value, "--out", str(out)) == 2
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting,outside,boundary",
+        list(bound_cases()),
+        ids=lambda v: v.dest if isinstance(v, tuple) else repr(v),
+    )
+    def test_config_value_outside_bounds_fails(
+        self, setting, outside, boundary, tmp_path, capsys
+    ):
+        # the clip threshold applies to anchored penalties only
+        companion = "kind = ewc\n" if setting.name == "separate_clip_threshold" else ""
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{setting.section}]\n{companion}{setting.key} = {outside}\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "desk", "--config", str(path), "--out", str(out)) == 2
+        assert f"{setting.name} must " in capsys.readouterr().err
+        assert not out.exists()
+        if boundary is not None:
+            path.write_text(f"[{setting.section}]\n{companion}{setting.key} = {boundary}\n")
+            config, _ = resolve(["run", "--preset", "desk", "--config", str(path)])
+            assert value_of(config, setting.section, setting.name) == boundary
+
+    def test_every_numeric_setting_declares_a_bound(self):
+        unbounded = [
+            f"{section}.{f.name}"
+            for section, cls in SECTIONS.items()
+            for f in dataclasses.fields(cls)
+            if numeric_kinds(typing.get_type_hints(cls)[f.name]) & {int, float}
+            and not {"min", "above"} & set(f.metadata)
+        ]
+        assert unbounded == []
 
 
 def resolve(argv):
@@ -508,6 +561,22 @@ class TestSelftest:
         assert "gradient-check" in out
         assert "attenuation-bounds" in out
         assert "sgd-equivalence" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,text",
+    [(["--help"], 0, "stdout", "usage"), (["dance"], 1, "stderr", "invalid choice")],
+    ids=["help", "unknown-subcommand"],
+)
+def test_python_m_runs_the_cli(argv, code, stream, text):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "forgetlab.cli", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
 
 
 def test_main_uses_provided_argv(capsys):

@@ -129,6 +129,49 @@ class TestFetch:
         dest = tmp_path / "dest"
         assert len(fetch_idx_files(src.as_uri(), str(dest))) == 4
 
+    @staticmethod
+    def bad_gz_beside_raw(src, damage, raw=True):
+        """Serve each file as a damaged ``.gz``, with its raw payload beside it if ``raw``."""
+        payloads = {}
+        for key, name in MNIST_FILE_NAMES.items():
+            if "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [3, 2, 2], bytes(range(12)))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [3], bytes([1, 2, 3]))
+            (src / f"{name}.gz").write_bytes(damage(gzip.compress(blob)))
+            if raw:
+                (src / name).write_bytes(blob)
+            payloads[name] = blob
+        return payloads
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda gz: gz[:-6],  # cut short: EOFError
+            lambda gz: gz[:10] + bytes(b ^ 0xFF for b in gz[10:-8]) + gz[-8:],  # zlib.error
+        ],
+        ids=["truncated", "corrupt"],
+    )
+    def test_bad_gz_falls_back_to_raw(self, tmp_path, damage):
+        src = tmp_path / "src"
+        src.mkdir()
+        payloads = self.bad_gz_beside_raw(src, damage)
+        dest = tmp_path / "dest"
+        assert len(fetch_idx_files(src.as_uri(), str(dest))) == 4
+        for name, blob in payloads.items():
+            assert (dest / name).read_bytes() == blob
+
+    def test_bad_gz_without_raw_names_both_urls(self, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        self.bad_gz_beside_raw(src, lambda gz: gz[:-6], raw=False)
+        first = src.as_uri() + "/" + MNIST_FILE_NAMES["train_images"]
+        with pytest.raises(IOError, match="could not fetch IDX file") as excinfo:
+            fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
+        assert f"{first}.gz: " in str(excinfo.value)
+        assert f"{first}: " in str(excinfo.value)
+        assert not (tmp_path / "dest").exists()
+
     def test_fetched_files_load_as_train_then_test(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()

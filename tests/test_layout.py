@@ -8,7 +8,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "forgetlab"
 # The public definitions with no caller in src/, each with its reason.
 # Code that only tests call belongs in the tests, or nowhere.
 NO_CALLER_IN_SRC = {
-    ("cli", "main"): "the console script named in pyproject.toml",
     ("model", "load_params"): "reads checkpoints back; resuming an interrupted run will call it",
     ("continual", "ewc_penalty"): "the tests' EWC penalty oracle, and future penalty telemetry",
 }

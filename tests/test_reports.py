@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forgetlab import reports
 from forgetlab.harness import (
     EvalMatrix,
     ExperimentConfig,
@@ -227,6 +228,22 @@ def test_git_version_returns_some_string():
     version = git_version()
     assert isinstance(version, str)
     assert version
+
+
+def test_git_version_survives_a_hung_git(tmp_path, monkeypatch):
+    # a checkout with a .git, so git_version reaches subprocess.run wherever the tests run
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(reports, "__file__", str(tmp_path / "src" / "forgetlab" / "reports.py"))
+    calls = []
+
+    def hang(cmd, **kwargs):
+        calls.append(cmd)
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(reports.subprocess, "run", hang)
+    assert git_version() == "unknown"
+    assert "# git = unknown" in manifest_lines(desk_preset())
+    assert len(calls) == 2
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
