@@ -13,7 +13,7 @@ layer's biases. ``weights[l]`` and ``biases[l]`` are views into it, so
 writing through a view writes the vector. Gradients, Adam moments,
 importance maps, attenuation factors and EWC anchors all use this one
 layout, which lets the optimizer and the strategies update whole
-parameter sets with single in-place vector operations.
+parameter sets with in-place operations on one vector.
 """
 
 from __future__ import annotations
@@ -160,11 +160,13 @@ def init_params(
 def leaky_relu(z: np.ndarray) -> np.ndarray:
     """Leaky ReLU of a finite ``z``, written over ``z``; returns ``z``.
 
-    For finite values ``z <= 0`` is exactly ``not z > 0``, so this equals
-    ``np.where(z > 0, z, LEAKY_SLOPE * z)`` bit for bit.
+    Takes the larger of ``z`` and ``LEAKY_SLOPE * z``, which equals
+    ``np.where(z > 0, z, LEAKY_SLOPE * z)`` bit for bit for every finite
+    ``z``: for z > 0 the product is smaller than z, for z < 0 it is
+    larger, and +-0, like a negative whose product underflows to -0.0,
+    maps to itself. :func:`forward` rejects a non-finite ``z`` first.
     """
-    np.multiply(z, LEAKY_SLOPE, out=z, where=z <= 0)
-    return z
+    return np.maximum(z, z * LEAKY_SLOPE, out=z)
 
 
 def leaky_relu_grad(activation: np.ndarray) -> np.ndarray:
@@ -173,8 +175,11 @@ def leaky_relu_grad(activation: np.ndarray) -> np.ndarray:
     ``activation > 0`` holds exactly where the pre-activation was
     positive: a non-positive ``z`` maps to ``LEAKY_SLOPE * z <= 0``,
     including ``-0.0`` and negatives whose product underflows to zero.
+    The sign of a finite activation is 1 there and 0, -0 or -1
+    elsewhere, so its maximum with ``LEAKY_SLOPE`` equals
+    ``np.where(activation > 0, 1.0, LEAKY_SLOPE)`` bit for bit.
     """
-    return np.where(activation > 0, 1.0, LEAKY_SLOPE)
+    return np.maximum(np.sign(activation), LEAKY_SLOPE)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -251,7 +256,8 @@ def layer_deltas(params: MlpParams, trace: ForwardTrace, delta: np.ndarray):
     for l in range(params.num_layers - 1, -1, -1):
         yield l, delta
         if l > 0:
-            delta = matmul(delta, params.weights[l]) * leaky_relu_grad(trace.layer_inputs[l])
+            delta = matmul(delta, params.weights[l])
+            delta *= leaky_relu_grad(trace.layer_inputs[l])
 
 
 def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Gradients:

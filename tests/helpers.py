@@ -1,5 +1,6 @@
-"""Shared test oracles: a scalar Adam, the explicit multi-anchor EWC sum,
-and a traced-memory probe; plus fresh optimizers of each kind.
+"""Shared test oracles: a scalar Adam, a whole-vector Adam, the explicit
+multi-anchor EWC sum, and a traced-memory probe; plus fresh optimizers of
+each kind.
 """
 
 import tracemalloc
@@ -8,7 +9,14 @@ import numpy as np
 
 from forgetlab.continual import ewc_penalty
 from forgetlab.model import MlpParams
-from forgetlab.optim import Optimizer, OptimizerConfig
+from forgetlab.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    DEFAULT_LEARNING_RATES,
+    Optimizer,
+    OptimizerConfig,
+)
 
 
 def sgd(learning_rate=None):
@@ -40,6 +48,51 @@ class ScalarAdam:
         m_hat = self.m / (1 - self.beta1**self.t)
         v_hat = self.v / (1 - self.beta2**self.t)
         return -self.lr * m_hat / (v_hat**0.5 + self.epsilon)
+
+
+class WholeVectorAdam:
+    """Adam's update as 13 passes over whole vectors, in the optimizer's order.
+
+    The reference for the optimizer's blocked update, which must match it
+    bit for bit: same operations, same order, one pass per operation.
+    """
+
+    def __init__(self, lr=DEFAULT_LEARNING_RATES["adam"]):
+        self.lr = lr
+        self.m = None
+        self.v = None
+        self.t = 0
+
+    def step(self, g):
+        if self.m is None:
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+        m, v = self.m, self.v
+        d, tmp = np.empty_like(g), np.empty_like(g)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        self.t += 1
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=tmp)
+        np.add(m, tmp, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1 - b2, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(v, tmp, out=v)
+        c1 = 1 - b1**self.t
+        c2 = 1 - b2**self.t
+        np.divide(m, c1, out=d)
+        np.multiply(d, -self.lr, out=d)
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, ADAM_EPSILON, out=tmp)
+        np.divide(d, tmp, out=d)
+        return d
+
+
+def same_bits(a, b):
+    """Whether two float64 arrays hold the same bits (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def map_flat(f, *params):

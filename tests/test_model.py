@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from forgetlab.data import synth_dataset
 from forgetlab.model import (
@@ -22,7 +25,7 @@ from forgetlab.model import (
 )
 from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError
 
-from helpers import traced_peak
+from helpers import same_bits, traced_peak
 
 
 def zero_net(layer_sizes):
@@ -166,6 +169,23 @@ class TestLeakyRelu:
         z = self.values()
         slope = leaky_relu_grad(leaky_relu(z.copy()))
         assert slope.view(np.int64).tolist() == np.where(z > 0, 1.0, 0.01).view(np.int64).tolist()
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(max_dims=2, max_side=40),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(min_value=-1e-320, max_value=1e-320)
+            | st.sampled_from(EDGES),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_both_forms_match_where_forms_on_any_finite_array(self, z):
+        # Covers +-0, subnormals and negatives whose 0.01x underflows.
+        out = z.copy()
+        assert leaky_relu(out) is out
+        assert same_bits(out, np.where(z > 0, z, 0.01 * z))
+        assert same_bits(leaky_relu_grad(out), np.where(z > 0, 1.0, 0.01))
 
 
 class TestCrossEntropy:

@@ -3,9 +3,16 @@ import pytest
 
 from forgetlab.model import MlpParams, init_params
 from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import ADAM_EPSILON, OptimizerConfig, StepHook, apply, step_parts
+from forgetlab.optim import (
+    ADAM_BLOCK,
+    ADAM_EPSILON,
+    OptimizerConfig,
+    StepHook,
+    apply,
+    step_parts,
+)
 
-from helpers import ScalarAdam, adam, map_flat, sgd
+from helpers import ScalarAdam, WholeVectorAdam, adam, map_flat, same_bits, sgd
 
 
 def scalar_net(x=0.0):
@@ -83,6 +90,27 @@ class TestAdam:
         fresh = step_parts(state, scalar_grad(1.0))[0].weights[0][0, 0]
         first = step_parts(adam(), scalar_grad(1.0))[0].weights[0][0, 0]
         assert abs(fresh - first) == 0.0
+
+    def test_blocked_update_matches_whole_vector_reference(self):
+        # Two full blocks and a ragged 17-entry tail; after reset() the
+        # optimizer must match a fresh reference again.
+        layer_sizes = (2 * ADAM_BLOCK + 16, 1)  # (n_in + 1) * n_out entries
+        size = 2 * ADAM_BLOCK + 17
+        stream = RandomStream(17)
+        state = adam()
+        for steps in (5, 3):
+            reference = WholeVectorAdam()
+            for _ in range(steps):
+                scale = 10.0 ** stream.uniform(-6.0, 3.0, size)
+                g = stream.normal(0.0, 1.0, size) * scale
+                direction, factor = step_parts(state, MlpParams.from_flat(g, layer_sizes))
+                expected = reference.step(g)
+                assert factor == 1.0
+                assert state.t == reference.t
+                assert same_bits(state.first_moment.flat, reference.m)
+                assert same_bits(state.second_moment.flat, reference.v)
+                assert same_bits(direction.flat, expected)
+            state.reset()
 
     def test_step_magnitude_bounded_on_steady_sequences(self):
         # Holds when gradient magnitudes are steady or shrinking, since
