@@ -25,6 +25,10 @@ hook needs per step is fixed when a task finishes (the factors, and
 ``lam * omega`` for the penalties), and each hook writes its output into
 a buffer it owns: the returned container is overwritten by the hook's
 next call.
+
+Each fact is checked once: the config fields check every setting (the
+helpers here trust those bounds), :meth:`Strategy.finish_task` checks the
+importance map, and :func:`~forgetlab.optim.apply` checks hook layouts.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ def check_importance(omega: ImportanceMap):
         raise ValueError("importance map contains negative entries")
 
 
+def _train_chunks(params: MlpParams, dataset: TaskDataset, chunk_size: int):
+    """Yield ``(trace, labels)`` for each chunk of the task's train split, in order."""
+    y = dataset.train_labels
+    if y.shape[0] == 0:
+        raise ValueError("cannot estimate importance from an empty dataset")
+    for start in range(0, y.shape[0], chunk_size):
+        rows = slice(start, start + chunk_size)
+        yield forward(params, dataset.train_rows(rows)), y[rows]
+
+
 def estimate_fisher(
     params: MlpParams, dataset: TaskDataset, chunk_size: int = 512
 ) -> ImportanceMap:
@@ -73,21 +87,14 @@ def estimate_fisher(
     gradient factors as delta_i * a_j, so the squared sum is the matrix
     product of delta**2 and a**2. The deltas come unscaled from ``model.layer_deltas``.
     """
-    y = dataset.train_labels
-    n = y.shape[0]
-    if n == 0:
-        raise ValueError("cannot estimate importance from an empty dataset")
     sums = MlpParams.zeros(params.layer_sizes)
-    for start in range(0, n, chunk_size):
-        xb = dataset.train_rows(slice(start, start + chunk_size))
-        yb = y[start : start + chunk_size]
-        trace = forward(params, xb)
+    for trace, yb in _train_chunks(params, dataset, chunk_size):
         for l, delta in layer_deltas(params, trace, output_delta(trace, yb)):
             squared = delta**2
             sum_w, sum_b = sums.weights[l], sums.biases[l]
             sum_w += matmul(squared.T, trace.layer_inputs[l] ** 2)
             sum_b += squared.sum(axis=0)
-    sums.flat /= n
+    sums.flat /= dataset.train_labels.shape[0]
     return sums
 
 
@@ -101,14 +108,11 @@ def estimate_total_abs_signal(
     of |a_j|. Biases contribute a constant signal, so their importance is
     |b_i|.
     """
-    n = dataset.train_labels.shape[0]
-    if n == 0:
-        raise ValueError("cannot estimate importance from an empty dataset")
     abs_sums = [np.zeros(w.shape[1]) for w in params.weights]
-    for start in range(0, n, chunk_size):
-        trace = forward(params, dataset.train_rows(slice(start, start + chunk_size)))
+    for trace, _ in _train_chunks(params, dataset, chunk_size):
         for abs_sum, below in zip(abs_sums, trace.layer_inputs):
             abs_sum += np.abs(below).sum(axis=0)
+    n = dataset.train_labels.shape[0]
     return MlpParams(
         weights=[
             np.abs(w) * (s / n)[None, :] for w, s in zip(params.weights, abs_sums)
@@ -119,8 +123,6 @@ def estimate_total_abs_signal(
 
 def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float) -> ImportanceMap:
     """Fold a new task's importances into the running map: gamma*total + new."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     check_congruent(total, new, "importance maps")
     return MlpParams.from_flat(gamma * total.flat + new.flat, total.layer_sizes)
 
@@ -156,11 +158,8 @@ def safe_coefficient(omega, alpha: float, lam: float):
     from overshooting the anchor no matter how large omega grows. Accepts
     scalars or arrays.
     """
-    if alpha < 0 or lam < 0:
-        raise ValueError("alpha and lam must be >= 0")
     arr = np.asarray(omega, dtype=np.float64)
-    out = arr / (alpha * lam * arr + 1.0)
-    return float(out) if arr.ndim == 0 else out
+    return arr / (alpha * lam * arr + 1.0)
 
 
 def _clip_to_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
@@ -178,8 +177,6 @@ def clip_separately(
     Clipping the two parts independently keeps a huge penalty gradient
     from drowning out the task gradient (and vice versa).
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
     check_congruent(task_grad, penalty_grad, "task and penalty gradients")
     summed = _clip_to_norm(task_grad.flat, threshold) + _clip_to_norm(
         penalty_grad.flat, threshold
@@ -191,16 +188,10 @@ def wva_factor(omega, lam: float, kind: str):
     """Attenuation factor in (0, 1]: hyperbolic 1/(lam*omega+1) or exp(-lam*omega)."""
     if kind not in ATTENUATION_KINDS:
         raise ValueError(f"kind must be one of {ATTENUATION_KINDS}, got {kind!r}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     arr = np.asarray(omega, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("omega must be >= 0")
     if kind == "hyperbolic":
-        out = 1.0 / (lam * arr + 1.0)
-    else:
-        out = np.exp(-lam * arr)
-    return float(out) if arr.ndim == 0 else out
+        return 1.0 / (lam * arr + 1.0)
+    return np.exp(-lam * arr)
 
 
 def attenuation_closed_forms() -> tuple[bool, str]:
@@ -242,12 +233,10 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    check_importance(omega)
     factors = wva_factor(omega.flat, lam, kind)
     out = MlpParams.zeros(omega.layer_sizes)
 
     def scale(container: Gradients, params: MlpParams) -> Gradients:
-        check_congruent(container, out, "attenuated values and importance map")
         np.multiply(container.flat, factors, out=out.flat)
         return out
 
@@ -309,27 +298,15 @@ def _effective_omega(
     return used
 
 
-def _with_task_gradient(
-    task_grad: Gradients, penalty: Gradients, threshold: Optional[float]
-) -> Gradients:
-    """task_grad + penalty (each clipped first if ``threshold`` is set).
-
-    The unclipped sum is written over ``penalty``.
-    """
-    if threshold is not None:
-        return clip_separately(task_grad, penalty, threshold)
-    check_congruent(task_grad, penalty, "task and penalty gradients")
-    np.add(task_grad.flat, penalty.flat, out=penalty.flat)
-    return penalty
-
-
 def _make_ewc_hook(
     anchor: MlpParams, lam_weight: np.ndarray, threshold: Optional[float]
 ) -> StepHook:
     """Pre-hook adding lam * weight * (theta - anchor) to the task gradient.
 
-    ``theta`` is the ``params`` argument of each call. The pull is written
-    into a buffer the hook owns, overwritten by its next call.
+    ``theta`` is the ``params`` argument of each call. With ``threshold``
+    set, the pull and the task gradient are each clipped first
+    (:func:`clip_separately`). Otherwise the sum is written into a buffer
+    the hook owns, overwritten by its next call.
     """
     out = MlpParams.zeros(anchor.layer_sizes)
 
@@ -337,7 +314,10 @@ def _make_ewc_hook(
         # lam * weight * (theta - anchor), as ewc_penalty evaluates it
         np.subtract(params.flat, anchor.flat, out=out.flat)
         np.multiply(lam_weight, out.flat, out=out.flat)
-        return _with_task_gradient(task_grad, out, threshold)
+        if threshold is not None:
+            return clip_separately(task_grad, out, threshold)
+        np.add(task_grad.flat, out.flat, out=out.flat)
+        return out
 
     return StepHook(pre_optimizer=pre)
 
@@ -352,7 +332,10 @@ class Strategy:
     step hook used until the next task ends: WVA's attenuation factors, or
     the EWC pull. ``hook`` is None before the first task ends, whenever
     ``lam`` is 0, and for kind="none". ``learning_rate`` feeds the safe
-    coefficient's alpha.
+    coefficient's alpha. The config checked every setting. ``finish_task``
+    checks the importance map (finite, non-negative) for every kind, before
+    the safe coefficient could turn a negative entry positive, and ``apply``
+    checks the layout of every hook output.
 
     Both EWC kinds pull with lam * weight * (theta - anchor) and differ
     only in how a finished task moves the anchor and the weight. ``ewc``
@@ -384,16 +367,14 @@ class Strategy:
         else:
             self.omega_total = accumulate(self.omega_total, new, config.online_decay)
         mapped = new if config.kind == "ewc_multi_anchor" else self.omega_total
+        check_importance(mapped)
         used = _effective_omega(config, mapped, self.learning_rate)
         if config.kind == "wva":
             if config.lam != 0.0:
                 self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
             return
-        if config.kind == "ewc":
-            self._weight = used.flat
-            self.anchor = params.copy()
-        elif self.anchor is None:
-            self._weight = used.flat.copy()  # updated in place by later tasks
+        if config.kind == "ewc" or self.anchor is None:
+            self._weight = used.flat.copy()  # ewc_multi_anchor adds later tasks in place
             self.anchor = params.copy()
         else:
             w = used.flat

@@ -316,6 +316,9 @@ class LambdaSurface:
     run at ``lambdas[i]``; failed runs leave NaN rows. ``tasks_learned``
     counts from 1 for readability in reports. ``config`` is the grid's
     base config (its own lambda aside), echoed in report manifests.
+    ``matrices[i]`` is the eval matrix of the run at ``lambdas[i]`` (all
+    NaN, with zero counts, for a failed run); a surface read back from
+    its CSV has none.
     """
 
     lambdas: np.ndarray
@@ -323,6 +326,7 @@ class LambdaSurface:
     avg_accuracy: np.ndarray
     failures: list[tuple[float, str]] = field(default_factory=list)
     config: Optional[ExperimentConfig] = None
+    matrices: Optional[list[EvalMatrix]] = None
 
     def argmax_lambda(self, t: int) -> float:
         """Grid lambda with the best average accuracy after task index t.
@@ -358,20 +362,26 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
         for lam in grid
     ]
     tasks = build_tasks(config)
-    surface = np.full((len(grid), config.num_tasks), np.nan)
+    t_count = config.num_tasks
+    surface = np.full((len(grid), t_count), np.nan)
     failures: list[tuple[float, str]] = []
+    matrices: list[EvalMatrix] = []
     for i, (lam, run_config) in enumerate(zip(grid, run_configs)):
         try:
-            result = run_sequence(run_config, tasks=tasks)
+            matrix = run_sequence(run_config, tasks=tasks).matrix
         except FloatingPointError as exc:  # record the gap, keep the rest of the surface
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
-            continue
-        for t in range(config.num_tasks):
-            surface[i, t] = average_accuracy(result.matrix, t)
+            matrix = EvalMatrix(
+                np.full((t_count, t_count), np.nan), np.zeros((t_count, t_count), dtype=np.int64)
+            )
+        else:
+            surface[i] = [average_accuracy(matrix, t) for t in range(t_count)]
+        matrices.append(matrix)
     return LambdaSurface(
         lambdas=np.asarray(grid),
-        tasks_learned=np.arange(1, config.num_tasks + 1),
+        tasks_learned=np.arange(1, t_count + 1),
         avg_accuracy=surface,
         failures=failures,
         config=config,
+        matrices=matrices,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forgetlab import continual
 from forgetlab.continual import (
     Strategy,
     StrategyConfig,
@@ -20,6 +22,7 @@ from forgetlab.continual import (
     wva_factor,
 )
 from forgetlab.data import TaskDataset
+from forgetlab.harness import ExperimentConfig, grid_search
 from forgetlab.model import (
     MlpParams,
     backward,
@@ -29,8 +32,8 @@ from forgetlab.model import (
     init_params,
     param_count,
 )
-from forgetlab.numerics import RandomStream, ShapeError
-from forgetlab.optim import StepHook, apply
+from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError
+from forgetlab.optim import DEFAULT_LEARNING_RATES, OptimizerConfig, StepHook, apply
 
 from helpers import ScalarAdam, adam, ewc_penalty_multi_anchor, map_flat, sgd
 
@@ -189,11 +192,6 @@ class TestAccumulate:
         expected = maps[0].flat + maps[1].flat + maps[2].flat
         assert np.allclose(total.flat, expected, rtol=0, atol=1e-15)
 
-    def test_gamma_validated(self):
-        a = MlpParams.zeros(init_params(RandomStream(54), (2, 2)).layer_sizes)
-        with pytest.raises(ValueError):
-            accumulate(a, a, 1.5)
-
     def test_shape_mismatch(self):
         a = init_params(RandomStream(55), (3, 2))
         b = init_params(RandomStream(55), (4, 2))
@@ -328,10 +326,6 @@ class TestSafeCoefficient:
         assert out.shape == (3,)
         assert out[0] == 0.0 and out[2] < 100.0
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            safe_coefficient(1.0, -0.1, 1.0)
-
 
 class TestClipSeparately:
     def test_small_gradients_pass_through_as_sum(self):
@@ -357,11 +351,6 @@ class TestClipSeparately:
         unit_penalty = penalty.flat / 1000.0
         assert np.max(np.abs(combined.flat - (unit_task + unit_penalty))) < 1e-12
         assert global_norm(combined) <= 2.0
-
-    def test_threshold_validated(self):
-        a = init_params(RandomStream(73), (2, 2))
-        with pytest.raises(ValueError):
-            clip_separately(a, a, 0.0)
 
 
 class TestWvaFactor:
@@ -403,10 +392,6 @@ class TestWvaFactor:
     def test_validation(self):
         with pytest.raises(ValueError):
             wva_factor(1.0, 1.0, "linear")
-        with pytest.raises(ValueError):
-            wva_factor(-1.0, 1.0, "hyperbolic")
-        with pytest.raises(ValueError):
-            wva_factor(1.0, -1.0, "hyperbolic")
 
 
 class TestWvaHook:
@@ -482,11 +467,6 @@ class TestWvaHook:
         assert abs(results["step"] - expect_post) < 1e-12
         assert abs(results["gradient"] - results["step"]) > 1e-5
 
-    def test_negative_importance_rejected(self):
-        omega = init_params(RandomStream(81), (3, 2))
-        with pytest.raises(ValueError):
-            make_wva_hook(omega, 1.0, "hyperbolic", "step")
-
 
 class TestStrategyConfig:
     def test_defaults_valid(self):
@@ -510,6 +490,78 @@ class TestStrategyConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             StrategyConfig(**kwargs)
+
+    def test_helper_bounds_are_declared_on_the_fields(self):
+        # accumulate, safe_coefficient, clip_separately and wva_factor do
+        # not re-check these; the configs' field metadata must declare them
+        def bounds(config_type, name):
+            meta = {f.name: f.metadata for f in dataclasses.fields(config_type)}[name]
+            return {key: meta[key] for key in ("min", "max", "above") if key in meta}
+
+        assert bounds(StrategyConfig, "lam") == {"min": 0}
+        assert bounds(StrategyConfig, "online_decay") == {"min": 0, "max": 1}
+        assert bounds(StrategyConfig, "separate_clip_threshold") == {"above": 0}
+        assert bounds(OptimizerConfig, "learning_rate") == {"above": 0}
+        assert all(rate > 0 for rate in DEFAULT_LEARNING_RATES.values())
+
+
+def importance_with(bad_value):
+    """An ``_estimate`` stand-in whose map holds one ``bad_value`` entry."""
+
+    def estimate(config, params, task):
+        omega = MlpParams.zeros(params.layer_sizes)
+        omega.flat[0] = bad_value
+        return omega
+
+    return estimate
+
+
+class TestImportanceCheck:
+    """finish_task checks the map for every kind, before any hook is built."""
+
+    @pytest.mark.parametrize("kind", ["wva", "ewc", "ewc_multi_anchor"])
+    @pytest.mark.parametrize(
+        "bad_value, error",
+        [(math.inf, NonFiniteError), (-1.0, ValueError)],
+        ids=["inf", "negative"],
+    )
+    def test_finish_task_rejects_bad_map(self, monkeypatch, kind, bad_value, error):
+        monkeypatch.setattr(continual, "_estimate", importance_with(bad_value))
+        strategy = Strategy(StrategyConfig(kind=kind, lam=1.0), 0.001)
+        params, task = random_setup(170)
+        with pytest.raises(error, match="importance map"):
+            strategy.finish_task(params, task)
+        assert strategy.hook is None
+
+    @pytest.mark.parametrize("kind", ["ewc", "ewc_multi_anchor"])
+    def test_negative_map_rejected_before_the_safe_coefficient(self, monkeypatch, kind):
+        # at alpha*lam = 2 the safe coefficient maps -1 to -1/(-2+1) = +1
+        monkeypatch.setattr(continual, "_estimate", importance_with(-1.0))
+        config = StrategyConfig(kind=kind, lam=2000.0, safe_coefficient=True)
+        strategy = Strategy(config, 0.001)
+        params, task = random_setup(171)
+        with pytest.raises(ValueError, match="importance map contains negative"):
+            strategy.finish_task(params, task)
+
+    @pytest.mark.parametrize("kind", ["wva", "ewc", "ewc_multi_anchor"])
+    def test_grid_files_non_finite_map_and_propagates_negative_map(self, monkeypatch, kind):
+        config = ExperimentConfig(
+            num_tasks=2,
+            epochs_per_task=1,
+            batch_size=16,
+            seed=7,
+            architecture=(12, 10, 4),
+            synthetic_samples_per_class=40,
+            strategy=StrategyConfig(kind=kind),
+        )
+        monkeypatch.setattr(continual, "_estimate", importance_with(math.inf))
+        surface = grid_search(config, [0.1, 1.0])
+        assert [lam for lam, _ in surface.failures] == [0.1, 1.0]
+        assert all("importance map" in message for _, message in surface.failures)
+        assert np.isnan(surface.avg_accuracy).all()
+        monkeypatch.setattr(continual, "_estimate", importance_with(-1.0))
+        with pytest.raises(ValueError, match="importance map contains negative"):
+            grid_search(config, [0.1, 1.0])
 
 
 class TestStrategies:

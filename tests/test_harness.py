@@ -382,6 +382,27 @@ class TestGridSearch:
         assert np.array_equal(surface.avg_accuracy[0], expected)
         assert surface.failures == []
 
+    def test_matrices_equal_standalone_runs_byte_for_byte(self):
+        config = tiny_config(num_tasks=3, strategy=StrategyConfig(kind="ewc", lam=1.0))
+        grid = [0.1, 10.0]
+        surface = grid_search(config, grid)
+        assert len(surface.matrices) == len(grid)
+        for lam, matrix in zip(grid, surface.matrices):
+            direct = run_sequence(
+                dataclasses.replace(config, strategy=dataclasses.replace(config.strategy, lam=lam))
+            ).matrix
+            assert matrix.accuracies.tobytes() == direct.accuracies.tobytes()
+            assert matrix.n_samples.tobytes() == direct.n_samples.tobytes()
+
+    def test_matrices_leave_surface_csv_unchanged(self, tmp_path):
+        from forgetlab.reports import emit_surface_csv
+
+        surface = grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
+        with_matrices = emit_surface_csv(surface, str(tmp_path / "with.csv"))
+        without = dataclasses.replace(surface, matrices=None)
+        bare = emit_surface_csv(without, str(tmp_path / "without.csv"))
+        assert open(with_matrices, "rb").read() == open(bare, "rb").read()
+
     def test_lambda_zero_column_equals_baseline(self):
         config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))
         surface = grid_search(config, [0.0, 1.0])
@@ -425,6 +446,9 @@ class TestGridSearch:
         assert surface.failures[0][0] == 1e60
         assert np.all(np.isnan(surface.avg_accuracy[1]))
         assert np.all(np.isfinite(surface.avg_accuracy[0]))
+        healthy, failed = surface.matrices
+        assert np.all(np.isnan(failed.accuracies)) and not failed.n_samples.any()
+        assert not np.isnan(np.tril(healthy.accuracies)).any()
 
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures become gaps; a bug must not pass as a

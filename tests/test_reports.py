@@ -124,6 +124,7 @@ def test_surface_csv_round_trips_with_nan_gaps(tmp_path):
     assert np.array_equal(back.lambdas, surface.lambdas)
     assert np.array_equal(back.tasks_learned, surface.tasks_learned)
     assert np.array_equal(back.avg_accuracy, surface.avg_accuracy, equal_nan=True)
+    assert back.matrices is None
 
 
 def test_surface_csv_records_failures_as_comments(tmp_path):
