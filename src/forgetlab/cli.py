@@ -56,19 +56,6 @@ from .optim import OptimizerConfig
 from .reports import emit_reports, read_report_csv, render_svg
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems instead of exiting the process."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -225,9 +212,9 @@ def _add_experiment_flags(parser):
         _add_flag(parser, setting)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="forgetlab", description=__doc__.splitlines()[0])
-    subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="forgetlab", description=__doc__.splitlines()[0])
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     run = subparsers.add_parser("run", help="train a task sequence and report")
     _add_experiment_flags(run)
@@ -345,10 +332,8 @@ def parse_and_dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return 1
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except KeyboardInterrupt:

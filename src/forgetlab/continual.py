@@ -13,11 +13,11 @@ PNAS 2018): sum_k lam*w_k*(theta - a_k) = lam*W*(theta - a_bar), with
 W = sum_k w_k and a_bar the w-weighted mean of the task anchors. Its
 memory and per-step cost are therefore constant in the task count.
 
-One :class:`Strategy` class runs every kind. When a task ends it
-estimates the task's importance and folds it into a running map, then
-builds the step hook used until the next task ends. Hooks are called as
-``hook(values, params)`` with the current parameters, so nothing is
-rebuilt per step.
+One :class:`Strategy` class runs every kind. When a task ends, unless it
+protects nothing, it estimates the task's importance, folds it into a
+running map and builds the step hook used until the next task ends.
+Hooks are called as ``hook(values, params)`` with the current
+parameters, so nothing is rebuilt per step.
 
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
@@ -27,8 +27,9 @@ a buffer it owns: the returned container is overwritten by the hook's
 next call.
 
 Each fact is checked once: the config fields check every setting (the
-helpers here trust those bounds), :meth:`Strategy.finish_task` checks the
-importance map, and :func:`~forgetlab.optim.apply` checks hook layouts.
+helpers here trust those bounds), :class:`~forgetlab.data.TaskDataset`
+that no split is empty, :meth:`Strategy.finish_task` the importance
+map, and :func:`~forgetlab.optim.apply` hook layouts.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ TARGETS = ("gradient", "step")
 ESTIMATORS = ("fisher", "total_abs_signal")
 STRATEGY_KINDS = ("none", "ewc", "ewc_multi_anchor", "wva")
 
+# Train rows per forward pass when an estimator walks a task's train split.
+ESTIMATE_CHUNK_ROWS = 512
+
 
 def check_importance(omega: ImportanceMap):
     if not np.isfinite(omega.flat).all():
@@ -69,15 +73,13 @@ def check_importance(omega: ImportanceMap):
 def _train_chunks(params: MlpParams, dataset: TaskDataset, chunk_size: int):
     """Yield ``(trace, labels)`` for each chunk of the task's train split, in order."""
     y = dataset.train_labels
-    if y.shape[0] == 0:
-        raise ValueError("cannot estimate importance from an empty dataset")
     for start in range(0, y.shape[0], chunk_size):
         rows = slice(start, start + chunk_size)
         yield forward(params, dataset.train_rows(rows)), y[rows]
 
 
 def estimate_fisher(
-    params: MlpParams, dataset: TaskDataset, chunk_size: int = 512
+    params: MlpParams, dataset: TaskDataset, chunk_size: int = ESTIMATE_CHUNK_ROWS
 ) -> ImportanceMap:
     """Diagonal empirical Fisher over the task's train split.
 
@@ -99,7 +101,7 @@ def estimate_fisher(
 
 
 def estimate_total_abs_signal(
-    params: MlpParams, dataset: TaskDataset, chunk_size: int = 512
+    params: MlpParams, dataset: TaskDataset, chunk_size: int = ESTIMATE_CHUNK_ROWS
 ) -> ImportanceMap:
     """Mean absolute signal through each weight, from forward passes only.
 
@@ -327,15 +329,14 @@ class Strategy:
 
     ``finish_task`` does the lambda-independent half once for every kind
     that protects anything: estimate the task's importance and fold it
-    into ``omega_total``. kind="none" skips it, so an unprotected run does
-    no estimation work. The lambda-dependent half then sets ``hook``, the
-    step hook used until the next task ends: WVA's attenuation factors, or
-    the EWC pull. ``hook`` is None before the first task ends, whenever
-    ``lam`` is 0, and for kind="none". ``learning_rate`` feeds the safe
-    coefficient's alpha. The config checked every setting. ``finish_task``
+    into ``omega_total``. kind="none" and ``lam`` 0 protect nothing and
+    skip it, so they do no estimation work. The lambda-dependent half then
+    sets ``hook``, the step hook used until the next task ends: WVA's
+    attenuation factors, or the EWC pull. ``hook`` and ``omega_total`` are
+    None before the first task ends and whenever nothing is protected.
+    ``learning_rate`` feeds the safe coefficient's alpha. ``finish_task``
     checks the importance map (finite, non-negative) for every kind, before
-    the safe coefficient could turn a negative entry positive, and ``apply``
-    checks the layout of every hook output.
+    the safe coefficient could turn a negative entry positive.
 
     Both EWC kinds pull with lam * weight * (theta - anchor) and differ
     only in how a finished task moves the anchor and the weight. ``ewc``
@@ -357,7 +358,7 @@ class Strategy:
 
     def finish_task(self, params: MlpParams, task: TaskDataset):
         config = self.config
-        if config.kind == "none":
+        if config.kind == "none" or config.lam == 0.0:
             return
         # The finished task's hook is stale; free its buffers before estimating.
         self.hook = None
@@ -370,8 +371,7 @@ class Strategy:
         check_importance(mapped)
         used = _effective_omega(config, mapped, self.learning_rate)
         if config.kind == "wva":
-            if config.lam != 0.0:
-                self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
+            self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
             return
         if config.kind == "ewc" or self.anchor is None:
             self._weight = used.flat.copy()  # ewc_multi_anchor adds later tasks in place
@@ -381,7 +381,6 @@ class Strategy:
             self._weight += w
             share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
             self.anchor.flat += share * (params.flat - self.anchor.flat)
-        if config.lam != 0.0:
-            self.hook = _make_ewc_hook(
-                self.anchor, config.lam * self._weight, config.separate_clip_threshold
-            )
+        self.hook = _make_ewc_hook(
+            self.anchor, config.lam * self._weight, config.separate_clip_threshold
+        )

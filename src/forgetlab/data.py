@@ -11,11 +11,17 @@ permuted rows straight into its output, holding no second copy of them.
 Building the base holds no second copy either: the IDX loader scales in
 place and the synthetic source writes into preallocated splits. Every
 image array leaving this module is float64 with pixels in [0, 1].
+
+Each data fact is checked once: :func:`_parse_pair` an IDX pair's
+layout, :func:`make_permuted_tasks` the base's ranges, :class:`TaskDataset`
+each split's shape, that no split is empty, and the permutation. The
+helpers trust the config's bounds (``num_tasks``, ``batch_size`` >= 1).
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import urllib.request
@@ -30,6 +36,9 @@ from .numerics import RandomStream, ShapeError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+
+# Seconds one download may wait on its server before it counts as failed.
+FETCH_TIMEOUT_S = 60
 
 # Rows per block when a gather of scattered rows permutes them into its
 # output: the only unpermuted rows held at once.
@@ -78,7 +87,9 @@ def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
     if len(raw) < header_len:
         raise IdxTruncatedError(f"{origin}: header truncated")
     dims = struct.unpack(f">{ndims}i", raw[4:header_len])
-    expected = int(np.prod(dims))
+    if min(dims) < 0:
+        raise IdxFormatError(f"{origin}: negative dimension in header {dims}")
+    expected = math.prod(dims)
     payload = raw[header_len:]
     if len(payload) < expected:
         raise IdxTruncatedError(
@@ -111,7 +122,8 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     """
     raw = [Path(path).read_bytes() for path in (images_path, labels_path)]
     images, labels = _parse_pair(*raw, (images_path, labels_path))
-    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    # the row width is given, not -1, which numpy cannot infer for a file of 0 rows
+    flat = images.reshape(images.shape[0], math.prod(images.shape[1:])).astype(np.float64)
     flat /= 255.0  # in place: one float64 copy at the peak, not two
     return flat, labels.astype(np.int64)
 
@@ -126,10 +138,11 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
     """Download the four IDX files from ``base_url`` into ``data_dir``.
 
     Tries ``<base_url>/<name>.gz`` first, then the raw name (also after a
-    truncated or corrupt ``.gz``). Each split's image/label pair is checked
-    by :func:`_parse_pair` (magic, dimension counts, exact byte length,
-    matching counts; errors name the URLs), all before any file is
-    written, so a bad download leaves ``data_dir`` untouched.
+    truncated or corrupt ``.gz``, or ``FETCH_TIMEOUT_S`` of silence). Each
+    split's image/label pair is checked by :func:`_parse_pair` (magic,
+    dimension counts, exact byte length, matching counts; errors name the
+    URLs), all before any file is written, so a bad download leaves
+    ``data_dir`` untouched.
     """
     fetched = {}  # key -> (payload, URL it came from)
     for key, name in MNIST_FILE_NAMES.items():
@@ -137,7 +150,7 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
         for candidate, compressed in ((f"{name}.gz", True), (name, False)):
             url = base_url.rstrip("/") + "/" + candidate
             try:
-                with urllib.request.urlopen(url) as resp:
+                with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
                     data = resp.read()
                 fetched[key] = (gzip.decompress(data) if compressed else data, url)
                 break
@@ -165,8 +178,8 @@ class TaskDataset:
     when built by :func:`make_permuted_tasks`). Read a task's pixels only
     through :meth:`train_rows` and :meth:`test_rows`, which gather the
     requested rows and apply ``permutation`` to them. The constructor
-    checks shapes and the permutation; pixel and label ranges are
-    checked once per base by :func:`make_permuted_tasks`.
+    checks shapes, that no split is empty, and the permutation; pixel and
+    label ranges are checked once per base by :func:`make_permuted_tasks`.
     """
 
     task_id: int
@@ -186,6 +199,8 @@ class TaskDataset:
                 raise ShapeError(
                     f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels"
                 )
+            if images.shape[0] == 0:
+                raise ValueError(f"{name} split is empty")
         width = self.train_images.shape[1]
         perm = np.asarray(self.permutation)
         if not np.array_equal(np.sort(perm), np.arange(width)):
@@ -285,8 +300,6 @@ def make_permuted_tasks(
     none can write into another's. The tasks do see later writes to the
     caller's own arrays.
     """
-    if num_tasks < 1:
-        raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
     train_images, train_labels = _shared_split("train", *base_train)
     test_images, test_labels = _shared_split("test", *base_test)
     if train_images.shape[1] != expected_width or test_images.shape[1] != expected_width:
@@ -321,11 +334,7 @@ def batches(dataset: TaskDataset, batch_size: int, stream: RandomStream):
     sliced into consecutive batches; a final short batch is kept. Calling
     again with the same (advancing) stream yields the next epoch's order.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = dataset.train_images.shape[0]
-    if n == 0:
-        raise ValueError("cannot iterate batches of an empty dataset")
     order = stream.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]

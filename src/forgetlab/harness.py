@@ -226,10 +226,11 @@ def run_sequence(
 
     The strategy is naturally inert while task 0 trains (no importance
     accumulated yet). After each task it estimates importance on that
-    task's train split, then all tasks seen so far are evaluated. Each
-    evaluation gathers that task's eval rows afresh (the same bytes every
-    time), so at most one task's rows are held at once and memory does
-    not grow with the task count.
+    task's train split (after the last only for ``save_checkpoints``, the
+    one reader of that map), then all tasks seen so far are evaluated.
+    Each evaluation gathers that task's eval rows afresh (the same bytes
+    every time), so at most one task's rows are held at once and memory
+    does not grow with the task count.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -258,7 +259,8 @@ def run_sequence(
                     )
                 grads = backward(params, trace, yb)
                 params = apply(params, grads, optimizer, strategy.hook)
-        strategy.finish_task(params, task)
+        if t < t_count - 1 or config.save_checkpoints:
+            strategy.finish_task(params, task)
         for j in range(t + 1):
             picks, y = eval_splits[j]
             acc[t, j] = accuracy(params, tasks[j].test_rows(picks), y)
@@ -350,8 +352,11 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     :class:`NonFiniteError` from a diverging run) is recorded in
     ``failures`` and leaves a NaN gap; any other exception propagates.
     Every lambda's config is built before the first run, so a bad lambda
-    fails the grid up front.
+    fails the grid up front. ``save_checkpoints`` is refused, since each
+    lambda would overwrite the last one's checkpoints in ``out_dir``.
     """
+    if config.save_checkpoints:
+        raise ValueError("save_checkpoints: each lambda would overwrite the last one's files")
     grid = [float(x) for x in lambda_grid]
     if not grid:
         raise ValueError("lambda grid is empty")

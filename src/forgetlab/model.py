@@ -147,8 +147,6 @@ def init_params(
     stream: RandomStream, layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES
 ) -> MlpParams:
     """He-uniform weights (entries in +-sqrt(6/fan_in)) with zero biases."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least an input and an output layer")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)

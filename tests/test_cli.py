@@ -437,6 +437,16 @@ class TestRunAndGrid:
         assert code == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_grid_refuses_save_checkpoints(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "grid", "--config", tiny_config, "--out", str(out), "--save-checkpoints",
+            "--lambda-grid", "0.1,1.0",
+        )
+        assert code == 2
+        assert "save_checkpoints" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_combination_is_runtime_error(self, capsys):
         # safe coefficient only applies to anchored penalties
         code = run_cli("run", "--strategy", "wva", "--safe-coefficient")

@@ -2,12 +2,15 @@ import gzip
 import os
 import re
 import struct
+import urllib.request
 
 import numpy as np
 import pytest
 
+from forgetlab import harness
 from forgetlab.continual import estimate_fisher, estimate_total_abs_signal
 from forgetlab.data import (
+    FETCH_TIMEOUT_S,
     IMAGE_MAGIC,
     LABEL_MAGIC,
     MNIST_FILE_NAMES,
@@ -42,6 +45,22 @@ def write_pair(tmp_path, n=3, rows=2, cols=2):
     img_path.write_bytes(idx_bytes(IMAGE_MAGIC, [n, rows, cols], pixels))
     lab_path.write_bytes(idx_bytes(LABEL_MAGIC, [n], labels))
     return str(img_path), str(lab_path)
+
+
+# Image headers with an empty payload whose size numpy's np.prod misjudges.
+BAD_HEADER_SIZES = pytest.mark.parametrize(
+    "dims, error, message",
+    [
+        # in fixed-width integers the product of these dims wraps to 0
+        (
+            [2**21, 2**21, 2**22],
+            IdxTruncatedError,
+            "payload has 0 bytes, header implies 18446744073709551616",
+        ),
+        ([2, -1, 397], IdxFormatError, r"negative dimension in header \(2, -1, 397\)"),
+    ],
+    ids=["product-overflows-int64", "negative-dim"],
+)
 
 
 class TestLoadIdx:
@@ -84,6 +103,15 @@ class TestLoadIdx:
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [1], b"\x00"))
         with pytest.raises(IdxFormatError):
             load_idx(str(p), str(lab))
+
+    @BAD_HEADER_SIZES
+    def test_header_sizes_without_overflow(self, tmp_path, dims, error, message):
+        img = tmp_path / "images"
+        img.write_bytes(idx_bytes(IMAGE_MAGIC, dims, b""))
+        lab = tmp_path / "labels"
+        lab.write_bytes(idx_bytes(LABEL_MAGIC, [2], b"\x00\x01"))
+        with pytest.raises(error, match=f"^{re.escape(str(img))}: {message}"):
+            load_idx(str(img), str(lab))
 
     def test_count_mismatch(self, tmp_path):
         img = tmp_path / "images"
@@ -220,6 +248,40 @@ class TestFetch:
             fetch_idx_files(src.as_uri(), str(dest))
         assert os.listdir(dest) == []
 
+    @BAD_HEADER_SIZES
+    def test_fetch_rejects_bad_header_sizes(self, tmp_path, dims, error, message):
+        src = tmp_path / "src"
+        src.mkdir()
+        for key, name in MNIST_FILE_NAMES.items():
+            if key == "train_images":
+                blob = idx_bytes(IMAGE_MAGIC, dims, b"")
+            elif "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [2, 1, 1], bytes(2))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [2], bytes(2))
+            (src / name).write_bytes(blob)
+        url = src.as_uri() + "/" + MNIST_FILE_NAMES["train_images"]
+        with pytest.raises(error, match=f"^{re.escape(url)}: {message}"):
+            fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
+        assert not (tmp_path / "dest").exists()
+
+    def test_stalled_server_times_out_on_both_urls(self, tmp_path, monkeypatch):
+        timeouts = []
+
+        def stalled(url, timeout=None):
+            timeouts.append(timeout)
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(urllib.request, "urlopen", stalled)
+        base = "http://mirror.invalid/mnist"
+        with pytest.raises(IOError, match="could not fetch IDX file") as excinfo:
+            fetch_idx_files(base, str(tmp_path / "dest"))
+        first = f"{base}/{MNIST_FILE_NAMES['train_images']}"
+        assert f"{first}.gz: timed out" in str(excinfo.value)
+        assert f"{first}: timed out" in str(excinfo.value)
+        assert timeouts == [FETCH_TIMEOUT_S] * 2
+        assert not (tmp_path / "dest").exists()
+
     def test_fetch_missing_everything(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -269,6 +331,34 @@ class TestTaskDataset:
                 test_labels=np.array([0]),
                 permutation=np.arange(1),
             )
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_rejects_empty_split(self, empty):
+        rows = {"train": 1, "test": 1, empty: 0}
+        with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
+            TaskDataset(
+                task_id=0,
+                train_images=np.zeros((rows["train"], 2)),
+                train_labels=np.zeros(rows["train"], dtype=np.int64),
+                test_images=np.zeros((rows["test"], 2)),
+                test_labels=np.zeros(rows["test"], dtype=np.int64),
+                permutation=np.arange(2),
+            )
+
+    def test_header_only_test_pair_fails_before_training(self, tmp_path, monkeypatch):
+        for key, name in MNIST_FILE_NAMES.items():
+            n = 3 if key.startswith("train") else 0
+            if "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [n, 28, 28], bytes(n * 784))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [n], bytes(n))
+            (tmp_path / name).write_bytes(blob)
+        steps = []
+        monkeypatch.setattr(harness, "apply", lambda *args: steps.append(args))
+        config = ExperimentConfig(source="mnist", num_tasks=2, data_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="^test split is empty$"):
+            harness.run_sequence(config)
+        assert steps == []
 
     def test_rejects_non_bijective_permutation(self):
         with pytest.raises(ValueError):
@@ -365,11 +455,6 @@ class TestPermutedTasks:
         train, test = self.base(width=6)
         with pytest.raises(ShapeError):
             make_permuted_tasks(train, test, 2, seed=1, expected_width=784)
-
-    def test_num_tasks_validated(self):
-        train, test = self.base()
-        with pytest.raises(ValueError):
-            make_permuted_tasks(train, test, 0, seed=1, expected_width=6)
 
 
 def gather_base(n=1100, width=20, n_test=300):
@@ -514,7 +599,3 @@ class TestBatches:
             for row, lab in zip(images, labels):
                 src = np.flatnonzero((ds.train_rows(slice(None)) == row).all(axis=1))[0]
                 assert ds.train_labels[src] == lab
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            list(batches(tiny_task(), 0, RandomStream(1)))

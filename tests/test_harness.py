@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgetlab import harness
+from forgetlab import continual, harness
 from forgetlab.continual import StrategyConfig
 from forgetlab.data import batches
 from forgetlab.harness import (
@@ -83,6 +83,8 @@ class TestConfigs:
         # synthetic labels are 0..9
         with pytest.raises(ValueError, match="architecture"):
             tiny_config(architecture=(12, 10, 11))
+        with pytest.raises(ValueError, match="architecture"):
+            tiny_config(architecture=(12,))
 
     def test_presets(self):
         desk = desk_preset()
@@ -241,6 +243,28 @@ class TestRunSequence:
             assert importance.layer_sizes == config.architecture
             assert np.all(importance.flat >= 0.0)
 
+    @pytest.mark.parametrize("save_checkpoints", [False, True], ids=["plain", "checkpoints"])
+    def test_last_task_estimated_only_for_its_checkpoint(
+        self, monkeypatch, tmp_path, save_checkpoints
+    ):
+        estimated = []
+        real_estimate = continual._estimate
+
+        def recording_estimate(config, params, task):
+            estimated.append(task.task_id)
+            return real_estimate(config, params, task)
+
+        monkeypatch.setattr(continual, "_estimate", recording_estimate)
+        config = tiny_config(
+            num_tasks=3,
+            strategy=StrategyConfig(kind="wva", lam=1.0),
+            save_checkpoints=save_checkpoints,
+            out_dir=str(tmp_path),
+        )
+        run_sequence(config)
+        assert estimated == ([0, 1, 2] if save_checkpoints else [0, 1])
+        assert (tmp_path / "importance_task2.npz").exists() == save_checkpoints
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
         config = tiny_config(
@@ -327,7 +351,8 @@ class TestBenchmarkTracer:
             )
         assert "not traced" not in capsys.readouterr().err
         names = [span[0] for span in tracer.spans]
-        assert names.count("continual.finish_task") == 2
+        # no estimate after the last task: nothing reads it without checkpoints
+        assert names.count("continual.finish_task") == 1
         assert hook_span in names
         assert "optim.apply" in names
         assert "optim.step_parts" in names
@@ -461,6 +486,20 @@ class TestGridSearch:
         monkeypatch.setattr(harness, "run_sequence", broken_run)
         with pytest.raises(TypeError, match="unsupported operand"):
             grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
+
+    def test_save_checkpoints_refused_before_any_run(self, monkeypatch, tmp_path):
+        # every lambda would overwrite the last one's checkpoints in out_dir
+        runs = []
+        monkeypatch.setattr(harness, "run_sequence", lambda config, tasks=None: runs.append(config))
+        monkeypatch.setattr(harness, "build_tasks", lambda config: runs.append(config))
+        out = tmp_path / "out"
+        config = tiny_config(
+            strategy=StrategyConfig(kind="wva"), save_checkpoints=True, out_dir=str(out)
+        )
+        with pytest.raises(ValueError, match="save_checkpoints"):
+            grid_search(config, [0.1, 1.0])
+        assert runs == []
+        assert not out.exists()
 
     def test_surface_records_its_config(self):
         config = tiny_config(strategy=StrategyConfig(kind="wva", lam=1.0))
