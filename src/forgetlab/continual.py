@@ -15,9 +15,11 @@ memory and per-step cost are therefore constant in the task count.
 
 One :class:`Strategy` class runs every kind. When a task ends, unless it
 protects nothing, it estimates the task's importance, folds it into a
-running map and builds the step hook used until the next task ends.
-Hooks are called as ``hook(values, params)`` with the current
-parameters, so nothing is rebuilt per step.
+running map (in place) and builds the step hook used until the next
+task ends. Hooks are called as ``hook(values, params)`` with the current
+parameters, so nothing is rebuilt per step. Both estimators walk the
+task's train split with :meth:`~forgetlab.data.TaskDataset.chunks`, one
+forward pass per chunk, the walk evaluation uses too.
 
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
@@ -49,7 +51,7 @@ from .model import (
     output_delta,
 )
 from .numerics import NonFiniteError, check_fields, matmul
-from .optim import StepHook
+from .optim import ADAM_BLOCK, StepHook
 
 # Importance maps are parameter-shaped containers of non-negative values.
 ImportanceMap = MlpParams
@@ -59,10 +61,6 @@ TARGETS = ("gradient", "step")
 ESTIMATORS = ("fisher", "total_abs_signal")
 STRATEGY_KINDS = ("none", "ewc", "ewc_multi_anchor", "wva")
 
-# Train rows per forward pass when an estimator walks a task's train split.
-ESTIMATE_CHUNK_ROWS = 512
-
-
 def check_importance(omega: ImportanceMap):
     if not np.isfinite(omega.flat).all():
         raise NonFiniteError("importance map contains non-finite entries")
@@ -70,17 +68,16 @@ def check_importance(omega: ImportanceMap):
         raise ValueError("importance map contains negative entries")
 
 
-def _train_chunks(params: MlpParams, dataset: TaskDataset, chunk_size: int):
+def _train_chunks(params: MlpParams, dataset: TaskDataset):
     """Yield ``(trace, labels)`` for each chunk of the task's train split, in order."""
-    y = dataset.train_labels
-    for start in range(0, y.shape[0], chunk_size):
-        rows = slice(start, start + chunk_size)
-        yield forward(params, dataset.train_rows(rows)), y[rows]
+    seen = 0
+    for rows in dataset.chunks("train"):
+        n = rows.shape[0]
+        yield forward(params, rows), dataset.train_labels[seen : seen + n]
+        seen += n
 
 
-def estimate_fisher(
-    params: MlpParams, dataset: TaskDataset, chunk_size: int = ESTIMATE_CHUNK_ROWS
-) -> ImportanceMap:
+def estimate_fisher(params: MlpParams, dataset: TaskDataset) -> ImportanceMap:
     """Diagonal empirical Fisher over the task's train split.
 
     F_i is the mean over samples of the squared per-sample gradient of
@@ -90,7 +87,7 @@ def estimate_fisher(
     product of delta**2 and a**2. The deltas come unscaled from ``model.layer_deltas``.
     """
     sums = MlpParams.zeros(params.layer_sizes)
-    for trace, yb in _train_chunks(params, dataset, chunk_size):
+    for trace, yb in _train_chunks(params, dataset):
         for l, delta in layer_deltas(params, trace, output_delta(trace, yb)):
             squared = delta**2
             sum_w, sum_b = sums.weights[l], sums.biases[l]
@@ -100,9 +97,7 @@ def estimate_fisher(
     return sums
 
 
-def estimate_total_abs_signal(
-    params: MlpParams, dataset: TaskDataset, chunk_size: int = ESTIMATE_CHUNK_ROWS
-) -> ImportanceMap:
+def estimate_total_abs_signal(params: MlpParams, dataset: TaskDataset) -> ImportanceMap:
     """Mean absolute signal through each weight, from forward passes only.
 
     For weight w_ij with input activation a_j the importance is the mean
@@ -111,7 +106,7 @@ def estimate_total_abs_signal(
     |b_i|.
     """
     abs_sums = [np.zeros(w.shape[1]) for w in params.weights]
-    for trace, _ in _train_chunks(params, dataset, chunk_size):
+    for trace, _ in _train_chunks(params, dataset):
         for abs_sum, below in zip(abs_sums, trace.layer_inputs):
             abs_sum += np.abs(below).sum(axis=0)
     n = dataset.train_labels.shape[0]
@@ -123,10 +118,15 @@ def estimate_total_abs_signal(
     )
 
 
-def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float) -> ImportanceMap:
-    """Fold a new task's importances into the running map: gamma*total + new."""
+def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float):
+    """Fold a new task's importances into the running map in place: gamma*total + new.
+
+    The two passes round as the expression does, so the result is the
+    same bits as a freshly allocated ``gamma * total + new``.
+    """
     check_congruent(total, new, "importance maps")
-    return MlpParams.from_flat(gamma * total.flat + new.flat, total.layer_sizes)
+    total.flat *= gamma
+    total.flat += new.flat
 
 
 def max_normalize(omega: ImportanceMap) -> ImportanceMap:
@@ -186,14 +186,22 @@ def clip_separately(
     return MlpParams.from_flat(summed, task_grad.layer_sizes)
 
 
-def wva_factor(omega, lam: float, kind: str):
-    """Attenuation factor in (0, 1]: hyperbolic 1/(lam*omega+1) or exp(-lam*omega)."""
+def wva_factor(omega, lam: float, kind: str) -> np.ndarray:
+    """Attenuation factor in (0, 1]: hyperbolic 1/(lam*omega+1) or exp(-lam*omega).
+
+    Every pass writes into one fresh output array (0-d for a scalar
+    ``omega``), with the roundings of the plain expressions.
+    """
     if kind not in ATTENUATION_KINDS:
         raise ValueError(f"kind must be one of {ATTENUATION_KINDS}, got {kind!r}")
     arr = np.asarray(omega, dtype=np.float64)
+    out = np.empty_like(arr)
     if kind == "hyperbolic":
-        return 1.0 / (lam * arr + 1.0)
-    return np.exp(-lam * arr)
+        np.multiply(lam, arr, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
+    np.multiply(-lam, arr, out=out)
+    return np.exp(out, out=out)
 
 
 def attenuation_closed_forms() -> tuple[bool, str]:
@@ -307,18 +315,28 @@ def _make_ewc_hook(
 
     ``theta`` is the ``params`` argument of each call. With ``threshold``
     set, the pull and the task gradient are each clipped first
-    (:func:`clip_separately`). Otherwise the sum is written into a buffer
-    the hook owns, overwritten by its next call.
+    (:func:`clip_separately`, on whole vectors for their global norms).
+    Otherwise the sum is written into a buffer the hook owns, overwritten
+    by its next call. The elementwise passes run over one ``ADAM_BLOCK``
+    of entries at a time, as Adam's do, which changes no rounding.
     """
     out = MlpParams.zeros(anchor.layer_sizes)
+    blocks = [
+        (block, anchor.flat[block], lam_weight[block], out.flat[block])
+        for block in (
+            slice(start, start + ADAM_BLOCK) for start in range(0, out.flat.size, ADAM_BLOCK)
+        )
+    ]
 
     def pre(task_grad: Gradients, params: MlpParams) -> Gradients:
-        # lam * weight * (theta - anchor), as ewc_penalty evaluates it
-        np.subtract(params.flat, anchor.flat, out=out.flat)
-        np.multiply(lam_weight, out.flat, out=out.flat)
+        for block, a, w, o in blocks:
+            # lam * weight * (theta - anchor), as ewc_penalty evaluates it
+            np.subtract(params.flat[block], a, out=o)
+            np.multiply(w, o, out=o)
+            if threshold is None:
+                np.add(task_grad.flat[block], o, out=o)
         if threshold is not None:
             return clip_separately(task_grad, out, threshold)
-        np.add(task_grad.flat, out.flat, out=out.flat)
         return out
 
     return StepHook(pre_optimizer=pre)
@@ -366,7 +384,7 @@ class Strategy:
         if self.omega_total is None:
             self.omega_total = new
         else:
-            self.omega_total = accumulate(self.omega_total, new, config.online_decay)
+            accumulate(self.omega_total, new, config.online_decay)
         mapped = new if config.kind == "ewc_multi_anchor" else self.omega_total
         check_importance(mapped)
         used = _effective_omega(config, mapped, self.learning_rate)

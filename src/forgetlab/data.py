@@ -5,9 +5,12 @@ synthetic stand-in) plus a fixed, seeded pixel permutation per task.
 Both sources return the base as ``((train_images, train_labels),
 (test_images, test_labels))``.
 Every task shares the same read-only base arrays; a task's pixels are
-gathered and permuted per batch, chunk or evaluation, so a sequence
-costs one copy of the data whatever its length. Each gather writes its
-permuted rows straight into its output, holding no second copy of them.
+gathered and permuted per batch or per chunk, so a sequence costs one
+copy of the data whatever its length. Each gather writes its permuted
+rows straight into its output, holding no second copy of them. The
+importance estimators and evaluation walk a split through
+:meth:`TaskDataset.chunks`, ``CHUNK_ROWS`` rows at a time, so neither
+holds more than one chunk of a split's rows, whatever its size.
 Building the base holds no second copy either: the IDX loader scales in
 place and the synthetic source writes into preallocated splits. Every
 image array leaving this module is float64 with pixels in [0, 1].
@@ -28,6 +31,7 @@ import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -40,9 +44,10 @@ LABEL_MAGIC = 0x00000801
 # Seconds one download may wait on its server before it counts as failed.
 FETCH_TIMEOUT_S = 60
 
-# Rows per block when a gather of scattered rows permutes them into its
-# output: the only unpermuted rows held at once.
-GATHER_BLOCK_ROWS = 256
+# Rows per chunk of a split walk (importance estimation, evaluation), and
+# per block when a gather of scattered rows permutes them into its
+# output: the most rows of a split, permuted or not, a walk holds at once.
+CHUNK_ROWS = 512
 
 # Stream ids used when deriving children from an experiment seed.
 PERMUTATION_STREAM_ID = 1
@@ -177,7 +182,8 @@ class TaskDataset:
     base splits, the same arrays in every task of a sequence (read-only
     when built by :func:`make_permuted_tasks`). Read a task's pixels only
     through :meth:`train_rows` and :meth:`test_rows`, which gather the
-    requested rows and apply ``permutation`` to them. The constructor
+    requested rows and apply ``permutation`` to them, or :meth:`chunks`,
+    which does so one chunk of a split at a time. The constructor
     checks shapes, that no split is empty, and the permutation; pixel and
     label ranges are checked once per base by :func:`make_permuted_tasks`.
     """
@@ -214,12 +220,25 @@ class TaskDataset:
         """This task's test images at ``rows``, as a fresh C-contiguous array."""
         return _gather(self.test_images, rows, self.permutation)
 
+    def chunks(self, split: str, picks: Optional[np.ndarray] = None):
+        """Yield this task's ``split`` images at ``picks`` (every row if None), in order.
+
+        ``split`` is "train" or "test". Each chunk holds the next
+        ``CHUNK_ROWS`` rows (fewer in the last), gathered as the consumer
+        asks for it, so a walk over the split holds one chunk at a time.
+        """
+        gather = {"train": self.train_rows, "test": self.test_rows}[split]
+        n = len(getattr(self, f"{split}_labels")) if picks is None else len(picks)
+        for start in range(0, n, CHUNK_ROWS):
+            block = slice(start, start + CHUNK_ROWS)
+            yield gather(block if picks is None else picks[block])
+
 
 def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
     """``images[rows]`` with column j taken from column ``permutation[j]``.
 
     A slice of ``images`` is a view, so one ``take`` copies it once. An
-    index array is gathered in blocks of ``GATHER_BLOCK_ROWS`` rows, each
+    index array is gathered in blocks of ``CHUNK_ROWS`` rows, each
     permuted straight into its rows of the output. ``mode="clip"`` only
     skips ``take``'s buffered bounds check: the permutation was checked
     to be a bijection when the task was built.
@@ -228,8 +247,8 @@ def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
         return np.take(images[rows], permutation, axis=1)
     rows = np.asarray(rows)
     out = np.empty((rows.shape[0], images.shape[1]))
-    for start in range(0, rows.shape[0], GATHER_BLOCK_ROWS):
-        stop = start + GATHER_BLOCK_ROWS
+    for start in range(0, rows.shape[0], CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
         np.take(images[rows[start:stop]], permutation, axis=1, out=out[start:stop], mode="clip")
     return out
 

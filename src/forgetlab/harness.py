@@ -202,14 +202,14 @@ def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
     """Per-task ``(picks, labels)`` of the test rows to evaluate on.
 
     ``picks`` selects each task's eval subset, drawn once per run from a
-    task-keyed stream (``slice(None)`` for the whole test split). Only
-    indices and labels are kept; the caller gathers a task's rows with
-    ``task.test_rows(picks)`` when it evaluates that task.
+    task-keyed stream (None for the whole test split). Only indices and
+    labels are kept; the caller walks a task's rows with
+    ``task.chunks("test", picks)`` when it evaluates that task.
     """
     splits = []
     root = RandomStream(config.seed)
     for task in tasks:
-        picks, y = slice(None), task.test_labels
+        picks, y = None, task.test_labels
         if config.eval_subset is not None and config.eval_subset < len(y):
             picks = root.child(EVAL_SUBSET_STREAM_ID, task.task_id).choice(
                 len(y), config.eval_subset
@@ -228,9 +228,11 @@ def run_sequence(
     accumulated yet). After each task it estimates importance on that
     task's train split (after the last only for ``save_checkpoints``, the
     one reader of that map), then all tasks seen so far are evaluated.
-    Each evaluation gathers that task's eval rows afresh (the same bytes
-    every time), so at most one task's rows are held at once and memory
-    does not grow with the task count.
+    Each evaluation walks that task's eval rows in chunks, gathered afresh
+    (the same bytes every time) inside the :func:`accuracy` call, so at
+    most one chunk of eval rows and its activations is held at once,
+    whatever the split size or the task count. The last step's batch,
+    trace and gradient are dropped before the task-end work.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -259,11 +261,14 @@ def run_sequence(
                     )
                 grads = backward(params, trace, yb)
                 params = apply(params, grads, optimizer, strategy.hook)
+        # free the last step's arrays before the task-end work; every task
+        # takes a step, since epochs_per_task >= 1 and no split is empty
+        del xb, yb, trace, grads
         if t < t_count - 1 or config.save_checkpoints:
             strategy.finish_task(params, task)
         for j in range(t + 1):
             picks, y = eval_splits[j]
-            acc[t, j] = accuracy(params, tasks[j].test_rows(picks), y)
+            acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
             n_samples[t, j] = len(y)
         if config.save_checkpoints:
             os.makedirs(config.out_dir, exist_ok=True)

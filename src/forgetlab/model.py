@@ -308,14 +308,31 @@ def max_relative_gradient_error(
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def accuracy(params: MlpParams, images: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.shape[0] == 0:
+def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    ``blocks`` is an iterable of 2-D row blocks (such as
+    :meth:`~forgetlab.data.TaskDataset.chunks`) whose rows, in order,
+    match ``labels``. Hits are counted one block at a time, so only one
+    block's forward pass is held at once. The count is exact, so
+    ``hits / len(labels)`` is the float ``np.mean`` gives over the whole
+    split.
+    """
+    labels = np.asarray(labels)
+    classes = params.weights[-1].shape[0]
+    hits = seen = 0
+    for block in blocks:
+        probabilities = forward(params, block).probabilities
+        del block  # free this block's rows before the next one is made
+        n = probabilities.shape[0]
+        block_labels = _check_labels(labels[seen : seen + n], n, classes)
+        hits += int(np.count_nonzero(np.argmax(probabilities, axis=1) == block_labels))
+        seen += n
+    if seen != labels.shape[0]:
+        raise ShapeError(f"{seen} rows vs {labels.shape[0]} labels")
+    if seen == 0:
         raise ValueError("accuracy of an empty evaluation set is undefined")
-    labels = _check_labels(labels, images.shape[0], params.weights[-1].shape[0])
-    predictions = np.argmax(forward(params, images).probabilities, axis=1)
-    return float(np.mean(predictions == labels))
+    return hits / seen
 
 
 def save_params(params: MlpParams, path: str):

@@ -1,13 +1,13 @@
-"""Shared test oracles: a scalar Adam, a whole-vector Adam, the explicit
-multi-anchor EWC sum, and a traced-memory probe; plus fresh optimizers of
-each kind.
+"""Shared test oracles: a scalar Adam, a whole-vector Adam, a whole-vector
+EWC pre-hook, the explicit multi-anchor EWC sum, and a traced-memory
+probe; plus fresh optimizers of each kind.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from forgetlab.continual import ewc_penalty
+from forgetlab.continual import clip_separately, ewc_penalty
 from forgetlab.model import MlpParams
 from forgetlab.optim import (
     ADAM_BETA1,
@@ -87,6 +87,22 @@ class WholeVectorAdam:
         np.add(tmp, ADAM_EPSILON, out=tmp)
         np.divide(d, tmp, out=d)
         return d
+
+
+def whole_vector_ewc_pre_hook(task_grad, params, anchor, lam_weight, threshold=None):
+    """The EWC pre-hook's output as whole-vector passes, in the hook's order.
+
+    The reference for the strategy's blocked pre-hook, which must match it
+    bit for bit: the pull lam * weight * (theta - anchor), then either the
+    sum with the task gradient or :func:`clip_separately` of the two.
+    """
+    pull = np.subtract(params.flat, anchor.flat)
+    np.multiply(lam_weight, pull, out=pull)
+    if threshold is not None:
+        pull = MlpParams.from_flat(pull, params.layer_sizes)
+        return clip_separately(task_grad, pull, threshold).flat
+    np.add(task_grad.flat, pull, out=pull)
+    return pull
 
 
 def same_bits(a, b):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgetlab import continual
+from forgetlab import continual, data
 from forgetlab.continual import (
     Strategy,
     StrategyConfig,
@@ -33,9 +33,17 @@ from forgetlab.model import (
     param_count,
 )
 from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError
-from forgetlab.optim import DEFAULT_LEARNING_RATES, OptimizerConfig, StepHook, apply
+from forgetlab.optim import ADAM_BLOCK, DEFAULT_LEARNING_RATES, OptimizerConfig, StepHook, apply
 
-from helpers import ScalarAdam, adam, ewc_penalty_multi_anchor, map_flat, sgd
+from helpers import (
+    ScalarAdam,
+    adam,
+    ewc_penalty_multi_anchor,
+    map_flat,
+    same_bits,
+    sgd,
+    whole_vector_ewc_pre_hook,
+)
 
 
 def make_task(images, labels, task_id=0):
@@ -88,10 +96,11 @@ class TestFisher:
         gap = np.abs(estimated.flat - squared.flat)
         assert np.max(gap) <= 1e-14 * np.max(np.abs(squared.flat))
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         params, task = random_setup(42, n=7)
-        whole = estimate_fisher(params, task, chunk_size=100)
-        chunked = estimate_fisher(params, task, chunk_size=2)
+        whole = estimate_fisher(params, task)  # one chunk
+        monkeypatch.setattr(data, "CHUNK_ROWS", 2)  # three chunks of 2, one of 1
+        chunked = estimate_fisher(params, task)
         assert np.allclose(whole.flat, chunked.flat, rtol=0, atol=1e-15)
 
 
@@ -149,22 +158,37 @@ class TestAccumulate:
         a = init_params(RandomStream(48), (3, 2))
         b = init_params(RandomStream(49), (3, 2))
         absa, absb = map_flat(np.abs, a), map_flat(np.abs, b)
-        total = accumulate(absa, absb, 1.0)
-        assert np.array_equal(total.flat, absa.flat + absb.flat)
+        expected = absa.flat + absb.flat
+        accumulate(absa, absb, 1.0)
+        assert np.array_equal(absa.flat, expected)
 
     def test_decay_halves_totals_when_nothing_new(self):
         a = map_flat(np.abs, init_params(RandomStream(50), (3, 2)))
         zero = MlpParams.zeros(a.layer_sizes)
-        total = accumulate(a, zero, 0.5)
-        assert np.array_equal(total.flat, 0.5 * a.flat)
+        expected = 0.5 * a.flat
+        accumulate(a, zero, 0.5)
+        assert np.array_equal(a.flat, expected)
 
     def test_three_tasks_sum(self):
         maps = [
             map_flat(np.abs, init_params(RandomStream(s), (3, 2))) for s in (51, 52, 53)
         ]
-        total = accumulate(accumulate(maps[0], maps[1], 1.0), maps[2], 1.0)
         expected = maps[0].flat + maps[1].flat + maps[2].flat
+        total = maps[0].copy()
+        accumulate(total, maps[1], 1.0)
+        accumulate(total, maps[2], 1.0)
         assert np.allclose(total.flat, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9, 0.5, 0.0])
+    def test_in_place_fold_is_the_expression_bit_for_bit(self, gamma):
+        layer_sizes = (784, 300, 150, 10)
+        total = map_flat(np.abs, init_params(RandomStream(56), layer_sizes))
+        new = map_flat(np.abs, init_params(RandomStream(57), layer_sizes))
+        expected = gamma * total.flat + new.flat
+        buffer = total.flat
+        accumulate(total, new, gamma)
+        assert total.flat is buffer
+        assert same_bits(total.flat, expected)
 
     def test_shape_mismatch(self):
         a = init_params(RandomStream(55), (3, 2))
@@ -273,6 +297,27 @@ class TestMultiAnchor:
         params, anchors, omegas, lams = self.setup_instance(68, 2)
         with pytest.raises(ValueError):
             ewc_penalty_multi_anchor(params, anchors, omegas[:1], lams)
+
+
+class TestEwcHookBlocks:
+    @pytest.mark.parametrize("threshold", [None, 1.0], ids=["plain", "clip"])
+    def test_blocked_pre_hook_matches_whole_vector_reference(self, threshold):
+        # Two full blocks and a ragged 17-entry tail; the second call
+        # reuses the hook's buffer.
+        layer_sizes = (2 * ADAM_BLOCK + 16, 1)  # (n_in + 1) * n_out entries
+        size = param_count(layer_sizes)
+        stream = RandomStream(180)
+
+        def vector():
+            return MlpParams.from_flat(stream.normal(0.0, 1.0, size), layer_sizes)
+
+        anchor, task_grad = vector(), vector()
+        lam_weight = np.abs(stream.normal(0.0, 1.0, size)) * 10.0 ** stream.uniform(-6, 3, size)
+        hook = continual._make_ewc_hook(anchor, lam_weight, threshold)
+        for _ in range(2):
+            params = vector()
+            expected = whole_vector_ewc_pre_hook(task_grad, params, anchor, lam_weight, threshold)
+            assert same_bits(hook.pre_optimizer(task_grad, params).flat, expected)
 
 
 class TestSafeCoefficient:
@@ -566,19 +611,13 @@ class TestStrategies:
         strategy.finish_task(params, task)
         assert strategy.hook is not None
 
-    def test_wva_zero_lambda_never_hooks(self):
-        strategy = Strategy(StrategyConfig(kind="wva", lam=0.0), 0.001)
-        params, task = random_setup(84)
-        strategy.finish_task(params, task)
-        assert strategy.hook is None
-
     def test_wva_accumulates_importance_across_tasks(self):
         config = StrategyConfig(kind="wva", lam=1.0, estimator="total_abs_signal")
         strategy = Strategy(config, 0.001)
         params, task_a = random_setup(85)
         _, task_b = random_setup(86)
         strategy.finish_task(params, task_a)
-        first = strategy.omega_total
+        first = strategy.omega_total.copy()  # the running map is folded in place
         strategy.finish_task(params, task_b)
         second = strategy.omega_total
         omega_a = estimate_total_abs_signal(params, task_a)
@@ -676,12 +715,6 @@ class TestStrategies:
         hook = strategy.hook
         out = hook.pre_optimizer(MlpParams.zeros(params.layer_sizes), current)
         assert global_norm(out) <= 1.0 + 1e-9
-
-    def test_ewc_zero_lambda_never_hooks(self):
-        strategy = Strategy(StrategyConfig(kind="ewc", lam=0.0), 0.2)
-        params, task = random_setup(98)
-        strategy.finish_task(params, task)
-        assert strategy.hook is None
 
     def test_multi_anchor_matches_consolidated_after_one_task(self):
         params, task = random_setup(99)

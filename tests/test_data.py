@@ -7,9 +7,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from forgetlab import harness
+from forgetlab import data, harness
 from forgetlab.continual import estimate_fisher, estimate_total_abs_signal
 from forgetlab.data import (
+    CHUNK_ROWS,
     FETCH_TIMEOUT_S,
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -531,19 +532,37 @@ class TestGatherEquivalence:
             assert rows.tobytes() == materialized(task).test_images[picks].tobytes()
 
     def test_rows_spanning_several_gather_blocks(self):
-        idx = RandomStream(5).permutation(1100)  # four full blocks and a short one
+        idx = RandomStream(5).permutation(1100)  # two full blocks and a short one
+        assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
         for task in self.tasks():
             rows = task.train_rows(idx)
             assert rows.tobytes() == materialized(task).train_images[idx].tobytes()
 
     def test_peak_memory_one_copy_of_the_rows(self):
-        # Rows are permuted block by block straight into the output.
-        # Gathering them whole and then permuting holds about 2x it.
+        # Rows are permuted block by block straight into the output, so
+        # the peak is the output plus one unpermuted block. Gathering them
+        # whole and then permuting holds about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
         task = make_permuted_tasks(train, test, 2, seed=8)[1]
         picks = RandomStream(4).choice(3000, 2000)
         peak, rows = traced_peak(task.test_rows, picks)
-        assert peak < 1.25 * rows.nbytes
+        assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * 8
+        assert peak < 1.5 * rows.nbytes
+
+    @pytest.mark.parametrize("split, n_picks", [("train", None), ("test", None), ("test", 150)])
+    def test_chunks_walk_the_split_in_order(self, monkeypatch, split, n_picks):
+        monkeypatch.setattr(data, "CHUNK_ROWS", 64)  # several chunks of the 300 test rows too
+        picks = None if n_picks is None else RandomStream(4).choice(300, n_picks)
+        for task in self.tasks():
+            chunks = list(task.chunks(split, picks))
+            sizes = [len(rows) for rows in chunks]
+            assert sizes[:-1] == [64] * (len(sizes) - 1) and 0 < sizes[-1] <= 64
+            for rows in chunks:
+                assert rows.flags.c_contiguous and rows.flags.writeable
+                assert not np.shares_memory(rows, getattr(task, f"{split}_images"))
+            expected = getattr(materialized(task), f"{split}_images")
+            expected = expected if picks is None else expected[picks]
+            assert np.concatenate(chunks).tobytes() == expected.tobytes()
 
     def test_one_epoch_of_batches(self):
         for task in self.tasks():

@@ -7,7 +7,7 @@ import pytest
 
 from forgetlab import continual, harness
 from forgetlab.continual import StrategyConfig
-from forgetlab.data import batches
+from forgetlab.data import CHUNK_ROWS, batches, make_permuted_tasks
 from forgetlab.harness import (
     DEFAULT_LAMBDA_GRID,
     _eval_splits,
@@ -24,6 +24,7 @@ from forgetlab.harness import (
     sgd_target_equivalence,
 )
 from forgetlab.model import (
+    DEFAULT_LAYER_SIZES,
     accuracy,
     backward,
     forward,
@@ -133,9 +134,11 @@ class TestBuildTasks:
         config = tiny_config(num_tasks=3, eval_subset=eval_subset)
         tasks = build_tasks(config)
         for task, (picks, y) in zip(tasks, _eval_splits(config, tasks)):
-            x = task.test_rows(picks)
-            assert x.flags.writeable and x.flags.c_contiguous
-            assert not np.shares_memory(x, task.test_images)
+            chunks = list(task.chunks("test", picks))
+            for x in chunks:
+                assert x.flags.writeable and x.flags.c_contiguous
+                assert not np.shares_memory(x, task.test_images)
+            x = np.concatenate(chunks)
             assert x.shape == (len(y), 12)
             permuted = task.test_rows(slice(None))
             assert all((permuted == row).all(axis=1).any() for row in x)
@@ -149,6 +152,27 @@ class TestRunSequence:
             return traced_peak(run_sequence, mnist_sized_config(num_tasks))[0]
 
         assert peak(8) < 1.1 * peak(2)
+
+    def test_eval_peak_flat_in_split_size(self):
+        # A task's evaluation walks its split one chunk at a time, so its
+        # peak holds one chunk of rows and activations. Evaluating the
+        # split in one pass grows this peak by about 80 MB from 1,024 to
+        # 8,192 rows, and keeping one chunk's rows and trace while the
+        # next is made adds about 1.6 chunks' bytes to the one-chunk peak.
+        params = init_params(RandomStream(30), DEFAULT_LAYER_SIZES)
+        stream = RandomStream(31)
+
+        def peak(n_test):
+            train = (stream.uniform(0, 1, (10, 784)), np.arange(10))
+            test = (stream.uniform(0, 1, (n_test, 784)), np.arange(n_test) % 10)
+            task = make_permuted_tasks(train, test, 2, seed=32)[1]
+            chunks = task.chunks("test")
+            return traced_peak(harness.accuracy, params, chunks, task.test_labels)[0]
+
+        chunk_bytes = CHUNK_ROWS * 784 * 8
+        one_chunk = peak(CHUNK_ROWS)
+        assert abs(peak(8192) - peak(1024)) < chunk_bytes
+        assert peak(8192) - one_chunk < chunk_bytes / 4
 
     @pytest.mark.parametrize(
         "num_tasks, carry",
@@ -173,7 +197,7 @@ class TestRunSequence:
         assert np.array_equal(result.params.flat, params.flat)
         assert result.matrix.accuracies.shape == (num_tasks, num_tasks)
         for j, task in enumerate(tasks):
-            expected = accuracy(params, task.test_rows(slice(None)), task.test_labels)
+            expected = accuracy(params, [task.test_rows(slice(None))], task.test_labels)
             assert result.matrix.accuracies[-1, j] == expected
 
     def test_repeat_run_bit_identical(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from forgetlab.data import synth_dataset
+from forgetlab.data import CHUNK_ROWS, TaskDataset, synth_dataset
 from forgetlab.model import (
     DEFAULT_LAYER_SIZES,
     MlpParams,
@@ -263,24 +263,46 @@ class TestAccuracy:
         params = zero_net((6, 4, 10))
         # Uniform output ties every row; argmax picks class 0, which holds
         # exactly a tenth of the balanced test split.
-        assert accuracy(params, test_images, test_labels) == 0.1
+        assert accuracy(params, [test_images], test_labels) == 0.1
 
     def test_memorized_toy_set(self):
         params = zero_net((2, 2))
         params.weights[0][:] = [[10.0, 0.0], [0.0, 10.0]]
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert accuracy(params, x, np.array([0, 1])) == 1.0
+        assert accuracy(params, [x], np.array([0, 1])) == 1.0
+        assert accuracy(params, [x[:1], x[1:]], np.array([0, 0])) == 0.5
 
     def test_bounded(self):
         params = init_params(RandomStream(18), (4, 3, 2))
         x = RandomStream(19).uniform(0, 1, (9, 4))
-        acc = accuracy(params, x, np.arange(9) % 2)
+        acc = accuracy(params, [x], np.arange(9) % 2)
         assert 0.0 <= acc <= 1.0
 
     def test_empty_set_rejected(self):
         params = init_params(RandomStream(20), (4, 2))
-        with pytest.raises(ValueError):
-            accuracy(params, np.zeros((0, 4)), np.zeros(0, dtype=int))
+        for blocks in ([np.zeros((0, 4))], []):
+            with pytest.raises(ValueError, match="empty evaluation set"):
+                accuracy(params, blocks, np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("n_labels", [5, 7])
+    def test_row_label_mismatch_rejected(self, n_labels):
+        params = init_params(RandomStream(20), (4, 2))
+        x = RandomStream(21).uniform(0, 1, (6, 4))
+        with pytest.raises(ShapeError):
+            accuracy(params, [x[:4], x[4:]], np.zeros(n_labels, dtype=int))
+
+    def test_chunked_count_equals_whole_split_fraction(self):
+        # 1,100 rows walk as two full chunks and a short one of 76.
+        (images, labels), _ = synth_dataset(10, 20, 138, 0.9, seed=24)
+        task = TaskDataset(0, images, labels, images[:1], labels[:1], np.arange(20))
+        params = init_params(RandomStream(25), (20, 16, 10))
+        sizes = [len(rows) for rows in task.chunks("train")]
+        assert sizes == [CHUNK_ROWS] * (len(sizes) - 1) + [1100 % CHUNK_ROWS]
+        assert len(sizes) > 1 and sizes[-1] > 0
+        predictions = np.argmax(forward(params, images).probabilities, axis=1)
+        whole = float(np.mean(predictions == labels))
+        assert 0.0 < whole < 1.0
+        assert accuracy(params, task.chunks("train"), labels) == whole
 
 
 class TestTraining:
