@@ -11,9 +11,13 @@ rows straight into its output, holding no second copy of them. The
 importance estimators and evaluation walk a split through
 :meth:`TaskDataset.chunks`, ``CHUNK_ROWS`` rows at a time, so neither
 holds more than one chunk of a split's rows, whatever its size.
-Building the base holds no second copy either: the IDX loader scales in
-place and the synthetic source writes into preallocated splits. Every
-image array leaving this module is float64 with pixels in [0, 1].
+Building the base holds no second copy either. Both sources take
+``pick_rows``, which maps the train split's row count to the rows to keep,
+and build only those rows: the IDX loader gathers them from the uint8
+payload, which it reads as a view, and scales them in place; the
+synthetic source draws each class ``CHUNK_ROWS`` samples at a time and
+clips each chunk straight into preallocated splits. Every image array
+leaving this module is float64 with pixels in [0, 1].
 
 Each data fact is checked once: :func:`_parse_pair` an IDX pair's
 layout, :func:`make_permuted_tasks` the base's ranges, :class:`TaskDataset`
@@ -31,7 +35,7 @@ import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,6 +52,9 @@ FETCH_TIMEOUT_S = 60
 # per block when a gather of scattered rows permutes them into its
 # output: the most rows of a split, permuted or not, a walk holds at once.
 CHUNK_ROWS = 512
+
+# Maps a train split's row count to the rows to keep, in order (None keeps all).
+PickRows = Callable[[int], Optional[np.ndarray]]
 
 # Stream ids used when deriving children from an experiment seed.
 PERMUTATION_STREAM_ID = 1
@@ -79,7 +86,10 @@ class IdxCountMismatchError(IdxFormatError):
 
 
 def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
-    """Decode one IDX payload; errors name its ``origin`` (a path or URL)."""
+    """Decode one IDX payload; errors name its ``origin`` (a path or URL).
+
+    The array is a read-only view of ``raw``, which it keeps alive.
+    """
     if len(raw) < 4:
         raise IdxTruncatedError(f"{origin}: missing IDX header")
     (magic,) = struct.unpack(">i", raw[:4])
@@ -95,7 +105,7 @@ def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
     if min(dims) < 0:
         raise IdxFormatError(f"{origin}: negative dimension in header {dims}")
     expected = math.prod(dims)
-    payload = raw[header_len:]
+    payload = memoryview(raw)[header_len:]  # slicing the bytes would copy them
     if len(payload) < expected:
         raise IdxTruncatedError(
             f"{origin}: payload has {len(payload)} bytes, header implies {expected}"
@@ -119,24 +129,42 @@ def _parse_pair(images_raw: bytes, labels_raw: bytes, origins) -> tuple[np.ndarr
     return images, labels
 
 
-def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+def load_idx(
+    images_path: str, labels_path: str, pick_rows: Optional[PickRows] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label pair, checked as :func:`_parse_pair` checks it.
 
     Returns ``(images, labels)`` with images flattened to rows and scaled
-    by 1/255 into [0, 1], and labels as int64.
+    by 1/255 into [0, 1], and labels as int64. ``pick_rows``, if given, is
+    called with the pair's item count and returns the rows to keep, in
+    order, or None for every row. The kept rows are gathered from the
+    uint8 pixels before the elementwise scale, so they hold the bytes
+    that scaling the whole split and then picking would give, and the
+    one float64 copy, scaled in place, holds only them.
     """
-    raw = [Path(path).read_bytes() for path in (images_path, labels_path)]
-    images, labels = _parse_pair(*raw, (images_path, labels_path))
+    images, labels = _parse_pair(
+        *(Path(path).read_bytes() for path in (images_path, labels_path)),
+        (images_path, labels_path),
+    )
+    rows = None if pick_rows is None else pick_rows(labels.shape[0])
+    if rows is not None:
+        images, labels = images[rows], labels[rows]  # drops the payload's bytes
     # the row width is given, not -1, which numpy cannot infer for a file of 0 rows
     flat = images.reshape(images.shape[0], math.prod(images.shape[1:])).astype(np.float64)
     flat /= 255.0  # in place: one float64 copy at the peak, not two
     return flat, labels.astype(np.int64)
 
 
-def load_mnist(data_dir: str) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Load the four canonical MNIST IDX files from ``data_dir``: ``(train, test)``."""
+def load_mnist(
+    data_dir: str, pick_rows: Optional[PickRows] = None
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Load the four canonical MNIST IDX files from ``data_dir``: ``(train, test)``.
+
+    ``pick_rows`` selects the train rows to keep, as in :func:`load_idx`;
+    the test split is always whole.
+    """
     paths = [os.path.join(data_dir, name) for name in MNIST_FILE_NAMES.values()]
-    return load_idx(*paths[:2]), load_idx(*paths[2:])
+    return load_idx(*paths[:2], pick_rows), load_idx(*paths[2:])
 
 
 def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
@@ -254,7 +282,12 @@ def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
 
 
 def synth_dataset(
-    classes: int, dims: int, samples_per_class: int, spread: float, seed: int
+    classes: int,
+    dims: int,
+    samples_per_class: int,
+    spread: float,
+    seed: int,
+    pick_rows: Optional[PickRows] = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Gaussian-cluster stand-in base, one cluster per class.
 
@@ -263,27 +296,50 @@ def synth_dataset(
     are clipped to [0, 1] and split 80/20 per class into train/test.
     Returns ``((train_images, train_labels), (test_images, test_labels))``
     like :func:`load_mnist`, fully determined by the arguments.
+    ``pick_rows`` selects the train rows to keep, as in :func:`load_idx`:
+    it is called with the train split's row count, ``classes *
+    int(0.8 * samples_per_class)``, before any sample is drawn.
 
-    Both splits are allocated once and each class's samples are written
-    into their own rows, so the build holds the output plus one class's
-    samples at a time.
+    Both splits are allocated once, holding only the kept train rows.
+    Each class is drawn ``CHUNK_ROWS`` samples at a time, the same draws
+    as one call per class, and each chunk is clipped straight into its
+    rows: a slice of the output for contiguous rows, one indexed write
+    for picked ones. So the build holds the output plus about one chunk.
     """
     rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
     centers = rs.uniform(0.2, 0.8, (classes, dims))
     n_train = int(samples_per_class * 0.8)
     n_test = samples_per_class - n_train
-    train_images = np.empty((classes * n_train, dims))
+    train_labels = np.repeat(np.arange(classes, dtype=np.int64), n_train)
+    rows = None if pick_rows is None else pick_rows(train_labels.shape[0])
+    if rows is not None:
+        train_labels = train_labels[rows]
+        slot = np.full(classes * n_train, -1)  # each train row's place in the output, or -1
+        slot[rows] = np.arange(len(rows))
+    train_images = np.empty((train_labels.shape[0], dims))
     test_images = np.empty((classes * n_test, dims))
     for c in range(classes):
-        samples = rs.normal(0.0, 1.0, (samples_per_class, dims))
-        samples *= spread
-        samples += centers[c]
-        np.clip(samples[:n_train], 0.0, 1.0, out=train_images[c * n_train : (c + 1) * n_train])
-        np.clip(samples[n_train:], 0.0, 1.0, out=test_images[c * n_test : (c + 1) * n_test])
-    labels = np.arange(classes, dtype=np.int64)
+        for start in range(0, samples_per_class, CHUNK_ROWS):
+            chunk = rs.normal(0.0, 1.0, (min(CHUNK_ROWS, samples_per_class - start), dims))
+            chunk *= spread
+            chunk += centers[c]
+            # the chunk's first k samples are train rows, the rest test rows
+            k = min(max(n_train - start, 0), chunk.shape[0])
+            at = c * n_train + start
+            if rows is None:
+                np.clip(chunk[:k], 0.0, 1.0, out=train_images[at : at + k])
+            else:
+                to = slot[at : at + k]
+                keep = to >= 0
+                kept = chunk[:k][keep]
+                train_images[to[keep]] = np.clip(kept, 0.0, 1.0, out=kept)
+                del kept
+            at = c * n_test + max(start - n_train, 0)
+            np.clip(chunk[k:], 0.0, 1.0, out=test_images[at : at + chunk.shape[0] - k])
+            del chunk  # free this chunk before the next is drawn
     return (
-        (train_images, np.repeat(labels, n_train)),
-        (test_images, np.repeat(labels, n_test)),
+        (train_images, train_labels),
+        (test_images, np.repeat(np.arange(classes, dtype=np.int64), n_test)),
     )
 
 

@@ -170,9 +170,20 @@ class RunResult:
 def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
     """Build the permuted task sequence for a config.
 
-    The tasks share one read-only copy of the base data (after the train
-    subset is drawn); each task's pixels are gathered per batch.
+    With ``train_subset`` below the train split's size, the subset's
+    rows are drawn from the split's row count before any float64 image
+    is made, and the source builds only those rows, in the drawn order.
+    The tasks share one read-only copy of that base data; each task's
+    pixels are gathered per batch.
     """
+
+    def train_picks(n: int) -> Optional[np.ndarray]:
+        if config.train_subset is None or config.train_subset >= n:
+            return None
+        return RandomStream(config.seed).child(TRAIN_SUBSET_STREAM_ID).choice(
+            n, config.train_subset
+        )
+
     if config.source == "synthetic":
         base_train, base_test = synth_dataset(
             config.architecture[-1],
@@ -180,14 +191,10 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
             config.synthetic_samples_per_class,
             config.synthetic_spread,
             config.seed,
+            pick_rows=train_picks,
         )
     else:
-        base_train, base_test = load_mnist(config.data_dir)
-    if config.train_subset is not None and config.train_subset < len(base_train[1]):
-        picks = RandomStream(config.seed).child(TRAIN_SUBSET_STREAM_ID).choice(
-            len(base_train[1]), config.train_subset
-        )
-        base_train = (base_train[0][picks], base_train[1][picks])
+        base_train, base_test = load_mnist(config.data_dir, pick_rows=train_picks)
     return make_permuted_tasks(
         base_train,
         base_test,

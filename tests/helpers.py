@@ -1,6 +1,7 @@
 """Shared test oracles: a scalar Adam, a whole-vector Adam, a whole-vector
-EWC pre-hook, the explicit multi-anchor EWC sum, and a traced-memory
-probe; plus fresh optimizers of each kind.
+EWC pre-hook, the explicit multi-anchor EWC sum, a one-draw-per-class
+synthetic source, and a traced-memory probe; plus fresh optimizers of
+each kind.
 """
 
 import tracemalloc
@@ -8,7 +9,9 @@ import tracemalloc
 import numpy as np
 
 from forgetlab.continual import clip_separately, ewc_penalty
+from forgetlab.data import SYNTH_STREAM_ID
 from forgetlab.model import MlpParams
+from forgetlab.numerics import RandomStream
 from forgetlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -103,6 +106,29 @@ def whole_vector_ewc_pre_hook(task_grad, params, anchor, lam_weight, threshold=N
         return clip_separately(task_grad, pull, threshold).flat
     np.add(task_grad.flat, pull, out=pull)
     return pull
+
+
+def one_draw_synth_dataset(classes, dims, samples_per_class, spread, seed):
+    """The synthetic source with every class drawn in one call, both splits whole.
+
+    The reference for :func:`forgetlab.data.synth_dataset`, which draws
+    each class a chunk at a time and builds only the picked train rows,
+    and must match this, subset afterwards, bit for bit.
+    """
+    rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
+    centers = rs.uniform(0.2, 0.8, (classes, dims))
+    n_train = int(samples_per_class * 0.8)
+    train, test = [], []
+    for c in range(classes):
+        samples = rs.normal(0.0, 1.0, (samples_per_class, dims)) * spread + centers[c]
+        samples = np.clip(samples, 0.0, 1.0)
+        train.append(samples[:n_train])
+        test.append(samples[n_train:])
+    labels = np.arange(classes, dtype=np.int64)
+    return (
+        (np.concatenate(train), np.repeat(labels, n_train)),
+        (np.concatenate(test), np.repeat(labels, samples_per_class - n_train)),
+    )
 
 
 def same_bits(a, b):

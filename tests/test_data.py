@@ -30,7 +30,7 @@ from forgetlab.data import (
 from forgetlab.harness import ExperimentConfig
 from forgetlab.model import init_params
 from forgetlab.numerics import RandomStream, ShapeError
-from helpers import traced_peak
+from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
 def idx_bytes(magic, dims, payload):
@@ -83,6 +83,40 @@ class TestLoadIdx:
         img_path, lab_path = write_pair(tmp_path, n=n, rows=28, cols=28)
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path)
         assert peak < 1.5 * (images.nbytes + labels.nbytes)
+
+    def test_picked_rows_hold_no_float_copy_of_the_split(self, tmp_path):
+        # The picked rows are gathered from the uint8 payload before the
+        # scale. Scaling the whole split first holds its float64 copy
+        # (12.5 MB here) on the way to the 1.25 MB of picked rows.
+        img_path, lab_path = write_pair(tmp_path, n=2000, rows=28, cols=28)
+        picks = RandomStream(5).choice(2000, 200)
+        peak, (images, labels) = traced_peak(load_idx, img_path, lab_path, lambda n: picks)
+        assert images.shape == (200, 784)
+        assert peak < 2000 * 784 * 8 / 4
+
+    @pytest.mark.parametrize("n_picks", [0, 17, 60])
+    def test_picked_train_rows_equal_the_subset_of_the_whole_split(self, tmp_path, n_picks):
+        rs = RandomStream(3)
+        for key, name in MNIST_FILE_NAMES.items():
+            n = 60 if key.startswith("train") else 9
+            if "images" in key:
+                payload = rs.uniform(0, 256, n * 7 * 5).astype(np.uint8).tobytes()
+                blob = idx_bytes(IMAGE_MAGIC, [n, 7, 5], payload)
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [n], bytes(int(v) for v in rs.uniform(0, 10, n)))
+            (tmp_path / name).write_bytes(blob)
+        picks = RandomStream(4).choice(60, n_picks)
+        seen = []
+        (train_images, train_labels), test = load_mnist(
+            str(tmp_path), lambda n: seen.append(n) or picks
+        )
+        (whole_images, whole_labels), whole_test = load_mnist(str(tmp_path))
+        assert seen == [60]
+        assert train_images.shape == (n_picks, 35) and train_images.flags.c_contiguous
+        assert same_bits(train_images, whole_images[picks])
+        assert np.array_equal(train_labels, whole_labels[picks])
+        assert train_labels.dtype == np.int64
+        assert same_bits(test[0], whole_test[0]) and np.array_equal(test[1], whole_test[1])
 
     def test_wrong_magic(self, tmp_path):
         img_path, lab_path = write_pair(tmp_path)
@@ -393,10 +427,45 @@ class TestSynthetic:
         assert train_images.max() <= 1.0
 
     def test_peak_memory_below_two_copies(self):
-        # Classes are written into preallocated splits. Collecting them
-        # and concatenating holds about 2.1x the output at the peak.
-        peak, (train, test) = traced_peak(synth_dataset, 10, 784, 100, 0.25, 5)
-        assert peak < 1.75 * sum(a.nbytes for a in train + test)
+        # Chunks are clipped straight into preallocated splits, so the
+        # build holds the output plus one chunk. Collecting the classes and
+        # concatenating holds about 2.1x the output at the peak; drawing
+        # whole classes holds the output plus two of them (1,300 rows each,
+        # 5 chunks in all).
+        for classes, samples_per_class in ((10, 100), (2, 1300)):
+            peak, (train, test) = traced_peak(
+                synth_dataset, classes, 784, samples_per_class, 0.25, 5
+            )
+            output = sum(a.nbytes for a in train + test)
+            assert peak < 1.75 * output
+            assert peak < output + 1.25 * CHUNK_ROWS * 784 * 8
+
+    @pytest.mark.parametrize(
+        "samples_per_class",
+        [CHUNK_ROWS // 2, CHUNK_ROWS, CHUNK_ROWS + 1, 1250],
+        ids=["below-chunk", "one-chunk", "above-chunk", "split-inside-chunk"],
+    )
+    def test_chunked_draws_match_one_draw_per_class(self, samples_per_class):
+        # 1250 per class puts the train/test boundary at row 1000, inside
+        # the second chunk of each class
+        built = synth_dataset(3, 6, samples_per_class, 0.9, seed=8)
+        reference = one_draw_synth_dataset(3, 6, samples_per_class, 0.9, seed=8)
+        for (images, labels), (ref_images, ref_labels) in zip(built, reference):
+            assert same_bits(images, ref_images)
+            assert np.array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("n_picks", [1, 700, 3000], ids=["one", "some", "all-shuffled"])
+    def test_picked_rows_match_the_subset_of_one_draw(self, n_picks):
+        seen = []
+        picks = RandomStream(9).choice(3000, n_picks)
+        (images, labels), test = synth_dataset(
+            3, 6, 1250, 0.9, seed=8, pick_rows=lambda n: seen.append(n) or picks
+        )
+        (ref_images, ref_labels), ref_test = one_draw_synth_dataset(3, 6, 1250, 0.9, seed=8)
+        assert seen == [3000]
+        assert same_bits(images, ref_images[picks])
+        assert np.array_equal(labels, ref_labels[picks])
+        assert same_bits(test[0], ref_test[0]) and np.array_equal(test[1], ref_test[1])
 
     def test_zero_spread_rejected(self):
         # the synthetic source's settings are checked with the config

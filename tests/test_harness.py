@@ -33,7 +33,7 @@ from forgetlab.model import (
 )
 from forgetlab.numerics import NonFiniteError, RandomStream
 from forgetlab.optim import Optimizer, apply
-from helpers import traced_peak
+from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
 def tiny_config(**overrides):
@@ -115,6 +115,24 @@ class TestBuildTasks:
         tasks = build_tasks(tiny_config(train_subset=64))
         assert all(t.train_images.shape[0] == 64 for t in tasks)
         assert np.array_equal(tasks[0].train_labels, tasks[1].train_labels)
+
+    def test_train_subset_is_the_drawn_rows_of_the_whole_split(self):
+        config = tiny_config(train_subset=64)
+        task = build_tasks(config)[0]
+        (images, labels), _ = one_draw_synth_dataset(4, 12, 40, 0.2, seed=7)
+        picks = RandomStream(7).child(harness.TRAIN_SUBSET_STREAM_ID).choice(len(labels), 64)
+        assert same_bits(task.train_images, images[picks])
+        assert np.array_equal(task.train_labels, labels[picks])
+
+    def test_subset_build_peak_below_one_train_split(self):
+        # Only the subset's rows are built. Building the whole float64
+        # train split (25 MB here) and then copying out the subset holds
+        # the split, the subset and the test split at once.
+        config = mnist_sized_config(1)
+        config = dataclasses.replace(config, synthetic_samples_per_class=500, train_subset=100)
+        peak, tasks = traced_peak(build_tasks, config)
+        assert tasks[0].train_images.shape == (100, 784)
+        assert peak < 10 * 400 * 784 * 8
 
     def test_first_task_unpermuted_by_default(self):
         tasks = build_tasks(tiny_config())
