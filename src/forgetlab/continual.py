@@ -28,10 +28,13 @@ hook needs per step is fixed when a task finishes (the factors, and
 a buffer it owns: the returned container is overwritten by the hook's
 next call.
 
-Each fact is checked once: the config fields check every setting (the
-helpers here trust those bounds), :class:`~forgetlab.data.TaskDataset`
-that no split is empty, :meth:`Strategy.finish_task` the importance
-map, and :func:`~forgetlab.optim.apply` hook layouts.
+Each fact is checked once: the config fields check every setting's
+choices and bounds (the helpers here trust them),
+:class:`~forgetlab.data.TaskDataset` that no split is empty,
+:meth:`Strategy.finish_task` the importance map, and
+:func:`~forgetlab.optim.apply` hook layouts. A run's maps, gradients
+and anchors share one layout, so :func:`accumulate` and
+:func:`clip_separately` do not compare layouts.
 """
 
 from __future__ import annotations
@@ -122,9 +125,9 @@ def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float):
     """Fold a new task's importances into the running map in place: gamma*total + new.
 
     The two passes round as the expression does, so the result is the
-    same bits as a freshly allocated ``gamma * total + new``.
+    same bits as a freshly allocated ``gamma * total + new``. Both maps
+    have the run's one parameter layout.
     """
-    check_congruent(total, new, "importance maps")
     total.flat *= gamma
     total.flat += new.flat
 
@@ -177,9 +180,9 @@ def clip_separately(
     """Rescale each gradient to global L2 norm <= threshold, then sum them.
 
     Clipping the two parts independently keeps a huge penalty gradient
-    from drowning out the task gradient (and vice versa).
+    from drowning out the task gradient (and vice versa). Both have the
+    run's one parameter layout.
     """
-    check_congruent(task_grad, penalty_grad, "task and penalty gradients")
     summed = _clip_to_norm(task_grad.flat, threshold) + _clip_to_norm(
         penalty_grad.flat, threshold
     )
@@ -190,10 +193,9 @@ def wva_factor(omega, lam: float, kind: str) -> np.ndarray:
     """Attenuation factor in (0, 1]: hyperbolic 1/(lam*omega+1) or exp(-lam*omega).
 
     Every pass writes into one fresh output array (0-d for a scalar
-    ``omega``), with the roundings of the plain expressions.
+    ``omega``), with the roundings of the plain expressions. ``kind`` is
+    one of :class:`StrategyConfig`'s attenuation choices, which it checks.
     """
-    if kind not in ATTENUATION_KINDS:
-        raise ValueError(f"kind must be one of {ATTENUATION_KINDS}, got {kind!r}")
     arr = np.asarray(omega, dtype=np.float64)
     out = np.empty_like(arr)
     if kind == "hyperbolic":
@@ -240,9 +242,9 @@ def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> S
     The transform ignores its ``params`` argument and returns a buffer the
     hook owns, overwritten by its next call. At lam == 0 every factor is
     exactly 1, so the hook is an identity; :class:`Strategy` builds none.
+    ``kind`` and ``target`` are among :class:`StrategyConfig`'s choices,
+    which it checks.
     """
-    if target not in TARGETS:
-        raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     factors = wva_factor(omega.flat, lam, kind)
     out = MlpParams.zeros(omega.layer_sizes)
 

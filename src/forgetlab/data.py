@@ -70,19 +70,7 @@ MNIST_FILE_NAMES = {
 
 
 class IdxFormatError(ValueError):
-    """An IDX file violates the published layout."""
-
-
-class IdxMagicError(IdxFormatError):
-    """Unexpected magic number for the requested IDX payload type."""
-
-
-class IdxTruncatedError(IdxFormatError):
-    """IDX payload shorter than its header promises."""
-
-
-class IdxCountMismatchError(IdxFormatError):
-    """Image and label files disagree on the number of items."""
+    """An IDX file violates the published layout, or a pair disagrees on its count."""
 
 
 def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
@@ -91,23 +79,23 @@ def _parse_idx(raw: bytes, expected_magic: int, origin: str) -> np.ndarray:
     The array is a read-only view of ``raw``, which it keeps alive.
     """
     if len(raw) < 4:
-        raise IdxTruncatedError(f"{origin}: missing IDX header")
+        raise IdxFormatError(f"{origin}: missing IDX header")
     (magic,) = struct.unpack(">i", raw[:4])
     if magic != expected_magic:
-        raise IdxMagicError(
+        raise IdxFormatError(
             f"{origin}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
     ndims = magic & 0xFF
     header_len = 4 + 4 * ndims
     if len(raw) < header_len:
-        raise IdxTruncatedError(f"{origin}: header truncated")
+        raise IdxFormatError(f"{origin}: header truncated")
     dims = struct.unpack(f">{ndims}i", raw[4:header_len])
     if min(dims) < 0:
         raise IdxFormatError(f"{origin}: negative dimension in header {dims}")
     expected = math.prod(dims)
     payload = memoryview(raw)[header_len:]  # slicing the bytes would copy them
     if len(payload) < expected:
-        raise IdxTruncatedError(
+        raise IdxFormatError(
             f"{origin}: payload has {len(payload)} bytes, header implies {expected}"
         )
     if len(payload) > expected:
@@ -123,7 +111,7 @@ def _parse_pair(images_raw: bytes, labels_raw: bytes, origins) -> tuple[np.ndarr
     images = _parse_idx(images_raw, IMAGE_MAGIC, origins[0])
     labels = _parse_idx(labels_raw, LABEL_MAGIC, origins[1])
     if images.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
+        raise IdxFormatError(
             f"{origins[0]} has {images.shape[0]} images, {origins[1]} has {labels.shape[0]} labels"
         )
     return images, labels

@@ -191,13 +191,11 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
 
     Raises :class:`NonFiniteError` naming the layer if any pre-activation
     overflows; each layer's ``z`` is checked once, after the bias add and
-    before the leaky ReLU overwrites it.
+    before the leaky ReLU overwrites it. A batch that is not 2-D or not
+    as wide as the first layer fails in :func:`~forgetlab.numerics.matmul`,
+    whose :class:`ShapeError` names both shapes.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[1]:
-        raise ShapeError(
-            f"batch shaped {x.shape}, expected (B, {params.weights[0].shape[1]})"
-        )
     layer_inputs = [x]
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -316,7 +314,8 @@ def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
     match ``labels``. Hits are counted one block at a time, so only one
     block's forward pass is held at once. The count is exact, so
     ``hits / len(labels)`` is the float ``np.mean`` gives over the whole
-    split.
+    split. The set is never empty: :class:`~forgetlab.data.TaskDataset`
+    rejects an empty split and ``eval_subset`` is at least 1.
     """
     labels = np.asarray(labels)
     classes = params.weights[-1].shape[0]
@@ -330,8 +329,6 @@ def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
         seen += n
     if seen != labels.shape[0]:
         raise ShapeError(f"{seen} rows vs {labels.shape[0]} labels")
-    if seen == 0:
-        raise ValueError("accuracy of an empty evaluation set is undefined")
     return hits / seen
 
 

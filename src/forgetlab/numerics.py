@@ -126,13 +126,12 @@ class RandomStream:
     identifies a stream within one seed; two streams with different keys
     never share state. Uniform doubles use numpy's standard 53-bit
     conversion, so sequences are reproducible wherever the same numpy
-    bit-generator is available.
+    bit-generator is available. A negative seed raises ``ValueError``
+    from ``SeedSequence``; a run's seed is checked by its config first.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         seed = int(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
         key = tuple(int(k) for k in key)
         if any(k < 0 or k >= 2**32 for k in key):
             raise ValueError(f"stream ids must fit in uint32, got {key}")

@@ -110,14 +110,16 @@ def _adam_direction(state: Optimizer, grads: Gradients) -> Gradients:
 
     Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
     The 13 passes run over one ``ADAM_BLOCK`` of entries at a time.
-    The returned step is the optimizer's direction buffer.
+    The returned step is the optimizer's direction buffer. Adam is
+    elementwise, and a run's gradients and moments share one layout:
+    :func:`apply` checks the gradients against the parameters, and a
+    gradient of another length fails in numpy or ``MlpParams.from_flat``.
     """
     if state.first_moment is None:
         state.first_moment = MlpParams.zeros(grads.layer_sizes)
         state.second_moment = MlpParams.zeros(grads.layer_sizes)
         state._direction = np.empty_like(grads.flat)
         state._scratch = np.empty(min(ADAM_BLOCK, grads.flat.size))
-    check_congruent(state.first_moment, grads, "Adam state and grads")
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     c1 = 1 - b1**state.t

@@ -1,9 +1,12 @@
 """Shared test oracles: a scalar Adam, a whole-vector Adam, a whole-vector
 EWC pre-hook, the explicit multi-anchor EWC sum, a one-draw-per-class
-synthetic source, and a traced-memory probe; plus fresh optimizers of
-each kind.
+synthetic source, and a traced-memory probe; fresh optimizers of each
+kind; and the golden files' environment stamp and OpenBLAS thread pin.
 """
 
+import contextlib
+import ctypes
+import platform
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,7 @@ import numpy as np
 from forgetlab.continual import clip_separately, ewc_penalty
 from forgetlab.data import SYNTH_STREAM_ID
 from forgetlab.model import MlpParams
-from forgetlab.numerics import RandomStream
+from forgetlab.numerics import RandomStream, numeric_environment, openblas_function
 from forgetlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -181,3 +184,35 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def environment_stamp() -> dict:
+    """The numeric environment a golden file is blessed on, plus the machine."""
+    return {**numeric_environment(), "machine": platform.machine()}
+
+
+def _set_blas_threads(count: int) -> None:
+    set_ = openblas_function("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
+    set_(count)
+
+
+@contextlib.contextmanager
+def blessed_environment(stamp: dict):
+    """Whether this is the environment ``stamp`` was blessed on, pinned to its threads.
+
+    Yields None when everything in the stamp but the BLAS thread count
+    matches :func:`environment_stamp`; OpenBLAS then runs at the stamp's
+    thread count until the block exits, and the caller's count is
+    restored. Otherwise yields a line naming both environments and pins
+    nothing.
+    """
+    blessed, here = dict(stamp), environment_stamp()
+    threads, caller_threads = blessed.pop("blas_threads"), here.pop("blas_threads")
+    if blessed != here:
+        yield f"blessed on {blessed}, this is {here}"
+        return
+    _set_blas_threads(threads)
+    try:
+        yield None
+    finally:
+        _set_blas_threads(caller_threads)

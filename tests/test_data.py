@@ -15,10 +15,7 @@ from forgetlab.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
     MNIST_FILE_NAMES,
-    IdxCountMismatchError,
     IdxFormatError,
-    IdxMagicError,
-    IdxTruncatedError,
     TaskDataset,
     batches,
     fetch_idx_files,
@@ -50,15 +47,11 @@ def write_pair(tmp_path, n=3, rows=2, cols=2):
 
 # Image headers with an empty payload whose size numpy's np.prod misjudges.
 BAD_HEADER_SIZES = pytest.mark.parametrize(
-    "dims, error, message",
+    "dims, message",
     [
         # in fixed-width integers the product of these dims wraps to 0
-        (
-            [2**21, 2**21, 2**22],
-            IdxTruncatedError,
-            "payload has 0 bytes, header implies 18446744073709551616",
-        ),
-        ([2, -1, 397], IdxFormatError, r"negative dimension in header \(2, -1, 397\)"),
+        ([2**21, 2**21, 2**22], "payload has 0 bytes, header implies 18446744073709551616"),
+        ([2, -1, 397], r"negative dimension in header \(2, -1, 397\)"),
     ],
     ids=["product-overflows-int64", "negative-dim"],
 )
@@ -120,7 +113,7 @@ class TestLoadIdx:
 
     def test_wrong_magic(self, tmp_path):
         img_path, lab_path = write_pair(tmp_path)
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(IdxFormatError, match="magic 0x00000801, expected 0x00000803"):
             load_idx(lab_path, lab_path)
 
     def test_truncated_payload(self, tmp_path):
@@ -128,7 +121,7 @@ class TestLoadIdx:
         p.write_bytes(idx_bytes(IMAGE_MAGIC, [2, 2, 2], b"\x00" * 7))
         lab = tmp_path / "labels"
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [2], b"\x00\x01"))
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(IdxFormatError, match="payload has 7 bytes, header implies 8"):
             load_idx(str(p), str(lab))
 
     def test_oversized_payload(self, tmp_path):
@@ -136,16 +129,18 @@ class TestLoadIdx:
         p.write_bytes(idx_bytes(IMAGE_MAGIC, [1, 2, 2], b"\x00" * 9))
         lab = tmp_path / "labels"
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [1], b"\x00"))
-        with pytest.raises(IdxFormatError):
+        with pytest.raises(
+            IdxFormatError, match="payload has 9 bytes, 5 more than the header implies"
+        ):
             load_idx(str(p), str(lab))
 
     @BAD_HEADER_SIZES
-    def test_header_sizes_without_overflow(self, tmp_path, dims, error, message):
+    def test_header_sizes_without_overflow(self, tmp_path, dims, message):
         img = tmp_path / "images"
         img.write_bytes(idx_bytes(IMAGE_MAGIC, dims, b""))
         lab = tmp_path / "labels"
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [2], b"\x00\x01"))
-        with pytest.raises(error, match=f"^{re.escape(str(img))}: {message}"):
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(img))}: {message}"):
             load_idx(str(img), str(lab))
 
     def test_count_mismatch(self, tmp_path):
@@ -154,7 +149,7 @@ class TestLoadIdx:
         lab = tmp_path / "labels"
         lab.write_bytes(idx_bytes(LABEL_MAGIC, [3], b"\x00\x01\x02"))
         with pytest.raises(
-            IdxCountMismatchError, match=re.escape(f"{img} has 2 images, {lab} has 3 labels")
+            IdxFormatError, match=re.escape(f"{img} has 2 images, {lab} has 3 labels")
         ):
             load_idx(str(img), str(lab))
 
@@ -262,7 +257,7 @@ class TestFetch:
                 blob = idx_bytes(LABEL_MAGIC, [3], bytes(3))
             (src / name).write_bytes(blob)
         with pytest.raises(
-            IdxCountMismatchError,
+            IdxFormatError,
             match="/train-images-idx3-ubyte has 2 images, .*/train-labels-idx1-ubyte has 3 labels",
         ):
             fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
@@ -279,12 +274,12 @@ class TestFetch:
             (src / name).write_bytes(blob)
         dest = tmp_path / "dest"
         dest.mkdir()
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(IdxFormatError, match="payload has 1 bytes, header implies 2"):
             fetch_idx_files(src.as_uri(), str(dest))
         assert os.listdir(dest) == []
 
     @BAD_HEADER_SIZES
-    def test_fetch_rejects_bad_header_sizes(self, tmp_path, dims, error, message):
+    def test_fetch_rejects_bad_header_sizes(self, tmp_path, dims, message):
         src = tmp_path / "src"
         src.mkdir()
         for key, name in MNIST_FILE_NAMES.items():
@@ -296,7 +291,7 @@ class TestFetch:
                 blob = idx_bytes(LABEL_MAGIC, [2], bytes(2))
             (src / name).write_bytes(blob)
         url = src.as_uri() + "/" + MNIST_FILE_NAMES["train_images"]
-        with pytest.raises(error, match=f"^{re.escape(url)}: {message}"):
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(url)}: {message}"):
             fetch_idx_files(src.as_uri(), str(tmp_path / "dest"))
         assert not (tmp_path / "dest").exists()
 

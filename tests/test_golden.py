@@ -20,11 +20,9 @@ repository root:
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import hashlib
 import json
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -34,8 +32,9 @@ import pytest
 
 from forgetlab.continual import StrategyConfig
 from forgetlab.harness import OptimizerConfig, build_tasks, desk_preset, run_sequence
-from forgetlab.numerics import numeric_environment, openblas_function
 from forgetlab.reports import emit_eval_matrix_csv
+
+from helpers import blessed_environment, environment_stamp
 
 GOLDEN = Path(__file__).with_name("golden") / "equivalence.json"
 BLESS_COMMAND = "PYTHONPATH=src python tests/test_golden.py --bless"
@@ -74,15 +73,6 @@ def base_config():
     return desk_preset(num_tasks=3, train_subset=3000, eval_subset=1000)
 
 
-def _set_blas_threads(count: int) -> None:
-    set_ = openblas_function("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
-    set_(count)
-
-
-def environment_stamp() -> dict:
-    return {**numeric_environment(), "machine": platform.machine()}
-
-
 def fingerprint(result) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = emit_eval_matrix_csv(result.matrix, str(Path(tmp) / "eval_matrix.csv"))
@@ -105,18 +95,10 @@ def golden():
     """The golden file, with OpenBLAS pinned to its blessed thread count."""
     with open(GOLDEN) as fh:
         stored = json.load(fh)
-    blessed, here = dict(stored["environment"]), environment_stamp()
-    threads, caller_threads = blessed.pop("blas_threads"), here.pop("blas_threads")
-    if blessed != here:
-        pytest.skip(
-            f"golden file blessed on {blessed}, this is {here}; "
-            f"re-bless with: {BLESS_COMMAND}"
-        )
-    _set_blas_threads(threads)
-    try:
+    with blessed_environment(stored["environment"]) as mismatch:
+        if mismatch:
+            pytest.skip(f"golden file {mismatch}; re-bless with: {BLESS_COMMAND}")
         yield stored
-    finally:
-        _set_blas_threads(caller_threads)
 
 
 @pytest.fixture(scope="module")

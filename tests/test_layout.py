@@ -1,4 +1,5 @@
-"""Source-tree rules: every public definition in src/ has a caller in src/."""
+"""Source-tree rules: every public definition in src/ has a caller in src/,
+and each config choice set is read only by its field's metadata."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,52 @@ def uncalled_public_definitions(src: Path = SRC) -> set:
 
 def test_every_public_definition_has_a_caller_in_src():
     assert uncalled_public_definitions() == set(NO_CALLER_IN_SRC)
+
+
+# Each config field's choice set. check_fields checks a setting against its
+# field's "choices" metadata; nothing else in src/ may check it again.
+CHOICE_SETS = {
+    "SOURCES",
+    "OPTIMIZER_KINDS",
+    "STRATEGY_KINDS",
+    "ATTENUATION_KINDS",
+    "TARGETS",
+    "ESTIMATORS",
+}
+
+
+def choice_set_uses(src: Path = SRC) -> tuple[list, list]:
+    """``(module, name)`` of each choice set read as a field's ``choices``
+    metadata, and ``(module, line, name)`` of every other read of one."""
+    as_choices, elsewhere = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        metadata_values = {
+            id(value)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "field"
+            for kw in call.keywords
+            if kw.arg == "metadata" and isinstance(kw.value, ast.Dict)
+            for key, value in zip(kw.value.keys, kw.value.values)
+            if isinstance(key, ast.Constant) and key.value == "choices"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in CHOICE_SETS:
+                continue
+            if id(node) in metadata_values:
+                as_choices.append((path.stem, name))
+            else:
+                elsewhere.append((path.stem, node.lineno, name))
+    return as_choices, elsewhere
+
+
+def test_each_choice_set_is_read_only_by_its_fields_metadata():
+    as_choices, elsewhere = choice_set_uses()
+    assert elsewhere == []
+    assert sorted(name for _, name in as_choices) == sorted(CHOICE_SETS)
