@@ -24,15 +24,14 @@ forward pass per chunk, the walk evaluation uses too.
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
 hook needs per step is fixed when a task finishes (the factors, and
-``lam * omega`` for the penalties), and each hook writes its output into
-a buffer it owns: the returned container is overwritten by the hook's
-next call.
+``lam * omega`` for the penalties), and each hook rewrites the gradient
+or step it is handed in place, so no hook owns an output buffer.
 
 Each fact is checked once: the config fields check every setting's
 choices and bounds (the helpers here trust them),
 :class:`~forgetlab.data.TaskDataset` that no split is empty,
 :meth:`Strategy.finish_task` the importance map, and
-:func:`~forgetlab.optim.apply` hook layouts. A run's maps, gradients
+:func:`~forgetlab.optim.apply` gradient layouts. A run's maps, gradients
 and anchors share one layout, so :func:`accumulate` and
 :func:`clip_separately` do not compare layouts.
 """
@@ -167,26 +166,18 @@ def safe_coefficient(omega, alpha: float, lam: float):
     return arr / (alpha * lam * arr + 1.0)
 
 
-def _clip_to_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
-    if norm <= threshold:
-        return grad
-    return grad * (threshold / norm)
-
-
-def clip_separately(
-    task_grad: Gradients, penalty_grad: Gradients, threshold: float
-) -> Gradients:
-    """Rescale each gradient to global L2 norm <= threshold, then sum them.
+def clip_separately(task_grad: Gradients, penalty_grad: Gradients, threshold: float):
+    """Rescale each gradient to global L2 norm <= threshold, then sum into ``task_grad``.
 
     Clipping the two parts independently keeps a huge penalty gradient
-    from drowning out the task gradient (and vice versa). Both have the
-    run's one parameter layout.
+    from drowning out the task gradient (and vice versa). Both are
+    rescaled in place and have the run's one parameter layout.
     """
-    summed = _clip_to_norm(task_grad.flat, threshold) + _clip_to_norm(
-        penalty_grad.flat, threshold
-    )
-    return MlpParams.from_flat(summed, task_grad.layer_sizes)
+    for grad in (task_grad.flat, penalty_grad.flat):
+        norm = float(np.linalg.norm(grad))
+        if norm > threshold:
+            grad *= threshold / norm
+    task_grad.flat += penalty_grad.flat
 
 
 def wva_factor(omega, lam: float, kind: str) -> np.ndarray:
@@ -239,18 +230,16 @@ def attenuation_closed_forms() -> tuple[bool, str]:
 def make_wva_hook(omega: ImportanceMap, lam: float, kind: str, target: str) -> StepHook:
     """Hook multiplying the gradient or the step by per-parameter factors.
 
-    The transform ignores its ``params`` argument and returns a buffer the
-    hook owns, overwritten by its next call. At lam == 0 every factor is
+    The transform multiplies the container it is handed in place and
+    ignores its ``params`` argument. At lam == 0 every factor is
     exactly 1, so the hook is an identity; :class:`Strategy` builds none.
     ``kind`` and ``target`` are among :class:`StrategyConfig`'s choices,
     which it checks.
     """
     factors = wva_factor(omega.flat, lam, kind)
-    out = MlpParams.zeros(omega.layer_sizes)
 
-    def scale(container: Gradients, params: MlpParams) -> Gradients:
-        np.multiply(container.flat, factors, out=out.flat)
-        return out
+    def scale(container: Gradients, params: MlpParams):
+        container.flat *= factors
 
     if target == "gradient":
         return StepHook(pre_optimizer=scale)
@@ -315,31 +304,34 @@ def _make_ewc_hook(
 ) -> StepHook:
     """Pre-hook adding lam * weight * (theta - anchor) to the task gradient.
 
-    ``theta`` is the ``params`` argument of each call. With ``threshold``
+    ``theta`` is the ``params`` argument of each call, and the sum is
+    written over the task gradient the hook is handed. With ``threshold``
     set, the pull and the task gradient are each clipped first
-    (:func:`clip_separately`, on whole vectors for their global norms).
-    Otherwise the sum is written into a buffer the hook owns, overwritten
-    by its next call. The elementwise passes run over one ``ADAM_BLOCK``
-    of entries at a time, as Adam's do, which changes no rounding.
+    (:func:`clip_separately`, on whole vectors for their global norms),
+    so each call makes the pull in a fresh vector. Otherwise the
+    elementwise passes run over one ``ADAM_BLOCK`` of entries at a time,
+    as Adam's do, through one block of scratch; neither changes any
+    rounding.
     """
-    out = MlpParams.zeros(anchor.layer_sizes)
+    size = anchor.flat.size
+    scratch = np.empty(min(ADAM_BLOCK, size))
     blocks = [
-        (block, anchor.flat[block], lam_weight[block], out.flat[block])
-        for block in (
-            slice(start, start + ADAM_BLOCK) for start in range(0, out.flat.size, ADAM_BLOCK)
-        )
+        (block, anchor.flat[block], lam_weight[block])
+        for block in (slice(start, start + ADAM_BLOCK) for start in range(0, size, ADAM_BLOCK))
     ]
 
-    def pre(task_grad: Gradients, params: MlpParams) -> Gradients:
-        for block, a, w, o in blocks:
+    def pre(task_grad: Gradients, params: MlpParams):
+        if threshold is not None:
+            pull = np.subtract(params.flat, anchor.flat)
+            pull *= lam_weight
+            clip_separately(task_grad, MlpParams.from_flat(pull, anchor.layer_sizes), threshold)
+            return
+        for block, a, w in blocks:
             # lam * weight * (theta - anchor), as ewc_penalty evaluates it
+            o, g = scratch[: a.size], task_grad.flat[block]
             np.subtract(params.flat[block], a, out=o)
             np.multiply(w, o, out=o)
-            if threshold is None:
-                np.add(task_grad.flat[block], o, out=o)
-        if threshold is not None:
-            return clip_separately(task_grad, out, threshold)
-        return out
+            np.add(g, o, out=g)
 
     return StepHook(pre_optimizer=pre)
 
@@ -397,10 +389,13 @@ class Strategy:
             self._weight = used.flat.copy()  # ewc_multi_anchor adds later tasks in place
             self.anchor = params.copy()
         else:
-            w = used.flat
+            w = used.flat  # this task's map, read for the last time here
             self._weight += w
             share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
-            self.anchor.flat += share * (params.flat - self.anchor.flat)
+            # share * (theta - anchor), written over w: one temporary, share
+            np.subtract(params.flat, self.anchor.flat, out=w)
+            np.multiply(share, w, out=w)
+            self.anchor.flat += w
         self.hook = _make_ewc_hook(
             self.anchor, config.lam * self._weight, config.separate_clip_threshold
         )

@@ -238,8 +238,12 @@ def run_sequence(
     Each evaluation walks that task's eval rows in chunks, gathered afresh
     (the same bytes every time) inside the :func:`accuracy` call, so at
     most one chunk of eval rows and its activations is held at once,
-    whatever the split size or the task count. The last step's batch,
-    trace and gradient are dropped before the task-end work.
+    whatever the split size or the task count. Each task owns one
+    gradient buffer: every step's :func:`backward` fills it and
+    :func:`apply` turns it into the step it adds into ``params`` in
+    place. The last step's batch, trace and that buffer are dropped
+    before the task-end work, and so is the optimizer's state unless
+    ``carry_optimizer_state`` keeps it for the next task.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -254,8 +258,7 @@ def run_sequence(
     acc = np.full((t_count, t_count), np.nan)
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
-        if not config.carry_optimizer_state:
-            optimizer.reset()
+        grads = MlpParams.zeros(params.layer_sizes)
         for epoch in range(config.epochs_per_task):
             shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)
             for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
@@ -266,11 +269,13 @@ def run_sequence(
                         f"loss diverged: task {t}, epoch {epoch}, batch {step}, "
                         f"loss {loss}, parameter norm {global_norm(params):.3e}"
                     )
-                grads = backward(params, trace, yb)
-                params = apply(params, grads, optimizer, strategy.hook)
+                backward(params, trace, yb, out=grads)
+                apply(params, grads, optimizer, strategy.hook)
         # free the last step's arrays before the task-end work; every task
         # takes a step, since epochs_per_task >= 1 and no split is empty
         del xb, yb, trace, grads
+        if not config.carry_optimizer_state:
+            optimizer.reset()
         if t < t_count - 1 or config.save_checkpoints:
             strategy.finish_task(params, task)
         for j in range(t + 1):

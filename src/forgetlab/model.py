@@ -19,7 +19,7 @@ parameter sets with in-place operations on one vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -256,14 +256,17 @@ def layer_deltas(params: MlpParams, trace: ForwardTrace, delta: np.ndarray):
             delta *= leaky_relu_grad(trace.layer_inputs[l])
 
 
-def backward(params: MlpParams, trace: ForwardTrace, labels: np.ndarray) -> Gradients:
+def backward(
+    params: MlpParams, trace: ForwardTrace, labels: np.ndarray, out: Optional[Gradients] = None
+) -> Gradients:
     """Exact gradient of the mean cross-entropy for the traced batch.
 
-    Each layer's products land directly in a fresh flat gradient.
+    Each layer's products land directly in ``out``, which is returned
+    (a fresh flat gradient when it is None).
     """
     delta = output_delta(trace, labels)
     delta /= delta.shape[0]
-    grads = MlpParams.from_flat(np.empty(params.flat.size), params.layer_sizes)
+    grads = MlpParams.zeros(params.layer_sizes) if out is None else out
     for l, delta in layer_deltas(params, trace, delta):
         matmul(delta.T, trace.layer_inputs[l], out=grads.weights[l])
         np.sum(delta, axis=0, out=grads.biases[l])

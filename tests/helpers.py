@@ -1,7 +1,8 @@
 """Shared test oracles: a scalar Adam, a whole-vector Adam, a whole-vector
 EWC pre-hook, the explicit multi-anchor EWC sum, a one-draw-per-class
 synthetic source, and a traced-memory probe; fresh optimizers of each
-kind; and the golden files' environment stamp and OpenBLAS thread pin.
+kind; copying wrappers around the in-place hooks and ``apply``; and the
+golden files' environment stamp and OpenBLAS thread pin.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from forgetlab.optim import (
     DEFAULT_LEARNING_RATES,
     Optimizer,
     OptimizerConfig,
+    apply,
 )
 
 
@@ -105,10 +107,29 @@ def whole_vector_ewc_pre_hook(task_grad, params, anchor, lam_weight, threshold=N
     pull = np.subtract(params.flat, anchor.flat)
     np.multiply(lam_weight, pull, out=pull)
     if threshold is not None:
-        pull = MlpParams.from_flat(pull, params.layer_sizes)
-        return clip_separately(task_grad, pull, threshold).flat
+        summed = task_grad.copy()
+        clip_separately(summed, MlpParams.from_flat(pull, params.layer_sizes), threshold)
+        return summed.flat
     np.add(task_grad.flat, pull, out=pull)
     return pull
+
+
+def transformed(transform, values, params):
+    """A copy of ``values`` after the in-place ``transform(copy, params)``.
+
+    Step hooks rewrite the container they are handed; this leaves
+    ``values`` as it was and returns what the hook made of it.
+    """
+    out = values.copy()
+    transform(out, params)
+    return out
+
+
+def applied(params, grads, optimizer, hook=None):
+    """The parameters one in-place ``apply`` makes from copies of ``params`` and ``grads``."""
+    out = params.copy()
+    apply(out, grads.copy(), optimizer, hook)
+    return out
 
 
 def one_draw_synth_dataset(classes, dims, samples_per_class, spread, seed):

@@ -38,10 +38,12 @@ from forgetlab.optim import ADAM_BLOCK, DEFAULT_LEARNING_RATES, OptimizerConfig,
 from helpers import (
     ScalarAdam,
     adam,
+    applied,
     ewc_penalty_multi_anchor,
     map_flat,
     same_bits,
     sgd,
+    transformed,
     whole_vector_ewc_pre_hook,
 )
 
@@ -297,7 +299,7 @@ class TestEwcHookBlocks:
     @pytest.mark.parametrize("threshold", [None, 1.0], ids=["plain", "clip"])
     def test_blocked_pre_hook_matches_whole_vector_reference(self, threshold):
         # Two full blocks and a ragged 17-entry tail; the second call
-        # reuses the hook's buffer.
+        # reuses the hook's scratch block.
         layer_sizes = (2 * ADAM_BLOCK + 16, 1)  # (n_in + 1) * n_out entries
         size = param_count(layer_sizes)
         stream = RandomStream(180)
@@ -311,7 +313,7 @@ class TestEwcHookBlocks:
         for _ in range(2):
             params = vector()
             expected = whole_vector_ewc_pre_hook(task_grad, params, anchor, lam_weight, threshold)
-            assert same_bits(hook.pre_optimizer(task_grad, params).flat, expected)
+            assert same_bits(transformed(hook.pre_optimizer, task_grad, params).flat, expected)
 
 
 class TestSafeCoefficient:
@@ -341,17 +343,21 @@ class TestSafeCoefficient:
 
 
 class TestClipSeparately:
+    """clip_separately rescales both gradients in place and sums into the first."""
+
     def test_small_gradients_pass_through_as_sum(self):
         a = init_params(RandomStream(69), (3, 2))
         b = init_params(RandomStream(70), (3, 2))
-        combined = clip_separately(a, b, threshold=1e6)
-        assert np.array_equal(combined.flat, a.flat + b.flat)
+        expected, b_before = a.flat + b.flat, b.flat.copy()
+        clip_separately(a, b, threshold=1e6)
+        assert np.array_equal(a.flat, expected)
+        assert np.array_equal(b.flat, b_before)
 
     def test_zero_penalty_leaves_clipped_task_gradient(self):
         a = init_params(RandomStream(71), (3, 2))
         zero = MlpParams.zeros(a.layer_sizes)
-        clipped = clip_separately(a, zero, threshold=0.1)
-        assert abs(global_norm(clipped) - 0.1) < 1e-12
+        clip_separately(a, zero, threshold=0.1)
+        assert abs(global_norm(a) - 0.1) < 1e-12
 
     def test_both_rescaled_to_unit_norm(self):
         rs = RandomStream(72)
@@ -359,11 +365,12 @@ class TestClipSeparately:
         task = map_flat(lambda g: g * (10.0 / global_norm(task)), task)
         penalty = MlpParams(weights=[rs.normal(0, 1, (3, 3))], biases=[rs.normal(0, 1, 3)])
         penalty = map_flat(lambda g: g * (1000.0 / global_norm(penalty)), penalty)
-        combined = clip_separately(task, penalty, threshold=1.0)
         unit_task = task.flat / 10.0
         unit_penalty = penalty.flat / 1000.0
-        assert np.max(np.abs(combined.flat - (unit_task + unit_penalty))) < 1e-12
-        assert global_norm(combined) <= 2.0
+        clip_separately(task, penalty, threshold=1.0)
+        assert np.max(np.abs(task.flat - (unit_task + unit_penalty))) < 1e-12
+        assert np.max(np.abs(penalty.flat - unit_penalty)) < 1e-12
+        assert global_norm(task) <= 2.0
 
 
 class TestWvaFactor:
@@ -410,7 +417,7 @@ class TestWvaHook:
         g = init_params(RandomStream(75), (3, 2))
         for kind in ("hyperbolic", "exponential"):
             hook = make_wva_hook(omega, 5.0, kind, "gradient")
-            assert np.array_equal(hook.pre_optimizer(g, params).flat, g.flat)
+            assert np.array_equal(transformed(hook.pre_optimizer, g, params).flat, g.flat)
 
     def test_zero_lambda_returns_bare_hook(self):
         # lam == 0 with any importance: every factor is 1, so Adam under the
@@ -420,13 +427,13 @@ class TestWvaHook:
         grads = [init_params(RandomStream(seed), (3, 2)) for seed in (75, 81, 82)]
         bare, bare_state = start.copy(), adam()
         for g in grads:
-            bare = apply(bare, g, bare_state, StepHook())
+            apply(bare, g.copy(), bare_state, StepHook())
         for kind in ("hyperbolic", "exponential"):
             for target in ("gradient", "step"):
                 hook = make_wva_hook(omega, 0.0, kind, target)
                 p, state = start.copy(), adam()
                 for g in grads:
-                    p = apply(p, g, state, hook)
+                    apply(p, g.copy(), state, hook)
                 assert np.array_equal(p.flat, bare.flat)
 
     def test_target_selects_hook_side(self):
@@ -448,8 +455,8 @@ class TestWvaHook:
                 weights=[stream.normal(0, 1, w.shape) for w in p_pre.weights],
                 biases=[stream.normal(0, 1, b.shape) for b in p_pre.biases],
             )
-            p_pre = apply(p_pre, grads, sgd(), pre)
-            p_post = apply(p_post, grads, sgd(), post)
+            apply(p_pre, grads.copy(), sgd(), pre)
+            apply(p_post, grads, sgd(), post)
         assert np.array_equal(p_pre.flat, p_post.flat)
 
     def test_adam_targets_diverge_matching_scalar_oracle(self):
@@ -470,7 +477,7 @@ class TestWvaHook:
             hook = make_wva_hook(omega, lam, "hyperbolic", target)
             params, state = scalar_net(0.0), adam()
             for g in grads:
-                params = apply(params, scalar_map(g), state, hook)
+                apply(params, scalar_map(g), state, hook)
             results[target] = params.weights[0][0, 0]
         assert abs(results["gradient"] - expect_pre) < 1e-12
         assert abs(results["step"] - expect_post) < 1e-12
@@ -626,7 +633,8 @@ class TestStrategies:
         omega = estimate_total_abs_signal(params, task)
         step = init_params(RandomStream(88), params.layer_sizes)
         expected = step.flat / (2.0 * omega.flat + 1.0)
-        assert np.max(np.abs(hook.post_optimizer(step, params).flat - expected)) < 1e-15
+        scaled = transformed(hook.post_optimizer, step, params)
+        assert np.max(np.abs(scaled.flat - expected)) < 1e-15
 
     def test_wva_normalization_rescales_factors(self):
         config = StrategyConfig(
@@ -639,7 +647,8 @@ class TestStrategies:
         omega = estimate_total_abs_signal(params, task).flat
         step = init_params(RandomStream(90), params.layer_sizes)
         expected = step.flat / (2.0 * (omega / omega.max()) + 1.0)
-        assert np.max(np.abs(hook.post_optimizer(step, params).flat - expected)) < 1e-15
+        scaled = transformed(hook.post_optimizer, step, params)
+        assert np.max(np.abs(scaled.flat - expected)) < 1e-15
 
     def test_ewc_hook_adds_penalty_gradient(self):
         config = StrategyConfig(kind="ewc", lam=3.0, estimator="fisher")
@@ -652,11 +661,13 @@ class TestStrategies:
         omega = estimate_fisher(anchor_params, task)
         _, penalty_grad = ewc_penalty(current, anchor_params, omega, 3.0)
         expected = task_grad.flat + penalty_grad.flat
-        assert np.max(np.abs(hook.pre_optimizer(task_grad, current).flat - expected)) < 1e-15
+        pulled = transformed(hook.pre_optimizer, task_grad, current)
+        assert np.max(np.abs(pulled.flat - expected)) < 1e-15
 
     def test_ewc_hook_reads_params_argument(self):
         # One hook, two parameter sets: the pulls differ by exactly
         # lam * W * (p1 - p2). With p2 the anchor itself, its pull is 0.
+        # Each call adds its pull into the zero gradient it is handed.
         lam = 3.0
         strategy = Strategy(StrategyConfig(kind="ewc", lam=lam), 0.2)
         anchor, task = random_setup(170)
@@ -665,13 +676,14 @@ class TestStrategies:
         zero = MlpParams.zeros(anchor.layer_sizes)
         p1 = init_params(RandomStream(171), anchor.layer_sizes)
         p2 = anchor.copy()
-        pull_1 = hook.pre_optimizer(zero, p1).flat.copy()
-        pull_2 = hook.pre_optimizer(zero, p2).flat.copy()
+        pull_1 = transformed(hook.pre_optimizer, zero, p1).flat
+        pull_2 = transformed(hook.pre_optimizer, zero, p2).flat
         assert np.all(pull_2 == 0.0)
         expected = (lam * strategy.omega_total.flat) * (p1.flat - p2.flat)
         assert np.any(expected != 0.0)
         assert np.array_equal(pull_1 - pull_2, expected)
-        assert np.array_equal(hook.pre_optimizer(zero, p1).flat, pull_1)
+        hook.pre_optimizer(zero, p1)
+        assert np.array_equal(zero.flat, pull_1)
 
     def test_ewc_anchor_is_snapshot_not_reference(self):
         config = StrategyConfig(kind="ewc", lam=1.0)
@@ -690,7 +702,7 @@ class TestStrategies:
         current = init_params(RandomStream(96), params.layer_sizes)
         hook = strategy.hook
         zero = MlpParams.zeros(params.layer_sizes)
-        penalty_only = hook.pre_optimizer(zero, current).flat
+        penalty_only = transformed(hook.pre_optimizer, zero, current).flat
         omega = strategy.omega_total.flat
         coeff = omega / (alpha * lam * omega + 1.0)
         diff = current.flat - params.flat
@@ -703,7 +715,8 @@ class TestStrategies:
         strategy.finish_task(params, task)
         current = map_flat(lambda p: p + 5.0, params)
         hook = strategy.hook
-        out = hook.pre_optimizer(MlpParams.zeros(params.layer_sizes), current)
+        out = MlpParams.zeros(params.layer_sizes)
+        hook.pre_optimizer(out, current)
         assert global_norm(out) <= 1.0 + 1e-9
 
     def test_multi_anchor_matches_consolidated_after_one_task(self):
@@ -715,7 +728,7 @@ class TestStrategies:
             strategy = Strategy(StrategyConfig(kind=kind, lam=2.0), 0.2)
             strategy.finish_task(params, task)
             hook = strategy.hook
-            outputs[kind] = hook.pre_optimizer(task_grad, current).flat.copy()
+            outputs[kind] = transformed(hook.pre_optimizer, task_grad, current).flat
         assert np.array_equal(outputs["ewc"], outputs["ewc_multi_anchor"])
 
     @pytest.mark.parametrize(
@@ -741,9 +754,8 @@ class TestStrategies:
             anchors.append(params.copy())
             omegas.append(omega)
         current = init_params(RandomStream(140), anchors[0].layer_sizes)
-        pull = strategy.hook.pre_optimizer(
-            MlpParams.zeros(current.layer_sizes), current
-        ).flat
+        zero = MlpParams.zeros(current.layer_sizes)
+        pull = transformed(strategy.hook.pre_optimizer, zero, current).flat
         _, expected = ewc_penalty_multi_anchor(current, anchors, omegas, [lam] * 4)
         scale = np.max(np.abs(expected.flat))
         assert scale > 0
@@ -767,7 +779,8 @@ class TestStrategies:
         assert np.array_equal(np.flatnonzero(unpulled), np.arange(4) * 5)
         assert np.isfinite(strategy.anchor.flat).all()
         current = map_flat(lambda p: p + 3.0, params)
-        pull = strategy.hook.pre_optimizer(MlpParams.zeros(params.layer_sizes), current)
+        pull = MlpParams.zeros(params.layer_sizes)
+        strategy.hook.pre_optimizer(pull, current)
         assert np.all(pull.flat[unpulled] == 0.0)
         assert np.all(pull.flat[~unpulled] != 0.0)
 
@@ -811,7 +824,12 @@ class TestMaxNormalize:
 
 
 class TestBufferAliasing:
-    """Optimizer and hook buffers are reused; apply's inputs and outputs are not."""
+    """apply works in the caller's buffers; optimizer and hook state carries over.
+
+    ``params`` keeps its vector and gains the step that ``grads`` ends
+    holding. Hooks own no output buffer, so steps through one reused
+    gradient buffer match steps on fresh copies bit for bit.
+    """
 
     SIZES = (5, 4, 3)
 
@@ -836,33 +854,47 @@ class TestBufferAliasing:
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
     def test_apply_leaves_params_and_grads_unchanged(self, kind):
+        # The containers stay: apply rebinds neither vector. It writes the
+        # step into grads' vector and adds it into params' own vector.
         strategy = self.hooked_strategy(kind)
         params = init_params(RandomStream(112), self.SIZES)
         grads = self.gradients(113)
-        before = (params.flat.tobytes(), grads.flat.tobytes())
-        apply(params, grads, adam(), strategy.hook)
-        assert (params.flat.tobytes(), grads.flat.tobytes()) == before
+        start, flats = params.copy(), (params.flat, grads.flat)
+        assert apply(params, grads, adam(), strategy.hook) is None
+        assert params.flat is flats[0] and grads.flat is flats[1]
+        assert np.shares_memory(params.weights[0], flats[0])
+        assert same_bits(params.flat, start.flat + grads.flat)
+        expected = applied(start, self.gradients(113), adam(), strategy.hook)
+        assert same_bits(params.flat, expected.flat)
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
     def test_second_apply_keeps_first_result(self, kind):
+        # The second step starts from the first one's parameters, as steps
+        # on fresh copies do, though both go through one gradient buffer.
         strategy = self.hooked_strategy(kind)
-        optimizer = adam()
+        in_place, copied = adam(), adam()
         params = init_params(RandomStream(114), self.SIZES)
-        first = apply(params, self.gradients(115), optimizer, strategy.hook)
-        snapshot = first.flat.tobytes()
-        second = apply(first, self.gradients(116), optimizer, strategy.hook)
-        assert first.flat.tobytes() == snapshot
-        assert not np.shares_memory(first.flat, second.flat)
-        assert not np.array_equal(first.flat, second.flat)
+        reference = params.copy()
+        buffer = MlpParams.zeros(self.SIZES)
+        results = []
+        for seed in (115, 116):
+            g = self.gradients(seed)
+            buffer.flat[:] = g.flat
+            apply(params, buffer, in_place, strategy.hook)
+            reference = applied(reference, g, copied, strategy.hook)
+            assert same_bits(params.flat, reference.flat)
+            results.append(params.flat.copy())
+        assert not np.array_equal(results[0], results[1])
 
     def test_reset_restarts_adam_exactly(self):
         strategy = self.hooked_strategy("ewc")
         used = adam()
         params = init_params(RandomStream(117), self.SIZES)
         for seed in (118, 119, 120):
-            params = apply(params, self.gradients(seed), used, strategy.hook)
+            apply(params, self.gradients(seed), used, strategy.hook)
         used.reset()
+        assert used.first_moment is None and used.second_moment is None
         grads = self.gradients(121)
-        restarted = apply(params, grads, used, strategy.hook)
-        fresh = apply(params, grads, adam(), strategy.hook)
+        restarted = applied(params, grads, used, strategy.hook)
+        fresh = applied(params, grads, adam(), strategy.hook)
         assert restarted.flat.tobytes() == fresh.flat.tobytes()

@@ -30,6 +30,7 @@ from forgetlab.model import (
     forward,
     init_params,
     load_params,
+    param_count,
 )
 from forgetlab.numerics import NonFiniteError, RandomStream
 from forgetlab.optim import Optimizer, apply
@@ -211,7 +212,7 @@ class TestRunSequence:
                 optimizer.reset()
             for xb, yb in batches(task, config.batch_size, root.child(3, t, 0)):
                 grads = backward(params, forward(params, xb), yb)
-                params = apply(params, grads, optimizer, None)
+                apply(params, grads, optimizer, None)
         assert np.array_equal(result.params.flat, params.flat)
         assert result.matrix.accuracies.shape == (num_tasks, num_tasks)
         for j, task in enumerate(tasks):
@@ -318,6 +319,83 @@ class TestRunSequence:
             run_sequence(config)
 
 
+class TestBufferOwnership:
+    """A run's steps allocate no parameter vector, and Adam's state ends with its task."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            StrategyConfig(kind="wva", lam=1.0, target="step"),
+            StrategyConfig(kind="ewc_multi_anchor", lam=1.0, estimator="fisher"),
+        ],
+        ids=["wva-step", "ewc_multi_anchor"],
+    )
+    def test_steady_state_step_allocates_under_one_parameter_vector(
+        self, monkeypatch, strategy
+    ):
+        # backward is deferred into apply's call, so one traced call holds
+        # a whole step: backward filling the run's buffer, then apply. A
+        # fresh gradient or parameter vector per step would exceed the bound.
+        real_backward, real_apply = harness.backward, harness.apply
+        pending, peaks = [], []
+
+        def deferred_backward(*args, **kwargs):
+            pending.append((args, kwargs))
+
+        def measured_apply(params, grads, optimizer, hook=None):
+            args, kwargs = pending.pop()
+            assert kwargs["out"] is grads
+            steady = hook is not None and optimizer.t > 0
+
+            def step():
+                real_backward(*args, **kwargs)
+                real_apply(params, grads, optimizer, hook)
+
+            peak, _ = traced_peak(step)
+            if steady:
+                peaks.append(peak)
+
+        monkeypatch.setattr(harness, "backward", deferred_backward)
+        monkeypatch.setattr(harness, "apply", measured_apply)
+        config = tiny_config(
+            architecture=(40, 32, 4),
+            batch_size=4,
+            optimizer=OptimizerConfig(kind="adam"),
+            strategy=strategy,
+        )
+        harness.run_sequence(config)
+        assert len(peaks) > 20
+        assert max(peaks) < param_count(config.architecture) * 8
+
+    @pytest.mark.parametrize("carry", [False, True], ids=["reset", "carry"])
+    def test_optimizer_holds_no_moments_in_task_end_work(self, monkeypatch, carry):
+        optimizers, held = [], []
+
+        class RecordingOptimizer(Optimizer):
+            def __init__(self, config):
+                super().__init__(config)
+                optimizers.append(self)
+
+        real_finish_task = continual.Strategy.finish_task
+
+        def recording_finish_task(strategy, params, task):
+            (optimizer,) = optimizers
+            held.append(optimizer.first_moment is not None or optimizer.second_moment is not None)
+            real_finish_task(strategy, params, task)
+
+        monkeypatch.setattr(harness, "Optimizer", RecordingOptimizer)
+        monkeypatch.setattr(continual.Strategy, "finish_task", recording_finish_task)
+        harness.run_sequence(
+            tiny_config(
+                num_tasks=3,
+                carry_optimizer_state=carry,
+                optimizer=OptimizerConfig(kind="adam"),
+                strategy=StrategyConfig(kind="wva", lam=1.0),
+            )
+        )
+        assert held == [carry, carry]
+
+
 class TestSgdTargetEquivalence:
     @pytest.mark.parametrize("optimizer, kind", [("adam", "wva"), ("sgd", "ewc")])
     def test_needs_wva_under_sgd(self, optimizer, kind):
@@ -370,7 +448,8 @@ class TestBenchmarkTracer:
 
     ``bench/tracing.py`` patches functions and the strategy class by name
     and only warns when one is missing, so a rename would silently zero
-    the benchmark's per-layer metrics. The tracer is loaded unchanged.
+    the benchmark's per-layer metrics. The tracer is loaded unchanged; it
+    wraps each hook of both sides, which rewrite their argument in place.
     """
 
     @pytest.mark.parametrize(
@@ -378,8 +457,10 @@ class TestBenchmarkTracer:
         [
             (StrategyConfig(kind="ewc", lam=1.0), "continual.pre_hook"),
             (StrategyConfig(kind="wva", lam=1.0, target="step"), "continual.post_hook"),
+            (StrategyConfig(kind="wva", lam=1.0, target="gradient"), "continual.pre_hook"),
+            (StrategyConfig(kind="ewc_multi_anchor", lam=1.0), "continual.pre_hook"),
         ],
-        ids=["ewc", "wva-step"],
+        ids=["ewc", "wva-step", "wva-gradient", "ewc_multi_anchor"],
     )
     def test_tracer_binds_every_layer(self, capsys, strategy, hook_span):
         path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
