@@ -4,25 +4,28 @@ A task sequence is built from one base dataset (MNIST-style images or a
 synthetic stand-in) plus a fixed, seeded pixel permutation per task.
 Both sources return the base as ``((train_images, train_labels),
 (test_images, test_labels))``.
-Every task shares the same read-only base arrays; a task's pixels are
-gathered and permuted per batch or per chunk, so a sequence costs one
-copy of the data whatever its length. Each gather writes its permuted
-rows straight into its output, holding no second copy of them. The
-importance estimators and evaluation walk a split through
-:meth:`TaskDataset.chunks`, ``CHUNK_ROWS`` rows at a time, so neither
-holds more than one chunk of a split's rows, whatever its size.
+A base holds uint8 pixel levels, 0..255, like the IDX files MNIST ships
+in, so it costs one byte per pixel. Every task shares the same read-only
+base arrays; a task's pixels are gathered and permuted per batch or per
+chunk, so a sequence costs one copy of the data whatever its length.
+The gather is the one place that widens levels: it permutes the uint8
+rows, then writes ``levels / 255.0`` as float64 in one pass, so every
+pixel a model sees is float64 in [0, 1]. The importance estimators and
+evaluation walk a split through :meth:`TaskDataset.chunks`,
+``CHUNK_ROWS`` rows at a time, so neither holds more than one chunk of
+a split's float64 rows, whatever its size.
 Building the base holds no second copy either. Both sources take
 ``pick_rows``, which maps the train split's row count to the rows to keep,
-and build only those rows: the IDX loader gathers them from the uint8
-payload, which it reads as a view, and scales them in place; the
-synthetic source draws each class ``CHUNK_ROWS`` samples at a time and
-clips each chunk straight into preallocated splits. Every image array
-leaving this module is float64 with pixels in [0, 1].
+and build only those rows: the IDX loader returns the payload, which it
+reads as a view, or the kept rows gathered from it; the synthetic source
+draws each class ``CHUNK_ROWS`` samples at a time and quantizes each
+chunk straight into preallocated uint8 splits.
 
 Each data fact is checked once: :func:`_parse_pair` an IDX pair's
-layout, :func:`make_permuted_tasks` the base's ranges, :class:`TaskDataset`
-each split's shape, that no split is empty, and the permutation. The
-helpers trust the config's bounds (``num_tasks``, ``batch_size`` >= 1).
+layout, :func:`make_permuted_tasks` the base's label range,
+:class:`TaskDataset` each split's shape and dtype (uint8 bounds the
+pixels), that no split is empty, and the permutation. The helpers trust
+the config's bounds (``num_tasks``, ``batch_size`` >= 1).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import gzip
 import math
 import os
 import struct
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,10 +50,13 @@ LABEL_MAGIC = 0x00000801
 # Seconds one download may wait on its server before it counts as failed.
 FETCH_TIMEOUT_S = 60
 
-# Rows per chunk of a split walk (importance estimation, evaluation), and
-# per block when a gather of scattered rows permutes them into its
-# output: the most rows of a split, permuted or not, a walk holds at once.
+# Rows per chunk of a split walk (importance estimation, evaluation) and
+# per draw of the synthetic source: the most float64 rows of a split a
+# walk or a build holds at once.
 CHUNK_ROWS = 512
+
+# The largest pixel level; a level l is the pixel l / LEVELS_MAX.
+LEVELS_MAX = 255
 
 # Maps a train split's row count to the rows to keep, in order (None keeps all).
 PickRows = Callable[[int], Optional[np.ndarray]]
@@ -122,13 +127,11 @@ def load_idx(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label pair, checked as :func:`_parse_pair` checks it.
 
-    Returns ``(images, labels)`` with images flattened to rows and scaled
-    by 1/255 into [0, 1], and labels as int64. ``pick_rows``, if given, is
-    called with the pair's item count and returns the rows to keep, in
-    order, or None for every row. The kept rows are gathered from the
-    uint8 pixels before the elementwise scale, so they hold the bytes
-    that scaling the whole split and then picking would give, and the
-    one float64 copy, scaled in place, holds only them.
+    Returns ``(images, labels)`` with images flattened to rows of uint8
+    pixel levels, and labels as int64. ``pick_rows``, if given, is called
+    with the pair's item count and returns the rows to keep, in order, or
+    None for every row. With every row kept, the images are a read-only
+    view of the file's payload; kept rows are one uint8 copy of just them.
     """
     images, labels = _parse_pair(
         *(Path(path).read_bytes() for path in (images_path, labels_path)),
@@ -138,9 +141,7 @@ def load_idx(
     if rows is not None:
         images, labels = images[rows], labels[rows]  # drops the payload's bytes
     # the row width is given, not -1, which numpy cannot infer for a file of 0 rows
-    flat = images.reshape(images.shape[0], math.prod(images.shape[1:])).astype(np.float64)
-    flat /= 255.0  # in place: one float64 copy at the peak, not two
-    return flat, labels.astype(np.int64)
+    return images.reshape(images.shape[0], math.prod(images.shape[1:])), labels.astype(np.int64)
 
 
 def load_mnist(
@@ -165,6 +166,8 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
     URLs), all before any file is written, so a bad download leaves
     ``data_dir`` untouched.
     """
+    import urllib.request  # loads ssl, http and email: only a download needs them
+
     fetched = {}  # key -> (payload, URL it came from)
     for key, name in MNIST_FILE_NAMES.items():
         errors = []
@@ -194,14 +197,16 @@ def fetch_idx_files(base_url: str, data_dir: str) -> list[str]:
 class TaskDataset:
     """One task of a sequence: the shared base splits plus its pixel permutation.
 
-    ``train_images``/``test_images`` and their labels are the unpermuted
-    base splits, the same arrays in every task of a sequence (read-only
-    when built by :func:`make_permuted_tasks`). Read a task's pixels only
-    through :meth:`train_rows` and :meth:`test_rows`, which gather the
-    requested rows and apply ``permutation`` to them, or :meth:`chunks`,
-    which does so one chunk of a split at a time. The constructor
-    checks shapes, that no split is empty, and the permutation; pixel and
-    label ranges are checked once per base by :func:`make_permuted_tasks`.
+    ``train_images``/``test_images`` are the unpermuted base splits as
+    2-D uint8 pixel levels and, with their labels, the same arrays in
+    every task of a sequence (read-only when built by
+    :func:`make_permuted_tasks`). Read a task's pixels only through
+    :meth:`train_rows` and :meth:`test_rows`, which gather the requested
+    rows, apply ``permutation`` and scale them into float64 [0, 1], or
+    :meth:`chunks`, which does so one chunk of a split at a time. The
+    constructor checks shapes and dtypes, that no split is empty, and the
+    permutation; the label range is checked once per base by
+    :func:`make_permuted_tasks`.
     """
 
     task_id: int
@@ -215,8 +220,8 @@ class TaskDataset:
         for name in ("train", "test"):
             images = getattr(self, f"{name}_images")
             labels = getattr(self, f"{name}_labels")
-            if images.ndim != 2 or images.dtype != np.float64:
-                raise ShapeError(f"{name}_images must be a 2-D float64 matrix")
+            if images.ndim != 2 or images.dtype != np.uint8:
+                raise ShapeError(f"{name}_images must be a 2-D uint8 matrix of pixel levels")
             if labels.shape != (images.shape[0],):
                 raise ShapeError(
                     f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels"
@@ -229,11 +234,11 @@ class TaskDataset:
             raise ValueError(f"permutation is not a bijection on 0..{width - 1}")
 
     def train_rows(self, rows) -> np.ndarray:
-        """This task's train images at ``rows``, as a fresh C-contiguous array."""
+        """This task's train pixels at ``rows``, as a fresh C-contiguous float64 array."""
         return _gather(self.train_images, rows, self.permutation)
 
     def test_rows(self, rows) -> np.ndarray:
-        """This task's test images at ``rows``, as a fresh C-contiguous array."""
+        """This task's test pixels at ``rows``, as a fresh C-contiguous float64 array."""
         return _gather(self.test_images, rows, self.permutation)
 
     def chunks(self, split: str, picks: Optional[np.ndarray] = None):
@@ -250,23 +255,15 @@ class TaskDataset:
             yield gather(block if picks is None else picks[block])
 
 
-def _gather(images: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
-    """``images[rows]`` with column j taken from column ``permutation[j]``.
+def _gather(levels: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
+    """``levels[rows] / 255`` as float64, column j taken from column ``permutation[j]``.
 
-    A slice of ``images`` is a view, so one ``take`` copies it once. An
-    index array is gathered in blocks of ``CHUNK_ROWS`` rows, each
-    permuted straight into its rows of the output. ``mode="clip"`` only
-    skips ``take``'s buffered bounds check: the permutation was checked
-    to be a bijection when the task was built.
+    The rows are permuted as uint8, one byte per pixel, and then widened
+    and scaled in one pass into the output: ``u8 -> f64`` then ``/ 255.0``
+    rounds each pixel once, as scaling a float64 copy of the base would.
     """
-    if isinstance(rows, slice):
-        return np.take(images[rows], permutation, axis=1)
-    rows = np.asarray(rows)
-    out = np.empty((rows.shape[0], images.shape[1]))
-    for start in range(0, rows.shape[0], CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        np.take(images[rows[start:stop]], permutation, axis=1, out=out[start:stop], mode="clip")
-    return out
+    permuted = np.take(levels[rows], permutation, axis=1)
+    return np.divide(permuted, LEVELS_MAX, dtype=np.float64)
 
 
 def synth_dataset(
@@ -277,11 +274,12 @@ def synth_dataset(
     seed: int,
     pick_rows: Optional[PickRows] = None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Gaussian-cluster stand-in base, one cluster per class.
+    """Gaussian-cluster stand-in base, one cluster per class, in uint8 levels.
 
     Each class is an isotropic Gaussian (standard deviation ``spread``)
     around a center drawn uniformly in [0.2, 0.8] per dimension; samples
-    are clipped to [0, 1] and split 80/20 per class into train/test.
+    are clipped to [0, 1], quantized to the level ``rint(255 * x)`` like
+    an 8-bit image, and split 80/20 per class into train/test.
     Returns ``((train_images, train_labels), (test_images, test_labels))``
     like :func:`load_mnist`, fully determined by the arguments.
     ``pick_rows`` selects the train rows to keep, as in :func:`load_idx`:
@@ -290,9 +288,10 @@ def synth_dataset(
 
     Both splits are allocated once, holding only the kept train rows.
     Each class is drawn ``CHUNK_ROWS`` samples at a time, the same draws
-    as one call per class, and each chunk is clipped straight into its
-    rows: a slice of the output for contiguous rows, one indexed write
-    for picked ones. So the build holds the output plus about one chunk.
+    as one call per class, and each chunk is quantized in place and
+    written straight into its rows: a slice of the output for contiguous
+    rows, one indexed write for picked ones. So the build holds the
+    output plus about one float64 chunk.
     """
     rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
     centers = rs.uniform(0.2, 0.8, (classes, dims))
@@ -304,26 +303,27 @@ def synth_dataset(
         train_labels = train_labels[rows]
         slot = np.full(classes * n_train, -1)  # each train row's place in the output, or -1
         slot[rows] = np.arange(len(rows))
-    train_images = np.empty((train_labels.shape[0], dims))
-    test_images = np.empty((classes * n_test, dims))
+    train_images = np.empty((train_labels.shape[0], dims), dtype=np.uint8)
+    test_images = np.empty((classes * n_test, dims), dtype=np.uint8)
     for c in range(classes):
         for start in range(0, samples_per_class, CHUNK_ROWS):
-            chunk = rs.normal(0.0, 1.0, (min(CHUNK_ROWS, samples_per_class - start), dims))
+            chunk = rs.standard_normal((min(CHUNK_ROWS, samples_per_class - start), dims))
             chunk *= spread
             chunk += centers[c]
+            np.clip(chunk, 0.0, 1.0, out=chunk)
+            chunk *= LEVELS_MAX
+            np.rint(chunk, out=chunk)  # whole levels, so the uint8 writes below are exact
             # the chunk's first k samples are train rows, the rest test rows
             k = min(max(n_train - start, 0), chunk.shape[0])
             at = c * n_train + start
             if rows is None:
-                np.clip(chunk[:k], 0.0, 1.0, out=train_images[at : at + k])
+                train_images[at : at + k] = chunk[:k]
             else:
                 to = slot[at : at + k]
                 keep = to >= 0
-                kept = chunk[:k][keep]
-                train_images[to[keep]] = np.clip(kept, 0.0, 1.0, out=kept)
-                del kept
+                train_images[to[keep]] = chunk[:k][keep]
             at = c * n_test + max(start - n_train, 0)
-            np.clip(chunk[k:], 0.0, 1.0, out=test_images[at : at + chunk.shape[0] - k])
+            test_images[at : at + chunk.shape[0] - k] = chunk[k:]
             del chunk  # free this chunk before the next is drawn
     return (
         (train_images, train_labels),
@@ -332,9 +332,7 @@ def synth_dataset(
 
 
 def _shared_split(name: str, images: np.ndarray, labels: np.ndarray):
-    """Range-check one base split once and return read-only views of it."""
-    if images.size and (images.min() < 0.0 or images.max() > 1.0):
-        raise ValueError(f"{name}_images has pixels outside [0, 1]")
+    """Range-check one base split's labels once and return read-only views of the split."""
     if labels.size and (labels.min() < 0 or labels.max() > 9):
         raise ValueError(f"{name}_labels outside 0..9")
     images, labels = images.view(), labels.view()
@@ -358,10 +356,10 @@ def make_permuted_tasks(
     the identity permutation unless ``permute_first_task`` is set, so
     first-task curves stay comparable with an unpermuted baseline.
 
-    The base's pixel and label ranges are checked once, and every task
-    holds the same read-only views of it, so no task copies the data and
-    none can write into another's. The tasks do see later writes to the
-    caller's own arrays.
+    The base's label range is checked once (uint8 levels bound its
+    pixels), and every task holds the same read-only views of it, so no
+    task copies the data and none can write into another's. The tasks do
+    see later writes to the caller's own arrays.
     """
     train_images, train_labels = _shared_split("train", *base_train)
     test_images, test_labels = _shared_split("test", *base_test)

@@ -47,7 +47,7 @@ DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.logspace(-3.0, 3.0, 13))
 
 # Seven half-decade points bracketing the desk-preset optimum for
 # step-target attenuation. Calibrated on the desk preset (seed 42):
-# the best lambda after tasks 2..5 is 31.6 at every count for the
+# the best lambda after tasks 2..5 is 31.6, 10, 31.6, 31.6 for the
 # hyperbolic kind and 31.6 then 10 for the exponential kind, so the
 # argmax stays strictly interior and moves at most one grid step.
 DESK_LAMBDA_GRID = (0.316, 1.0, 3.16, 10.0, 31.6, 100.0, 316.0)
@@ -171,10 +171,10 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
     """Build the permuted task sequence for a config.
 
     With ``train_subset`` below the train split's size, the subset's
-    rows are drawn from the split's row count before any float64 image
-    is made, and the source builds only those rows, in the drawn order.
-    The tasks share one read-only copy of that base data; each task's
-    pixels are gathered per batch.
+    rows are drawn from the split's row count before any image is read
+    or drawn, and the source builds only those rows, in the drawn order.
+    The tasks share one read-only copy of that base data, in uint8 pixel
+    levels; each task's float64 pixels are gathered per batch.
     """
 
     def train_picks(n: int) -> Optional[np.ndarray]:

@@ -154,8 +154,9 @@ class RandomStream:
             raise ValueError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
         return self._gen.uniform(lo, hi, size=size)
 
-    def normal(self, loc: float, scale: float, size) -> np.ndarray:
-        return self._gen.normal(loc, scale, size=size)
+    def standard_normal(self, size) -> np.ndarray:
+        """Array of standard normal doubles (numpy's ziggurat sampler)."""
+        return self._gen.standard_normal(size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         """A random permutation of ``0..n-1``."""

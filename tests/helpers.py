@@ -15,7 +15,7 @@ import numpy as np
 from forgetlab.continual import clip_separately, ewc_penalty
 from forgetlab.data import SYNTH_STREAM_ID
 from forgetlab.model import MlpParams
-from forgetlab.numerics import RandomStream, numeric_environment, openblas_function
+from forgetlab.numerics import numeric_environment, openblas_function
 from forgetlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -136,18 +136,22 @@ def one_draw_synth_dataset(classes, dims, samples_per_class, spread, seed):
     """The synthetic source with every class drawn in one call, both splits whole.
 
     The reference for :func:`forgetlab.data.synth_dataset`, which draws
-    each class a chunk at a time and builds only the picked train rows,
-    and must match this, subset afterwards, bit for bit.
+    each class a chunk at a time with ``standard_normal`` and builds only
+    the picked train rows, and must match this, subset afterwards, bit
+    for bit. This draws with numpy's ``normal(0.0, 1.0)`` from the
+    generator ``RandomStream`` documents, and quantizes whole classes.
     """
-    rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
-    centers = rs.uniform(0.2, 0.8, (classes, dims))
+    gen = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(SYNTH_STREAM_ID,)))
+    )
+    centers = gen.uniform(0.2, 0.8, (classes, dims))
     n_train = int(samples_per_class * 0.8)
     train, test = [], []
     for c in range(classes):
-        samples = rs.normal(0.0, 1.0, (samples_per_class, dims)) * spread + centers[c]
-        samples = np.clip(samples, 0.0, 1.0)
-        train.append(samples[:n_train])
-        test.append(samples[n_train:])
+        samples = gen.normal(0.0, 1.0, (samples_per_class, dims)) * spread + centers[c]
+        levels = np.rint(np.clip(samples, 0.0, 1.0) * 255.0).astype(np.uint8)
+        train.append(levels[:n_train])
+        test.append(levels[n_train:])
     labels = np.arange(classes, dtype=np.int64)
     return (
         (np.concatenate(train), np.repeat(labels, n_train)),
@@ -156,9 +160,9 @@ def one_draw_synth_dataset(classes, dims, samples_per_class, spread, seed):
 
 
 def same_bits(a, b):
-    """Whether two float64 arrays hold the same bits (so -0.0 differs from 0.0)."""
+    """Whether two arrays have one dtype and shape and hold the same bits (so -0.0 differs from 0.0)."""
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def map_flat(f, *params):

@@ -8,12 +8,12 @@ below the observed values so a different BLAS reduction order cannot
 flip a verdict on a sample or two.
 
 Observed oracle values (desk preset, seed 42):
-  2-task drop on task 0:           0.1990   (committed floor 0.19)
-  best step-target avg, 5 tasks:   0.5861   at lambda 31.6
-  unprotected 5-task avg:          0.4914   (protection committed 0.08)
-  best gradient-target avg:        0.5116
-  best exponential avg:            0.5861   at lambda 10 (parity gap under 1e-3)
-  100x off-optimum avgs:           hyperbolic 0.2904, exponential 0.2806
+  2-task drop on task 0:           0.2365   (committed floor 0.19)
+  best step-target avg, 5 tasks:   0.6063   at lambda 31.6
+  unprotected 5-task avg:          0.5189   (protection committed 0.08)
+  best gradient-target avg:        0.5213
+  best exponential avg:            0.6046   at lambda 10 (parity gap 0.0017)
+  100x off-optimum avgs:           hyperbolic 0.2930, exponential 0.2813
 
 Every deterministic printed value (all but the wall-clock bounds) is
 also pinned at full precision in ``golden/acceptance.json``, with the

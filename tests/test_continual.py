@@ -49,7 +49,8 @@ from helpers import (
 
 
 def make_task(images, labels, task_id=0):
-    images = np.asarray(images, dtype=np.float64)
+    """A task whose train and test splits are ``images`` (uint8 levels), unpermuted."""
+    images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.int64)
     return TaskDataset(
         task_id=task_id,
@@ -64,7 +65,7 @@ def make_task(images, labels, task_id=0):
 def random_setup(seed, layer_sizes=(5, 4, 3), n=6):
     params = init_params(RandomStream(seed), layer_sizes)
     rs = RandomStream(seed + 1000)
-    images = rs.uniform(0, 1, (n, layer_sizes[0]))
+    images = rs.uniform(0, 256, (n, layer_sizes[0])).astype(np.uint8)
     labels = rs.permutation(n) % layer_sizes[-1]
     return params, make_task(images, labels)
 
@@ -83,7 +84,7 @@ class TestFisher:
         estimated = estimate_fisher(params, task)
         total = MlpParams.zeros(params.layer_sizes)
         for i in range(3):
-            trace = forward(params, task.train_images[i : i + 1])
+            trace = forward(params, task.train_rows(slice(i, i + 1)))
             g = backward(params, trace, task.train_labels[i : i + 1])
             total = map_flat(lambda t, gi: t + gi * gi, total, g)
         brute = map_flat(lambda t: t / 3, total)
@@ -92,7 +93,7 @@ class TestFisher:
     def test_single_sample_is_squared_gradient(self):
         params, task = random_setup(41, n=1)
         estimated = estimate_fisher(params, task)
-        trace = forward(params, task.train_images)
+        trace = forward(params, task.train_rows(slice(None)))
         g = backward(params, trace, task.train_labels)
         squared = map_flat(lambda x: x * x, g)
         gap = np.abs(estimated.flat - squared.flat)
@@ -117,9 +118,11 @@ class TestTotalAbsSignal:
         assert all(np.all(w == 0.0) for w in omega.weights)
 
     def test_halving_inputs_halves_first_layer_importance(self):
+        # even levels, so halving them halves each pixel exactly
         params, task = random_setup(45)
-        halved = make_task(0.5 * task.train_images, task.train_labels)
-        omega_full = estimate_total_abs_signal(params, task)
+        full = make_task(task.train_images & 0xFE, task.train_labels)
+        halved = make_task(full.train_images // 2, task.train_labels)
+        omega_full = estimate_total_abs_signal(params, full)
         omega_half = estimate_total_abs_signal(params, halved)
         assert np.array_equal(omega_half.weights[0], 0.5 * omega_full.weights[0])
 
@@ -128,7 +131,7 @@ class TestTotalAbsSignal:
             weights=[np.array([[0.5, -1.0], [2.0, 0.25]])],
             biases=[np.array([0.3, -0.7])],
         )
-        task = make_task(np.array([[0.2, 0.8], [0.6, 0.4]]), np.array([0, 1]))
+        task = make_task(np.array([[51, 204], [153, 102]]), np.array([0, 1]))  # 255 x pixels
         omega = estimate_total_abs_signal(params, task)
         # Mean |a_j|: column 0 -> (0.2+0.6)/2 = 0.4, column 1 -> (0.8+0.4)/2 = 0.6.
         expected_w = np.array(
@@ -305,10 +308,10 @@ class TestEwcHookBlocks:
         stream = RandomStream(180)
 
         def vector():
-            return MlpParams.from_flat(stream.normal(0.0, 1.0, size), layer_sizes)
+            return MlpParams.from_flat(stream.standard_normal(size), layer_sizes)
 
         anchor, task_grad = vector(), vector()
-        lam_weight = np.abs(stream.normal(0.0, 1.0, size)) * 10.0 ** stream.uniform(-6, 3, size)
+        lam_weight = np.abs(stream.standard_normal(size)) * 10.0 ** stream.uniform(-6, 3, size)
         hook = continual._make_ewc_hook(anchor, lam_weight, threshold)
         for _ in range(2):
             params = vector()
@@ -361,9 +364,9 @@ class TestClipSeparately:
 
     def test_both_rescaled_to_unit_norm(self):
         rs = RandomStream(72)
-        task = MlpParams(weights=[rs.normal(0, 1, (3, 3))], biases=[rs.normal(0, 1, 3)])
+        task = MlpParams(weights=[rs.standard_normal((3, 3))], biases=[rs.standard_normal(3)])
         task = map_flat(lambda g: g * (10.0 / global_norm(task)), task)
-        penalty = MlpParams(weights=[rs.normal(0, 1, (3, 3))], biases=[rs.normal(0, 1, 3)])
+        penalty = MlpParams(weights=[rs.standard_normal((3, 3))], biases=[rs.standard_normal(3)])
         penalty = map_flat(lambda g: g * (1000.0 / global_norm(penalty)), penalty)
         unit_task = task.flat / 10.0
         unit_penalty = penalty.flat / 1000.0
@@ -452,8 +455,8 @@ class TestWvaHook:
         stream = RandomStream(80)
         for _ in range(50):
             grads = MlpParams(
-                weights=[stream.normal(0, 1, w.shape) for w in p_pre.weights],
-                biases=[stream.normal(0, 1, b.shape) for b in p_pre.biases],
+                weights=[stream.standard_normal(w.shape) for w in p_pre.weights],
+                biases=[stream.standard_normal(b.shape) for b in p_pre.biases],
             )
             apply(p_pre, grads.copy(), sgd(), pre)
             apply(p_post, grads, sgd(), post)
@@ -770,7 +773,7 @@ class TestStrategies:
         for task_id in range(3):
             params, task = random_setup(150 + task_id)
             images = task.train_images.copy()
-            images[:, 0] = 0.0
+            images[:, 0] = 0
             blank = make_task(images, task.train_labels, task_id)
             strategy.finish_task(params, blank)
             omega = estimate_fisher(params, blank).flat
@@ -849,11 +852,11 @@ class TestBufferAliasing:
         return strategy
 
     def gradients(self, seed):
-        flat = RandomStream(seed).normal(0, 1, param_count(self.SIZES))
+        flat = RandomStream(seed).standard_normal(param_count(self.SIZES))
         return MlpParams.from_flat(flat, self.SIZES)
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
-    def test_apply_leaves_params_and_grads_unchanged(self, kind):
+    def test_apply_adds_the_step_it_leaves_in_grads(self, kind):
         # The containers stay: apply rebinds neither vector. It writes the
         # step into grads' vector and adds it into params' own vector.
         strategy = self.hooked_strategy(kind)
@@ -868,7 +871,7 @@ class TestBufferAliasing:
         assert same_bits(params.flat, expected.flat)
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
-    def test_second_apply_keeps_first_result(self, kind):
+    def test_steps_through_one_buffer_match_steps_on_copies(self, kind):
         # The second step starts from the first one's parameters, as steps
         # on fresh copies do, though both go through one gradient buffer.
         strategy = self.hooked_strategy(kind)

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,35 +58,82 @@ BAD_HEADER_SIZES = pytest.mark.parametrize(
 )
 
 
+def level_pair(tmp_path, n):
+    """An IDX pair of ``n`` random-level 28x28 images and their labels; returns both paths."""
+    rs = RandomStream(12)
+    img_path, lab_path = tmp_path / "images", tmp_path / "labels"
+    payload = rs.uniform(0, 256, n * 784).astype(np.uint8).tobytes()
+    img_path.write_bytes(idx_bytes(IMAGE_MAGIC, [n, 28, 28], payload))
+    lab_path.write_bytes(idx_bytes(LABEL_MAGIC, [n], bytes(int(v) for v in rs.uniform(0, 10, n))))
+    return str(img_path), str(lab_path)
+
+
+def scaled_then_picked(img_path, lab_path, picks=None):
+    """The float64 pixels the loader made before it returned levels: the
+    whole split widened and scaled by 1/255 in place, then the picks taken."""
+    images = np.frombuffer(Path(img_path).read_bytes()[16:], dtype=np.uint8)
+    flat = images.reshape(len(Path(lab_path).read_bytes()) - 8, -1).astype(np.float64)
+    flat /= 255.0
+    return flat if picks is None else flat[picks]
+
+
 class TestLoadIdx:
     def test_happy_path_scales_and_flattens(self, tmp_path):
+        # the loader flattens to uint8 levels; a task's gather scales them
         img_path, lab_path = write_pair(tmp_path)
         images, labels = load_idx(img_path, lab_path)
         assert images.shape == (3, 4)
-        assert images.dtype == np.float64
+        assert images.dtype == np.uint8
         assert labels.dtype == np.int64
-        assert images[0, 1] == 1.0 / 255.0
+        assert images[0, 1] == 1
         assert np.array_equal(labels, [0, 1, 2])
+        task = TaskDataset(0, images, labels, images, labels, np.arange(4))
+        assert task.train_rows(slice(None))[0, 1] == 1.0 / 255.0
+
+    def test_whole_split_is_a_view_of_the_payload(self, tmp_path):
+        img_path, lab_path = write_pair(tmp_path, n=5, rows=28, cols=28)
+        images, _ = load_idx(img_path, lab_path)
+        assert images.shape == (5, 784) and images.base is not None
+        assert not images.flags.writeable and not images.flags.owndata
 
     @pytest.mark.parametrize("n", [10, 2000])
     def test_peak_memory_one_float_copy(self, tmp_path, n):
-        # The scale to [0, 1] runs in place, so the loader holds one
-        # float64 copy at the peak. Dividing into a new array holds two
-        # (about 2.1x the output) unless numpy elides the temporary,
-        # which it does only for arrays of 256 KiB and more.
+        # From file to float64 pixels there is one float64 copy: the
+        # loader holds the file's bytes and returns a view of them, and
+        # the gather widens the permuted levels once, into its output,
+        # through the ufunc's cast buffer of ``np.getbufsize()`` float64s.
+        # Widening the split in the loader holds 8x its levels' bytes there.
         img_path, lab_path = write_pair(tmp_path, n=n, rows=28, cols=28)
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path)
-        assert peak < 1.5 * (images.nbytes + labels.nbytes)
+        assert peak < 2 * (images.nbytes + labels.nbytes)
+        task = TaskDataset(0, images, labels, images, labels, np.arange(784)[::-1])
+        peak, rows = traced_peak(task.train_rows, slice(None))
+        assert rows.dtype == np.float64 and rows.shape == (n, 784)
+        assert peak < 1.5 * rows.nbytes + np.getbufsize() * 8
 
     def test_picked_rows_hold_no_float_copy_of_the_split(self, tmp_path):
-        # The picked rows are gathered from the uint8 payload before the
-        # scale. Scaling the whole split first holds its float64 copy
-        # (12.5 MB here) on the way to the 1.25 MB of picked rows.
+        # The picked rows are gathered from the uint8 payload, and no
+        # float64 copy is made. Scaling the whole split first holds its
+        # float64 copy (12.5 MB here) on the way to the picked rows.
         img_path, lab_path = write_pair(tmp_path, n=2000, rows=28, cols=28)
         picks = RandomStream(5).choice(2000, 200)
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path, lambda n: picks)
-        assert images.shape == (200, 784)
+        assert images.shape == (200, 784) and images.dtype == np.uint8
         assert peak < 2000 * 784 * 8 / 4
+
+    @pytest.mark.parametrize("n_picks", [None, 300, 1000])
+    def test_gathered_rows_equal_the_scale_then_pick_path(self, tmp_path, n_picks):
+        # Widening u8 to f64 and dividing by 255.0 is the arithmetic the
+        # loader ran on float64 copies before it returned levels, so the
+        # rows a task gathers hold the same bits as before.
+        img_path, lab_path = level_pair(tmp_path, 1000)
+        picks = None if n_picks is None else RandomStream(6).choice(1000, n_picks)
+        images, labels = load_idx(img_path, lab_path, None if picks is None else lambda n: picks)
+        task = TaskDataset(0, images, labels, images, labels, np.arange(784))
+        old = scaled_then_picked(img_path, lab_path, picks)
+        assert same_bits(task.train_rows(slice(None)), old)
+        order = RandomStream(7).permutation(len(labels))
+        assert same_bits(task.train_rows(order), old[order])
 
     @pytest.mark.parametrize("n_picks", [0, 17, 60])
     def test_picked_train_rows_equal_the_subset_of_the_whole_split(self, tmp_path, n_picks):
@@ -319,9 +367,14 @@ class TestFetch:
             fetch_idx_files(empty.as_uri(), str(tmp_path / "dest"))
 
 
+def levels(rs, shape):
+    """Random uint8 pixel levels 0..255 drawn from ``rs``."""
+    return rs.uniform(0, 256, shape).astype(np.uint8)
+
+
 def tiny_task(width=4, n=6):
     rs = RandomStream(100)
-    images = rs.uniform(0, 1, (n, width))
+    images = levels(rs, (n, width))
     labels = np.arange(n, dtype=np.int64) % 3
     return TaskDataset(
         task_id=0,
@@ -334,20 +387,23 @@ def tiny_task(width=4, n=6):
 
 
 class TestTaskDataset:
-    # Pixel and label ranges are checked once per base, when tasks are built.
+    # A base holds uint8 levels, which map into [0, 1], so a float base,
+    # whose pixels could fall outside it, is rejected; the label range is
+    # checked once per base, when tasks are built.
     def test_rejects_pixels_outside_unit_interval(self):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-            make_permuted_tasks(
-                (np.array([[1.5]]), np.array([0])),
-                (np.array([[0.5]]), np.array([0])),
-                2, seed=1, expected_width=1,
-            )
+        for pixel in (1.5, 300):
+            with pytest.raises(ShapeError, match="^train_images must be a 2-D uint8 matrix"):
+                make_permuted_tasks(
+                    (np.array([[pixel]]), np.array([0])),
+                    (np.array([[7]], dtype=np.uint8), np.array([0])),
+                    2, seed=1, expected_width=1,
+                )
 
     def test_rejects_labels_above_nine(self):
         with pytest.raises(ValueError, match="outside 0..9"):
             make_permuted_tasks(
-                (np.array([[0.5]]), np.array([12])),
-                (np.array([[0.5]]), np.array([0])),
+                (np.array([[128]], dtype=np.uint8), np.array([12])),
+                (np.array([[128]], dtype=np.uint8), np.array([0])),
                 2, seed=1, expected_width=1,
             )
 
@@ -355,9 +411,9 @@ class TestTaskDataset:
         with pytest.raises(ShapeError):
             TaskDataset(
                 task_id=0,
-                train_images=np.zeros((2, 1)),
+                train_images=np.zeros((2, 1), dtype=np.uint8),
                 train_labels=np.array([0]),
-                test_images=np.zeros((1, 1)),
+                test_images=np.zeros((1, 1), dtype=np.uint8),
                 test_labels=np.array([0]),
                 permutation=np.arange(1),
             )
@@ -368,9 +424,9 @@ class TestTaskDataset:
         with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
             TaskDataset(
                 task_id=0,
-                train_images=np.zeros((rows["train"], 2)),
+                train_images=np.zeros((rows["train"], 2), dtype=np.uint8),
                 train_labels=np.zeros(rows["train"], dtype=np.int64),
-                test_images=np.zeros((rows["test"], 2)),
+                test_images=np.zeros((rows["test"], 2), dtype=np.uint8),
                 test_labels=np.zeros(rows["test"], dtype=np.int64),
                 permutation=np.arange(2),
             )
@@ -394,9 +450,9 @@ class TestTaskDataset:
         with pytest.raises(ValueError):
             TaskDataset(
                 task_id=0,
-                train_images=np.zeros((1, 2)),
+                train_images=np.zeros((1, 2), dtype=np.uint8),
                 train_labels=np.array([0]),
-                test_images=np.zeros((1, 2)),
+                test_images=np.zeros((1, 2), dtype=np.uint8),
                 test_labels=np.array([0]),
                 permutation=np.array([0, 0]),
             )
@@ -417,23 +473,33 @@ class TestSynthetic:
         assert np.array_equal(counts, [8, 8, 8, 8])
 
     def test_pixels_clipped_to_unit_interval(self):
+        # at spread 3 many samples fall outside [0, 1]: they clip to the
+        # end levels, 0 and 255, which the gather maps to 0.0 and 1.0
         (train_images, _), _ = synth_dataset(2, 4, 50, 3.0, seed=2)
-        assert train_images.min() >= 0.0
-        assert train_images.max() <= 1.0
+        assert train_images.dtype == np.uint8
+        assert train_images.min() == 0 and train_images.max() == 255
+
+    def test_levels_round_to_nearest(self):
+        # spread 1e-9 leaves each sample within 1e-8 of its center, so its
+        # level is the center's rounded level
+        centers = RandomStream(3, key=(data.SYNTH_STREAM_ID,)).uniform(0.2, 0.8, (2, 5))
+        (train_images, train_labels), _ = synth_dataset(2, 5, 10, 1e-9, seed=3)
+        assert np.array_equal(train_images, np.rint(255 * centers[train_labels]))
 
     def test_peak_memory_below_two_copies(self):
-        # Chunks are clipped straight into preallocated splits, so the
-        # build holds the output plus one chunk. Collecting the classes and
-        # concatenating holds about 2.1x the output at the peak; drawing
-        # whole classes holds the output plus two of them (1,300 rows each,
-        # 5 chunks in all).
+        # Chunks are quantized straight into preallocated uint8 splits, so
+        # the build holds the output plus one float64 chunk. Collecting the
+        # classes and concatenating holds every class's float64 draws at
+        # the peak; drawing whole classes holds the output plus two of
+        # them (1,300 rows each, 5 chunks in all).
         for classes, samples_per_class in ((10, 100), (2, 1300)):
             peak, (train, test) = traced_peak(
                 synth_dataset, classes, 784, samples_per_class, 0.25, 5
             )
+            assert train[0].dtype == test[0].dtype == np.uint8
             output = sum(a.nbytes for a in train + test)
-            assert peak < 1.75 * output
-            assert peak < output + 1.25 * CHUNK_ROWS * 784 * 8
+            chunk = min(CHUNK_ROWS, samples_per_class) * 784 * 8
+            assert peak < output + 1.25 * chunk
 
     @pytest.mark.parametrize(
         "samples_per_class",
@@ -477,15 +543,15 @@ class TestPermutedTasks:
     def base(self, n=10, width=6):
         rs = RandomStream(55)
         return (
-            (rs.uniform(0, 1, (n, width)), np.arange(n, dtype=np.int64) % 10),
-            (rs.uniform(0, 1, (4, width)), np.arange(4, dtype=np.int64)),
+            (levels(rs, (n, width)), np.arange(n, dtype=np.int64) % 10),
+            (levels(rs, (4, width)), np.arange(4, dtype=np.int64)),
         )
 
     def test_first_task_identity_by_default(self):
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
         assert np.array_equal(tasks[0].permutation, np.arange(6))
-        assert np.array_equal(tasks[0].train_rows(slice(None)), train[0])
+        assert np.array_equal(tasks[0].train_rows(slice(None)), train[0] / 255.0)
 
     def test_permute_first_task_flag(self):
         train, test = self.base()
@@ -506,15 +572,15 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6)
         t = tasks[2]
-        assert np.array_equal(t.train_rows(slice(None)), train[0][:, t.permutation])
-        assert np.array_equal(t.test_rows(slice(None)), test[0][:, t.permutation])
+        assert np.array_equal(t.train_rows(slice(None)), train[0][:, t.permutation] / 255.0)
+        assert np.array_equal(t.test_rows(slice(None)), test[0][:, t.permutation] / 255.0)
         assert np.array_equal(t.train_labels, train[1])
 
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
         restored = task.train_rows(slice(None))[:, np.argsort(task.permutation)]
-        assert np.array_equal(restored, train[0])
+        assert np.array_equal(restored, train[0] / 255.0)
 
     def test_width_mismatch_raises(self):
         train, test = self.base(width=6)
@@ -525,8 +591,8 @@ class TestPermutedTasks:
 def gather_base(n=1100, width=20, n_test=300):
     rs = RandomStream(71)
     return (
-        (rs.uniform(0, 1, (n, width)), np.arange(n, dtype=np.int64) % 10),
-        (rs.uniform(0, 1, (n_test, width)), np.arange(n_test, dtype=np.int64) % 10),
+        (levels(rs, (n, width)), np.arange(n, dtype=np.int64) % 10),
+        (levels(rs, (n_test, width)), np.arange(n_test, dtype=np.int64) % 10),
     )
 
 
@@ -586,26 +652,37 @@ class TestGatherEquivalence:
         for task in self.tasks():
             rows = task.train_rows(idx)
             assert rows.flags.c_contiguous
-            assert rows.tobytes() == materialized(task).train_images[idx].tobytes()
+            assert rows.tobytes() == (materialized(task).train_images[idx] / 255.0).tobytes()
 
     def test_test_rows(self):
         picks = RandomStream(4).choice(300, 120)
         for task in self.tasks():
             rows = task.test_rows(picks)
             assert rows.flags.c_contiguous
-            assert rows.tobytes() == materialized(task).test_images[picks].tobytes()
+            assert rows.tobytes() == (materialized(task).test_images[picks] / 255.0).tobytes()
 
     def test_rows_spanning_several_gather_blocks(self):
         idx = RandomStream(5).permutation(1100)  # two full blocks and a short one
         assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
         for task in self.tasks():
             rows = task.train_rows(idx)
-            assert rows.tobytes() == materialized(task).train_images[idx].tobytes()
+            assert rows.tobytes() == (materialized(task).train_images[idx] / 255.0).tobytes()
+
+    @pytest.mark.parametrize("kind", ["slice", "index-array"])
+    def test_rows_are_scaled_levels_permuted(self, kind):
+        # one rounding per pixel, u8 -> f64 then / 255.0, whatever the order
+        # of the permute and the scale
+        rows = slice(100, 700) if kind == "slice" else RandomStream(8).choice(1100, 600)
+        train, _ = gather_base()
+        for task in self.tasks():
+            expected = (train[0][rows] / 255.0)[:, task.permutation]
+            assert same_bits(task.train_rows(rows), expected)
 
     def test_peak_memory_one_copy_of_the_rows(self):
-        # Rows are permuted block by block straight into the output, so
-        # the peak is the output plus one unpermuted block. Gathering them
-        # whole and then permuting holds about 2x the output.
+        # The rows are permuted as uint8 and widened once, into the
+        # output, so the peak is the output plus two uint8 copies (an
+        # eighth of it each). Widening first and then permuting holds
+        # about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
         task = make_permuted_tasks(train, test, 2, seed=8)[1]
         picks = RandomStream(4).choice(3000, 2000)
@@ -626,7 +703,7 @@ class TestGatherEquivalence:
                 assert not np.shares_memory(rows, getattr(task, f"{split}_images"))
             expected = getattr(materialized(task), f"{split}_images")
             expected = expected if picks is None else expected[picks]
-            assert np.concatenate(chunks).tobytes() == expected.tobytes()
+            assert np.concatenate(chunks).tobytes() == (expected / 255.0).tobytes()
 
     def test_one_epoch_of_batches(self):
         for task in self.tasks():

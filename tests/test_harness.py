@@ -126,14 +126,27 @@ class TestBuildTasks:
         assert np.array_equal(task.train_labels, labels[picks])
 
     def test_subset_build_peak_below_one_train_split(self):
-        # Only the subset's rows are built. Building the whole float64
-        # train split (25 MB here) and then copying out the subset holds
-        # the split, the subset and the test split at once.
+        # Only the subset's rows are built, so the build holds its output
+        # and one float64 chunk of draws (a class's 500 samples here).
+        # Building the whole train split (3.1 MB of levels, 25 MB as
+        # float64) and then copying out the subset holds the split too.
         config = mnist_sized_config(1)
         config = dataclasses.replace(config, synthetic_samples_per_class=500, train_subset=100)
         peak, tasks = traced_peak(build_tasks, config)
         assert tasks[0].train_images.shape == (100, 784)
         assert peak < 10 * 400 * 784 * 8
+        task = tasks[0]
+        output = sum(getattr(task, f"{split}_{kind}").nbytes
+                     for split in ("train", "test") for kind in ("images", "labels"))
+        assert peak < output + 1.25 * 500 * 784 * 8
+
+    def test_desk_base_holds_one_byte_per_pixel(self):
+        # a float64 base would hold 8 bytes per pixel
+        tasks = build_tasks(desk_preset())
+        for images in (tasks[0].train_images, tasks[0].test_images):
+            assert images.dtype == np.uint8
+            assert images.nbytes == images.shape[0] * 784
+        assert tasks[0].train_images.shape[0] == 10_000
 
     def test_first_task_unpermuted_by_default(self):
         tasks = build_tasks(tiny_config())
@@ -182,8 +195,8 @@ class TestRunSequence:
         stream = RandomStream(31)
 
         def peak(n_test):
-            train = (stream.uniform(0, 1, (10, 784)), np.arange(10))
-            test = (stream.uniform(0, 1, (n_test, 784)), np.arange(n_test) % 10)
+            train = (stream.uniform(0, 256, (10, 784)).astype(np.uint8), np.arange(10))
+            test = (stream.uniform(0, 256, (n_test, 784)).astype(np.uint8), np.arange(n_test) % 10)
             task = make_permuted_tasks(train, test, 2, seed=32)[1]
             chunks = task.chunks("test")
             return traced_peak(harness.accuracy, params, chunks, task.test_labels)[0]

@@ -156,7 +156,7 @@ class TestLeakyRelu:
     EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-322, 1e300, -1e300]
 
     def values(self):
-        return np.concatenate([RandomStream(8).normal(0.0, 1.0, 1000), self.EDGES])
+        return np.concatenate([RandomStream(8).standard_normal(1000), self.EDGES])
 
     def test_in_place_matches_where_form_bit_for_bit(self):
         z = self.values()
@@ -263,7 +263,7 @@ class TestAccuracy:
         params = zero_net((6, 4, 10))
         # Uniform output ties every row; argmax picks class 0, which holds
         # exactly a tenth of the balanced test split.
-        assert accuracy(params, [test_images], test_labels) == 0.1
+        assert accuracy(params, [test_images / 255.0], test_labels) == 0.1
 
     def test_memorized_toy_set(self):
         params = zero_net((2, 2))
@@ -293,7 +293,7 @@ class TestAccuracy:
         sizes = [len(rows) for rows in task.chunks("train")]
         assert sizes == [CHUNK_ROWS] * (len(sizes) - 1) + [1100 % CHUNK_ROWS]
         assert len(sizes) > 1 and sizes[-1] > 0
-        predictions = np.argmax(forward(params, images).probabilities, axis=1)
+        predictions = np.argmax(forward(params, images / 255.0).probabilities, axis=1)
         whole = float(np.mean(predictions == labels))
         assert 0.0 < whole < 1.0
         assert accuracy(params, task.chunks("train"), labels) == whole
@@ -301,7 +301,8 @@ class TestAccuracy:
 
 class TestTraining:
     def test_sgd_steps_decrease_epoch_loss_on_separable_task(self):
-        (images, labels), _ = synth_dataset(3, 8, 30, 0.05, seed=22)
+        (levels, labels), _ = synth_dataset(3, 8, 30, 0.05, seed=22)
+        images = levels / 255.0
         params = init_params(RandomStream(23), (8, 6, 3))
         losses = []
         for _ in range(100):

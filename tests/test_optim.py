@@ -107,7 +107,7 @@ class TestAdam:
             reference = WholeVectorAdam()
             for _ in range(steps):
                 scale = 10.0 ** stream.uniform(-6.0, 3.0, size)
-                g = stream.normal(0.0, 1.0, size) * scale
+                g = stream.standard_normal(size) * scale
                 expected = reference.step(g)
                 direction, factor = step_parts(state, MlpParams.from_flat(g, layer_sizes))
                 assert direction.flat is g
@@ -198,8 +198,8 @@ class TestApply:
         stream = RandomStream(10)
         for _ in range(100):
             grads = MlpParams(
-                weights=[stream.normal(0, 1, w.shape) for w in params_pre.weights],
-                biases=[stream.normal(0, 1, b.shape) for b in params_pre.biases],
+                weights=[stream.standard_normal(w.shape) for w in params_pre.weights],
+                biases=[stream.standard_normal(b.shape) for b in params_pre.biases],
             )
             apply(params_pre, grads.copy(), sgd(), pre)
             apply(params_post, grads, sgd(), post)
