@@ -131,14 +131,6 @@ def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float):
     total.flat += new.flat
 
 
-def max_normalize(omega: ImportanceMap) -> ImportanceMap:
-    """Scale the whole map so its largest entry becomes 1 (zero map unchanged)."""
-    peak = float(omega.flat.max(initial=0.0))
-    if peak <= 0.0:
-        return omega.copy()
-    return MlpParams.from_flat(omega.flat / peak, omega.layer_sizes)
-
-
 def ewc_penalty(
     params: MlpParams, anchor: MlpParams, omega: ImportanceMap, lam: float
 ) -> tuple[float, Gradients]:
@@ -264,7 +256,6 @@ class StrategyConfig:
     estimator: str = field(default="total_abs_signal", metadata={"choices": ESTIMATORS})
     safe_coefficient: bool = False
     separate_clip_threshold: Optional[float] = field(default=None, metadata={"above": 0})
-    normalize_importance: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -284,19 +275,6 @@ def _estimate(config: StrategyConfig, params: MlpParams, task: TaskDataset) -> I
     if config.estimator == "fisher":
         return estimate_fisher(params, task)
     return estimate_total_abs_signal(params, task)
-
-
-def _effective_omega(
-    config: StrategyConfig, omega: ImportanceMap, learning_rate: float
-) -> ImportanceMap:
-    used = omega
-    if config.normalize_importance:
-        used = max_normalize(used)
-    if config.safe_coefficient:
-        used = MlpParams.from_flat(
-            safe_coefficient(used.flat, learning_rate, config.lam), used.layer_sizes
-        )
-    return used
 
 
 def _make_ewc_hook(
@@ -381,15 +359,17 @@ class Strategy:
             accumulate(self.omega_total, new, config.online_decay)
         mapped = new if config.kind == "ewc_multi_anchor" else self.omega_total
         check_importance(mapped)
-        used = _effective_omega(config, mapped, self.learning_rate)
         if config.kind == "wva":
-            self.hook = make_wva_hook(used, config.lam, config.attenuation, config.target)
+            self.hook = make_wva_hook(mapped, config.lam, config.attenuation, config.target)
             return
+        w = mapped.flat  # the map the pull weighs by, through the safe coefficient if set
+        if config.safe_coefficient:
+            w = safe_coefficient(w, self.learning_rate, config.lam)
         if config.kind == "ewc" or self.anchor is None:
-            self._weight = used.flat.copy()  # ewc_multi_anchor adds later tasks in place
+            self._weight = w.copy()  # ewc_multi_anchor adds later tasks in place
             self.anchor = params.copy()
         else:
-            w = used.flat  # this task's map, read for the last time here
+            # w is this task's map, read for the last time here
             self._weight += w
             share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
             # share * (theta - anchor), written over w: one temporary, share

@@ -346,15 +346,14 @@ def make_permuted_tasks(
     base_test: tuple[np.ndarray, np.ndarray],
     num_tasks: int,
     seed: int,
-    permute_first_task: bool = False,
     expected_width: int = 784,
 ) -> list[TaskDataset]:
     """Derive ``num_tasks`` permuted tasks from one base dataset.
 
     Task ``t`` applies a single pixel permutation, a deterministic
-    function of ``(seed, t)``, to every train and test image. Task 0 keeps
-    the identity permutation unless ``permute_first_task`` is set, so
-    first-task curves stay comparable with an unpermuted baseline.
+    function of ``(seed, t)``, to every train and test image, except task
+    0, which keeps the identity, so first-task curves stay comparable with
+    an unpermuted baseline.
 
     The base's label range is checked once (uint8 levels bound its
     pixels), and every task holds the same read-only views of it, so no
@@ -371,7 +370,7 @@ def make_permuted_tasks(
     root = RandomStream(seed)
     tasks = []
     for t in range(num_tasks):
-        if t == 0 and not permute_first_task:
+        if t == 0:
             perm = np.arange(expected_width)
         else:
             perm = root.child(PERMUTATION_STREAM_ID, t).permutation(expected_width)

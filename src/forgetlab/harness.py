@@ -76,8 +76,6 @@ class ExperimentConfig:
     architecture: tuple[int, ...] = DEFAULT_LAYER_SIZES
     train_subset: Optional[int] = field(default=None, metadata={"min": 1})
     eval_subset: Optional[int] = field(default=None, metadata={"min": 1})
-    permute_first_task: bool = False
-    carry_optimizer_state: bool = False
     save_checkpoints: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
@@ -200,7 +198,6 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
         base_test,
         config.num_tasks,
         config.seed,
-        permute_first_task=config.permute_first_task,
         expected_width=config.architecture[0],
     )
 
@@ -239,11 +236,11 @@ def run_sequence(
     (the same bytes every time) inside the :func:`accuracy` call, so at
     most one chunk of eval rows and its activations is held at once,
     whatever the split size or the task count. Each task owns one
-    gradient buffer: every step's :func:`backward` fills it and
-    :func:`apply` turns it into the step it adds into ``params`` in
-    place. The last step's batch, trace and that buffer are dropped
-    before the task-end work, and so is the optimizer's state unless
-    ``carry_optimizer_state`` keeps it for the next task.
+    gradient buffer and one fresh :class:`Optimizer`: every step's
+    :func:`backward` fills the buffer and :func:`apply` turns it into the
+    step it adds into ``params`` in place. The last step's batch, trace,
+    buffer and optimizer (with Adam's moments) are dropped before the
+    task-end work, so Adam's state lives one task.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -251,7 +248,6 @@ def run_sequence(
         raise ValueError(f"got {len(tasks)} tasks for num_tasks={config.num_tasks}")
     root = RandomStream(config.seed)
     params = init_params(root.child(INIT_STREAM_ID), config.architecture)
-    optimizer = Optimizer(config.optimizer)
     strategy = Strategy(config.strategy, config.optimizer.resolved_rate)
     eval_splits = _eval_splits(config, tasks)
     t_count = len(tasks)
@@ -259,6 +255,7 @@ def run_sequence(
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
         grads = MlpParams.zeros(params.layer_sizes)
+        optimizer = Optimizer(config.optimizer)
         for epoch in range(config.epochs_per_task):
             shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)
             for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
@@ -273,9 +270,7 @@ def run_sequence(
                 apply(params, grads, optimizer, strategy.hook)
         # free the last step's arrays before the task-end work; every task
         # takes a step, since epochs_per_task >= 1 and no split is empty
-        del xb, yb, trace, grads
-        if not config.carry_optimizer_state:
-            optimizer.reset()
+        del xb, yb, trace, grads, optimizer
         if t < t_count - 1 or config.save_checkpoints:
             strategy.finish_task(params, task)
         for j in range(t + 1):

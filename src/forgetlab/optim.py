@@ -12,9 +12,10 @@ the resolved rate and Adam's running state. Every optimizer constant
 (the default rate per kind, Adam's beta1, beta2 and epsilon) is defined
 once, in this module.
 
-Internally the optimizer reports its step as a ``(direction, scale)``
-pair whose product is the step: SGD's direction is the negated gradient
-and its scale is the learning rate, applied after the post hook runs.
+Internally the optimizer writes its step's direction over the gradient
+and reports a deferred scale, whose product with the direction is the
+step: SGD's direction is the negated gradient and its scale is the
+learning rate, applied after the post hook runs.
 Multiplying by an attenuation factor on either side of the optimizer
 then rounds identically, so for SGD the two hook sides produce bit-equal
 trajectories rather than merely close ones. Adam's scale is 1.0, which
@@ -76,17 +77,14 @@ class Optimizer:
 
     Adam's moments (one parameter vector each) and its scratch (one
     ``ADAM_BLOCK``, or the whole vector if that is shorter) are allocated
-    on the first step after a reset and then updated in place every
-    step; a reset frees them. SGD keeps no state.
+    on the first step and then updated in place every step; they live as
+    long as the optimizer, which a run builds afresh for each task. SGD
+    keeps no state.
     """
 
     def __init__(self, config: OptimizerConfig):
         self.kind = config.kind
         self.learning_rate = config.resolved_rate
-        self.reset()
-
-    def reset(self):
-        """Drop accumulated state, as if no step had been taken."""
         self.first_moment: Optional[MlpParams] = None
         self.second_moment: Optional[MlpParams] = None
         self.t = 0
@@ -106,13 +104,13 @@ class StepHook:
     post_optimizer: Optional[Callable[[Gradients, MlpParams], None]] = None
 
 
-def _adam_direction(state: Optimizer, grads: Gradients) -> Gradients:
+def _adam_direction(state: Optimizer, grads: Gradients) -> None:
     """Bias-corrected Adam step over ``grads``; advances the moments and counter in place.
 
     Epsilon sits outside the square root: -lr * m_hat / (sqrt(v_hat) + eps).
     The 13 passes run over one ``ADAM_BLOCK`` of entries at a time, and a
     block's step is written over its gradient once both moments have read
-    it, so ``grads`` is returned holding the step. Adam is elementwise,
+    it, so ``grads`` ends holding the step. Adam is elementwise,
     and a run's gradients and moments share one layout: :func:`apply`
     checks the gradients against the parameters, and a gradient of
     another length fails in numpy.
@@ -146,21 +144,21 @@ def _adam_direction(state: Optimizer, grads: Gradients) -> Gradients:
         np.sqrt(tmp, out=tmp)
         np.add(tmp, eps, out=tmp)
         np.divide(g, tmp, out=g)
-    return grads
 
 
-def step_parts(optimizer: Optimizer, grads: Gradients) -> tuple[Gradients, float]:
-    """The optimizer's step as (direction, deferred scalar), written over ``grads``.
+def step_parts(optimizer: Optimizer, grads: Gradients) -> float:
+    """Write the step's direction over ``grads``; return its deferred scale.
 
-    SGD: ``(-g, learning_rate)``, so the step is ``-lr * g``. Adam:
-    ``(step, 1.0)`` with the bias-corrected step. Either way the
-    direction is ``grads`` itself, rewritten in place. The kind was
-    validated by :class:`OptimizerConfig`.
+    SGD: ``grads`` becomes ``-g`` and the scale is the learning rate, so
+    the step is ``-lr * g``. Adam: ``grads`` becomes the bias-corrected
+    step and the scale is 1.0. The kind was validated by
+    :class:`OptimizerConfig`.
     """
     if optimizer.kind == "sgd":
         np.negative(grads.flat, out=grads.flat)
-        return grads, optimizer.learning_rate
-    return _adam_direction(optimizer, grads), 1.0
+        return optimizer.learning_rate
+    _adam_direction(optimizer, grads)
+    return 1.0
 
 
 def apply(
@@ -177,9 +175,9 @@ def apply(
     check_congruent(params, grads, "params and grads")
     if hook is not None and hook.pre_optimizer is not None:
         hook.pre_optimizer(grads, params)
-    direction, scale = step_parts(optimizer, grads)
+    scale = step_parts(optimizer, grads)
     if hook is not None and hook.post_optimizer is not None:
-        hook.post_optimizer(direction, params)
+        hook.post_optimizer(grads, params)
     if scale != 1.0:
-        direction.flat *= scale
-    params.flat += direction.flat
+        grads.flat *= scale
+    params.flat += grads.flat

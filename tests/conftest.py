@@ -3,7 +3,7 @@
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--bless-acceptance",
+        "--bless",
         action="store_true",
-        help="rewrite tests/golden/acceptance.json from this run's printed values",
+        help="rewrite tests/golden/equivalence.json and acceptance.json from this run",
     )

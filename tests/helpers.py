@@ -2,11 +2,12 @@
 EWC pre-hook, the explicit multi-anchor EWC sum, a one-draw-per-class
 synthetic source, and a traced-memory probe; fresh optimizers of each
 kind; copying wrappers around the in-place hooks and ``apply``; and the
-golden files' environment stamp and OpenBLAS thread pin.
+golden files' environment stamp, OpenBLAS thread pin and bless.
 """
 
 import contextlib
 import ctypes
+import json
 import platform
 import tracemalloc
 
@@ -241,3 +242,82 @@ def blessed_environment(stamp: dict):
         yield None
     finally:
         _set_blas_threads(caller_threads)
+
+
+# Re-blesses both golden files; each module rewrites only its own file.
+BLESS_COMMAND = (
+    "PYTHONPATH=src python -m pytest tests/test_golden.py tests/test_acceptance.py --bless -q -s"
+)
+
+
+class GoldenValues:
+    """One golden file's entries: ``check`` compares with them, or records under ``--bless``."""
+
+    def __init__(self, path, stored):
+        self.path = path
+        self.stored = stored  # None: compare nothing
+        self.observed = {}
+
+    def check(self, key, **values):
+        key = str(key)
+        self.observed[key] = values
+        if self.stored is not None:
+            expected = self.stored.get(key)
+            assert values == expected, (
+                f"{key} differs from {self.path.name}: got {values!r}, blessed {expected!r}; "
+                f"after an intended change re-bless with: {BLESS_COMMAND}"
+            )
+
+
+def _rewrite(path, section: str, observed: dict, keys):
+    """Write ``observed`` as ``path``'s ``section`` with this environment, printing each change.
+
+    Writes nothing unless every key was observed, so a partial run
+    cannot drop entries.
+    """
+    missing = [key for key in keys if key not in observed]
+    if missing:
+        print(f"\n{path.name} not written: {missing} recorded no values")
+        return
+    previous = {}
+    if path.exists():
+        with open(path) as fh:
+            previous = json.load(fh)[section]
+    print()
+    for key in keys:
+        old = previous.get(key, {})
+        for name, value in observed[key].items():
+            if name not in old:
+                state = "new"
+            elif old[name] == value:
+                state = "unchanged"
+            else:
+                state = f"changed ({old[name]!r} -> {value!r})"
+            print(f"{path.name} {key} {name}: {state}")
+    with open(path, "w") as fh:
+        stored = {"environment": environment_stamp(), section: observed}
+        json.dump(stored, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
+@contextlib.contextmanager
+def golden_file(config, path, section: str, keys):
+    """Yield ``(values, mismatch)`` for a module pinned by golden file ``path``.
+
+    Normally ``values`` compares each check with the file's ``section``,
+    with OpenBLAS pinned to the blessed thread count until the block
+    exits; on another environment ``mismatch`` names both and nothing is
+    compared. Under ``--bless`` nothing is pinned or compared, and when
+    the block exits the file is rewritten from the checks recorded for
+    ``keys``.
+    """
+    if config.getoption("--bless"):
+        values = GoldenValues(path, None)
+        yield values, None
+        _rewrite(path, section, values.observed, keys)
+        return
+    with open(path) as fh:
+        stored = json.load(fh)
+    with blessed_environment(stored["environment"]) as mismatch:
+        yield GoldenValues(path, None if mismatch else stored[section]), mismatch

@@ -21,13 +21,13 @@ environment stamp it was blessed on: each criterion asserts its margin,
 then that its values equal the file's. As in ``test_golden.py``, the
 comparison runs with OpenBLAS pinned to the blessed thread count and is
 left out, with a warning, on another numpy, BLAS or machine. After an
-intended numerical change, or on a new machine, re-bless from the
-repository root; the run prints each value as new, unchanged or changed:
+intended numerical change, or on a new machine, re-bless both golden
+files from the repository root; the run prints each value as new,
+unchanged or changed:
 
-    PYTHONPATH=src python -m pytest tests/test_acceptance.py --bless-acceptance -q -s
+    PYTHONPATH=src python -m pytest tests/test_golden.py tests/test_acceptance.py --bless -q -s
 """
 
-import json
 import time
 import warnings
 from pathlib import Path
@@ -55,80 +55,26 @@ from forgetlab.numerics import RandomStream
 from forgetlab.optim import step_parts
 from forgetlab.reports import emit_eval_matrix_csv
 
-from helpers import ScalarAdam, adam, blessed_environment, environment_stamp
+from helpers import ScalarAdam, adam, golden_file
 
 FORGETTING_MARGIN = 0.19
 PROTECTION_MARGIN = 0.08
 PARITY_TOLERANCE = 0.02
 
 GOLDEN = Path(__file__).with_name("golden") / "acceptance.json"
-BLESS_COMMAND = (
-    "PYTHONPATH=src python -m pytest tests/test_acceptance.py --bless-acceptance -q -s"
-)
 # The criteria that print deterministic values; 3 and 9 print a verdict only.
 PINNED_CRITERIA = ("1", "2", "4", "5", "6", "7", "8", "10")
 
 TIMINGS = {}
 
 
-class PrintedValues:
-    """Each criterion's printed values, checked against ``blessed`` unless it is None."""
-
-    def __init__(self, blessed):
-        self.blessed = blessed
-        self.observed = {}
-
-    def check(self, criterion, **values):
-        self.observed[str(criterion)] = values
-        if self.blessed is not None:
-            assert values == self.blessed[str(criterion)], (
-                f"criterion {criterion}'s printed values differ from {GOLDEN.name}; "
-                f"after an intended change re-bless with: {BLESS_COMMAND}"
-            )
-
-
-def _bless(observed):
-    """Write the observed values with this environment, printing each as changed or unchanged."""
-    missing = [c for c in PINNED_CRITERIA if c not in observed]
-    if missing:
-        print(f"\n{GOLDEN.name} not written: criteria {missing} recorded no values")
-        return
-    previous = {}
-    if GOLDEN.exists():
-        with open(GOLDEN) as fh:
-            previous = json.load(fh)["criteria"]
-    print()
-    for criterion in PINNED_CRITERIA:
-        old = previous.get(criterion, {})
-        for name, value in observed[criterion].items():
-            if name not in old:
-                state = "new"
-            elif old[name] == value:
-                state = "unchanged"
-            else:
-                state = f"changed ({old[name]!r} -> {value!r})"
-            print(f"criterion {criterion} {name}: {state}")
-    with open(GOLDEN, "w") as fh:
-        stored = {"environment": environment_stamp(), "criteria": observed}
-        json.dump(stored, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
-
-
 @pytest.fixture(scope="module", autouse=True)
 def printed_values(request):
     """The golden values, with OpenBLAS pinned before any fixture runs."""
-    if request.config.getoption("--bless-acceptance"):
-        values = PrintedValues(None)
-        yield values
-        _bless(values.observed)
-        return
-    with open(GOLDEN) as fh:
-        stored = json.load(fh)
-    with blessed_environment(stored["environment"]) as mismatch:
+    with golden_file(request.config, GOLDEN, "criteria", PINNED_CRITERIA) as (values, mismatch):
         if mismatch:
             warnings.warn(f"{GOLDEN.name} {mismatch}; printed values not compared")
-        yield PrintedValues(None if mismatch else stored["criteria"])
+        yield values
 
 
 def report(criterion, ok, detail):
@@ -357,9 +303,9 @@ def test_criterion_10_scalar_adam_oracle(printed_values):
         theta_ref += reference.step(g)
         grads = MlpParams.zeros(params.layer_sizes)
         grads.weights[0][0, 0] = g
-        step = step_parts(state, grads)[0]
+        step_parts(state, grads)  # writes the step over grads; Adam's scale is 1.0
         params = params.copy()
-        params.weights[0][0, 0] += step.weights[0][0, 0]
+        params.weights[0][0, 0] += grads.weights[0][0, 0]
         worst = max(worst, abs(params.weights[0][0, 0] - theta_ref))
     report(
         10,

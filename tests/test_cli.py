@@ -152,6 +152,25 @@ class TestSettingsLayers:
         assert run_cli("run", "--config", str(path)) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("experiment", "permute_first_task"),
+            ("experiment", "carry_optimizer_state"),
+            ("strategy", "normalize_importance"),
+        ],
+    )
+    def test_retired_config_key_fails(self, section, key, tmp_path, capsys):
+        # settings no experiment used were removed: a file naming one fails
+        path = tmp_path / "retired.ini"
+        path.write_text(f"[{section}]\n{key} = true\n")
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"unknown config key [{section}] {key}" in capsys.readouterr().err
+
+    def test_retired_flag_is_a_usage_error(self, capsys):
+        assert run_cli("run", "--carry-optimizer-state") == 1
+        assert "usage" in capsys.readouterr().err
+
     def test_missing_config_file_fails(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.ini")) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -262,8 +281,6 @@ NON_DEFAULT = {
     ("experiment", "architecture"): ("784,20,10", {}),
     ("experiment", "train_subset"): ("500", {}),
     ("experiment", "eval_subset"): ("200", {}),
-    ("experiment", "permute_first_task"): ("true", {}),
-    ("experiment", "carry_optimizer_state"): ("true", {}),
     ("experiment", "save_checkpoints"): ("true", {}),
     ("experiment", "synthetic_samples_per_class"): ("40", {}),
     ("experiment", "synthetic_spread"): ("0.5", {}),
@@ -279,7 +296,6 @@ NON_DEFAULT = {
     ("strategy", "estimator"): ("fisher", {}),
     ("strategy", "safe_coefficient"): ("true", EWC),
     ("strategy", "separate_clip_threshold"): ("2.0", EWC),
-    ("strategy", "normalize_importance"): ("true", {}),
 }
 
 

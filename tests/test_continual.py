@@ -17,7 +17,6 @@ from forgetlab.continual import (
     estimate_total_abs_signal,
     ewc_penalty,
     make_wva_hook,
-    max_normalize,
     safe_coefficient,
     wva_factor,
 )
@@ -639,20 +638,6 @@ class TestStrategies:
         scaled = transformed(hook.post_optimizer, step, params)
         assert np.max(np.abs(scaled.flat - expected)) < 1e-15
 
-    def test_wva_normalization_rescales_factors(self):
-        config = StrategyConfig(
-            kind="wva", lam=2.0, target="step", normalize_importance=True
-        )
-        strategy = Strategy(config, 0.001)
-        params, task = random_setup(89)
-        strategy.finish_task(params, task)
-        hook = strategy.hook
-        omega = estimate_total_abs_signal(params, task).flat
-        step = init_params(RandomStream(90), params.layer_sizes)
-        expected = step.flat / (2.0 * (omega / omega.max()) + 1.0)
-        scaled = transformed(hook.post_optimizer, step, params)
-        assert np.max(np.abs(scaled.flat - expected)) < 1e-15
-
     def test_ewc_hook_adds_penalty_gradient(self):
         config = StrategyConfig(kind="ewc", lam=3.0, estimator="fisher")
         strategy = Strategy(config, 0.2)
@@ -735,9 +720,7 @@ class TestStrategies:
         assert np.array_equal(outputs["ewc"], outputs["ewc_multi_anchor"])
 
     @pytest.mark.parametrize(
-        "options",
-        [{}, {"safe_coefficient": True}, {"normalize_importance": True}],
-        ids=["default", "safe_coefficient", "normalize_importance"],
+        "options", [{}, {"safe_coefficient": True}], ids=["default", "safe_coefficient"]
     )
     def test_multi_anchor_matches_explicit_sum(self, options):
         lam, learning_rate = 2.0, 0.5
@@ -748,8 +731,6 @@ class TestStrategies:
             params, task = random_setup(130 + task_id)
             strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
             omega = estimate_total_abs_signal(params, task)
-            if config.normalize_importance:
-                omega = max_normalize(omega)
             if config.safe_coefficient:
                 omega = MlpParams.from_flat(
                     safe_coefficient(omega.flat, learning_rate, lam), omega.layer_sizes
@@ -815,17 +796,6 @@ class TestStrategies:
         assert held[6] == held[2]
 
 
-class TestMaxNormalize:
-    def test_peak_becomes_one(self):
-        omega = map_flat(np.abs, init_params(RandomStream(106), (3, 3, 2)))
-        normalized = max_normalize(omega)
-        assert abs(normalized.flat.max() - 1.0) < 1e-15
-
-    def test_zero_map_unchanged(self):
-        omega = MlpParams.zeros(init_params(RandomStream(107), (2, 2)).layer_sizes)
-        assert np.all(max_normalize(omega).flat == 0.0)
-
-
 class TestBufferAliasing:
     """apply works in the caller's buffers; optimizer and hook state carries over.
 
@@ -888,16 +858,3 @@ class TestBufferAliasing:
             assert same_bits(params.flat, reference.flat)
             results.append(params.flat.copy())
         assert not np.array_equal(results[0], results[1])
-
-    def test_reset_restarts_adam_exactly(self):
-        strategy = self.hooked_strategy("ewc")
-        used = adam()
-        params = init_params(RandomStream(117), self.SIZES)
-        for seed in (118, 119, 120):
-            apply(params, self.gradients(seed), used, strategy.hook)
-        used.reset()
-        assert used.first_moment is None and used.second_moment is None
-        grads = self.gradients(121)
-        restarted = applied(params, grads, used, strategy.hook)
-        fresh = applied(params, grads, adam(), strategy.hook)
-        assert restarted.flat.tobytes() == fresh.flat.tobytes()

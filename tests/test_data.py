@@ -553,13 +553,6 @@ class TestPermutedTasks:
         assert np.array_equal(tasks[0].permutation, np.arange(6))
         assert np.array_equal(tasks[0].train_rows(slice(None)), train[0] / 255.0)
 
-    def test_permute_first_task_flag(self):
-        train, test = self.base()
-        tasks = make_permuted_tasks(
-            train, test, 2, seed=1, permute_first_task=True, expected_width=6
-        )
-        assert not np.array_equal(tasks[0].permutation, np.arange(6))
-
     def test_deterministic_and_distinct_across_tasks(self):
         train, test = self.base()
         a = make_permuted_tasks(train, test, 4, seed=9, expected_width=6)
@@ -648,11 +641,13 @@ class TestGatherEquivalence:
         return make_permuted_tasks(train, test, 3, seed=8, expected_width=20)[1:]
 
     def test_train_rows(self):
-        idx = RandomStream(3).permutation(1100)[:100]
-        for task in self.tasks():
-            rows = task.train_rows(idx)
-            assert rows.flags.c_contiguous
-            assert rows.tobytes() == (materialized(task).train_images[idx] / 255.0).tobytes()
+        # 100 scattered rows, then all 1,100 rows in a scattered order
+        for idx in (RandomStream(3).permutation(1100)[:100], RandomStream(5).permutation(1100)):
+            for task in self.tasks():
+                rows = task.train_rows(idx)
+                assert rows.flags.c_contiguous
+                expected = materialized(task).train_images[idx] / 255.0
+                assert rows.tobytes() == expected.tobytes()
 
     def test_test_rows(self):
         picks = RandomStream(4).choice(300, 120)
@@ -660,13 +655,6 @@ class TestGatherEquivalence:
             rows = task.test_rows(picks)
             assert rows.flags.c_contiguous
             assert rows.tobytes() == (materialized(task).test_images[picks] / 255.0).tobytes()
-
-    def test_rows_spanning_several_gather_blocks(self):
-        idx = RandomStream(5).permutation(1100)  # two full blocks and a short one
-        assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
-        for task in self.tasks():
-            rows = task.train_rows(idx)
-            assert rows.tobytes() == (materialized(task).train_images[idx] / 255.0).tobytes()
 
     @pytest.mark.parametrize("kind", ["slice", "index-array"])
     def test_rows_are_scaled_levels_permuted(self, kind):

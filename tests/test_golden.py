@@ -12,18 +12,16 @@ test skips elsewhere. They also round differently with another OpenBLAS
 thread count, so the stamp records the blessed count and the test pins
 OpenBLAS to it while it runs (restoring the caller's count afterwards);
 it therefore passes under any ``OPENBLAS_NUM_THREADS``. To re-bless
-after an intended numerical change, or on a new BLAS, run from the
-repository root:
+both golden files after an intended numerical change, or on a new BLAS,
+run from the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py --bless
+    PYTHONPATH=src python -m pytest tests/test_golden.py tests/test_acceptance.py --bless -q -s
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -34,10 +32,9 @@ from forgetlab.continual import StrategyConfig
 from forgetlab.harness import OptimizerConfig, build_tasks, desk_preset, run_sequence
 from forgetlab.reports import emit_eval_matrix_csv
 
-from helpers import blessed_environment, environment_stamp
+from helpers import BLESS_COMMAND, golden_file
 
 GOLDEN = Path(__file__).with_name("golden") / "equivalence.json"
-BLESS_COMMAND = "PYTHONPATH=src python tests/test_golden.py --bless"
 
 ADAM = OptimizerConfig(kind="adam")
 CASES = {
@@ -91,14 +88,12 @@ def run_case(name: str, tasks) -> dict:
 
 
 @pytest.fixture(scope="module")
-def golden():
-    """The golden file, with OpenBLAS pinned to its blessed thread count."""
-    with open(GOLDEN) as fh:
-        stored = json.load(fh)
-    with blessed_environment(stored["environment"]) as mismatch:
+def golden(request):
+    """The golden cases, with OpenBLAS pinned to their blessed thread count."""
+    with golden_file(request.config, GOLDEN, "cases", sorted(CASES)) as (values, mismatch):
         if mismatch:
             pytest.skip(f"golden file {mismatch}; re-bless with: {BLESS_COMMAND}")
-        yield stored
+        yield values
 
 
 @pytest.fixture(scope="module")
@@ -107,38 +102,10 @@ def tasks():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden["cases"]) == sorted(CASES)
+    # under --bless nothing is stored yet, and the rewrite covers every case
+    assert golden.stored is None or sorted(golden.stored) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_matches_golden(golden, tasks, name):
-    expected = golden["cases"][name]
-    actual = run_case(name, tasks)
-    assert actual["eval_rows"] == expected["eval_rows"]
-    assert actual["params_sha256"] == expected["params_sha256"]
-
-
-def bless():
-    """Rewrite the golden file, printing whether each case's entry moved."""
-    previous = {}
-    if GOLDEN.exists():
-        with open(GOLDEN) as fh:
-            previous = json.load(fh)["cases"]
-    tasks = build_tasks(base_config())
-    stored = {
-        "environment": environment_stamp(),
-        "cases": {name: run_case(name, tasks) for name in sorted(CASES)},
-    }
-    for name, entry in stored["cases"].items():
-        print(f"{name}: {'unchanged' if previous.get(name) == entry else 'changed'}")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(stored, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--bless"]:
-        sys.exit(f"usage: {BLESS_COMMAND}")
-    bless()
+    golden.check(name, **run_case(name, tasks))

@@ -1,10 +1,15 @@
 """Source-tree rules: every public definition in src/ has a caller in src/,
-and each config choice set is read only by its field's metadata."""
+each config choice set is read only by its field's metadata, and README
+names every setting."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "forgetlab"
+from forgetlab.cli import SETTINGS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "forgetlab"
 
 # The public definitions with no caller in src/, each with its reason.
 # Code that only tests call belongs in the tests, or nowhere.
@@ -84,3 +89,17 @@ def test_each_choice_set_is_read_only_by_its_fields_metadata():
     as_choices, elsewhere = choice_set_uses()
     assert elsewhere == []
     assert sorted(name for _, name in as_choices) == sorted(CHOICE_SETS)
+
+
+def undocumented_settings(readme: str) -> list:
+    """Each setting whose INI key (in backticks) and flag both go unnamed in ``readme``."""
+    return [
+        s.dest
+        for s in SETTINGS
+        if f"`{s.key}`" not in readme and not re.search(re.escape(s.flag) + r"(?![\w-])", readme)
+    ]
+
+
+def test_readme_names_every_setting():
+    # a setting README never mentions is a hidden knob: document it or delete it
+    assert undocumented_settings((ROOT / "README.md").read_text()) == []
