@@ -641,13 +641,22 @@ class TestGatherEquivalence:
         return make_permuted_tasks(train, test, 3, seed=8, expected_width=20)[1:]
 
     def test_train_rows(self):
-        # 100 scattered rows, then all 1,100 rows in a scattered order
-        for idx in (RandomStream(3).permutation(1100)[:100], RandomStream(5).permutation(1100)):
-            for task in self.tasks():
-                rows = task.train_rows(idx)
-                assert rows.flags.c_contiguous
-                expected = materialized(task).train_images[idx] / 255.0
-                assert rows.tobytes() == expected.tobytes()
+        idx = RandomStream(3).permutation(1100)[:100]
+        for task in self.tasks():
+            rows = task.train_rows(idx)
+            assert rows.flags.c_contiguous
+            expected = materialized(task).train_images[idx] / 255.0
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_rows_spanning_several_gather_blocks(self):
+        # all 1,100 rows in a scattered order, more than two chunks' worth
+        idx = RandomStream(5).permutation(1100)
+        assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
+        for task in self.tasks():
+            rows = task.train_rows(idx)
+            assert rows.flags.c_contiguous
+            expected = materialized(task).train_images[idx] / 255.0
+            assert rows.tobytes() == expected.tobytes()
 
     def test_test_rows(self):
         picks = RandomStream(4).choice(300, 120)
