@@ -29,11 +29,12 @@ or step it is handed in place, so no hook owns an output buffer.
 
 Each fact is checked once: the config fields check every setting's
 choices and bounds (the helpers here trust them),
-:class:`~forgetlab.data.TaskDataset` that no split is empty,
-:meth:`Strategy.finish_task` the importance map, and
-:func:`~forgetlab.optim.apply` gradient layouts. A run's maps, gradients
-and anchors share one layout, so :func:`accumulate` and
-:func:`clip_separately` do not compare layouts.
+:class:`~forgetlab.data.TaskDataset` that no split is empty and the
+labels, :func:`~forgetlab.model.forward` every pre-activation,
+:meth:`Strategy.finish_task` the importance map (an overflowed Fisher
+product too), and :func:`~forgetlab.optim.apply` gradient layouts. A
+run's maps, gradients and anchors share one layout, so
+:func:`accumulate` and :func:`clip_separately` do not compare layouts.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ class Strategy:
         self.omega_total: Optional[ImportanceMap] = None
         self.anchor: Optional[MlpParams] = None
         self.hook: Optional[StepHook] = None
-        self._weight: Optional[np.ndarray] = None
+        self._weight: Optional[np.ndarray] = None  # ewc_multi_anchor's W
 
     def finish_task(self, params: MlpParams, task: TaskDataset):
         config = self.config
@@ -365,17 +366,19 @@ class Strategy:
         w = mapped.flat  # the map the pull weighs by, through the safe coefficient if set
         if config.safe_coefficient:
             w = safe_coefficient(w, self.learning_rate, config.lam)
-        if config.kind == "ewc" or self.anchor is None:
-            self._weight = w.copy()  # ewc_multi_anchor adds later tasks in place
+        if config.kind == "ewc":
+            weight = w  # the hook's lam * w is a fresh vector, so no copy is kept
+            self.anchor = params.copy()
+        elif self.anchor is None:
+            self._weight = weight = w.copy()  # later tasks add into it in place
             self.anchor = params.copy()
         else:
             # w is this task's map, read for the last time here
-            self._weight += w
-            share = np.divide(w, self._weight, out=np.zeros_like(w), where=self._weight > 0)
+            weight = self._weight
+            weight += w
+            share = np.divide(w, weight, out=np.zeros_like(w), where=weight > 0)
             # share * (theta - anchor), written over w: one temporary, share
             np.subtract(params.flat, self.anchor.flat, out=w)
             np.multiply(share, w, out=w)
             self.anchor.flat += w
-        self.hook = _make_ewc_hook(
-            self.anchor, config.lam * self._weight, config.separate_clip_threshold
-        )
+        self.hook = _make_ewc_hook(self.anchor, config.lam * weight, config.separate_clip_threshold)

@@ -26,6 +26,8 @@ layout, :func:`make_permuted_tasks` the base's label range,
 :class:`TaskDataset` each split's shape and dtype (uint8 bounds the
 pixels), that no split is empty, and the permutation. The helpers trust
 the config's bounds (``num_tasks``, ``batch_size`` >= 1).
+The labels the model reads are this layer's alone (int64, one per row,
+below the output width by the config's rules); the model trusts them.
 """
 
 from __future__ import annotations

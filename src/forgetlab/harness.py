@@ -241,6 +241,10 @@ def run_sequence(
     step it adds into ``params`` in place. The last step's batch, trace,
     buffer and optimizer (with Adam's moments) are dropped before the
     task-end work, so Adam's state lives one task.
+
+    A :class:`NonFiniteError` raised while a task trains, is estimated or
+    is evaluated becomes one naming the task (and a step's epoch and
+    batch) with the parameter norm.
     """
     if tasks is None:
         tasks = build_tasks(config)
@@ -254,29 +258,35 @@ def run_sequence(
     acc = np.full((t_count, t_count), np.nan)
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
-        grads = MlpParams.zeros(params.layer_sizes)
-        optimizer = Optimizer(config.optimizer)
-        for epoch in range(config.epochs_per_task):
-            shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)
-            for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
-                trace = forward(params, xb)
-                loss = cross_entropy(trace, yb)
-                if not np.isfinite(loss):
-                    raise NonFiniteError(
-                        f"loss diverged: task {t}, epoch {epoch}, batch {step}, "
-                        f"loss {loss}, parameter norm {global_norm(params):.3e}"
-                    )
-                backward(params, trace, yb, out=grads)
-                apply(params, grads, optimizer, strategy.hook)
-        # free the last step's arrays before the task-end work; every task
-        # takes a step, since epochs_per_task >= 1 and no split is empty
-        del xb, yb, trace, grads, optimizer
-        if t < t_count - 1 or config.save_checkpoints:
-            strategy.finish_task(params, task)
-        for j in range(t + 1):
-            picks, y = eval_splits[j]
-            acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
-            n_samples[t, j] = len(y)
+        try:
+            grads = MlpParams.zeros(params.layer_sizes)
+            optimizer = Optimizer(config.optimizer)
+            for epoch in range(config.epochs_per_task):
+                shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)
+                for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
+                    where = f"epoch {epoch}, batch {step}"
+                    trace = forward(params, xb)
+                    loss = cross_entropy(trace, yb)
+                    if not np.isfinite(loss):
+                        raise NonFiniteError(f"loss {loss}")
+                    backward(params, trace, yb, out=grads)
+                    apply(params, grads, optimizer, strategy.hook)
+            # free the last step's arrays before the task-end work; every task
+            # takes a step, since epochs_per_task >= 1 and no split is empty
+            del xb, yb, trace, grads, optimizer
+            where = "importance estimate"
+            if t < t_count - 1 or config.save_checkpoints:
+                strategy.finish_task(params, task)
+            where = "evaluation"
+            for j in range(t + 1):
+                picks, y = eval_splits[j]
+                acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
+                n_samples[t, j] = len(y)
+        except NonFiniteError as exc:
+            raise NonFiniteError(
+                f"run diverged in task {t}, {where}: {exc}; "
+                f"parameter norm {global_norm(params):.3e}"
+            ) from exc
         if config.save_checkpoints:
             os.makedirs(config.out_dir, exist_ok=True)
             save_params(params, os.path.join(config.out_dir, f"params_task{t}.npz"))

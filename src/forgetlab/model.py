@@ -189,17 +189,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     """Run the network on a batch of image rows.
 
-    Raises :class:`NonFiniteError` naming the layer if any pre-activation
-    overflows; each layer's ``z`` is checked once, after the bias add and
-    before the leaky ReLU overwrites it. A batch that is not 2-D or not
-    as wide as the first layer fails in :func:`~forgetlab.numerics.matmul`,
-    whose :class:`ShapeError` names both shapes.
+    Owns finiteness: raises :class:`NonFiniteError` naming the layer if
+    any pre-activation is not finite. A non-finite gradient, step or
+    parameter reaches a forward (the next step's, the importance
+    estimate's or the evaluation's) before any result is recorded, so
+    nothing else checks. Each layer's ``z`` is checked once, after the
+    bias add and before the leaky ReLU overwrites it. A batch that is not
+    2-D or not as wide as the first layer fails in :func:`matmul`, whose
+    :class:`ShapeError` names both shapes.
     """
     x = np.asarray(batch, dtype=np.float64)
     layer_inputs = [x]
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = matmul(layer_inputs[l], w.T, check_finite=False)
+        z = matmul(layer_inputs[l], w.T)
         with np.errstate(over="ignore", invalid="ignore"):
             z += b
         if not np.isfinite(z).all():
@@ -209,26 +212,13 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     return ForwardTrace(layer_inputs=layer_inputs, logits=z, probabilities=softmax(z))
 
 
-def _check_labels(labels: np.ndarray, rows: int, classes: int) -> np.ndarray:
-    """``labels`` as int64: one per row, each in 0..classes-1."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.shape[0] != rows:
-        raise ShapeError(f"{rows} rows vs {labels.shape[0]} labels")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"labels outside 0..{classes - 1}")
-    return labels.astype(np.int64)
-
-
 def cross_entropy(trace: ForwardTrace, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class, computed from logits.
 
     Uses the log-sum-exp form so the result stays finite even when some
-    probabilities underflow.
+    probabilities underflow. :mod:`forgetlab.data` owns the labels' shape and range.
     """
     logits = trace.logits
-    labels = _check_labels(labels, *logits.shape)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     per_sample = log_z - shifted[np.arange(len(labels)), labels]
@@ -236,8 +226,7 @@ def cross_entropy(trace: ForwardTrace, labels: np.ndarray) -> float:
 
 
 def output_delta(trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of -log p(label) by the logits: p - onehot(label)."""
-    labels = _check_labels(labels, *trace.probabilities.shape)
+    """p - onehot(label), per sample: the logits' gradient. The data layer owns the labels."""
     delta = trace.probabilities.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
     return delta
@@ -317,21 +306,17 @@ def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
     match ``labels``. Hits are counted one block at a time, so only one
     block's forward pass is held at once. The count is exact, so
     ``hits / len(labels)`` is the float ``np.mean`` gives over the whole
-    split. The set is never empty: :class:`~forgetlab.data.TaskDataset`
-    rejects an empty split and ``eval_subset`` is at least 1.
+    split. The data layer owns the labels, their match with the rows (one
+    task, one set of picks) and that the set is never empty
+    (:class:`~forgetlab.data.TaskDataset` rejects an empty split).
     """
-    labels = np.asarray(labels)
-    classes = params.weights[-1].shape[0]
     hits = seen = 0
     for block in blocks:
         probabilities = forward(params, block).probabilities
         del block  # free this block's rows before the next one is made
         n = probabilities.shape[0]
-        block_labels = _check_labels(labels[seen : seen + n], n, classes)
-        hits += int(np.count_nonzero(np.argmax(probabilities, axis=1) == block_labels))
+        hits += int(np.count_nonzero(np.argmax(probabilities, axis=1) == labels[seen : seen + n]))
         seen += n
-    if seen != labels.shape[0]:
-        raise ShapeError(f"{seen} rows vs {labels.shape[0]} labels")
     return hits / seen
 
 

@@ -2,10 +2,10 @@
 
 Matrices are plain 2-D C-order ``numpy.float64`` arrays. The helpers here
 add the contract checks the rest of the package relies on: shape
-validation with informative errors, a guarantee that no NaN or
-infinity leaves an operation silently, and :func:`check_fields`, which
+validation with informative errors, and :func:`check_fields`, which
 checks every config field against the choices and bounds its metadata
-declares, and every float setting for finiteness.
+declares, and every float setting for finiteness. No product is scanned
+for NaN or infinity: :func:`~forgetlab.model.forward` owns finiteness.
 
 Random streams wrap the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
@@ -59,12 +59,11 @@ def check_fields(config):
             raise ValueError(f"{f.name} must be > {above}, got {value}")
 
 
-def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) -> np.ndarray:
+def matmul(a, b, *, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with shape checking.
 
     Writes into ``out`` when given (which must have the product's shape).
-    With ``check_finite=False`` the caller takes over the finiteness
-    check, typically after a further elementwise step.
+    An overflow neither warns nor raises: finiteness is the caller's fact.
 
     Summation order is fixed by the BLAS build, so repeated calls with the
     same operands in the same environment are bit-identical.
@@ -79,11 +78,7 @@ def matmul(a, b, *, out: np.ndarray | None = None, check_finite: bool = True) ->
             f"vs {b.shape[0]}x{b.shape[1]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(a, b, out=out)
-    if check_finite and not np.isfinite(out).all():
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise NonFiniteError(f"matmul produced non-finite entry at {tuple(int(i) for i in bad)}")
-    return out
+        return np.matmul(a, b, out=out)
 
 
 def openblas_function(name: str, restype, argtypes):

@@ -547,7 +547,7 @@ class TestPermutedTasks:
             (levels(rs, (4, width)), np.arange(4, dtype=np.int64)),
         )
 
-    def test_first_task_identity_by_default(self):
+    def test_first_task_is_identity(self):
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
         assert np.array_equal(tasks[0].permutation, np.arange(6))

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import re
 import weakref
 from pathlib import Path
 
@@ -34,7 +35,8 @@ from forgetlab.model import (
     param_count,
 )
 from forgetlab.numerics import NonFiniteError, RandomStream
-from forgetlab.optim import Optimizer, apply
+from forgetlab.optim import Optimizer, StepHook, apply
+from forgetlab.reports import emit_surface_csv
 from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
@@ -51,6 +53,22 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def poison_wva_hooks(monkeypatch, lams=None):
+    """Make each WVA hook (only those at ``lams``, if given) write inf into one gradient entry."""
+    real = continual.make_wva_hook
+
+    def make(omega, lam, kind, target):
+        if lams is not None and lam not in lams:
+            return real(omega, lam, kind, target)
+
+        def poison(grads, params):
+            grads.flat[0] = np.inf
+
+        return StepHook(pre_optimizer=poison)
+
+    monkeypatch.setattr(continual, "make_wva_hook", make)
 
 
 def mnist_sized_config(num_tasks):
@@ -149,7 +167,7 @@ class TestBuildTasks:
             assert images.nbytes == images.shape[0] * 784
         assert tasks[0].train_images.shape[0] == 10_000
 
-    def test_first_task_unpermuted_by_default(self):
+    def test_first_task_unpermuted(self):
         tasks = build_tasks(tiny_config())
         assert np.array_equal(tasks[0].permutation, np.arange(12))
 
@@ -316,8 +334,40 @@ class TestRunSequence:
             strategy=StrategyConfig(kind="ewc", lam=1e30, estimator="fisher"),
             num_tasks=2,
         )
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError) as err:
             run_sequence(config)
+        assert re.fullmatch(
+            r"run diverged in task 1, epoch 0, batch \d+: non-finite pre-activation in "
+            r"layer \d; parameter norm \S+",
+            str(err.value),
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "batch_size, caught_at",
+        [(16, "epoch 0, batch 1"), (128, "evaluation")],  # 8 steps a task, or 1
+    )
+    def test_nonfinite_gradient_stops_the_run_before_its_eval_row(
+        self, monkeypatch, batch_size, caught_at
+    ):
+        # no product is scanned: an infinite gradient entry from task 1's
+        # first step is caught by the next forward, a step's or, after the
+        # last step, the evaluation's
+        poison_wva_hooks(monkeypatch)
+        filled = []
+        real_accuracy = harness.accuracy
+
+        def recording_accuracy(*args):
+            filled.append(real_accuracy(*args))
+            return filled[-1]
+
+        monkeypatch.setattr(harness, "accuracy", recording_accuracy)
+        config = tiny_config(
+            batch_size=batch_size, strategy=StrategyConfig(kind="wva", lam=1.0, target="gradient")
+        )
+        with pytest.raises(NonFiniteError, match=f"task 1, {caught_at}: non-finite pre-activation"):
+            run_sequence(config)
+        assert len(filled) == 1  # task 0's row, and nothing of task 1's
 
 
 class TestBufferOwnership:
@@ -542,8 +592,6 @@ class TestGridSearch:
             assert matrix.n_samples.tobytes() == direct.n_samples.tobytes()
 
     def test_matrices_leave_surface_csv_unchanged(self, tmp_path):
-        from forgetlab.reports import emit_surface_csv
-
         surface = grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
         with_matrices = emit_surface_csv(surface, str(tmp_path / "with.csv"))
         without = dataclasses.replace(surface, matrices=None)
@@ -580,7 +628,7 @@ class TestGridSearch:
         assert runs == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failed_run_leaves_gap(self):
+    def test_failed_run_leaves_gap(self, tmp_path):
         # An anchored penalty at an absurd lambda grows parameters
         # multiplicatively under SGD and overflows within one epoch; the
         # small-lambda run on the same grid stays healthy.
@@ -591,11 +639,30 @@ class TestGridSearch:
         surface = grid_search(config, [1e-3, 1e60])
         assert len(surface.failures) == 1
         assert surface.failures[0][0] == 1e60
+        csv = Path(emit_surface_csv(surface, str(tmp_path / "surface.csv"))).read_text()
+        assert re.search(
+            r"# failed lambda=1e\+60: NonFiniteError: run diverged in task 1, epoch 0, batch \d+",
+            csv,
+        )
         assert np.all(np.isnan(surface.avg_accuracy[1]))
         assert np.all(np.isfinite(surface.avg_accuracy[0]))
         healthy, failed = surface.matrices
         assert np.all(np.isnan(failed.accuracies)) and not failed.n_samples.any()
         assert not np.isnan(np.tril(healthy.accuracies)).any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_gradient_fails_only_its_lambda(self, monkeypatch):
+        poison_wva_hooks(monkeypatch, lams={1.0})
+        config = tiny_config(strategy=StrategyConfig(kind="wva", target="gradient"))
+        surface = grid_search(config, [0.5, 1.0, 2.0])
+        assert [lam for lam, _ in surface.failures] == [1.0]
+        assert "run diverged in task 1" in surface.failures[0][1]
+        assert np.isnan(surface.avg_accuracy[1]).all()
+        for i, lam in ((0, 0.5), (2, 2.0)):
+            alone = run_sequence(
+                dataclasses.replace(config, strategy=dataclasses.replace(config.strategy, lam=lam))
+            )
+            assert same_bits(surface.matrices[i].accuracies, alone.matrix.accuracies)
 
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures become gaps; a bug must not pass as a

@@ -1,6 +1,7 @@
 """Source-tree rules: every public definition in src/ has a caller in src/,
-each config choice set is read only by its field's metadata, and README
-names every setting."""
+each config choice set is read only by its field's metadata, only the
+owners of finiteness raise NonFiniteError, and README names every
+setting."""
 
 import ast
 import re
@@ -89,6 +90,48 @@ def test_each_choice_set_is_read_only_by_its_fields_metadata():
     as_choices, elsewhere = choice_set_uses()
     assert elsewhere == []
     assert sorted(name for _, name in as_choices) == sorted(CHOICE_SETS)
+
+
+# The functions that may raise NonFiniteError, each owning one fact. A
+# non-finite gradient, step or parameter reaches forward before any result
+# is recorded, so a scan anywhere else re-checks a fact forward owns.
+NON_FINITE_OWNERS = {
+    ("model", "forward"): "every pre-activation of every pass",
+    ("harness", "run_sequence"): "the loss, and where a run diverged",
+    ("continual", "check_importance"): "each importance map",
+    ("model", "load_params"): "each checkpoint read back",
+}
+
+
+def non_finite_raisers(src: Path = SRC) -> set:
+    """``(module, scope)`` of each ``raise NonFiniteError`` in ``src``; the
+    scope is the dotted path of enclosing definitions, such as
+    ``Class.method``, or ``<module>`` outside any."""
+    found = set()
+
+    class Raises(ast.NodeVisitor):
+        def __init__(self, module: str):
+            self.module, self.scope = module, []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "NonFiniteError":
+                found.add((self.module, ".".join(self.scope) or "<module>"))
+
+    for path in sorted(src.glob("*.py")):
+        Raises(path.stem).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_only_the_owners_of_finiteness_raise_non_finite_error():
+    assert non_finite_raisers() == set(NON_FINITE_OWNERS)
 
 
 def undocumented_settings(readme: str) -> list:

@@ -218,12 +218,6 @@ class TestCrossEntropy:
         )
         assert abs((4 * loss_a + 5 * loss_b) - 9 * joint) < 1e-12
 
-    def test_label_out_of_range_rejected(self):
-        params = zero_net((2, 2, 2))
-        trace = forward(params, np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            cross_entropy(trace, np.array([5]))
-
 
 class TestBackward:
     def test_output_bias_gradient_is_mean_error(self):
@@ -250,12 +244,6 @@ class TestBackward:
         labels = np.array([0, 1, 0, 1])
         assert max_relative_gradient_error(params, x, labels) < 1e-6
 
-    def test_label_count_mismatch(self):
-        params = init_params(RandomStream(17), (3, 2))
-        trace = forward(params, np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            backward(params, trace, np.array([0]))
-
 
 class TestAccuracy:
     def test_zero_params_on_balanced_fixture(self):
@@ -277,13 +265,6 @@ class TestAccuracy:
         x = RandomStream(19).uniform(0, 1, (9, 4))
         acc = accuracy(params, [x], np.arange(9) % 2)
         assert 0.0 <= acc <= 1.0
-
-    @pytest.mark.parametrize("n_labels", [5, 7])
-    def test_row_label_mismatch_rejected(self, n_labels):
-        params = init_params(RandomStream(20), (4, 2))
-        x = RandomStream(21).uniform(0, 1, (6, 4))
-        with pytest.raises(ShapeError):
-            accuracy(params, [x[:4], x[4:]], np.zeros(n_labels, dtype=int))
 
     def test_chunked_count_equals_whole_split_fraction(self):
         # 1,100 rows walk as two full chunks and a short one of 76.

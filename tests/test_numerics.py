@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from forgetlab.numerics import (
-    NonFiniteError,
     RandomStream,
     ShapeError,
     matmul,
@@ -20,17 +21,6 @@ class TestMatmul:
     def test_rejects_one_dimensional(self):
         with pytest.raises(ShapeError):
             matmul([1.0, 2.0, 3.0], np.eye(3))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            matmul([[np.nan, 0.0]], np.eye(2))
-
-    def test_nonfinite_result_reports_position(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        b = np.array([[1.0, 1e308], [1.0, 1e308]])
-        with pytest.raises(NonFiniteError) as err:
-            matmul(a, b)
-        assert "(0, 1)" in str(err.value)
 
     def test_identity(self):
         rng = np.random.default_rng(7)
@@ -52,10 +42,12 @@ class TestMatmul:
             matmul(np.zeros((2, 3)), np.zeros((4, 5)))
         assert "2x3" in str(err.value) and "4x5" in str(err.value)
 
-    def test_overflow_to_inf_raises(self):
+    def test_overflow_is_left_to_the_caller(self):
+        # finiteness is forward's fact: the product neither raises nor warns
         big = np.full((2, 2), 1e308)
-        with pytest.raises(NonFiniteError):
-            matmul(big, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isposinf(matmul(big, big)))
 
     def test_associativity_within_tolerance(self):
         rng = np.random.default_rng(11)
