@@ -37,6 +37,8 @@ import os
 import sys
 from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .continual import StrategyConfig, attenuation_closed_forms
 from .data import fetch_idx_files
 from .harness import (
@@ -291,8 +293,9 @@ def cmd_fetch_data(args) -> int:
 
 
 def _selftest_gradients() -> tuple[bool, str]:
+    # An oracle: float64 parameters and images, whatever a run's dtype.
     stream = RandomStream(202)
-    params = init_params(stream.child(0), (4, 4, 3))
+    params = init_params(stream.child(0), (4, 4, 3), dtype=np.float64)
     images = stream.child(1).uniform(0.0, 1.0, (8, 4))
     labels = stream.child(2).permutation(8) % 3
     worst = max_relative_gradient_error(params, images, labels)

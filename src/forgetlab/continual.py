@@ -22,7 +22,10 @@ task's train split with :meth:`~forgetlab.data.TaskDataset.chunks`, one
 forward pass per chunk, the walk evaluation uses too.
 
 Importance maps, attenuation factors and anchors share the flat
-parameter layout of :class:`~forgetlab.model.MlpParams`. Everything a
+parameter layout of :class:`~forgetlab.model.MlpParams` and the
+parameters' dtype: each estimator builds its map in it, and the factors,
+the safe coefficient, the anchor, the pull's weight and the hook
+scratch all follow the map or the parameters. Everything a
 hook needs per step is fixed when a task finishes (the factors, and
 ``lam * omega`` for the penalties), and each hook rewrites the gradient
 or step it is handed in place, so no hook owns an output buffer.
@@ -89,7 +92,7 @@ def estimate_fisher(params: MlpParams, dataset: TaskDataset) -> ImportanceMap:
     gradient factors as delta_i * a_j, so the squared sum is the matrix
     product of delta**2 and a**2. The deltas come unscaled from ``model.layer_deltas``.
     """
-    sums = MlpParams.zeros(params.layer_sizes)
+    sums = params.zeros_like()
     for trace, yb in _train_chunks(params, dataset):
         for l, delta in layer_deltas(params, trace, output_delta(trace, yb)):
             squared = delta**2
@@ -108,7 +111,7 @@ def estimate_total_abs_signal(params: MlpParams, dataset: TaskDataset) -> Import
     of |a_j|. Biases contribute a constant signal, so their importance is
     |b_i|.
     """
-    abs_sums = [np.zeros(w.shape[1]) for w in params.weights]
+    abs_sums = [np.zeros(w.shape[1], dtype=w.dtype) for w in params.weights]
     for trace, _ in _train_chunks(params, dataset):
         for abs_sum, below in zip(abs_sums, trace.layer_inputs):
             abs_sum += np.abs(below).sum(axis=0)
@@ -153,9 +156,10 @@ def safe_coefficient(omega, alpha: float, lam: float):
 
     Bounded above by 1/(alpha*lam), which keeps a single penalty step
     from overshooting the anchor no matter how large omega grows. Accepts
-    scalars or arrays.
+    float scalars or arrays and keeps their dtype (a Python float is
+    float64).
     """
-    arr = np.asarray(omega, dtype=np.float64)
+    arr = np.asarray(omega)
     return arr / (alpha * lam * arr + 1.0)
 
 
@@ -176,11 +180,13 @@ def clip_separately(task_grad: Gradients, penalty_grad: Gradients, threshold: fl
 def wva_factor(omega, lam: float, kind: str) -> np.ndarray:
     """Attenuation factor in (0, 1]: hyperbolic 1/(lam*omega+1) or exp(-lam*omega).
 
-    Every pass writes into one fresh output array (0-d for a scalar
-    ``omega``), with the roundings of the plain expressions. ``kind`` is
-    one of :class:`StrategyConfig`'s attenuation choices, which it checks.
+    Every pass writes into one fresh output array of ``omega``'s float
+    dtype (0-d for a scalar ``omega``; float64 for a Python number or an
+    integer array), with the roundings of the plain expressions.
+    ``kind`` is one of :class:`StrategyConfig`'s attenuation choices,
+    which it checks.
     """
-    arr = np.asarray(omega, dtype=np.float64)
+    arr = np.asarray(omega, dtype=np.result_type(omega, 1.0))
     out = np.empty_like(arr)
     if kind == "hyperbolic":
         np.multiply(lam, arr, out=out)
@@ -195,9 +201,11 @@ def attenuation_closed_forms() -> tuple[bool, str]:
 
     Bounds (0, 1] and hyperbolic >= exponential on 60 log-spaced omegas in
     [1e-6, 100]; both are 1 at omega 0, and 0.5 at lam*omega = 1
-    (hyperbolic) and ln 2 (exponential). Returns the verdict and a detail.
+    (hyperbolic) and ln 2 (exponential). Every input is float64, so
+    :func:`wva_factor` computes in float64 whatever a run's dtype.
+    Returns the verdict and a detail.
     """
-    values = np.logspace(-6.0, 2.0, 60)
+    values = np.logspace(-6.0, 2.0, 60, dtype=np.float64)
     hyp = wva_factor(values, 1.0, "hyperbolic")
     exp = wva_factor(values, 1.0, "exponential")
     checks = {
@@ -293,7 +301,7 @@ def _make_ewc_hook(
     rounding.
     """
     size = anchor.flat.size
-    scratch = np.empty(min(ADAM_BLOCK, size))
+    scratch = np.empty(min(ADAM_BLOCK, size), dtype=anchor.flat.dtype)
     blocks = [
         (block, anchor.flat[block], lam_weight[block])
         for block in (slice(start, start + ADAM_BLOCK) for start in range(0, size, ADAM_BLOCK))

@@ -9,11 +9,12 @@ in, so it costs one byte per pixel. Every task shares the same read-only
 base arrays; a task's pixels are gathered and permuted per batch or per
 chunk, so a sequence costs one copy of the data whatever its length.
 The gather is the one place that widens levels: it permutes the uint8
-rows, then writes ``levels / 255.0`` as float64 in one pass, so every
-pixel a model sees is float64 in [0, 1]. The importance estimators and
-evaluation walk a split through :meth:`TaskDataset.chunks`,
-``CHUNK_ROWS`` rows at a time, so neither holds more than one chunk of
-a split's float64 rows, whatever its size.
+rows, then writes ``levels / 255.0`` in the run dtype
+(``numerics.RUN_DTYPE``, float32) in one pass, so every pixel a model
+sees is a float32 in [0, 1]. The importance estimators and evaluation
+walk a split through :meth:`TaskDataset.chunks`, ``CHUNK_ROWS`` rows at
+a time, so neither holds more than one chunk of a split's widened rows,
+whatever its size.
 Building the base holds no second copy either. Both sources take
 ``pick_rows``, which maps the train split's row count to the rows to keep,
 and build only those rows: the IDX loader returns the payload, which it
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fileio import atomic_write
-from .numerics import RandomStream, ShapeError
+from .numerics import RUN_DTYPE, RandomStream, ShapeError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -53,7 +54,7 @@ LABEL_MAGIC = 0x00000801
 FETCH_TIMEOUT_S = 60
 
 # Rows per chunk of a split walk (importance estimation, evaluation) and
-# per draw of the synthetic source: the most float64 rows of a split a
+# per draw of the synthetic source: the most widened rows of a split a
 # walk or a build holds at once.
 CHUNK_ROWS = 512
 
@@ -204,7 +205,7 @@ class TaskDataset:
     every task of a sequence (read-only when built by
     :func:`make_permuted_tasks`). Read a task's pixels only through
     :meth:`train_rows` and :meth:`test_rows`, which gather the requested
-    rows, apply ``permutation`` and scale them into float64 [0, 1], or
+    rows, apply ``permutation`` and scale them into run-dtype [0, 1], or
     :meth:`chunks`, which does so one chunk of a split at a time. The
     constructor checks shapes and dtypes, that no split is empty, and the
     permutation; the label range is checked once per base by
@@ -236,11 +237,11 @@ class TaskDataset:
             raise ValueError(f"permutation is not a bijection on 0..{width - 1}")
 
     def train_rows(self, rows) -> np.ndarray:
-        """This task's train pixels at ``rows``, as a fresh C-contiguous float64 array."""
+        """This task's train pixels at ``rows``, as a fresh C-contiguous run-dtype array."""
         return _gather(self.train_images, rows, self.permutation)
 
     def test_rows(self, rows) -> np.ndarray:
-        """This task's test pixels at ``rows``, as a fresh C-contiguous float64 array."""
+        """This task's test pixels at ``rows``, as a fresh C-contiguous run-dtype array."""
         return _gather(self.test_images, rows, self.permutation)
 
     def chunks(self, split: str, picks: Optional[np.ndarray] = None):
@@ -258,14 +259,15 @@ class TaskDataset:
 
 
 def _gather(levels: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
-    """``levels[rows] / 255`` as float64, column j taken from column ``permutation[j]``.
+    """``levels[rows] / 255`` in ``RUN_DTYPE``, column j taken from column ``permutation[j]``.
 
     The rows are permuted as uint8, one byte per pixel, and then widened
-    and scaled in one pass into the output: ``u8 -> f64`` then ``/ 255.0``
-    rounds each pixel once, as scaling a float64 copy of the base would.
+    and scaled in one pass into the output: every level is exact in the
+    run dtype, so ``/ 255.0`` rounds each pixel once, to the nearest
+    run-dtype value of ``level / 255``.
     """
     permuted = np.take(levels[rows], permutation, axis=1)
-    return np.divide(permuted, LEVELS_MAX, dtype=np.float64)
+    return np.divide(permuted, LEVELS_MAX, dtype=RUN_DTYPE)
 
 
 def synth_dataset(

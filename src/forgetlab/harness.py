@@ -172,7 +172,8 @@ def build_tasks(config: ExperimentConfig) -> list[TaskDataset]:
     rows are drawn from the split's row count before any image is read
     or drawn, and the source builds only those rows, in the drawn order.
     The tasks share one read-only copy of that base data, in uint8 pixel
-    levels; each task's float64 pixels are gathered per batch.
+    levels; each task's pixels are gathered per batch or chunk, in the
+    run dtype (float32).
     """
 
     def train_picks(n: int) -> Optional[np.ndarray]:
@@ -259,7 +260,7 @@ def run_sequence(
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
         try:
-            grads = MlpParams.zeros(params.layer_sizes)
+            grads = params.zeros_like()
             optimizer = Optimizer(config.optimizer)
             for epoch in range(config.epochs_per_task):
                 shuffle = root.child(SHUFFLE_STREAM_ID, t, epoch)

@@ -7,13 +7,20 @@ trace holds the hidden activations, the logits and the probabilities and
 no separate pre-activations. One backprop walk, :func:`layer_deltas`,
 serves :func:`backward` and the Fisher estimator in :mod:`.continual`.
 
-Parameters live in one contiguous float64 vector, ``MlpParams.flat``:
+Parameters live in one contiguous float vector, ``MlpParams.flat``:
 every layer's weights (out x in, row-major) in layer order, then every
 layer's biases. ``weights[l]`` and ``biases[l]`` are views into it, so
 writing through a view writes the vector. Gradients, Adam moments,
 importance maps, attenuation factors and EWC anchors all use this one
 layout, which lets the optimizer and the strategies update whole
 parameter sets with in-place operations on one vector.
+
+The vector's dtype, float32 or float64, is the dtype of everything
+computed from it: :func:`init_params` makes a run's parameters in
+``numerics.RUN_DTYPE`` (float32), :func:`forward` computes in the
+parameters' dtype, and every parameter-shaped array a run derives from
+them (:meth:`MlpParams.zeros_like`) keeps it. The gradient check passes
+float64 parameters and inputs and so runs entirely in float64.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fileio import atomic_write
-from .numerics import NonFiniteError, RandomStream, ShapeError, matmul
+from .numerics import RUN_DTYPE, NonFiniteError, RandomStream, ShapeError, matmul
 
 DEFAULT_LAYER_SIZES = (784, 300, 150, 10)
 LEAKY_SLOPE = 0.01
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The dtypes a parameter vector may have; every block of one vector shares one.
+PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def param_count(layer_sizes: tuple[int, ...]) -> int:
@@ -38,8 +47,10 @@ def param_count(layer_sizes: tuple[int, ...]) -> int:
 class MlpParams:
     """Per-layer weights (out x in) and biases (out,) as views of ``flat``.
 
-    The constructor copies the given blocks into a fresh vector;
-    :meth:`from_flat` wraps an existing vector without copying.
+    ``flat`` is float32 or float64 (``PARAM_DTYPES``). The constructor
+    copies the given blocks, which must all share one of those dtypes,
+    into a fresh vector of it; :meth:`from_flat` wraps an existing vector
+    without copying.
     """
 
     __slots__ = ("flat", "layer_sizes", "weights", "biases")
@@ -47,10 +58,17 @@ class MlpParams:
     def __init__(self, weights, biases):
         if not weights or len(weights) != len(biases):
             raise ShapeError("weights and biases must be non-empty lists of equal length")
+        dtype = weights[0].dtype
+        if dtype not in PARAM_DTYPES:
+            raise ShapeError(f"parameters must be float32 or float64, got {dtype}")
         for l, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or w.dtype != np.float64:
-                raise ShapeError(f"layer {l}: weights must be a 2-D float64 matrix")
-            if b.shape != (w.shape[0],) or b.dtype != np.float64:
+            if w.dtype != dtype or b.dtype != dtype:
+                raise ShapeError(
+                    f"layer {l}: weights {w.dtype} and biases {b.dtype}, expected {dtype}"
+                )
+            if w.ndim != 2:
+                raise ShapeError(f"layer {l}: weights must be a 2-D matrix")
+            if b.shape != (w.shape[0],):
                 raise ShapeError(
                     f"layer {l}: biases shaped {b.shape}, expected ({w.shape[0]},)"
                 )
@@ -70,21 +88,17 @@ class MlpParams:
         expected = param_count(layer_sizes)
         if (
             not isinstance(flat, np.ndarray)
-            or flat.dtype != np.float64
+            or flat.dtype not in PARAM_DTYPES
             or flat.shape != (expected,)
             or not flat.flags.c_contiguous
         ):
             raise ShapeError(
-                f"flat parameters must be a contiguous float64 vector of {expected} "
-                f"entries for layers {layer_sizes}"
+                f"flat parameters must be a contiguous float32 or float64 vector of "
+                f"{expected} entries for layers {layer_sizes}"
             )
         params = cls.__new__(cls)
         params._bind(flat, layer_sizes)
         return params
-
-    @classmethod
-    def zeros(cls, layer_sizes: tuple[int, ...]) -> "MlpParams":
-        return cls.from_flat(np.zeros(param_count(layer_sizes)), layer_sizes)
 
     def _bind(self, flat: np.ndarray, layer_sizes: tuple[int, ...]):
         weights, biases = [], []
@@ -110,16 +124,23 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams.from_flat(self.flat.copy(), self.layer_sizes)
 
+    def zeros_like(self) -> "MlpParams":
+        """All-zero parameters in this layout and dtype."""
+        return MlpParams.from_flat(np.zeros_like(self.flat), self.layer_sizes)
+
 
 # Gradients, optimizer moments and importance maps are all parameter-shaped.
 Gradients = MlpParams
 
 
 def check_congruent(a: MlpParams, b: MlpParams, what: str = "operands"):
+    """Raise :class:`ShapeError` unless ``a`` and ``b`` share one layout and one dtype."""
     if a.layer_sizes != b.layer_sizes:
         raise ShapeError(
             f"{what} are not shape-congruent: {a.layer_sizes} vs {b.layer_sizes}"
         )
+    if a.flat.dtype != b.flat.dtype:
+        raise ShapeError(f"{what} differ in dtype: {a.flat.dtype} vs {b.flat.dtype}")
 
 
 def global_norm(params: MlpParams) -> float:
@@ -144,14 +165,21 @@ class ForwardTrace:
 
 
 def init_params(
-    stream: RandomStream, layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES
+    stream: RandomStream,
+    layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
+    dtype=RUN_DTYPE,
 ) -> MlpParams:
-    """He-uniform weights (entries in +-sqrt(6/fan_in)) with zero biases."""
+    """He-uniform weights (entries in +-sqrt(6/fan_in)) with zero biases.
+
+    The weights are drawn in float64 and rounded once to ``dtype``, so a
+    float32 init is the rounding of the float64 one. Runs take the
+    default; the gradient check passes float64.
+    """
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(stream.uniform(-limit, limit, (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(stream.uniform(-limit, limit, (fan_out, fan_in)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpParams(weights=weights, biases=biases)
 
 
@@ -187,7 +215,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
-    """Run the network on a batch of image rows.
+    """Run the network on a batch of image rows, in the parameters' dtype.
+
+    A batch of another dtype is cast to it first (the gather writes the
+    run dtype, so a run's batches pass through uncopied).
 
     Owns finiteness: raises :class:`NonFiniteError` naming the layer if
     any pre-activation is not finite. A non-finite gradient, step or
@@ -198,7 +229,7 @@ def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     2-D or not as wide as the first layer fails in :func:`matmul`, whose
     :class:`ShapeError` names both shapes.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=params.flat.dtype)
     layer_inputs = [x]
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -255,7 +286,7 @@ def backward(
     """
     delta = output_delta(trace, labels)
     delta /= delta.shape[0]
-    grads = MlpParams.zeros(params.layer_sizes) if out is None else out
+    grads = params.zeros_like() if out is None else out
     for l, delta in layer_deltas(params, trace, delta):
         matmul(delta.T, trace.layer_inputs[l], out=grads.weights[l])
         np.sum(delta, axis=0, out=grads.biases[l])
@@ -321,7 +352,11 @@ def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
 
 
 def save_params(params: MlpParams, path: str):
-    """Write a versioned npz checkpoint (also used for importance maps)."""
+    """Write a versioned npz checkpoint (also used for importance maps), in its dtype.
+
+    Version 2 keeps the vector's dtype, float32 or float64; version 1
+    files, which were always float64, are refused by :func:`load_params`.
+    """
     arrays = {f"weights_{l}": w for l, w in enumerate(params.weights)}
     arrays.update({f"biases_{l}": b for l, b in enumerate(params.biases)})
     with atomic_write(path, "wb") as fh:

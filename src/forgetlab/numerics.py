@@ -1,8 +1,12 @@
-"""Dense float64 kernel and deterministic random streams.
+"""Dense float kernel, the run dtype and deterministic random streams.
 
-Matrices are plain 2-D C-order ``numpy.float64`` arrays. The helpers here
-add the contract checks the rest of the package relies on: shape
-validation with informative errors, and :func:`check_fields`, which
+Matrices are plain 2-D C-order float arrays. A run computes in
+``RUN_DTYPE`` (float32): the parameters carry it, and every array derived
+from them takes theirs. The oracles (the gradient check, the attenuation
+closed forms and the scalar Adam check) build float64 inputs and run
+through the same code in float64. The helpers here add the contract
+checks the rest of the package relies on: shape and dtype validation
+with informative errors, and :func:`check_fields`, which
 checks every config field against the choices and bounds its metadata
 declares, and every float setting for finiteness. No product is scanned
 for NaN or infinity: :func:`~forgetlab.model.forward` owns finiteness.
@@ -26,6 +30,10 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+# The dtype a run computes in: init_params casts to it and the data gather
+# writes it. Every other array takes the dtype of the parameters it serves.
+RUN_DTYPE = np.dtype(np.float32)
 
 
 class ShapeError(ValueError):
@@ -60,16 +68,20 @@ def check_fields(config):
 
 
 def matmul(a, b, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix product with shape checking.
+    """Matrix product with shape and dtype checking.
 
-    Writes into ``out`` when given (which must have the product's shape).
-    An overflow neither warns nor raises: finiteness is the caller's fact.
+    Both operands must have one dtype, which the product keeps, so no
+    operand is silently widened. Writes into ``out`` when given (which
+    must have the product's shape). An overflow neither warns nor raises:
+    finiteness is the caller's fact.
 
     Summation order is fixed by the BLAS build, so repeated calls with the
     same operands in the same environment are bit-identical.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype != b.dtype:
+        raise ShapeError(f"matmul operands differ in dtype: {a.dtype} vs {b.dtype}")
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -98,9 +110,9 @@ def numeric_environment() -> dict:
     """What fixes the rounding of a matrix product here.
 
     The numpy version, the BLAS build (name and version), the OpenBLAS
-    kernel family picked at runtime (``"unknown"`` under another BLAS) and
+    kernel family picked at runtime (``"unknown"`` under another BLAS),
     the BLAS thread count at the time of the call (``None`` when it
-    cannot be asked).
+    cannot be asked) and the run dtype's name.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     core = openblas_function("scipy_openblas_get_corename64_", ctypes.c_char_p, [])
@@ -110,6 +122,7 @@ def numeric_environment() -> dict:
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_core": core().decode() if core else "unknown",
         "blas_threads": threads() if threads else None,
+        "dtype": RUN_DTYPE.name,
     }
 
 

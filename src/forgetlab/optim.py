@@ -22,7 +22,9 @@ trajectories rather than merely close ones. Adam's scale is 1.0, which
 leaves its update semantics untouched.
 
 Every update works in place on the flat parameter vector (see
-:mod:`.model`), and the gradient buffer the caller hands to :func:`apply`
+:mod:`.model`) and in its dtype: Adam's moments and scratch are made in
+the gradients' dtype, which :func:`apply` checks is the parameters'.
+The gradient buffer the caller hands to :func:`apply`
 carries the whole step: a pre hook transforms it, the optimizer writes
 its direction over it (SGD negates it, Adam overwrites each block after
 reading it), a post hook transforms that, and :func:`apply` scales it
@@ -50,8 +52,9 @@ DEFAULT_LEARNING_RATES = {"sgd": 0.2, "adam": 0.001}
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# Entries per block of Adam's update: 256 KiB per float64 array, so the
-# four arrays one block touches fit a 2 MiB L2 cache together.
+# Entries per block of Adam's update: 128 KiB per float32 array (256 KiB
+# per float64 one), so the four arrays one block touches fit a 2 MiB L2
+# cache together in either dtype.
 ADAM_BLOCK = 32768
 
 
@@ -77,7 +80,7 @@ class Optimizer:
 
     Adam's moments (one parameter vector each) and its scratch (one
     ``ADAM_BLOCK``, or the whole vector if that is shorter) are allocated
-    on the first step and then updated in place every step; they live as
+    in the gradients' dtype on the first step and then updated in place every step; they live as
     long as the optimizer, which a run builds afresh for each task. SGD
     keeps no state.
     """
@@ -116,9 +119,9 @@ def _adam_direction(state: Optimizer, grads: Gradients) -> None:
     another length fails in numpy.
     """
     if state.first_moment is None:
-        state.first_moment = MlpParams.zeros(grads.layer_sizes)
-        state.second_moment = MlpParams.zeros(grads.layer_sizes)
-        state._scratch = np.empty(min(ADAM_BLOCK, grads.flat.size))
+        state.first_moment = grads.zeros_like()
+        state.second_moment = grads.zeros_like()
+        state._scratch = np.empty(min(ADAM_BLOCK, grads.flat.size), dtype=grads.flat.dtype)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     c1 = 1 - b1**state.t
@@ -171,6 +174,7 @@ def apply(
 
     ``grads`` carries each stage and ends holding the step, which is
     added into ``params``; both are overwritten and nothing is returned.
+    ``grads`` must have the parameters' layout and dtype.
     """
     check_congruent(params, grads, "params and grads")
     if hook is not None and hook.pre_optimizer is not None:

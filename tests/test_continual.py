@@ -31,7 +31,7 @@ from forgetlab.model import (
     init_params,
     param_count,
 )
-from forgetlab.numerics import NonFiniteError, RandomStream
+from forgetlab.numerics import RUN_DTYPE, NonFiniteError, RandomStream
 from forgetlab.optim import ADAM_BLOCK, DEFAULT_LEARNING_RATES, OptimizerConfig, StepHook, apply
 
 from helpers import (
@@ -61,8 +61,13 @@ def make_task(images, labels, task_id=0):
     )
 
 
-def random_setup(seed, layer_sizes=(5, 4, 3), n=6):
-    params = init_params(RandomStream(seed), layer_sizes)
+def random_setup(seed, layer_sizes=(5, 4, 3), n=6, dtype=RUN_DTYPE):
+    """Parameters in ``dtype`` and a task of ``n`` random rows.
+
+    Tests that compare with a float64 reference within a float64
+    tolerance pass ``dtype=np.float64``; the rest run in the run dtype.
+    """
+    params = init_params(RandomStream(seed), layer_sizes, dtype=dtype)
     rs = RandomStream(seed + 1000)
     images = rs.uniform(0, 256, (n, layer_sizes[0])).astype(np.uint8)
     labels = rs.permutation(n) % layer_sizes[-1]
@@ -79,9 +84,9 @@ def scalar_map(w, b=0.0):
 
 class TestFisher:
     def test_matches_per_sample_brute_force(self):
-        params, task = random_setup(40, n=3)
+        params, task = random_setup(40, n=3, dtype=np.float64)
         estimated = estimate_fisher(params, task)
-        total = MlpParams.zeros(params.layer_sizes)
+        total = params.zeros_like()
         for i in range(3):
             trace = forward(params, task.train_rows(slice(i, i + 1)))
             g = backward(params, trace, task.train_labels[i : i + 1])
@@ -90,7 +95,7 @@ class TestFisher:
         assert np.max(np.abs(estimated.flat - brute.flat)) < 1e-12
 
     def test_single_sample_is_squared_gradient(self):
-        params, task = random_setup(41, n=1)
+        params, task = random_setup(41, n=1, dtype=np.float64)
         estimated = estimate_fisher(params, task)
         trace = forward(params, task.train_rows(slice(None)))
         g = backward(params, trace, task.train_labels)
@@ -99,7 +104,7 @@ class TestFisher:
         assert np.max(gap) <= 1e-14 * np.max(np.abs(squared.flat))
 
     def test_chunking_does_not_change_result(self, monkeypatch):
-        params, task = random_setup(42, n=7)
+        params, task = random_setup(42, n=7, dtype=np.float64)
         whole = estimate_fisher(params, task)  # one chunk
         monkeypatch.setattr(data, "CHUNK_ROWS", 2)  # three chunks of 2, one of 1
         chunked = estimate_fisher(params, task)
@@ -125,7 +130,10 @@ class TestTotalAbsSignal:
         omega_half = estimate_total_abs_signal(params, halved)
         assert np.array_equal(omega_half.weights[0], 0.5 * omega_full.weights[0])
 
-    def test_two_sample_hand_oracle(self):
+    def test_two_sample_hand_oracle(self, monkeypatch):
+        # float64 pixels, as the float64 parameters would have them: the
+        # oracle reads 51 / 255 = 0.2 exactly, which float32 only approximates
+        monkeypatch.setattr(data, "RUN_DTYPE", np.dtype(np.float64))
         params = MlpParams(
             weights=[np.array([[0.5, -1.0], [2.0, 0.25]])],
             biases=[np.array([0.3, -0.7])],
@@ -168,7 +176,7 @@ class TestAccumulate:
 
     def test_decay_halves_totals_when_nothing_new(self):
         a = map_flat(np.abs, init_params(RandomStream(50), (3, 2)))
-        zero = MlpParams.zeros(a.layer_sizes)
+        zero = a.zeros_like()
         expected = 0.5 * a.flat
         accumulate(a, zero, 0.5)
         assert np.array_equal(a.flat, expected)
@@ -212,9 +220,9 @@ class TestEwcPenalty:
         assert abs(grad.weights[0][0, 0] - 3.0) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        params = init_params(RandomStream(58), (3, 3, 2))
-        anchor = init_params(RandomStream(59), (3, 3, 2))
-        omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2)))
+        params = init_params(RandomStream(58), (3, 3, 2), dtype=np.float64)
+        anchor = init_params(RandomStream(59), (3, 3, 2), dtype=np.float64)
+        omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2), dtype=np.float64))
         lam = 1.7
         _, grad = ewc_penalty(params, anchor, omega, lam)
         numeric = finite_difference_grads(
@@ -223,9 +231,9 @@ class TestEwcPenalty:
         assert np.max(np.abs(numeric.flat - grad.flat)) < 1e-8
 
     def test_translation_invariance(self):
-        params = init_params(RandomStream(61), (3, 2))
-        anchor_values = init_params(RandomStream(62), (3, 2))
-        omega = map_flat(np.abs, init_params(RandomStream(63), (3, 2)))
+        params = init_params(RandomStream(61), (3, 2), dtype=np.float64)
+        anchor_values = init_params(RandomStream(62), (3, 2), dtype=np.float64)
+        omega = map_flat(np.abs, init_params(RandomStream(63), (3, 2), dtype=np.float64))
         base, _ = ewc_penalty(params, anchor_values, omega, 2.0)
         shifted, _ = ewc_penalty(
             map_flat(lambda p: p + 7.25, params),
@@ -356,8 +364,8 @@ class TestClipSeparately:
         assert np.array_equal(b.flat, b_before)
 
     def test_zero_penalty_leaves_clipped_task_gradient(self):
-        a = init_params(RandomStream(71), (3, 2))
-        zero = MlpParams.zeros(a.layer_sizes)
+        a = init_params(RandomStream(71), (3, 2), dtype=np.float64)
+        zero = a.zeros_like()
         clip_separately(a, zero, threshold=0.1)
         assert abs(global_norm(a) - 0.1) < 1e-12
 
@@ -381,6 +389,13 @@ class TestWvaFactor:
         assert wva_factor(0.0, 5.0, "exponential") == 1.0
         assert abs(wva_factor(0.5, 2.0, "hyperbolic") - 0.5) < 1e-12
         assert abs(wva_factor(math.log(2.0), 1.0, "exponential") - 0.5) < 1e-12
+        assert wva_factor(0, 5.0, "hyperbolic") == 1.0  # an integer omega computes in float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_float_dtype_of_omega(self, dtype):
+        omega = np.array([0.0, 0.5, 3.0], dtype=dtype)
+        for kind in ("hyperbolic", "exponential"):
+            assert wva_factor(omega, 2.0, kind).dtype == dtype
 
     def test_strictly_decreasing_in_omega(self):
         # Strictness needs lam*omega below ~745 for the exponential kind:
@@ -415,7 +430,7 @@ class TestWvaFactor:
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
         params = init_params(RandomStream(74), (3, 2))
-        omega = MlpParams.zeros(params.layer_sizes)
+        omega = params.zeros_like()
         g = init_params(RandomStream(75), (3, 2))
         for kind in ("hyperbolic", "exponential"):
             hook = make_wva_hook(omega, 5.0, kind, "gradient")
@@ -454,8 +469,8 @@ class TestWvaHook:
         stream = RandomStream(80)
         for _ in range(50):
             grads = MlpParams(
-                weights=[stream.standard_normal(w.shape) for w in p_pre.weights],
-                biases=[stream.standard_normal(b.shape) for b in p_pre.biases],
+                weights=[stream.standard_normal(w.shape).astype(w.dtype) for w in p_pre.weights],
+                biases=[stream.standard_normal(b.shape).astype(b.dtype) for b in p_pre.biases],
             )
             apply(p_pre, grads.copy(), sgd(), pre)
             apply(p_post, grads, sgd(), post)
@@ -527,7 +542,7 @@ def importance_with(bad_value):
     """An ``_estimate`` stand-in whose map holds one ``bad_value`` entry."""
 
     def estimate(config, params, task):
-        omega = MlpParams.zeros(params.layer_sizes)
+        omega = params.zeros_like()
         omega.flat[0] = bad_value
         return omega
 
@@ -629,11 +644,11 @@ class TestStrategies:
     def test_wva_hook_scales_by_expected_factors(self):
         config = StrategyConfig(kind="wva", lam=2.0, attenuation="hyperbolic", target="step")
         strategy = Strategy(config, 0.001)
-        params, task = random_setup(87)
+        params, task = random_setup(87, dtype=np.float64)
         strategy.finish_task(params, task)
         hook = strategy.hook
         omega = estimate_total_abs_signal(params, task)
-        step = init_params(RandomStream(88), params.layer_sizes)
+        step = init_params(RandomStream(88), params.layer_sizes, dtype=np.float64)
         expected = step.flat / (2.0 * omega.flat + 1.0)
         scaled = transformed(hook.post_optimizer, step, params)
         assert np.max(np.abs(scaled.flat - expected)) < 1e-15
@@ -661,7 +676,7 @@ class TestStrategies:
         anchor, task = random_setup(170)
         strategy.finish_task(anchor, task)
         hook = strategy.hook
-        zero = MlpParams.zeros(anchor.layer_sizes)
+        zero = anchor.zeros_like()
         p1 = init_params(RandomStream(171), anchor.layer_sizes)
         p2 = anchor.copy()
         pull_1 = transformed(hook.pre_optimizer, zero, p1).flat
@@ -689,7 +704,7 @@ class TestStrategies:
         strategy.finish_task(params, task)
         current = init_params(RandomStream(96), params.layer_sizes)
         hook = strategy.hook
-        zero = MlpParams.zeros(params.layer_sizes)
+        zero = params.zeros_like()
         penalty_only = transformed(hook.pre_optimizer, zero, current).flat
         omega = strategy.omega_total.flat
         coeff = omega / (alpha * lam * omega + 1.0)
@@ -703,7 +718,7 @@ class TestStrategies:
         strategy.finish_task(params, task)
         current = map_flat(lambda p: p + 5.0, params)
         hook = strategy.hook
-        out = MlpParams.zeros(params.layer_sizes)
+        out = params.zeros_like()
         hook.pre_optimizer(out, current)
         assert global_norm(out) <= 1.0 + 1e-9
 
@@ -728,7 +743,7 @@ class TestStrategies:
         strategy = Strategy(config, learning_rate)
         anchors, omegas = [], []
         for task_id in range(4):
-            params, task = random_setup(130 + task_id)
+            params, task = random_setup(130 + task_id, dtype=np.float64)
             strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
             omega = estimate_total_abs_signal(params, task)
             if config.safe_coefficient:
@@ -737,8 +752,8 @@ class TestStrategies:
                 )
             anchors.append(params.copy())
             omegas.append(omega)
-        current = init_params(RandomStream(140), anchors[0].layer_sizes)
-        zero = MlpParams.zeros(current.layer_sizes)
+        current = init_params(RandomStream(140), anchors[0].layer_sizes, dtype=np.float64)
+        zero = current.zeros_like()
         pull = transformed(strategy.hook.pre_optimizer, zero, current).flat
         _, expected = ewc_penalty_multi_anchor(current, anchors, omegas, [lam] * 4)
         scale = np.max(np.abs(expected.flat))
@@ -763,7 +778,7 @@ class TestStrategies:
         assert np.array_equal(np.flatnonzero(unpulled), np.arange(4) * 5)
         assert np.isfinite(strategy.anchor.flat).all()
         current = map_flat(lambda p: p + 3.0, params)
-        pull = MlpParams.zeros(params.layer_sizes)
+        pull = params.zeros_like()
         strategy.hook.pre_optimizer(pull, current)
         assert np.all(pull.flat[unpulled] == 0.0)
         assert np.all(pull.flat[~unpulled] != 0.0)
@@ -823,7 +838,7 @@ class TestBufferAliasing:
 
     def gradients(self, seed):
         flat = RandomStream(seed).standard_normal(param_count(self.SIZES))
-        return MlpParams.from_flat(flat, self.SIZES)
+        return MlpParams.from_flat(flat.astype(RUN_DTYPE), self.SIZES)
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
     def test_apply_adds_the_step_it_leaves_in_grads(self, kind):
@@ -848,7 +863,7 @@ class TestBufferAliasing:
         in_place, copied = adam(), adam()
         params = init_params(RandomStream(114), self.SIZES)
         reference = params.copy()
-        buffer = MlpParams.zeros(self.SIZES)
+        buffer = params.zeros_like()
         results = []
         for seed in (115, 116):
             g = self.gradients(seed)

@@ -27,13 +27,22 @@ from forgetlab.data import (
 )
 from forgetlab.harness import ExperimentConfig
 from forgetlab.model import init_params
-from forgetlab.numerics import RandomStream, ShapeError
+from forgetlab.numerics import RUN_DTYPE, RandomStream, ShapeError
 from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
 def idx_bytes(magic, dims, payload):
     header = struct.pack(">i", magic) + b"".join(struct.pack(">i", d) for d in dims)
     return header + payload
+
+
+def pixels(levels):
+    """The run-dtype pixels of uint8 ``levels``: each the rounding of the float64 ``level / 255``.
+
+    The gather divides in the run dtype, which rounds once; for every one
+    of the 256 levels that is the same value (see ``TestGatherEquivalence``).
+    """
+    return (levels / 255.0).astype(RUN_DTYPE)
 
 
 def write_pair(tmp_path, n=3, rows=2, cols=2):
@@ -98,18 +107,18 @@ class TestLoadIdx:
 
     @pytest.mark.parametrize("n", [10, 2000])
     def test_peak_memory_one_float_copy(self, tmp_path, n):
-        # From file to float64 pixels there is one float64 copy: the
-        # loader holds the file's bytes and returns a view of them, and
-        # the gather widens the permuted levels once, into its output,
-        # through the ufunc's cast buffer of ``np.getbufsize()`` float64s.
-        # Widening the split in the loader holds 8x its levels' bytes there.
+        # From file to pixels there is one widened copy: the loader holds
+        # the file's bytes and returns a view of them, and the gather
+        # widens the permuted levels once, into its output, through the
+        # ufunc's cast buffer of ``np.getbufsize()`` pixels. Widening the
+        # split in the loader holds 4x (float32) its levels' bytes there.
         img_path, lab_path = write_pair(tmp_path, n=n, rows=28, cols=28)
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path)
         assert peak < 2 * (images.nbytes + labels.nbytes)
         task = TaskDataset(0, images, labels, images, labels, np.arange(784)[::-1])
         peak, rows = traced_peak(task.train_rows, slice(None))
-        assert rows.dtype == np.float64 and rows.shape == (n, 784)
-        assert peak < 1.5 * rows.nbytes + np.getbufsize() * 8
+        assert rows.dtype == RUN_DTYPE and rows.shape == (n, 784)
+        assert peak < 1.5 * rows.nbytes + np.getbufsize() * rows.itemsize
 
     def test_picked_rows_hold_no_float_copy_of_the_split(self, tmp_path):
         # The picked rows are gathered from the uint8 payload, and no
@@ -125,12 +134,12 @@ class TestLoadIdx:
     def test_gathered_rows_equal_the_scale_then_pick_path(self, tmp_path, n_picks):
         # Widening u8 to f64 and dividing by 255.0 is the arithmetic the
         # loader ran on float64 copies before it returned levels, so the
-        # rows a task gathers hold the same bits as before.
+        # rows a task gathers hold that value rounded once to the run dtype.
         img_path, lab_path = level_pair(tmp_path, 1000)
         picks = None if n_picks is None else RandomStream(6).choice(1000, n_picks)
         images, labels = load_idx(img_path, lab_path, None if picks is None else lambda n: picks)
         task = TaskDataset(0, images, labels, images, labels, np.arange(784))
-        old = scaled_then_picked(img_path, lab_path, picks)
+        old = scaled_then_picked(img_path, lab_path, picks).astype(RUN_DTYPE)
         assert same_bits(task.train_rows(slice(None)), old)
         order = RandomStream(7).permutation(len(labels))
         assert same_bits(task.train_rows(order), old[order])
@@ -551,7 +560,7 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
         assert np.array_equal(tasks[0].permutation, np.arange(6))
-        assert np.array_equal(tasks[0].train_rows(slice(None)), train[0] / 255.0)
+        assert same_bits(tasks[0].train_rows(slice(None)), pixels(train[0]))
 
     def test_deterministic_and_distinct_across_tasks(self):
         train, test = self.base()
@@ -565,15 +574,15 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6)
         t = tasks[2]
-        assert np.array_equal(t.train_rows(slice(None)), train[0][:, t.permutation] / 255.0)
-        assert np.array_equal(t.test_rows(slice(None)), test[0][:, t.permutation] / 255.0)
+        assert same_bits(t.train_rows(slice(None)), pixels(train[0][:, t.permutation]))
+        assert same_bits(t.test_rows(slice(None)), pixels(test[0][:, t.permutation]))
         assert np.array_equal(t.train_labels, train[1])
 
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
         restored = task.train_rows(slice(None))[:, np.argsort(task.permutation)]
-        assert np.array_equal(restored, train[0] / 255.0)
+        assert same_bits(restored, pixels(train[0]))
 
     def test_width_mismatch_raises(self):
         train, test = self.base(width=6)
@@ -645,7 +654,7 @@ class TestGatherEquivalence:
         for task in self.tasks():
             rows = task.train_rows(idx)
             assert rows.flags.c_contiguous
-            expected = materialized(task).train_images[idx] / 255.0
+            expected = pixels(materialized(task).train_images[idx])
             assert rows.tobytes() == expected.tobytes()
 
     def test_rows_spanning_several_gather_blocks(self):
@@ -655,7 +664,7 @@ class TestGatherEquivalence:
         for task in self.tasks():
             rows = task.train_rows(idx)
             assert rows.flags.c_contiguous
-            expected = materialized(task).train_images[idx] / 255.0
+            expected = pixels(materialized(task).train_images[idx])
             assert rows.tobytes() == expected.tobytes()
 
     def test_test_rows(self):
@@ -663,28 +672,39 @@ class TestGatherEquivalence:
         for task in self.tasks():
             rows = task.test_rows(picks)
             assert rows.flags.c_contiguous
-            assert rows.tobytes() == (materialized(task).test_images[picks] / 255.0).tobytes()
+            assert rows.tobytes() == pixels(materialized(task).test_images[picks]).tobytes()
+
+    def test_every_level_is_its_float64_pixel_rounded_once(self):
+        # Dividing in the run dtype rounds once; rounding the float64
+        # pixel to the run dtype gives the same value for all 256 levels.
+        all_levels = np.arange(256, dtype=np.uint8)[None, :]
+        task = TaskDataset(0, all_levels, np.zeros(1, np.int64), all_levels,
+                           np.zeros(1, np.int64), np.arange(256))
+        rows = task.train_rows(slice(None))
+        assert rows.dtype == RUN_DTYPE
+        assert same_bits(rows, (all_levels / 255.0).astype(RUN_DTYPE))
+        assert rows[0, 0] == 0.0 and rows[0, 255] == 1.0
 
     @pytest.mark.parametrize("kind", ["slice", "index-array"])
     def test_rows_are_scaled_levels_permuted(self, kind):
-        # one rounding per pixel, u8 -> f64 then / 255.0, whatever the order
-        # of the permute and the scale
+        # one rounding per pixel, to the run dtype, whatever the order of
+        # the permute and the scale
         rows = slice(100, 700) if kind == "slice" else RandomStream(8).choice(1100, 600)
         train, _ = gather_base()
         for task in self.tasks():
-            expected = (train[0][rows] / 255.0)[:, task.permutation]
+            expected = pixels(train[0][rows])[:, task.permutation]
             assert same_bits(task.train_rows(rows), expected)
 
     def test_peak_memory_one_copy_of_the_rows(self):
         # The rows are permuted as uint8 and widened once, into the
-        # output, so the peak is the output plus two uint8 copies (an
-        # eighth of it each). Widening first and then permuting holds
+        # output, so the peak is the output plus a uint8 copy (a quarter
+        # of it in float32). Widening first and then permuting holds
         # about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
         task = make_permuted_tasks(train, test, 2, seed=8)[1]
         picks = RandomStream(4).choice(3000, 2000)
         peak, rows = traced_peak(task.test_rows, picks)
-        assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * 8
+        assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * rows.itemsize
         assert peak < 1.5 * rows.nbytes
 
     @pytest.mark.parametrize("split, n_picks", [("train", None), ("test", None), ("test", 150)])
@@ -700,7 +720,7 @@ class TestGatherEquivalence:
                 assert not np.shares_memory(rows, getattr(task, f"{split}_images"))
             expected = getattr(materialized(task), f"{split}_images")
             expected = expected if picks is None else expected[picks]
-            assert np.concatenate(chunks).tobytes() == (expected / 255.0).tobytes()
+            assert np.concatenate(chunks).tobytes() == pixels(expected).tobytes()
 
     def test_one_epoch_of_batches(self):
         for task in self.tasks():

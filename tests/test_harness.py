@@ -329,8 +329,9 @@ class TestRunSequence:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
+        # task 0 trains finitely; task 1's pull, at lam 1e30, diverges
         config = tiny_config(
-            optimizer=OptimizerConfig(kind="sgd", learning_rate=1e12),
+            optimizer=OptimizerConfig(kind="sgd", learning_rate=1.0),
             strategy=StrategyConfig(kind="ewc", lam=1e30, estimator="fisher"),
             num_tasks=2,
         )

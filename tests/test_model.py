@@ -23,7 +23,7 @@ from forgetlab.model import (
     save_params,
     softmax,
 )
-from forgetlab.numerics import NonFiniteError, RandomStream, ShapeError
+from forgetlab.numerics import RUN_DTYPE, NonFiniteError, RandomStream, ShapeError
 
 from helpers import same_bits, traced_peak
 
@@ -77,7 +77,7 @@ class TestForward:
         assert np.allclose(trace.probabilities, 0.1, atol=1e-15)
 
     def test_rows_sum_to_one(self):
-        params = init_params(RandomStream(4), (6, 5, 4))
+        params = init_params(RandomStream(4), (6, 5, 4), dtype=np.float64)
         trace = forward(params, RandomStream(5).uniform(0, 1, (7, 6)))
         assert np.all(np.abs(trace.probabilities.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(trace.probabilities > 0.0)
@@ -144,7 +144,7 @@ class TestForward:
         # about 2.3x the returned arrays at the peak.
         stream = RandomStream(5)
         params = init_params(stream.child(0), DEFAULT_LAYER_SIZES)
-        batch = stream.child(1).uniform(0.0, 1.0, (2000, 784))
+        batch = stream.child(1).uniform(0.0, 1.0, (2000, 784)).astype(params.flat.dtype)
         peak, trace = traced_peak(forward, params, batch)
         kept = trace.layer_inputs[1:] + [trace.logits, trace.probabilities]
         assert peak < 1.5 * sum(a.nbytes for a in kept)
@@ -207,7 +207,7 @@ class TestCrossEntropy:
         assert cross_entropy(trace, np.arange(10) % 3) >= 0.0
 
     def test_sum_form_additive_over_disjoint_batches(self):
-        params = init_params(RandomStream(10), (6, 4, 3))
+        params = init_params(RandomStream(10), (6, 4, 3), dtype=np.float64)
         rs = RandomStream(11)
         xa, xb = rs.uniform(0, 1, (4, 6)), rs.uniform(0, 1, (5, 6))
         ya, yb = np.arange(4) % 3, np.arange(5) % 3
@@ -239,7 +239,7 @@ class TestBackward:
         assert np.any(grads.biases[0] != 0.0)
 
     def test_matches_finite_differences_on_toy_net(self):
-        params = init_params(RandomStream(15), (3, 3, 2))
+        params = init_params(RandomStream(15), (3, 3, 2), dtype=np.float64)
         x = RandomStream(16).uniform(0, 1, (4, 3))
         labels = np.array([0, 1, 0, 1])
         assert max_relative_gradient_error(params, x, labels) < 1e-6
@@ -303,6 +303,23 @@ class TestCheckpoints:
         assert np.array_equal(restored.flat, params.flat)
         assert restored.layer_sizes == params.layer_sizes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_the_dtype_bit_exact(self, tmp_path, dtype):
+        params = init_params(RandomStream(24), (4, 3, 2), dtype=dtype)
+        path = str(tmp_path / "net.npz")
+        save_params(params, path)
+        assert same_bits(load_params(path).flat, params.flat)
+
+    def test_version_1_refused(self, tmp_path):
+        # version 1 files predate the dtype contract
+        params = init_params(RandomStream(24), (3, 2), dtype=np.float64)
+        arrays = {"weights_0": params.weights[0], "biases_0": params.biases[0]}
+        path = str(tmp_path / "v1.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, version=np.int64(1), num_layers=np.int64(1), **arrays)
+        with pytest.raises(ValueError, match=r"checkpoint version 1, expected 2$"):
+            load_params(path)
+
     def test_version_checked(self, tmp_path):
         path = str(tmp_path / "bad.npz")
         with open(path, "wb") as fh:
@@ -328,7 +345,7 @@ class TestBlockHelpers:
 
     def test_zeros_like(self):
         params = init_params(RandomStream(27), (3, 3, 2))
-        zeros = MlpParams.zeros(params.layer_sizes)
+        zeros = params.zeros_like()
         assert zeros.layer_sizes == params.layer_sizes
         assert np.all(zeros.flat == 0.0)
 
@@ -365,11 +382,56 @@ class TestFlatLayout:
         assert np.array_equal(params.biases[0], [6.0, 7.0])
 
     @pytest.mark.parametrize(
-        "flat", [np.zeros(7), np.zeros(8, dtype=np.float32), np.zeros(16)[::2]]
+        "flat",
+        [
+            np.zeros(7),
+            np.zeros(8, dtype=np.float16),
+            np.zeros(8, dtype=np.int64),
+            np.zeros(16)[::2],
+        ],
     )
     def test_from_flat_rejects_bad_vectors(self, flat):
         with pytest.raises(ShapeError):
             MlpParams.from_flat(flat, (3, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_accepts_float32_and_float64(self, dtype):
+        flat = np.arange(8, dtype=dtype)
+        params = MlpParams.from_flat(flat, (3, 2))
+        assert params.flat is flat
+        assert params.copy().flat.dtype == dtype
+        assert params.zeros_like().flat.dtype == dtype
+        built = MlpParams(weights=list(params.weights), biases=list(params.biases))
+        assert same_bits(built.flat, flat)
+
+    @pytest.mark.parametrize(
+        "weight_dtype, bias_dtype",
+        [
+            (np.float16, np.float16),
+            (np.int64, np.int64),
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+        ],
+    )
+    def test_constructor_rejects_other_and_mixed_dtypes(self, weight_dtype, bias_dtype):
+        with pytest.raises(ShapeError):
+            MlpParams(
+                weights=[np.ones((2, 3), dtype=weight_dtype)],
+                biases=[np.zeros(2, dtype=bias_dtype)],
+            )
+
+    def test_constructor_rejects_layers_of_mixed_dtypes(self):
+        with pytest.raises(ShapeError):
+            MlpParams(
+                weights=[np.ones((2, 3), dtype=np.float32), np.ones((1, 2))],
+                biases=[np.zeros(2, dtype=np.float32), np.zeros(1)],
+            )
+
+    def test_init_is_the_float64_init_rounded(self):
+        run = init_params(RandomStream(32), (4, 3, 2))
+        oracle = init_params(RandomStream(32), (4, 3, 2), dtype=np.float64)
+        assert run.flat.dtype == RUN_DTYPE
+        assert same_bits(run.flat, oracle.flat.astype(RUN_DTYPE))
 
     def test_copy_is_independent(self):
         params = init_params(RandomStream(30), (3, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from forgetlab.numerics import (
+    RUN_DTYPE,
     RandomStream,
     ShapeError,
     matmul,
@@ -13,10 +14,20 @@ from forgetlab.numerics import (
 
 class TestMatmul:
     def test_coerces_nested_lists(self):
-        m = matmul([[1, 2], [3, 4]], [[1, 0], [0, 1]])
+        m = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]])
         assert m.dtype == np.float64
         assert m.shape == (2, 2)
         assert m.flags["C_CONTIGUOUS"]
+
+    def test_keeps_float32(self):
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        m = matmul(a, np.eye(3, dtype=np.float32))
+        assert m.dtype == np.float32 and np.array_equal(m, a)
+
+    def test_rejects_mixed_dtypes(self):
+        # no operand is silently widened
+        with pytest.raises(ShapeError, match="float32 vs float64"):
+            matmul(np.eye(2, dtype=np.float32), np.eye(2))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(ShapeError):
@@ -124,6 +135,7 @@ class TestRandomStream:
 class TestNumericEnvironment:
     def test_reports_numpy_blas_core_and_threads(self):
         env = numeric_environment()
-        assert sorted(env) == ["blas", "blas_core", "blas_threads", "numpy"]
+        assert sorted(env) == ["blas", "blas_core", "blas_threads", "dtype", "numpy"]
+        assert env["dtype"] == RUN_DTYPE.name == "float32"
         assert env["numpy"] == np.__version__
         assert env["blas_threads"] is None or env["blas_threads"] >= 1

@@ -170,11 +170,8 @@ class TestApply:
         # step itself, so halving is exact (multiplying by 0.5 never
         # rounds); with nonzero parameters the theta + step addition
         # would round and break bitwise comparison.
-        params = MlpParams(
-            weights=[np.zeros((4, 3)), np.zeros((2, 4))],
-            biases=[np.zeros(4), np.zeros(2)],
-        )
         grads = random_grads(7)
+        params = grads.zeros_like()
         plain_change = applied(params, grads, sgd(), None).flat
         hooked_change = applied(params, grads, sgd(), StepHook(post_optimizer=halve)).flat
         assert np.array_equal(hooked_change, 0.5 * plain_change)
@@ -191,9 +188,9 @@ class TestApply:
         params_post = params_pre.copy()
         stream = RandomStream(10)
         for _ in range(100):
-            grads = MlpParams(
-                weights=[stream.standard_normal(w.shape) for w in params_pre.weights],
-                biases=[stream.standard_normal(b.shape) for b in params_pre.biases],
+            grads = MlpParams.from_flat(
+                stream.standard_normal(params_pre.flat.size).astype(params_pre.flat.dtype),
+                params_pre.layer_sizes,
             )
             apply(params_pre, grads.copy(), sgd(), pre)
             apply(params_post, grads, sgd(), post)
@@ -215,3 +212,11 @@ class TestApply:
     def test_params_grads_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             apply(random_grads(15), random_grads(16, (2, 2)), sgd(), None)
+
+    def test_grads_of_another_dtype_rejected(self):
+        # an in-place update would silently round a float64 step into
+        # float32 parameters
+        params = random_grads(15)
+        grads = MlpParams.from_flat(params.flat.astype(np.float64), params.layer_sizes)
+        with pytest.raises(ShapeError, match="differ in dtype"):
+            apply(params, grads, sgd(), None)
