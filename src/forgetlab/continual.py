@@ -10,13 +10,14 @@ Both EWC kinds hold exactly one anchor. ``ewc_multi_anchor`` keeps the
 sum of per-task penalties as the single quadratic it equals (Huszar,
 "Note on the quadratic penalties in elastic weight consolidation",
 PNAS 2018): sum_k lam*w_k*(theta - a_k) = lam*W*(theta - a_bar), with
-W = sum_k w_k and a_bar the w-weighted mean of the task anchors. Its
-memory and per-step cost are therefore constant in the task count.
+W = sum_k w_k and a_bar the w-weighted mean of the task anchors. W is its
+running map, so memory and per-step cost are constant in the task count.
 
-One :class:`Strategy` class runs every kind. When a task ends, unless it
-protects nothing, it estimates the task's importance, folds it into a
-running map (in place) and builds the step hook used until the next
-task ends. Hooks are called as ``hook(values, params)`` with the current
+One :class:`Strategy` class runs every kind, holding one running map
+(the one its hook weighs by) and at most one anchor. When a task ends,
+unless it protects nothing, it folds the task's importance into the map
+in place and builds the next task's step hook from the map and anchor
+alone. Hooks are called as ``hook(values, params)`` with the current
 parameters, so nothing is rebuilt per step. Both estimators walk the
 task's train split with :meth:`~forgetlab.data.TaskDataset.chunks`, one
 forward pass per chunk, the walk evaluation uses too.
@@ -24,18 +25,18 @@ forward pass per chunk, the walk evaluation uses too.
 Importance maps, attenuation factors and anchors share the flat
 parameter layout of :class:`~forgetlab.model.MlpParams` and the
 parameters' dtype: each estimator builds its map in it, and the factors,
-the safe coefficient, the anchor, the pull's weight and the hook
-scratch all follow the map or the parameters. Everything a
-hook needs per step is fixed when a task finishes (the factors, and
-``lam * omega`` for the penalties), and each hook rewrites the gradient
-or step it is handed in place, so no hook owns an output buffer.
+the safe coefficient, the anchor, the pull's weight and the hook scratch
+all follow the map or the parameters. Everything a hook needs per step
+is fixed when a task finishes (the factors, and ``lam * omega`` for the
+penalties), and each hook rewrites the gradient or step it is handed in
+place, so no hook owns an output buffer.
 
 Each fact is checked once: the config fields check every setting's
 choices and bounds (the helpers here trust them),
 :class:`~forgetlab.data.TaskDataset` that no split is empty and the
 labels, :func:`~forgetlab.model.forward` every pre-activation,
-:meth:`Strategy.finish_task` the importance map (an overflowed Fisher
-product too), and :func:`~forgetlab.optim.apply` gradient layouts. A
+:meth:`Strategy.finish_task` each task's importance map (an overflowed
+Fisher product too), and :func:`~forgetlab.optim.apply` gradient layouts. A
 run's maps, gradients and anchors share one layout, so
 :func:`accumulate` and :func:`clip_separately` do not compare layouts.
 """
@@ -116,12 +117,11 @@ def estimate_total_abs_signal(params: MlpParams, dataset: TaskDataset) -> Import
         for abs_sum, below in zip(abs_sums, trace.layer_inputs):
             abs_sum += np.abs(below).sum(axis=0)
     n = dataset.train_labels.shape[0]
-    return MlpParams(
-        weights=[
-            np.abs(w) * (s / n)[None, :] for w, s in zip(params.weights, abs_sums)
-        ],
-        biases=[np.abs(b) for b in params.biases],
-    )
+    omega = params.zeros_like()
+    for l, abs_sum in enumerate(abs_sums):
+        np.multiply(np.abs(params.weights[l]), (abs_sum / n)[None, :], out=omega.weights[l])
+        np.abs(params.biases[l], out=omega.biases[l])
+    return omega
 
 
 def accumulate(total: ImportanceMap, new: ImportanceMap, gamma: float):
@@ -323,29 +323,38 @@ def _make_ewc_hook(
     return StepHook(pre_optimizer=pre)
 
 
+def _make_hook(config: StrategyConfig, learning_rate: float, omega_total, anchor) -> StepHook:
+    """A protecting strategy's step hook, from its running map and anchor alone."""
+    if config.kind == "wva":
+        return make_wva_hook(omega_total, config.lam, config.attenuation, config.target)
+    weight = omega_total.flat
+    if config.kind == "ewc" and config.safe_coefficient:
+        weight = safe_coefficient(weight, learning_rate, config.lam)
+    return _make_ewc_hook(anchor, config.lam * weight, config.separate_clip_threshold)
+
+
 class Strategy:
-    """The configured countermeasure: importance bookkeeping and its hook.
+    """The configured countermeasure: one running map, at most one anchor, and a hook.
 
     ``finish_task`` does the lambda-independent half once for every kind
-    that protects anything: estimate the task's importance and fold it
-    into ``omega_total``. kind="none" and ``lam`` 0 protect nothing and
-    skip it, so they do no estimation work. The lambda-dependent half then
-    sets ``hook``, the step hook used until the next task ends: WVA's
-    attenuation factors, or the EWC pull. ``hook`` and ``omega_total`` are
-    None before the first task ends and whenever nothing is protected.
-    ``learning_rate`` feeds the safe coefficient's alpha. ``finish_task``
-    checks the importance map (finite, non-negative) for every kind, before
-    the safe coefficient could turn a negative entry positive.
+    that protects anything (kind="none" and ``lam`` 0 skip it, so they do
+    no estimation work): estimate the task's importance, check it (finite,
+    non-negative) and fold it into ``omega_total``. It then sets ``hook``,
+    used until the next task ends, through :func:`_make_hook`. All three
+    are None before the first task ends and whenever nothing is
+    protected; WVA holds no anchor. ``learning_rate`` is the safe
+    coefficient's alpha.
 
-    Both EWC kinds pull with lam * weight * (theta - anchor) and differ
-    only in how a finished task moves the anchor and the weight. ``ewc``
-    consolidates: the anchor is the latest parameters and the weight the
-    effective running map. ``ewc_multi_anchor`` adds each task's effective
-    importance w to the running weight W and moves the anchor by
-    (w / W) * (theta - anchor), which keeps it the w-weighted mean of the
-    task snapshots. Where W is 0 no task pulls, so the anchor stays put
-    and the pull is exactly 0.
+    ``ewc`` consolidates: ``omega_total`` is the decayed sum of the task
+    maps and the anchor the latest parameters. ``ewc_multi_anchor``'s
+    ``omega_total`` is W, the sum of each task's effective importance w
+    (its map, through the safe coefficient if set), and the anchor moves
+    by (w / W) * (theta - anchor), which keeps it the w-weighted mean of
+    the task snapshots. Where W is 0 no task pulls, so the anchor stays
+    put and the pull is exactly 0.
     """
+
+    __slots__ = ("config", "learning_rate", "omega_total", "anchor", "hook")
 
     def __init__(self, config: StrategyConfig, learning_rate: float):
         self.config = config
@@ -353,7 +362,6 @@ class Strategy:
         self.omega_total: Optional[ImportanceMap] = None
         self.anchor: Optional[MlpParams] = None
         self.hook: Optional[StepHook] = None
-        self._weight: Optional[np.ndarray] = None  # ewc_multi_anchor's W
 
     def finish_task(self, params: MlpParams, task: TaskDataset):
         config = self.config
@@ -362,31 +370,23 @@ class Strategy:
         # The finished task's hook is stale; free its buffers before estimating.
         self.hook = None
         new = _estimate(config, params, task)
+        check_importance(new)  # before the safe coefficient could turn a negative entry positive
+        multi = config.kind == "ewc_multi_anchor"
+        if multi and config.safe_coefficient:
+            w = safe_coefficient(new.flat, self.learning_rate, config.lam)
+            new = MlpParams.from_flat(w, new.layer_sizes)
         if self.omega_total is None:
             self.omega_total = new
         else:
-            accumulate(self.omega_total, new, config.online_decay)
-        mapped = new if config.kind == "ewc_multi_anchor" else self.omega_total
-        check_importance(mapped)
-        if config.kind == "wva":
-            self.hook = make_wva_hook(mapped, config.lam, config.attenuation, config.target)
-            return
-        w = mapped.flat  # the map the pull weighs by, through the safe coefficient if set
-        if config.safe_coefficient:
-            w = safe_coefficient(w, self.learning_rate, config.lam)
-        if config.kind == "ewc":
-            weight = w  # the hook's lam * w is a fresh vector, so no copy is kept
+            accumulate(self.omega_total, new, config.online_decay)  # 1.0 for multi-anchor
+        if config.kind == "ewc" or (multi and self.anchor is None):
             self.anchor = params.copy()
-        elif self.anchor is None:
-            self._weight = weight = w.copy()  # later tasks add into it in place
-            self.anchor = params.copy()
-        else:
+        elif multi:
             # w is this task's map, read for the last time here
-            weight = self._weight
-            weight += w
+            w, weight = new.flat, self.omega_total.flat
             share = np.divide(w, weight, out=np.zeros_like(w), where=weight > 0)
             # share * (theta - anchor), written over w: one temporary, share
             np.subtract(params.flat, self.anchor.flat, out=w)
             np.multiply(share, w, out=w)
             self.anchor.flat += w
-        self.hook = _make_ewc_hook(self.anchor, config.lam * weight, config.separate_clip_threshold)
+        self.hook = _make_hook(config, self.learning_rate, self.omega_total, self.anchor)

@@ -760,6 +760,65 @@ class TestStrategies:
         assert scale > 0
         assert np.max(np.abs(pull - expected.flat)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "options", [{}, {"safe_coefficient": True}], ids=["default", "safe_coefficient"]
+    )
+    def test_multi_anchor_running_map_is_the_sum_of_effective_maps(self, options):
+        # omega_total is W = sum_k w_k, each w_k through the safe coefficient
+        # when set, and the one running map the strategy holds.
+        lam, learning_rate = 2.0, 0.5
+        config = StrategyConfig(kind="ewc_multi_anchor", lam=lam, estimator="fisher", **options)
+        strategy = Strategy(config, learning_rate)
+        total = None
+        for task_id in range(3):
+            params, task = random_setup(180 + task_id)
+            task = make_task(task.train_images, task.train_labels, task_id)
+            strategy.finish_task(params, task)
+            w = estimate_fisher(params, task).flat
+            if config.safe_coefficient:
+                w = safe_coefficient(w, learning_rate, lam)
+            total = w if total is None else total + w
+            assert same_bits(strategy.omega_total.flat, total)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            StrategyConfig(kind="ewc", lam=3.0, online_decay=0.5),
+            StrategyConfig(kind="ewc", lam=3.0, safe_coefficient=True),
+            StrategyConfig(kind="ewc_multi_anchor", lam=3.0, estimator="fisher"),
+            StrategyConfig(kind="ewc_multi_anchor", lam=3.0, safe_coefficient=True),
+            StrategyConfig(kind="ewc_multi_anchor", lam=3.0, separate_clip_threshold=0.1),
+            StrategyConfig(kind="wva", lam=3.0, target="gradient"),
+            StrategyConfig(kind="wva", lam=3.0, attenuation="exponential"),
+        ],
+        ids=[
+            "ewc-decay", "ewc-safe", "multi", "multi-safe", "multi-clip", "wva-gradient",
+            "wva-step",
+        ],
+    )
+    def test_hook_rebuilt_from_map_and_anchor_steps_alike(self, config):
+        # The hook is a function of (config, learning rate, omega_total,
+        # anchor): one rebuilt from them steps bit for bit as the strategy's.
+        strategy = Strategy(config, 0.5)
+        for task_id in range(3):
+            params, task = random_setup(190 + task_id)
+            strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
+        rebuilt = continual._make_hook(config, 0.5, strategy.omega_total, strategy.anchor)
+        start, finals = init_params(RandomStream(195), params.layer_sizes), []
+        for hook in (strategy.hook, rebuilt):
+            current, optimizer = start.copy(), adam()
+            for seed in (196, 197):
+                apply(current, init_params(RandomStream(seed), params.layer_sizes), optimizer, hook)
+            finals.append(current.flat)
+        assert not np.array_equal(finals[0], start.flat)
+        assert same_bits(finals[0], finals[1])
+
+    @pytest.mark.parametrize("name", ["_weight", "weight", "anchors"])
+    def test_state_is_fixed_by_slots(self, name):
+        strategy = Strategy(StrategyConfig(kind="ewc_multi_anchor", lam=1.0), 0.2)
+        with pytest.raises(AttributeError):
+            setattr(strategy, name, None)
+
     def test_multi_anchor_zero_importance_keeps_anchor_finite(self):
         # Pixel 0 is blank in every task, so the weights reading it have
         # zero importance in each: no task pulls them.
@@ -806,7 +865,7 @@ class TestStrategies:
         for task_id in range(6):
             params, task = random_setup(160 + task_id)
             strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
-            held[task_id + 1] = sum(held_bytes(v) for v in vars(strategy).values())
+            held[task_id + 1] = sum(held_bytes(getattr(strategy, v)) for v in Strategy.__slots__)
         assert held[2] > 0
         assert held[6] == held[2]
 

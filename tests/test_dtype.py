@@ -4,7 +4,7 @@ A run computes in ``RUN_DTYPE`` (float32). Each strategy path is walked
 through a short two-task desk run, so the hook built after task 0 runs
 through task 1, while wrappers record the dtype of every gathered row
 block, activation, gradient, Adam moment and scratch, importance map,
-WVA factor vector, safe coefficient, EWC anchor and weight, and every
+WVA factor vector, safe coefficient, strategy running map and anchor, and every
 array a step hook closes over. All must be float32. The same walk with
 float64 as the run dtype (float64 parameters and gather) must stay
 float64. In-place numpy updates cast silently (``float32 *= float64``
@@ -109,7 +109,7 @@ class DtypeLog:
             continual.Strategy,
             "finish_task",
             lambda _, strategy, *rest: self.record(
-                "strategy state", strategy.omega_total, strategy.anchor, strategy._weight
+                "strategy state", strategy.omega_total, strategy.anchor
             ),
         )
         original_apply = harness.apply

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from forgetlab import continual, harness
-from forgetlab.continual import StrategyConfig
+from forgetlab.continual import StrategyConfig, safe_coefficient
 from forgetlab.data import CHUNK_ROWS, batches, make_permuted_tasks
 from forgetlab.harness import (
     DEFAULT_LAMBDA_GRID,
@@ -304,6 +304,31 @@ class TestRunSequence:
             importance = load_params(str(tmp_path / f"importance_task{t}.npz"))
             assert importance.layer_sizes == config.architecture
             assert np.all(importance.flat >= 0.0)
+
+    @pytest.mark.parametrize("safe", [False, True], ids=["default", "safe_coefficient"])
+    def test_multi_anchor_importance_checkpoint_is_the_running_weight(self, tmp_path, safe):
+        # importance_task<t>.npz holds the weight the pull uses after task
+        # t: the sum of each finished task's map, through the safe
+        # coefficient when set, rebuilt here from the saved parameters.
+        strategy = StrategyConfig(
+            kind="ewc_multi_anchor", lam=1000.0, estimator="fisher", safe_coefficient=safe
+        )
+        config = tiny_config(
+            num_tasks=3, strategy=strategy, save_checkpoints=True, out_dir=str(tmp_path)
+        )
+        run_sequence(config)
+        tasks = build_tasks(config)
+        total = raw = None
+        for t in range(config.num_tasks):
+            params = load_params(str(tmp_path / f"params_task{t}.npz"))
+            w = continual._estimate(strategy, params, tasks[t]).flat
+            raw = w if raw is None else raw + w
+            if safe:
+                w = safe_coefficient(w, config.optimizer.resolved_rate, strategy.lam)
+            total = w if total is None else total + w
+            saved = load_params(str(tmp_path / f"importance_task{t}.npz"))
+            assert same_bits(saved.flat, total)
+            assert np.array_equal(saved.flat, raw) == (not safe)  # W is the raw sum unless safe
 
     @pytest.mark.parametrize("save_checkpoints", [False, True], ids=["plain", "checkpoints"])
     def test_last_task_estimated_only_for_its_checkpoint(
