@@ -23,10 +23,11 @@ draws each class ``CHUNK_ROWS`` samples at a time and quantizes each
 chunk straight into preallocated uint8 splits.
 
 Each data fact is checked once: :func:`_parse_pair` an IDX pair's
-layout, :func:`make_permuted_tasks` the base's label range,
-:class:`TaskDataset` each split's shape and dtype (uint8 bounds the
-pixels), that no split is empty, and the permutation. The helpers trust
-the config's bounds (``num_tasks``, ``batch_size`` >= 1).
+layout, :func:`make_permuted_tasks` each base split once per build
+(2-D uint8 levels of the input width, so uint8 bounds the pixels; one
+label per row; at least one row; labels in 0..9), and
+:class:`TaskDataset` its own permutation. The helpers trust the config's
+bounds (``num_tasks``, ``batch_size`` >= 1).
 The labels the model reads are this layer's alone (int64, one per row,
 below the output width by the config's rules); the model trusts them.
 """
@@ -45,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fileio import atomic_write
-from .numerics import RUN_DTYPE, RandomStream, ShapeError
+from .numerics import PERMUTATION_STREAM_ID, RUN_DTYPE, SYNTH_STREAM_ID, RandomStream, ShapeError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -63,10 +64,6 @@ LEVELS_MAX = 255
 
 # Maps a train split's row count to the rows to keep, in order (None keeps all).
 PickRows = Callable[[int], Optional[np.ndarray]]
-
-# Stream ids used when deriving children from an experiment seed.
-PERMUTATION_STREAM_ID = 1
-SYNTH_STREAM_ID = 2
 
 # Train pair, then test pair, each images first: load_mnist relies on the order.
 MNIST_FILE_NAMES = {
@@ -201,15 +198,13 @@ class TaskDataset:
     """One task of a sequence: the shared base splits plus its pixel permutation.
 
     ``train_images``/``test_images`` are the unpermuted base splits as
-    2-D uint8 pixel levels and, with their labels, the same arrays in
-    every task of a sequence (read-only when built by
-    :func:`make_permuted_tasks`). Read a task's pixels only through
-    :meth:`train_rows` and :meth:`test_rows`, which gather the requested
-    rows, apply ``permutation`` and scale them into run-dtype [0, 1], or
-    :meth:`chunks`, which does so one chunk of a split at a time. The
-    constructor checks shapes and dtypes, that no split is empty, and the
-    permutation; the label range is checked once per base by
-    :func:`make_permuted_tasks`.
+    2-D uint8 pixel levels and, with their labels, the same read-only
+    arrays in every task of a sequence. :func:`make_permuted_tasks` is
+    the one door for them: it checks the base once per build, so the
+    constructor checks only the permutation. Read a task's pixels only
+    through :meth:`rows`, which gathers the requested rows of a split,
+    applies ``permutation`` and scales them into run-dtype [0, 1], or
+    :meth:`chunks`, which does so one chunk of a split at a time.
     """
 
     task_id: int
@@ -220,29 +215,13 @@ class TaskDataset:
     permutation: np.ndarray
 
     def __post_init__(self):
-        for name in ("train", "test"):
-            images = getattr(self, f"{name}_images")
-            labels = getattr(self, f"{name}_labels")
-            if images.ndim != 2 or images.dtype != np.uint8:
-                raise ShapeError(f"{name}_images must be a 2-D uint8 matrix of pixel levels")
-            if labels.shape != (images.shape[0],):
-                raise ShapeError(
-                    f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels"
-                )
-            if images.shape[0] == 0:
-                raise ValueError(f"{name} split is empty")
         width = self.train_images.shape[1]
-        perm = np.asarray(self.permutation)
-        if not np.array_equal(np.sort(perm), np.arange(width)):
+        if not np.array_equal(np.sort(self.permutation), np.arange(width)):
             raise ValueError(f"permutation is not a bijection on 0..{width - 1}")
 
-    def train_rows(self, rows) -> np.ndarray:
-        """This task's train pixels at ``rows``, as a fresh C-contiguous run-dtype array."""
-        return _gather(self.train_images, rows, self.permutation)
-
-    def test_rows(self, rows) -> np.ndarray:
-        """This task's test pixels at ``rows``, as a fresh C-contiguous run-dtype array."""
-        return _gather(self.test_images, rows, self.permutation)
+    def rows(self, split: str, idx) -> np.ndarray:
+        """This task's ``split`` pixels at ``idx``, as a fresh C-contiguous run-dtype array."""
+        return _gather(getattr(self, f"{split}_images"), idx, self.permutation)
 
     def chunks(self, split: str, picks: Optional[np.ndarray] = None):
         """Yield this task's ``split`` images at ``picks`` (every row if None), in order.
@@ -251,11 +230,10 @@ class TaskDataset:
         ``CHUNK_ROWS`` rows (fewer in the last), gathered as the consumer
         asks for it, so a walk over the split holds one chunk at a time.
         """
-        gather = {"train": self.train_rows, "test": self.test_rows}[split]
         n = len(getattr(self, f"{split}_labels")) if picks is None else len(picks)
         for start in range(0, n, CHUNK_ROWS):
             block = slice(start, start + CHUNK_ROWS)
-            yield gather(block if picks is None else picks[block])
+            yield self.rows(split, block if picks is None else picks[block])
 
 
 def _gather(levels: np.ndarray, rows, permutation: np.ndarray) -> np.ndarray:
@@ -297,7 +275,7 @@ def synth_dataset(
     rows, one indexed write for picked ones. So the build holds the
     output plus about one float64 chunk.
     """
-    rs = RandomStream(seed, key=(SYNTH_STREAM_ID,))
+    rs = RandomStream(seed).child(SYNTH_STREAM_ID)
     centers = rs.uniform(0.2, 0.8, (classes, dims))
     n_train = int(samples_per_class * 0.8)
     n_test = samples_per_class - n_train
@@ -335,14 +313,34 @@ def synth_dataset(
     )
 
 
-def _shared_split(name: str, images: np.ndarray, labels: np.ndarray):
-    """Range-check one base split's labels once and return read-only views of the split."""
-    if labels.size and (labels.min() < 0 or labels.max() > 9):
-        raise ValueError(f"{name}_labels outside 0..9")
-    images, labels = images.view(), labels.view()
-    images.flags.writeable = False
-    labels.flags.writeable = False
-    return images, labels
+def _shared_base(base_train, base_test, width: int) -> list[np.ndarray]:
+    """Check both base splits once and return read-only views of them.
+
+    Each split's images must be a 2-D uint8 matrix of pixel levels (uint8
+    bounds the pixels), with one label per row, at least one row and
+    labels in 0..9; both splits must be ``width`` pixels wide. Returns
+    the views in :class:`TaskDataset`'s field order: train images and
+    labels, then test images and labels.
+    """
+    views = []
+    for name, (images, labels) in (("train", base_train), ("test", base_test)):
+        if images.ndim != 2 or images.dtype != np.uint8:
+            raise ShapeError(f"{name}_images must be a 2-D uint8 matrix of pixel levels")
+        if labels.shape != (images.shape[0],):
+            raise ShapeError(f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels")
+        if images.shape[0] == 0:
+            raise ValueError(f"{name} split is empty")
+        if labels.min() < 0 or labels.max() > 9:
+            raise ValueError(f"{name}_labels outside 0..9")
+        views += [images.view(), labels.view()]
+    if base_train[0].shape[1] != width or base_test[0].shape[1] != width:
+        raise ShapeError(
+            f"expected image width {width}, got train {base_train[0].shape[1]} "
+            f"/ test {base_test[0].shape[1]}"
+        )
+    for view in views:
+        view.flags.writeable = False
+    return views
 
 
 def make_permuted_tasks(
@@ -350,7 +348,7 @@ def make_permuted_tasks(
     base_test: tuple[np.ndarray, np.ndarray],
     num_tasks: int,
     seed: int,
-    expected_width: int = 784,
+    expected_width: int,
 ) -> list[TaskDataset]:
     """Derive ``num_tasks`` permuted tasks from one base dataset.
 
@@ -359,18 +357,13 @@ def make_permuted_tasks(
     0, which keeps the identity, so first-task curves stay comparable with
     an unpermuted baseline.
 
-    The base's label range is checked once (uint8 levels bound its
-    pixels), and every task holds the same read-only views of it, so no
-    task copies the data and none can write into another's. The tasks do
-    see later writes to the caller's own arrays.
+    This is the one door for a task base: :func:`_shared_base` checks
+    each split once, ``expected_width`` pixels wide, and every task holds
+    the same read-only views of it, so no task copies the data and none
+    can write into another's. The tasks do see later writes to the
+    caller's own arrays.
     """
-    train_images, train_labels = _shared_split("train", *base_train)
-    test_images, test_labels = _shared_split("test", *base_test)
-    if train_images.shape[1] != expected_width or test_images.shape[1] != expected_width:
-        raise ShapeError(
-            f"expected image width {expected_width}, got train {train_images.shape[1]} "
-            f"/ test {test_images.shape[1]}"
-        )
+    base = _shared_base(base_train, base_test, expected_width)
     root = RandomStream(seed)
     tasks = []
     for t in range(num_tasks):
@@ -378,16 +371,7 @@ def make_permuted_tasks(
             perm = np.arange(expected_width)
         else:
             perm = root.child(PERMUTATION_STREAM_ID, t).permutation(expected_width)
-        tasks.append(
-            TaskDataset(
-                task_id=t,
-                train_images=train_images,
-                train_labels=train_labels,
-                test_images=test_images,
-                test_labels=test_labels,
-                permutation=perm,
-            )
-        )
+        tasks.append(TaskDataset(t, *base, perm))
     return tasks
 
 
@@ -402,4 +386,4 @@ def batches(dataset: TaskDataset, batch_size: int, stream: RandomStream):
     order = stream.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        yield dataset.train_rows(idx), dataset.train_labels[idx]
+        yield dataset.rows("train", idx), dataset.train_labels[idx]

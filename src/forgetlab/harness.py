@@ -4,11 +4,7 @@ Every random draw in a run descends from ``ExperimentConfig.seed``
 through fixed child-stream ids, so a config fully determines the
 trajectory: repeated runs are bit-identical, and two runs differing only
 in strategy settings see exactly the same data order and initial
-weights.
-
-Child-stream registry (ids 1 and 2 live in :mod:`forgetlab.data`):
-  0 weight init, 1 task permutations, 2 synthetic base data,
-  3 per-(task, epoch) batch shuffles, 4 eval subsets, 5 train subset.
+weights. The child-stream ids are registered in :mod:`forgetlab.numerics`.
 """
 
 from __future__ import annotations
@@ -33,13 +29,16 @@ from .model import (
     init_params,
     save_params,
 )
-from .numerics import NonFiniteError, RandomStream, check_fields
+from .numerics import (
+    EVAL_SUBSET_STREAM_ID,
+    INIT_STREAM_ID,
+    SHUFFLE_STREAM_ID,
+    TRAIN_SUBSET_STREAM_ID,
+    NonFiniteError,
+    RandomStream,
+    check_fields,
+)
 from .optim import Optimizer, OptimizerConfig, apply
-
-INIT_STREAM_ID = 0
-SHUFFLE_STREAM_ID = 3
-EVAL_SUBSET_STREAM_ID = 4
-TRAIN_SUBSET_STREAM_ID = 5
 
 SOURCES = ("synthetic", "mnist")
 

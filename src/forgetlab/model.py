@@ -217,20 +217,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(params: MlpParams, batch: np.ndarray) -> ForwardTrace:
     """Run the network on a batch of image rows, in the parameters' dtype.
 
-    A batch of another dtype is cast to it first (the gather writes the
-    run dtype, so a run's batches pass through uncopied).
-
     Owns finiteness: raises :class:`NonFiniteError` naming the layer if
     any pre-activation is not finite. A non-finite gradient, step or
     parameter reaches a forward (the next step's, the importance
     estimate's or the evaluation's) before any result is recorded, so
     nothing else checks. Each layer's ``z`` is checked once, after the
-    bias add and before the leaky ReLU overwrites it. A batch that is not
-    2-D or not as wide as the first layer fails in :func:`matmul`, whose
-    :class:`ShapeError` names both shapes.
+    bias add and before the leaky ReLU overwrites it. The batch is not
+    converted (the gather writes the run dtype): a batch that is not 2-D,
+    not as wide as the first layer or not in the parameters' dtype fails
+    in :func:`matmul`, whose :class:`ShapeError` names both shapes or
+    both dtypes.
     """
-    x = np.asarray(batch, dtype=params.flat.dtype)
-    layer_inputs = [x]
+    layer_inputs = [batch]
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = matmul(layer_inputs[l], w.T)

@@ -126,6 +126,17 @@ def numeric_environment() -> dict:
     }
 
 
+# Child-stream ids under a run's seed, one per kind of draw:
+#   0 weight init, 1 task permutations, 2 synthetic base data,
+#   3 per-(task, epoch) batch shuffles, 4 eval subsets, 5 train subset.
+INIT_STREAM_ID = 0
+PERMUTATION_STREAM_ID = 1
+SYNTH_STREAM_ID = 2
+SHUFFLE_STREAM_ID = 3
+EVAL_SUBSET_STREAM_ID = 4
+TRAIN_SUBSET_STREAM_ID = 5
+
+
 class RandomStream:
     """Seeded Philox stream with cheap derived child streams.
 

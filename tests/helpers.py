@@ -14,9 +14,8 @@ import tracemalloc
 import numpy as np
 
 from forgetlab.continual import clip_separately, ewc_penalty
-from forgetlab.data import SYNTH_STREAM_ID
 from forgetlab.model import MlpParams
-from forgetlab.numerics import numeric_environment, openblas_function
+from forgetlab.numerics import SYNTH_STREAM_ID, numeric_environment, openblas_function
 from forgetlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,

@@ -61,11 +61,18 @@ def make_task(images, labels, task_id=0):
     )
 
 
+@pytest.fixture
+def float64_pixels(monkeypatch):
+    """The gather writes float64 pixels, the dtype float64 parameters take."""
+    monkeypatch.setattr(data, "RUN_DTYPE", np.dtype(np.float64))
+
+
 def random_setup(seed, layer_sizes=(5, 4, 3), n=6, dtype=RUN_DTYPE):
     """Parameters in ``dtype`` and a task of ``n`` random rows.
 
     Tests that compare with a float64 reference within a float64
-    tolerance pass ``dtype=np.float64``; the rest run in the run dtype.
+    tolerance pass ``dtype=np.float64`` and use ``float64_pixels``; the
+    rest run in the run dtype.
     """
     params = init_params(RandomStream(seed), layer_sizes, dtype=dtype)
     rs = RandomStream(seed + 1000)
@@ -82,13 +89,14 @@ def scalar_map(w, b=0.0):
     return MlpParams(weights=[np.array([[float(w)]])], biases=[np.array([float(b)])])
 
 
+@pytest.mark.usefixtures("float64_pixels")
 class TestFisher:
     def test_matches_per_sample_brute_force(self):
         params, task = random_setup(40, n=3, dtype=np.float64)
         estimated = estimate_fisher(params, task)
         total = params.zeros_like()
         for i in range(3):
-            trace = forward(params, task.train_rows(slice(i, i + 1)))
+            trace = forward(params, task.rows("train", slice(i, i + 1)))
             g = backward(params, trace, task.train_labels[i : i + 1])
             total = map_flat(lambda t, gi: t + gi * gi, total, g)
         brute = map_flat(lambda t: t / 3, total)
@@ -97,7 +105,7 @@ class TestFisher:
     def test_single_sample_is_squared_gradient(self):
         params, task = random_setup(41, n=1, dtype=np.float64)
         estimated = estimate_fisher(params, task)
-        trace = forward(params, task.train_rows(slice(None)))
+        trace = forward(params, task.rows("train", slice(None)))
         g = backward(params, trace, task.train_labels)
         squared = map_flat(lambda x: x * x, g)
         gap = np.abs(estimated.flat - squared.flat)
@@ -641,6 +649,7 @@ class TestStrategies:
             second.flat, omega_a.flat + omega_b.flat, rtol=0, atol=1e-15
         )
 
+    @pytest.mark.usefixtures("float64_pixels")
     def test_wva_hook_scales_by_expected_factors(self):
         config = StrategyConfig(kind="wva", lam=2.0, attenuation="hyperbolic", target="step")
         strategy = Strategy(config, 0.001)
@@ -737,6 +746,7 @@ class TestStrategies:
     @pytest.mark.parametrize(
         "options", [{}, {"safe_coefficient": True}], ids=["default", "safe_coefficient"]
     )
+    @pytest.mark.usefixtures("float64_pixels")
     def test_multi_anchor_matches_explicit_sum(self, options):
         lam, learning_rate = 2.0, 0.5
         config = StrategyConfig(kind="ewc_multi_anchor", lam=lam, **options)

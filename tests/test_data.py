@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgetlab import data, harness
+from forgetlab import data, harness, numerics
 from forgetlab.continual import estimate_fisher, estimate_total_abs_signal
 from forgetlab.data import (
     CHUNK_ROWS,
@@ -97,7 +97,7 @@ class TestLoadIdx:
         assert images[0, 1] == 1
         assert np.array_equal(labels, [0, 1, 2])
         task = TaskDataset(0, images, labels, images, labels, np.arange(4))
-        assert task.train_rows(slice(None))[0, 1] == 1.0 / 255.0
+        assert task.rows("train", slice(None))[0, 1] == 1.0 / 255.0
 
     def test_whole_split_is_a_view_of_the_payload(self, tmp_path):
         img_path, lab_path = write_pair(tmp_path, n=5, rows=28, cols=28)
@@ -116,7 +116,7 @@ class TestLoadIdx:
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path)
         assert peak < 2 * (images.nbytes + labels.nbytes)
         task = TaskDataset(0, images, labels, images, labels, np.arange(784)[::-1])
-        peak, rows = traced_peak(task.train_rows, slice(None))
+        peak, rows = traced_peak(task.rows, "train", slice(None))
         assert rows.dtype == RUN_DTYPE and rows.shape == (n, 784)
         assert peak < 1.5 * rows.nbytes + np.getbufsize() * rows.itemsize
 
@@ -140,9 +140,9 @@ class TestLoadIdx:
         images, labels = load_idx(img_path, lab_path, None if picks is None else lambda n: picks)
         task = TaskDataset(0, images, labels, images, labels, np.arange(784))
         old = scaled_then_picked(img_path, lab_path, picks).astype(RUN_DTYPE)
-        assert same_bits(task.train_rows(slice(None)), old)
+        assert same_bits(task.rows("train", slice(None)), old)
         order = RandomStream(7).permutation(len(labels))
-        assert same_bits(task.train_rows(order), old[order])
+        assert same_bits(task.rows("train", order), old[order])
 
     @pytest.mark.parametrize("n_picks", [0, 17, 60])
     def test_picked_train_rows_equal_the_subset_of_the_whole_split(self, tmp_path, n_picks):
@@ -397,8 +397,8 @@ def tiny_task(width=4, n=6):
 
 class TestTaskDataset:
     # A base holds uint8 levels, which map into [0, 1], so a float base,
-    # whose pixels could fall outside it, is rejected; the label range is
-    # checked once per base, when tasks are built.
+    # whose pixels could fall outside it, is rejected. make_permuted_tasks
+    # checks every split fact once per base; a task checks its permutation.
     def test_rejects_pixels_outside_unit_interval(self):
         for pixel in (1.5, 300):
             with pytest.raises(ShapeError, match="^train_images must be a 2-D uint8 matrix"):
@@ -417,27 +417,21 @@ class TestTaskDataset:
             )
 
     def test_rejects_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            TaskDataset(
-                task_id=0,
-                train_images=np.zeros((2, 1), dtype=np.uint8),
-                train_labels=np.array([0]),
-                test_images=np.zeros((1, 1), dtype=np.uint8),
-                test_labels=np.array([0]),
-                permutation=np.arange(1),
+        with pytest.raises(ShapeError, match="^train: 2 images vs 1 labels$"):
+            make_permuted_tasks(
+                (np.zeros((2, 1), dtype=np.uint8), np.array([0])),
+                (np.zeros((1, 1), dtype=np.uint8), np.array([0])),
+                2, seed=1, expected_width=1,
             )
 
     @pytest.mark.parametrize("empty", ["train", "test"])
     def test_rejects_empty_split(self, empty):
         rows = {"train": 1, "test": 1, empty: 0}
         with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
-            TaskDataset(
-                task_id=0,
-                train_images=np.zeros((rows["train"], 2), dtype=np.uint8),
-                train_labels=np.zeros(rows["train"], dtype=np.int64),
-                test_images=np.zeros((rows["test"], 2), dtype=np.uint8),
-                test_labels=np.zeros(rows["test"], dtype=np.int64),
-                permutation=np.arange(2),
+            make_permuted_tasks(
+                (np.zeros((rows["train"], 2), dtype=np.uint8), np.zeros(rows["train"], np.int64)),
+                (np.zeros((rows["test"], 2), dtype=np.uint8), np.zeros(rows["test"], np.int64)),
+                2, seed=1, expected_width=2,
             )
 
     def test_header_only_test_pair_fails_before_training(self, tmp_path, monkeypatch):
@@ -491,7 +485,7 @@ class TestSynthetic:
     def test_levels_round_to_nearest(self):
         # spread 1e-9 leaves each sample within 1e-8 of its center, so its
         # level is the center's rounded level
-        centers = RandomStream(3, key=(data.SYNTH_STREAM_ID,)).uniform(0.2, 0.8, (2, 5))
+        centers = RandomStream(3).child(numerics.SYNTH_STREAM_ID).uniform(0.2, 0.8, (2, 5))
         (train_images, train_labels), _ = synth_dataset(2, 5, 10, 1e-9, seed=3)
         assert np.array_equal(train_images, np.rint(255 * centers[train_labels]))
 
@@ -560,7 +554,7 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
         assert np.array_equal(tasks[0].permutation, np.arange(6))
-        assert same_bits(tasks[0].train_rows(slice(None)), pixels(train[0]))
+        assert same_bits(tasks[0].rows("train", slice(None)), pixels(train[0]))
 
     def test_deterministic_and_distinct_across_tasks(self):
         train, test = self.base()
@@ -574,14 +568,14 @@ class TestPermutedTasks:
         train, test = self.base()
         tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6)
         t = tasks[2]
-        assert same_bits(t.train_rows(slice(None)), pixels(train[0][:, t.permutation]))
-        assert same_bits(t.test_rows(slice(None)), pixels(test[0][:, t.permutation]))
+        assert same_bits(t.rows("train", slice(None)), pixels(train[0][:, t.permutation]))
+        assert same_bits(t.rows("test", slice(None)), pixels(test[0][:, t.permutation]))
         assert np.array_equal(t.train_labels, train[1])
 
     def test_invert_round_trip(self):
         train, test = self.base()
         task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
-        restored = task.train_rows(slice(None))[:, np.argsort(task.permutation)]
+        restored = task.rows("train", slice(None))[:, np.argsort(task.permutation)]
         assert same_bits(restored, pixels(train[0]))
 
     def test_width_mismatch_raises(self):
@@ -633,7 +627,7 @@ class TestSharedBase:
     def test_rows_and_batches_are_fresh_and_writable(self):
         train, test = gather_base()
         task = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)[1]
-        arrays = [task.train_rows(slice(0, 10)), task.test_rows(np.array([3, 1]))]
+        arrays = [task.rows("train", slice(0, 10)), task.rows("test", np.array([3, 1]))]
         arrays += [a for batch in batches(task, 256, RandomStream(2)) for a in batch]
         for array in arrays:
             assert array.flags.writeable
@@ -652,7 +646,7 @@ class TestGatherEquivalence:
     def test_train_rows(self):
         idx = RandomStream(3).permutation(1100)[:100]
         for task in self.tasks():
-            rows = task.train_rows(idx)
+            rows = task.rows("train", idx)
             assert rows.flags.c_contiguous
             expected = pixels(materialized(task).train_images[idx])
             assert rows.tobytes() == expected.tobytes()
@@ -662,7 +656,7 @@ class TestGatherEquivalence:
         idx = RandomStream(5).permutation(1100)
         assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
         for task in self.tasks():
-            rows = task.train_rows(idx)
+            rows = task.rows("train", idx)
             assert rows.flags.c_contiguous
             expected = pixels(materialized(task).train_images[idx])
             assert rows.tobytes() == expected.tobytes()
@@ -670,7 +664,7 @@ class TestGatherEquivalence:
     def test_test_rows(self):
         picks = RandomStream(4).choice(300, 120)
         for task in self.tasks():
-            rows = task.test_rows(picks)
+            rows = task.rows("test", picks)
             assert rows.flags.c_contiguous
             assert rows.tobytes() == pixels(materialized(task).test_images[picks]).tobytes()
 
@@ -680,7 +674,7 @@ class TestGatherEquivalence:
         all_levels = np.arange(256, dtype=np.uint8)[None, :]
         task = TaskDataset(0, all_levels, np.zeros(1, np.int64), all_levels,
                            np.zeros(1, np.int64), np.arange(256))
-        rows = task.train_rows(slice(None))
+        rows = task.rows("train", slice(None))
         assert rows.dtype == RUN_DTYPE
         assert same_bits(rows, (all_levels / 255.0).astype(RUN_DTYPE))
         assert rows[0, 0] == 0.0 and rows[0, 255] == 1.0
@@ -693,7 +687,7 @@ class TestGatherEquivalence:
         train, _ = gather_base()
         for task in self.tasks():
             expected = pixels(train[0][rows])[:, task.permutation]
-            assert same_bits(task.train_rows(rows), expected)
+            assert same_bits(task.rows("train", rows), expected)
 
     def test_peak_memory_one_copy_of_the_rows(self):
         # The rows are permuted as uint8 and widened once, into the
@@ -701,9 +695,9 @@ class TestGatherEquivalence:
         # of it in float32). Widening first and then permuting holds
         # about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
-        task = make_permuted_tasks(train, test, 2, seed=8)[1]
+        task = make_permuted_tasks(train, test, 2, seed=8, expected_width=784)[1]
         picks = RandomStream(4).choice(3000, 2000)
-        peak, rows = traced_peak(task.test_rows, picks)
+        peak, rows = traced_peak(task.rows, "test", picks)
         assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * rows.itemsize
         assert peak < 1.5 * rows.nbytes
 
@@ -749,7 +743,7 @@ class TestBatches:
         seen = np.concatenate([b[0] for b in batches(ds, 3, RandomStream(1))])
         assert seen.shape == ds.train_images.shape
         assert np.array_equal(
-            np.sort(seen, axis=0), np.sort(ds.train_rows(slice(None)), axis=0)
+            np.sort(seen, axis=0), np.sort(ds.rows("train", slice(None)), axis=0)
         )
 
     def test_final_short_batch_kept(self):
@@ -774,5 +768,5 @@ class TestBatches:
         ds = tiny_task(n=6)
         for images, labels in batches(ds, 2, RandomStream(4)):
             for row, lab in zip(images, labels):
-                src = np.flatnonzero((ds.train_rows(slice(None)) == row).all(axis=1))[0]
+                src = np.flatnonzero((ds.rows("train", slice(None)) == row).all(axis=1))[0]
                 assert ds.train_labels[src] == lab

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgetlab import continual, harness
+from forgetlab import continual, harness, numerics
 from forgetlab.continual import StrategyConfig, safe_coefficient
 from forgetlab.data import CHUNK_ROWS, batches, make_permuted_tasks
 from forgetlab.harness import (
@@ -140,7 +140,7 @@ class TestBuildTasks:
         config = tiny_config(train_subset=64)
         task = build_tasks(config)[0]
         (images, labels), _ = one_draw_synth_dataset(4, 12, 40, 0.2, seed=7)
-        picks = RandomStream(7).child(harness.TRAIN_SUBSET_STREAM_ID).choice(len(labels), 64)
+        picks = RandomStream(7).child(numerics.TRAIN_SUBSET_STREAM_ID).choice(len(labels), 64)
         assert same_bits(task.train_images, images[picks])
         assert np.array_equal(task.train_labels, labels[picks])
 
@@ -189,7 +189,7 @@ class TestBuildTasks:
                 assert not np.shares_memory(x, task.test_images)
             x = np.concatenate(chunks)
             assert x.shape == (len(y), 12)
-            permuted = task.test_rows(slice(None))
+            permuted = task.rows("test", slice(None))
             assert all((permuted == row).all(axis=1).any() for row in x)
 
 
@@ -214,7 +214,7 @@ class TestRunSequence:
         def peak(n_test):
             train = (stream.uniform(0, 256, (10, 784)).astype(np.uint8), np.arange(10))
             test = (stream.uniform(0, 256, (n_test, 784)).astype(np.uint8), np.arange(n_test) % 10)
-            task = make_permuted_tasks(train, test, 2, seed=32)[1]
+            task = make_permuted_tasks(train, test, 2, seed=32, expected_width=784)[1]
             chunks = task.chunks("test")
             return traced_peak(harness.accuracy, params, chunks, task.test_labels)[0]
 
@@ -240,7 +240,7 @@ class TestRunSequence:
         assert np.array_equal(result.params.flat, params.flat)
         assert result.matrix.accuracies.shape == (num_tasks, num_tasks)
         for j, task in enumerate(tasks):
-            expected = accuracy(params, [task.test_rows(slice(None))], task.test_labels)
+            expected = accuracy(params, [task.rows("test", slice(None))], task.test_labels)
             assert result.matrix.accuracies[-1, j] == expected
 
     def test_repeat_run_bit_identical(self):

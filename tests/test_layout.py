@@ -1,7 +1,8 @@
 """Source-tree rules: every public definition in src/ has a caller in src/,
 each config choice set is read only by its field's metadata, only the
-owners of finiteness raise NonFiniteError, and README names every
-setting."""
+owners of finiteness raise NonFiniteError and only the owners of shapes
+and dtypes ShapeError, the random-stream ids are defined once, and README
+names every setting."""
 
 import ast
 import re
@@ -103,8 +104,8 @@ NON_FINITE_OWNERS = {
 }
 
 
-def non_finite_raisers(src: Path = SRC) -> set:
-    """``(module, scope)`` of each ``raise NonFiniteError`` in ``src``; the
+def raisers(exception: str, src: Path = SRC) -> set:
+    """``(module, scope)`` of each ``raise <exception>`` in ``src``; the
     scope is the dotted path of enclosing definitions, such as
     ``Class.method``, or ``<module>`` outside any."""
     found = set()
@@ -122,7 +123,7 @@ def non_finite_raisers(src: Path = SRC) -> set:
 
         def visit_Raise(self, node):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == "NonFiniteError":
+            if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
                 found.add((self.module, ".".join(self.scope) or "<module>"))
 
     for path in sorted(src.glob("*.py")):
@@ -131,7 +132,43 @@ def non_finite_raisers(src: Path = SRC) -> set:
 
 
 def test_only_the_owners_of_finiteness_raise_non_finite_error():
-    assert non_finite_raisers() == set(NON_FINITE_OWNERS)
+    assert raisers("NonFiniteError") == set(NON_FINITE_OWNERS)
+
+
+# The functions that may raise ShapeError, each owning one fact. A task's
+# batches and chunks are gathered from a base checked once per build, so
+# neither a task nor the model re-checks what these own.
+SHAPE_ERROR_OWNERS = {
+    ("model", "MlpParams.__init__"): "the blocks a parameter vector is built from",
+    ("model", "MlpParams.from_flat"): "a flat vector wrapped in a layout",
+    ("model", "check_congruent"): "that two parameter-shaped operands agree",
+    ("numerics", "matmul"): "each product's operand shapes and dtypes",
+    ("data", "_shared_base"): "each base split's layout, once per build",
+}
+
+
+def test_only_the_owners_of_shapes_raise_shape_error():
+    assert raisers("ShapeError") == set(SHAPE_ERROR_OWNERS)
+
+
+def stream_ids(src: Path = SRC) -> list:
+    """``(module, name, value)`` of each top-level ``*_STREAM_ID`` assignment in ``src``."""
+    return [
+        (path.stem, target.id, ast.literal_eval(node.value))
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_STREAM_ID")
+    ]
+
+
+def test_stream_ids_are_registered_once_in_numerics():
+    # two modules each picking ids could hand one id to two kinds of draw
+    found = stream_ids()
+    assert {module for module, _, _ in found} == {"numerics"}
+    values = [value for _, _, value in found]
+    assert len(set(values)) == len(values)
 
 
 def undocumented_settings(readme: str) -> list:

@@ -83,6 +83,13 @@ class TestForward:
         assert np.all(trace.probabilities > 0.0)
         assert np.all(trace.probabilities < 1.0)
 
+    def test_batch_of_another_dtype_fails_in_matmul(self):
+        # forward converts no batch, so a stray dtype is named, not narrowed
+        params = init_params(RandomStream(4), (6, 5, 4))
+        batch = RandomStream(5).uniform(0, 1, (7, 6))
+        with pytest.raises(ShapeError, match="differ in dtype: float64 vs float32$"):
+            forward(params, batch)
+
     def test_two_two_two_hand_oracle(self):
         params = MlpParams(
             weights=[
@@ -203,7 +210,7 @@ class TestCrossEntropy:
 
     def test_loss_nonnegative(self):
         params = init_params(RandomStream(8), (5, 4, 3))
-        trace = forward(params, RandomStream(9).uniform(0, 1, (10, 5)))
+        trace = forward(params, RandomStream(9).uniform(0, 1, (10, 5)).astype(RUN_DTYPE))
         assert cross_entropy(trace, np.arange(10) % 3) >= 0.0
 
     def test_sum_form_additive_over_disjoint_batches(self):
@@ -222,7 +229,7 @@ class TestCrossEntropy:
 class TestBackward:
     def test_output_bias_gradient_is_mean_error(self):
         params = init_params(RandomStream(12), (5, 4, 3))
-        x = RandomStream(13).uniform(0, 1, (6, 5))
+        x = RandomStream(13).uniform(0, 1, (6, 5)).astype(RUN_DTYPE)
         labels = np.arange(6) % 3
         trace = forward(params, x)
         grads = backward(params, trace, labels)
@@ -233,7 +240,7 @@ class TestBackward:
 
     def test_zero_inputs_zero_first_layer_weight_grads(self):
         params = init_params(RandomStream(14), (4, 3, 2))
-        trace = forward(params, np.zeros((5, 4)))
+        trace = forward(params, np.zeros((5, 4), dtype=RUN_DTYPE))
         grads = backward(params, trace, np.zeros(5, dtype=int))
         assert np.all(grads.weights[0] == 0.0)
         assert np.any(grads.biases[0] != 0.0)
@@ -262,7 +269,7 @@ class TestAccuracy:
 
     def test_bounded(self):
         params = init_params(RandomStream(18), (4, 3, 2))
-        x = RandomStream(19).uniform(0, 1, (9, 4))
+        x = RandomStream(19).uniform(0, 1, (9, 4)).astype(RUN_DTYPE)
         acc = accuracy(params, [x], np.arange(9) % 2)
         assert 0.0 <= acc <= 1.0
 
@@ -274,7 +281,7 @@ class TestAccuracy:
         sizes = [len(rows) for rows in task.chunks("train")]
         assert sizes == [CHUNK_ROWS] * (len(sizes) - 1) + [1100 % CHUNK_ROWS]
         assert len(sizes) > 1 and sizes[-1] > 0
-        predictions = np.argmax(forward(params, images / 255.0).probabilities, axis=1)
+        predictions = np.argmax(forward(params, (images / 255.0).astype(RUN_DTYPE)).probabilities, axis=1)
         whole = float(np.mean(predictions == labels))
         assert 0.0 < whole < 1.0
         assert accuracy(params, task.chunks("train"), labels) == whole
@@ -283,7 +290,7 @@ class TestAccuracy:
 class TestTraining:
     def test_sgd_steps_decrease_epoch_loss_on_separable_task(self):
         (levels, labels), _ = synth_dataset(3, 8, 30, 0.05, seed=22)
-        images = levels / 255.0
+        images = (levels / 255.0).astype(RUN_DTYPE)
         params = init_params(RandomStream(23), (8, 6, 3))
         losses = []
         for _ in range(100):
