@@ -53,7 +53,7 @@ from .harness import (
     sgd_target_equivalence,
 )
 from .model import init_params, max_relative_gradient_error
-from .numerics import RandomStream
+from .numerics import stream
 from .optim import OptimizerConfig
 from .reports import emit_reports, read_report_csv, render_svg
 
@@ -294,10 +294,9 @@ def cmd_fetch_data(args) -> int:
 
 def _selftest_gradients() -> tuple[bool, str]:
     # An oracle: float64 parameters and images, whatever a run's dtype.
-    stream = RandomStream(202)
-    params = init_params(stream.child(0), (4, 4, 3), dtype=np.float64)
-    images = stream.child(1).uniform(0.0, 1.0, (8, 4))
-    labels = stream.child(2).permutation(8) % 3
+    params = init_params(stream(202, 0), (4, 4, 3), dtype=np.float64)
+    images = stream(202, 1).uniform(0.0, 1.0, (8, 4))
+    labels = stream(202, 2).permutation(8) % 3
     worst = max_relative_gradient_error(params, images, labels)
     return worst < 1e-6, f"max relative gradient error {worst:.2e}"
 

@@ -25,11 +25,15 @@ chunk straight into preallocated uint8 splits.
 Each data fact is checked once: :func:`_parse_pair` an IDX pair's
 layout, :func:`make_permuted_tasks` each base split once per build
 (2-D uint8 levels of the input width, so uint8 bounds the pixels; one
-label per row; at least one row; labels in 0..9), and
+integer label per row; at least one row; labels in 0..9), and
 :class:`TaskDataset` its own permutation. The helpers trust the config's
 bounds (``num_tasks``, ``batch_size`` >= 1).
 The labels the model reads are this layer's alone (int64, one per row,
 below the output width by the config's rules); the model trusts them.
+
+The layer's draws, the synthetic base, each task's permutation and each
+epoch's shuffle, come from generators :func:`numerics.stream` keys by the
+run's seed and a stream id; :func:`batches` takes its epoch's generator.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fileio import atomic_write
-from .numerics import PERMUTATION_STREAM_ID, RUN_DTYPE, SYNTH_STREAM_ID, RandomStream, ShapeError
+from .numerics import PERMUTATION_STREAM_ID, RUN_DTYPE, SYNTH_STREAM_ID, ShapeError, stream
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -275,8 +279,8 @@ def synth_dataset(
     rows, one indexed write for picked ones. So the build holds the
     output plus about one float64 chunk.
     """
-    rs = RandomStream(seed).child(SYNTH_STREAM_ID)
-    centers = rs.uniform(0.2, 0.8, (classes, dims))
+    rng = stream(seed, SYNTH_STREAM_ID)
+    centers = rng.uniform(0.2, 0.8, (classes, dims))
     n_train = int(samples_per_class * 0.8)
     n_test = samples_per_class - n_train
     train_labels = np.repeat(np.arange(classes, dtype=np.int64), n_train)
@@ -289,7 +293,7 @@ def synth_dataset(
     test_images = np.empty((classes * n_test, dims), dtype=np.uint8)
     for c in range(classes):
         for start in range(0, samples_per_class, CHUNK_ROWS):
-            chunk = rs.standard_normal((min(CHUNK_ROWS, samples_per_class - start), dims))
+            chunk = rng.standard_normal((min(CHUNK_ROWS, samples_per_class - start), dims))
             chunk *= spread
             chunk += centers[c]
             np.clip(chunk, 0.0, 1.0, out=chunk)
@@ -317,8 +321,8 @@ def _shared_base(base_train, base_test, width: int) -> list[np.ndarray]:
     """Check both base splits once and return read-only views of them.
 
     Each split's images must be a 2-D uint8 matrix of pixel levels (uint8
-    bounds the pixels), with one label per row, at least one row and
-    labels in 0..9; both splits must be ``width`` pixels wide. Returns
+    bounds the pixels), with one integer label per row, at least one row
+    and labels in 0..9; both splits must be ``width`` pixels wide. Returns
     the views in :class:`TaskDataset`'s field order: train images and
     labels, then test images and labels.
     """
@@ -330,6 +334,8 @@ def _shared_base(base_train, base_test, width: int) -> list[np.ndarray]:
             raise ShapeError(f"{name}: {images.shape[0]} images vs {labels.shape[0]} labels")
         if images.shape[0] == 0:
             raise ValueError(f"{name} split is empty")
+        if labels.dtype.kind not in "iu":
+            raise ShapeError(f"{name}_labels must be integers, got {labels.dtype}")
         if labels.min() < 0 or labels.max() > 9:
             raise ValueError(f"{name}_labels outside 0..9")
         views += [images.view(), labels.view()]
@@ -352,10 +358,10 @@ def make_permuted_tasks(
 ) -> list[TaskDataset]:
     """Derive ``num_tasks`` permuted tasks from one base dataset.
 
-    Task ``t`` applies a single pixel permutation, a deterministic
-    function of ``(seed, t)``, to every train and test image, except task
-    0, which keeps the identity, so first-task curves stay comparable with
-    an unpermuted baseline.
+    Task ``t`` applies a single pixel permutation, drawn from
+    ``stream(seed, PERMUTATION_STREAM_ID, t)``, to every train and test
+    image, except task 0, which keeps the identity, so first-task curves
+    stay comparable with an unpermuted baseline.
 
     This is the one door for a task base: :func:`_shared_base` checks
     each split once, ``expected_width`` pixels wide, and every task holds
@@ -364,26 +370,25 @@ def make_permuted_tasks(
     caller's own arrays.
     """
     base = _shared_base(base_train, base_test, expected_width)
-    root = RandomStream(seed)
     tasks = []
     for t in range(num_tasks):
         if t == 0:
             perm = np.arange(expected_width)
         else:
-            perm = root.child(PERMUTATION_STREAM_ID, t).permutation(expected_width)
+            perm = stream(seed, PERMUTATION_STREAM_ID, t).permutation(expected_width)
         tasks.append(TaskDataset(t, *base, perm))
     return tasks
 
 
-def batches(dataset: TaskDataset, batch_size: int, stream: RandomStream):
+def batches(dataset: TaskDataset, batch_size: int, rng: np.random.Generator):
     """Yield one epoch of seeded minibatches over the train split.
 
-    The epoch is a fresh shuffle of all train rows drawn from ``stream``,
+    The epoch is a fresh shuffle of all train rows drawn from ``rng``,
     sliced into consecutive batches; a final short batch is kept. Calling
-    again with the same (advancing) stream yields the next epoch's order.
+    again with the same (advancing) generator yields the next epoch's order.
     """
     n = dataset.train_images.shape[0]
-    order = stream.permutation(n)
+    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
         yield dataset.rows("train", idx), dataset.train_labels[idx]

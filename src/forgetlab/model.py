@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fileio import atomic_write
-from .numerics import RUN_DTYPE, NonFiniteError, RandomStream, ShapeError, matmul
+from .numerics import RUN_DTYPE, NonFiniteError, ShapeError, matmul
 
 DEFAULT_LAYER_SIZES = (784, 300, 150, 10)
 LEAKY_SLOPE = 0.01
@@ -165,7 +165,7 @@ class ForwardTrace:
 
 
 def init_params(
-    stream: RandomStream,
+    rng: np.random.Generator,
     layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
     dtype=RUN_DTYPE,
 ) -> MlpParams:
@@ -178,7 +178,7 @@ def init_params(
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(stream.uniform(-limit, limit, (fan_out, fan_in)).astype(dtype))
+        weights.append(rng.uniform(-limit, limit, (fan_out, fan_in)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpParams(weights=weights, biases=biases)
 

@@ -11,10 +11,12 @@ checks every config field against the choices and bounds its metadata
 declares, and every float setting for finiteness. No product is scanned
 for NaN or infinity: :func:`~forgetlab.model.forward` owns finiteness.
 
-Random streams wrap the Philox4x64-10 counter-based generator, keyed by
+Every random draw comes from a numpy generator that :func:`stream` builds:
+the Philox4x64-10 counter-based generator, keyed by
 ``SeedSequence(seed, spawn_key=key)``. Identical ``(seed, key)`` pairs
-always reproduce the same sequence, and child streams derived with
-distinct ids are statistically independent without sharing state.
+always reproduce the same sequence, and streams with distinct keys are
+statistically independent without sharing state. A run's key starts with
+one of the stream ids below, then the task (and epoch) it serves.
 
 A product's rounding also depends on the numeric environment: the numpy
 and BLAS builds, the BLAS kernel family and its thread count.
@@ -126,7 +128,7 @@ def numeric_environment() -> dict:
     }
 
 
-# Child-stream ids under a run's seed, one per kind of draw:
+# Stream ids, the first key under a run's seed, one per kind of draw:
 #   0 weight init, 1 task permutations, 2 synthetic base data,
 #   3 per-(task, epoch) batch shuffles, 4 eval subsets, 5 train subset.
 INIT_STREAM_ID = 0
@@ -137,50 +139,13 @@ EVAL_SUBSET_STREAM_ID = 4
 TRAIN_SUBSET_STREAM_ID = 5
 
 
-class RandomStream:
-    """Seeded Philox stream with cheap derived child streams.
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """numpy's Philox4x64-10 generator keyed by ``SeedSequence(seed, spawn_key=key)``.
 
-    The generator is Philox4x64-10 (a counter-based PRNG), keyed through
-    ``numpy.random.SeedSequence(seed, spawn_key=key)``. The ``key`` tuple
-    identifies a stream within one seed; two streams with different keys
-    never share state. Uniform doubles use numpy's standard 53-bit
-    conversion, so sequences are reproducible wherever the same numpy
-    bit-generator is available. A negative seed raises ``ValueError``
-    from ``SeedSequence``; a run's seed is checked by its config first.
+    Each key id must fit in uint32: ``SeedSequence`` would split a larger
+    id into several words, so ``(2**32,)`` would draw what ``(0, 1)`` draws.
+    A negative seed raises ``ValueError`` from ``SeedSequence``.
     """
-
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        seed = int(seed)
-        key = tuple(int(k) for k in key)
-        if any(k < 0 or k >= 2**32 for k in key):
-            raise ValueError(f"stream ids must fit in uint32, got {key}")
-        self.seed = seed
-        self.key = key
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-        )
-
-    def __repr__(self) -> str:
-        return f"RandomStream(seed={self.seed}, key={self.key})"
-
-    def child(self, *ids: int) -> "RandomStream":
-        """Derive an independent stream identified by ``ids`` under the same seed."""
-        return RandomStream(self.seed, self.key + ids)
-
-    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
-        """Array of doubles in ``[lo, hi)``."""
-        if not lo < hi:
-            raise ValueError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
-        return self._gen.uniform(lo, hi, size=size)
-
-    def standard_normal(self, size) -> np.ndarray:
-        """Array of standard normal doubles (numpy's ziggurat sampler)."""
-        return self._gen.standard_normal(size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        """A random permutation of ``0..n-1``."""
-        return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int) -> np.ndarray:
-        """``size`` distinct indices drawn from ``0..n-1`` without replacement."""
-        return self._gen.choice(n, size=size, replace=False)
+    if any(not 0 <= k < 2**32 for k in key):
+        raise ValueError(f"stream ids must fit in uint32, got {key}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))

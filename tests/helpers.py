@@ -139,7 +139,7 @@ def one_draw_synth_dataset(classes, dims, samples_per_class, spread, seed):
     each class a chunk at a time with ``standard_normal`` and builds only
     the picked train rows, and must match this, subset afterwards, bit
     for bit. This draws with numpy's ``normal(0.0, 1.0)`` from the
-    generator ``RandomStream`` documents, and quantizes whole classes.
+    generator ``numerics.stream`` builds, and quantizes whole classes.
     """
     gen = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(SYNTH_STREAM_ID,)))

@@ -55,7 +55,7 @@ from forgetlab.harness import (
     sgd_target_equivalence,
 )
 from forgetlab.model import MlpParams, init_params, max_relative_gradient_error
-from forgetlab.numerics import RandomStream
+from forgetlab.numerics import stream
 from forgetlab.optim import step_parts
 from forgetlab.reports import emit_eval_matrix_csv
 
@@ -133,10 +133,9 @@ def test_criterion_01_gradient_correctness(printed_values):
     start = time.perf_counter()
     worst = 0.0
     for seed in range(5):
-        stream = RandomStream(seed)
-        params = init_params(stream.child(0), (4, 4, 3), dtype=np.float64)
-        images = stream.child(1).uniform(0.0, 1.0, (6, 4))
-        labels = stream.child(2).permutation(6) % 3
+        params = init_params(stream(seed, 0), (4, 4, 3), dtype=np.float64)
+        images = stream(seed, 1).uniform(0.0, 1.0, (6, 4))
+        labels = stream(seed, 2).permutation(6) % 3
         worst = max(worst, max_relative_gradient_error(params, images, labels))
     elapsed = time.perf_counter() - start
     report(
@@ -161,8 +160,7 @@ def test_criterion_02_sgd_target_equivalence(printed_values):
 
 
 def test_criterion_03_closed_forms():
-    stream = RandomStream(77)
-    params = init_params(stream, (5, 4, 3))
+    params = init_params(stream(77), (5, 4, 3))
     omega = params.copy()
     for block in omega.weights + omega.biases:
         np.abs(block, out=block)
@@ -295,8 +293,7 @@ def test_criterion_09_byte_identical_csv(tmp_path, baseline_2task):
 
 def test_criterion_10_scalar_adam_oracle(printed_values):
     reference = ScalarAdam(lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8)
-    stream = RandomStream(1234)
-    params = init_params(stream, (1, 1), dtype=np.float64)
+    params = init_params(stream(1234), (1, 1), dtype=np.float64)
     params.weights[0][0, 0] = 0.5
     params.biases[0][0] = 0.0
     state = adam()

@@ -31,7 +31,7 @@ from forgetlab.model import (
     init_params,
     param_count,
 )
-from forgetlab.numerics import RUN_DTYPE, NonFiniteError, RandomStream
+from forgetlab.numerics import RUN_DTYPE, NonFiniteError, stream
 from forgetlab.optim import ADAM_BLOCK, DEFAULT_LEARNING_RATES, OptimizerConfig, StepHook, apply
 
 from helpers import (
@@ -74,8 +74,8 @@ def random_setup(seed, layer_sizes=(5, 4, 3), n=6, dtype=RUN_DTYPE):
     tolerance pass ``dtype=np.float64`` and use ``float64_pixels``; the
     rest run in the run dtype.
     """
-    params = init_params(RandomStream(seed), layer_sizes, dtype=dtype)
-    rs = RandomStream(seed + 1000)
+    params = init_params(stream(seed), layer_sizes, dtype=dtype)
+    rs = stream(seed + 1000)
     images = rs.uniform(0, 256, (n, layer_sizes[0])).astype(np.uint8)
     labels = rs.permutation(n) % layer_sizes[-1]
     return params, make_task(images, labels)
@@ -175,15 +175,15 @@ class TestEstimatorProperties:
 
 class TestAccumulate:
     def test_gamma_one_is_plain_sum(self):
-        a = init_params(RandomStream(48), (3, 2))
-        b = init_params(RandomStream(49), (3, 2))
+        a = init_params(stream(48), (3, 2))
+        b = init_params(stream(49), (3, 2))
         absa, absb = map_flat(np.abs, a), map_flat(np.abs, b)
         expected = absa.flat + absb.flat
         accumulate(absa, absb, 1.0)
         assert np.array_equal(absa.flat, expected)
 
     def test_decay_halves_totals_when_nothing_new(self):
-        a = map_flat(np.abs, init_params(RandomStream(50), (3, 2)))
+        a = map_flat(np.abs, init_params(stream(50), (3, 2)))
         zero = a.zeros_like()
         expected = 0.5 * a.flat
         accumulate(a, zero, 0.5)
@@ -191,7 +191,7 @@ class TestAccumulate:
 
     def test_three_tasks_sum(self):
         maps = [
-            map_flat(np.abs, init_params(RandomStream(s), (3, 2))) for s in (51, 52, 53)
+            map_flat(np.abs, init_params(stream(s), (3, 2))) for s in (51, 52, 53)
         ]
         expected = maps[0].flat + maps[1].flat + maps[2].flat
         total = maps[0].copy()
@@ -202,8 +202,8 @@ class TestAccumulate:
     @pytest.mark.parametrize("gamma", [1.0, 0.9, 0.5, 0.0])
     def test_in_place_fold_is_the_expression_bit_for_bit(self, gamma):
         layer_sizes = (784, 300, 150, 10)
-        total = map_flat(np.abs, init_params(RandomStream(56), layer_sizes))
-        new = map_flat(np.abs, init_params(RandomStream(57), layer_sizes))
+        total = map_flat(np.abs, init_params(stream(56), layer_sizes))
+        new = map_flat(np.abs, init_params(stream(57), layer_sizes))
         expected = gamma * total.flat + new.flat
         buffer = total.flat
         accumulate(total, new, gamma)
@@ -213,8 +213,8 @@ class TestAccumulate:
 
 class TestEwcPenalty:
     def test_zero_at_anchor(self):
-        params = init_params(RandomStream(56), (4, 3))
-        omega = map_flat(np.abs, init_params(RandomStream(57), (4, 3)))
+        params = init_params(stream(56), (4, 3))
+        omega = map_flat(np.abs, init_params(stream(57), (4, 3)))
         value, grad = ewc_penalty(params, params.copy(), omega, 3.0)
         assert value == 0.0
         assert np.all(grad.flat == 0.0)
@@ -228,9 +228,9 @@ class TestEwcPenalty:
         assert abs(grad.weights[0][0, 0] - 3.0) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
-        params = init_params(RandomStream(58), (3, 3, 2), dtype=np.float64)
-        anchor = init_params(RandomStream(59), (3, 3, 2), dtype=np.float64)
-        omega = map_flat(np.abs, init_params(RandomStream(60), (3, 3, 2), dtype=np.float64))
+        params = init_params(stream(58), (3, 3, 2), dtype=np.float64)
+        anchor = init_params(stream(59), (3, 3, 2), dtype=np.float64)
+        omega = map_flat(np.abs, init_params(stream(60), (3, 3, 2), dtype=np.float64))
         lam = 1.7
         _, grad = ewc_penalty(params, anchor, omega, lam)
         numeric = finite_difference_grads(
@@ -239,9 +239,9 @@ class TestEwcPenalty:
         assert np.max(np.abs(numeric.flat - grad.flat)) < 1e-8
 
     def test_translation_invariance(self):
-        params = init_params(RandomStream(61), (3, 2), dtype=np.float64)
-        anchor_values = init_params(RandomStream(62), (3, 2), dtype=np.float64)
-        omega = map_flat(np.abs, init_params(RandomStream(63), (3, 2), dtype=np.float64))
+        params = init_params(stream(61), (3, 2), dtype=np.float64)
+        anchor_values = init_params(stream(62), (3, 2), dtype=np.float64)
+        omega = map_flat(np.abs, init_params(stream(63), (3, 2), dtype=np.float64))
         base, _ = ewc_penalty(params, anchor_values, omega, 2.0)
         shifted, _ = ewc_penalty(
             map_flat(lambda p: p + 7.25, params),
@@ -268,17 +268,17 @@ class TestEwcPenalty:
 class TestMultiAnchor:
     def setup_instance(self, seed, k):
         sizes = (3, 3, 2)
-        params = init_params(RandomStream(seed), sizes)
-        anchors = [init_params(RandomStream(seed + i + 1), sizes) for i in range(k)]
+        params = init_params(stream(seed), sizes)
+        anchors = [init_params(stream(seed + i + 1), sizes) for i in range(k)]
         omegas = [
-            map_flat(np.abs, init_params(RandomStream(seed + 100 + i), sizes))
+            map_flat(np.abs, init_params(stream(seed + 100 + i), sizes))
             for i in range(k)
         ]
         lams = [0.5 + 0.25 * i for i in range(k)]
         return params, anchors, omegas, lams
 
     def test_empty_list_is_zero_penalty(self):
-        params = init_params(RandomStream(64), (3, 2))
+        params = init_params(stream(64), (3, 2))
         value, grad = ewc_penalty_multi_anchor(params, [], [], [])
         assert value == 0.0
         assert np.all(grad.flat == 0.0)
@@ -320,13 +320,13 @@ class TestEwcHookBlocks:
         # reuses the hook's scratch block.
         layer_sizes = (2 * ADAM_BLOCK + 16, 1)  # (n_in + 1) * n_out entries
         size = param_count(layer_sizes)
-        stream = RandomStream(180)
+        rng = stream(180)
 
         def vector():
-            return MlpParams.from_flat(stream.standard_normal(size), layer_sizes)
+            return MlpParams.from_flat(rng.standard_normal(size), layer_sizes)
 
         anchor, task_grad = vector(), vector()
-        lam_weight = np.abs(stream.standard_normal(size)) * 10.0 ** stream.uniform(-6, 3, size)
+        lam_weight = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-6, 3, size)
         hook = continual._make_ewc_hook(anchor, lam_weight, threshold)
         for _ in range(2):
             params = vector()
@@ -364,21 +364,21 @@ class TestClipSeparately:
     """clip_separately rescales both gradients in place and sums into the first."""
 
     def test_small_gradients_pass_through_as_sum(self):
-        a = init_params(RandomStream(69), (3, 2))
-        b = init_params(RandomStream(70), (3, 2))
+        a = init_params(stream(69), (3, 2))
+        b = init_params(stream(70), (3, 2))
         expected, b_before = a.flat + b.flat, b.flat.copy()
         clip_separately(a, b, threshold=1e6)
         assert np.array_equal(a.flat, expected)
         assert np.array_equal(b.flat, b_before)
 
     def test_zero_penalty_leaves_clipped_task_gradient(self):
-        a = init_params(RandomStream(71), (3, 2), dtype=np.float64)
+        a = init_params(stream(71), (3, 2), dtype=np.float64)
         zero = a.zeros_like()
         clip_separately(a, zero, threshold=0.1)
         assert abs(global_norm(a) - 0.1) < 1e-12
 
     def test_both_rescaled_to_unit_norm(self):
-        rs = RandomStream(72)
+        rs = stream(72)
         task = MlpParams(weights=[rs.standard_normal((3, 3))], biases=[rs.standard_normal(3)])
         task = map_flat(lambda g: g * (10.0 / global_norm(task)), task)
         penalty = MlpParams(weights=[rs.standard_normal((3, 3))], biases=[rs.standard_normal(3)])
@@ -437,9 +437,9 @@ class TestWvaFactor:
 
 class TestWvaHook:
     def test_zero_importance_hook_is_identity(self):
-        params = init_params(RandomStream(74), (3, 2))
+        params = init_params(stream(74), (3, 2))
         omega = params.zeros_like()
-        g = init_params(RandomStream(75), (3, 2))
+        g = init_params(stream(75), (3, 2))
         for kind in ("hyperbolic", "exponential"):
             hook = make_wva_hook(omega, 5.0, kind, "gradient")
             assert np.array_equal(transformed(hook.pre_optimizer, g, params).flat, g.flat)
@@ -447,9 +447,9 @@ class TestWvaHook:
     def test_zero_lambda_returns_bare_hook(self):
         # lam == 0 with any importance: every factor is 1, so Adam under the
         # hook follows the trajectory of a bare StepHook bit for bit.
-        omega = map_flat(np.abs, init_params(RandomStream(76), (3, 2)))
-        start = init_params(RandomStream(74), (3, 2))
-        grads = [init_params(RandomStream(seed), (3, 2)) for seed in (75, 81, 82)]
+        omega = map_flat(np.abs, init_params(stream(76), (3, 2)))
+        start = init_params(stream(74), (3, 2))
+        grads = [init_params(stream(seed), (3, 2)) for seed in (75, 81, 82)]
         bare, bare_state = start.copy(), adam()
         for g in grads:
             apply(bare, g.copy(), bare_state, StepHook())
@@ -462,23 +462,23 @@ class TestWvaHook:
                 assert np.array_equal(p.flat, bare.flat)
 
     def test_target_selects_hook_side(self):
-        omega = map_flat(np.abs, init_params(RandomStream(77), (3, 2)))
+        omega = map_flat(np.abs, init_params(stream(77), (3, 2)))
         grad_side = make_wva_hook(omega, 1.0, "hyperbolic", "gradient")
         step_side = make_wva_hook(omega, 1.0, "hyperbolic", "step")
         assert grad_side.pre_optimizer is not None and grad_side.post_optimizer is None
         assert step_side.post_optimizer is not None and step_side.pre_optimizer is None
 
     def test_sgd_trajectories_identical_for_both_targets(self):
-        omega = map_flat(np.abs, init_params(RandomStream(78), (4, 3, 2)))
+        omega = map_flat(np.abs, init_params(stream(78), (4, 3, 2)))
         pre = make_wva_hook(omega, 2.5, "exponential", "gradient")
         post = make_wva_hook(omega, 2.5, "exponential", "step")
-        p_pre = init_params(RandomStream(79), (4, 3, 2))
+        p_pre = init_params(stream(79), (4, 3, 2))
         p_post = p_pre.copy()
-        stream = RandomStream(80)
+        rng = stream(80)
         for _ in range(50):
             grads = MlpParams(
-                weights=[stream.standard_normal(w.shape).astype(w.dtype) for w in p_pre.weights],
-                biases=[stream.standard_normal(b.shape).astype(b.dtype) for b in p_pre.biases],
+                weights=[rng.standard_normal(w.shape).astype(w.dtype) for w in p_pre.weights],
+                biases=[rng.standard_normal(b.shape).astype(b.dtype) for b in p_pre.biases],
             )
             apply(p_pre, grads.copy(), sgd(), pre)
             apply(p_post, grads, sgd(), post)
@@ -657,7 +657,7 @@ class TestStrategies:
         strategy.finish_task(params, task)
         hook = strategy.hook
         omega = estimate_total_abs_signal(params, task)
-        step = init_params(RandomStream(88), params.layer_sizes, dtype=np.float64)
+        step = init_params(stream(88), params.layer_sizes, dtype=np.float64)
         expected = step.flat / (2.0 * omega.flat + 1.0)
         scaled = transformed(hook.post_optimizer, step, params)
         assert np.max(np.abs(scaled.flat - expected)) < 1e-15
@@ -667,9 +667,9 @@ class TestStrategies:
         strategy = Strategy(config, 0.2)
         anchor_params, task = random_setup(91)
         strategy.finish_task(anchor_params, task)
-        current = init_params(RandomStream(92), anchor_params.layer_sizes)
+        current = init_params(stream(92), anchor_params.layer_sizes)
         hook = strategy.hook
-        task_grad = init_params(RandomStream(93), anchor_params.layer_sizes)
+        task_grad = init_params(stream(93), anchor_params.layer_sizes)
         omega = estimate_fisher(anchor_params, task)
         _, penalty_grad = ewc_penalty(current, anchor_params, omega, 3.0)
         expected = task_grad.flat + penalty_grad.flat
@@ -686,7 +686,7 @@ class TestStrategies:
         strategy.finish_task(anchor, task)
         hook = strategy.hook
         zero = anchor.zeros_like()
-        p1 = init_params(RandomStream(171), anchor.layer_sizes)
+        p1 = init_params(stream(171), anchor.layer_sizes)
         p2 = anchor.copy()
         pull_1 = transformed(hook.pre_optimizer, zero, p1).flat
         pull_2 = transformed(hook.pre_optimizer, zero, p2).flat
@@ -711,7 +711,7 @@ class TestStrategies:
         strategy = Strategy(config, alpha)
         params, task = random_setup(95)
         strategy.finish_task(params, task)
-        current = init_params(RandomStream(96), params.layer_sizes)
+        current = init_params(stream(96), params.layer_sizes)
         hook = strategy.hook
         zero = params.zeros_like()
         penalty_only = transformed(hook.pre_optimizer, zero, current).flat
@@ -733,8 +733,8 @@ class TestStrategies:
 
     def test_multi_anchor_matches_consolidated_after_one_task(self):
         params, task = random_setup(99)
-        current = init_params(RandomStream(100), params.layer_sizes)
-        task_grad = init_params(RandomStream(101), params.layer_sizes)
+        current = init_params(stream(100), params.layer_sizes)
+        task_grad = init_params(stream(101), params.layer_sizes)
         outputs = {}
         for kind in ("ewc", "ewc_multi_anchor"):
             strategy = Strategy(StrategyConfig(kind=kind, lam=2.0), 0.2)
@@ -762,7 +762,7 @@ class TestStrategies:
                 )
             anchors.append(params.copy())
             omegas.append(omega)
-        current = init_params(RandomStream(140), anchors[0].layer_sizes, dtype=np.float64)
+        current = init_params(stream(140), anchors[0].layer_sizes, dtype=np.float64)
         zero = current.zeros_like()
         pull = transformed(strategy.hook.pre_optimizer, zero, current).flat
         _, expected = ewc_penalty_multi_anchor(current, anchors, omegas, [lam] * 4)
@@ -814,11 +814,11 @@ class TestStrategies:
             params, task = random_setup(190 + task_id)
             strategy.finish_task(params, make_task(task.train_images, task.train_labels, task_id))
         rebuilt = continual._make_hook(config, 0.5, strategy.omega_total, strategy.anchor)
-        start, finals = init_params(RandomStream(195), params.layer_sizes), []
+        start, finals = init_params(stream(195), params.layer_sizes), []
         for hook in (strategy.hook, rebuilt):
             current, optimizer = start.copy(), adam()
             for seed in (196, 197):
-                apply(current, init_params(RandomStream(seed), params.layer_sizes), optimizer, hook)
+                apply(current, init_params(stream(seed), params.layer_sizes), optimizer, hook)
             finals.append(current.flat)
         assert not np.array_equal(finals[0], start.flat)
         assert same_bits(finals[0], finals[1])
@@ -906,7 +906,7 @@ class TestBufferAliasing:
         return strategy
 
     def gradients(self, seed):
-        flat = RandomStream(seed).standard_normal(param_count(self.SIZES))
+        flat = stream(seed).standard_normal(param_count(self.SIZES))
         return MlpParams.from_flat(flat.astype(RUN_DTYPE), self.SIZES)
 
     @pytest.mark.parametrize("kind", ["wva-step", "wva-gradient", "ewc", "ewc-multi-anchor"])
@@ -914,7 +914,7 @@ class TestBufferAliasing:
         # The containers stay: apply rebinds neither vector. It writes the
         # step into grads' vector and adds it into params' own vector.
         strategy = self.hooked_strategy(kind)
-        params = init_params(RandomStream(112), self.SIZES)
+        params = init_params(stream(112), self.SIZES)
         grads = self.gradients(113)
         start, flats = params.copy(), (params.flat, grads.flat)
         assert apply(params, grads, adam(), strategy.hook) is None
@@ -930,7 +930,7 @@ class TestBufferAliasing:
         # on fresh copies do, though both go through one gradient buffer.
         strategy = self.hooked_strategy(kind)
         in_place, copied = adam(), adam()
-        params = init_params(RandomStream(114), self.SIZES)
+        params = init_params(stream(114), self.SIZES)
         reference = params.copy()
         buffer = params.zeros_like()
         results = []

@@ -27,7 +27,7 @@ from forgetlab.data import (
 )
 from forgetlab.harness import ExperimentConfig
 from forgetlab.model import init_params
-from forgetlab.numerics import RUN_DTYPE, RandomStream, ShapeError
+from forgetlab.numerics import RUN_DTYPE, ShapeError, stream
 from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
@@ -69,7 +69,7 @@ BAD_HEADER_SIZES = pytest.mark.parametrize(
 
 def level_pair(tmp_path, n):
     """An IDX pair of ``n`` random-level 28x28 images and their labels; returns both paths."""
-    rs = RandomStream(12)
+    rs = stream(12)
     img_path, lab_path = tmp_path / "images", tmp_path / "labels"
     payload = rs.uniform(0, 256, n * 784).astype(np.uint8).tobytes()
     img_path.write_bytes(idx_bytes(IMAGE_MAGIC, [n, 28, 28], payload))
@@ -125,7 +125,7 @@ class TestLoadIdx:
         # float64 copy is made. Scaling the whole split first holds its
         # float64 copy (12.5 MB here) on the way to the picked rows.
         img_path, lab_path = write_pair(tmp_path, n=2000, rows=28, cols=28)
-        picks = RandomStream(5).choice(2000, 200)
+        picks = stream(5).choice(2000, 200, replace=False)
         peak, (images, labels) = traced_peak(load_idx, img_path, lab_path, lambda n: picks)
         assert images.shape == (200, 784) and images.dtype == np.uint8
         assert peak < 2000 * 784 * 8 / 4
@@ -136,17 +136,17 @@ class TestLoadIdx:
         # loader ran on float64 copies before it returned levels, so the
         # rows a task gathers hold that value rounded once to the run dtype.
         img_path, lab_path = level_pair(tmp_path, 1000)
-        picks = None if n_picks is None else RandomStream(6).choice(1000, n_picks)
+        picks = None if n_picks is None else stream(6).choice(1000, n_picks, replace=False)
         images, labels = load_idx(img_path, lab_path, None if picks is None else lambda n: picks)
         task = TaskDataset(0, images, labels, images, labels, np.arange(784))
         old = scaled_then_picked(img_path, lab_path, picks).astype(RUN_DTYPE)
         assert same_bits(task.rows("train", slice(None)), old)
-        order = RandomStream(7).permutation(len(labels))
+        order = stream(7).permutation(len(labels))
         assert same_bits(task.rows("train", order), old[order])
 
     @pytest.mark.parametrize("n_picks", [0, 17, 60])
     def test_picked_train_rows_equal_the_subset_of_the_whole_split(self, tmp_path, n_picks):
-        rs = RandomStream(3)
+        rs = stream(3)
         for key, name in MNIST_FILE_NAMES.items():
             n = 60 if key.startswith("train") else 9
             if "images" in key:
@@ -155,7 +155,7 @@ class TestLoadIdx:
             else:
                 blob = idx_bytes(LABEL_MAGIC, [n], bytes(int(v) for v in rs.uniform(0, 10, n)))
             (tmp_path / name).write_bytes(blob)
-        picks = RandomStream(4).choice(60, n_picks)
+        picks = stream(4).choice(60, n_picks, replace=False)
         seen = []
         (train_images, train_labels), test = load_mnist(
             str(tmp_path), lambda n: seen.append(n) or picks
@@ -382,7 +382,7 @@ def levels(rs, shape):
 
 
 def tiny_task(width=4, n=6):
-    rs = RandomStream(100)
+    rs = stream(100)
     images = levels(rs, (n, width))
     labels = np.arange(n, dtype=np.int64) % 3
     return TaskDataset(
@@ -396,44 +396,7 @@ def tiny_task(width=4, n=6):
 
 
 class TestTaskDataset:
-    # A base holds uint8 levels, which map into [0, 1], so a float base,
-    # whose pixels could fall outside it, is rejected. make_permuted_tasks
-    # checks every split fact once per base; a task checks its permutation.
-    def test_rejects_pixels_outside_unit_interval(self):
-        for pixel in (1.5, 300):
-            with pytest.raises(ShapeError, match="^train_images must be a 2-D uint8 matrix"):
-                make_permuted_tasks(
-                    (np.array([[pixel]]), np.array([0])),
-                    (np.array([[7]], dtype=np.uint8), np.array([0])),
-                    2, seed=1, expected_width=1,
-                )
-
-    def test_rejects_labels_above_nine(self):
-        with pytest.raises(ValueError, match="outside 0..9"):
-            make_permuted_tasks(
-                (np.array([[128]], dtype=np.uint8), np.array([12])),
-                (np.array([[128]], dtype=np.uint8), np.array([0])),
-                2, seed=1, expected_width=1,
-            )
-
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(ShapeError, match="^train: 2 images vs 1 labels$"):
-            make_permuted_tasks(
-                (np.zeros((2, 1), dtype=np.uint8), np.array([0])),
-                (np.zeros((1, 1), dtype=np.uint8), np.array([0])),
-                2, seed=1, expected_width=1,
-            )
-
-    @pytest.mark.parametrize("empty", ["train", "test"])
-    def test_rejects_empty_split(self, empty):
-        rows = {"train": 1, "test": 1, empty: 0}
-        with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
-            make_permuted_tasks(
-                (np.zeros((rows["train"], 2), dtype=np.uint8), np.zeros(rows["train"], np.int64)),
-                (np.zeros((rows["test"], 2), dtype=np.uint8), np.zeros(rows["test"], np.int64)),
-                2, seed=1, expected_width=2,
-            )
-
+    # a task checks its permutation; the base's facts are TestSharedBase's
     def test_header_only_test_pair_fails_before_training(self, tmp_path, monkeypatch):
         for key, name in MNIST_FILE_NAMES.items():
             n = 3 if key.startswith("train") else 0
@@ -485,7 +448,7 @@ class TestSynthetic:
     def test_levels_round_to_nearest(self):
         # spread 1e-9 leaves each sample within 1e-8 of its center, so its
         # level is the center's rounded level
-        centers = RandomStream(3).child(numerics.SYNTH_STREAM_ID).uniform(0.2, 0.8, (2, 5))
+        centers = stream(3, numerics.SYNTH_STREAM_ID).uniform(0.2, 0.8, (2, 5))
         (train_images, train_labels), _ = synth_dataset(2, 5, 10, 1e-9, seed=3)
         assert np.array_equal(train_images, np.rint(255 * centers[train_labels]))
 
@@ -521,7 +484,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("n_picks", [1, 700, 3000], ids=["one", "some", "all-shuffled"])
     def test_picked_rows_match_the_subset_of_one_draw(self, n_picks):
         seen = []
-        picks = RandomStream(9).choice(3000, n_picks)
+        picks = stream(9).choice(3000, n_picks, replace=False)
         (images, labels), test = synth_dataset(
             3, 6, 1250, 0.9, seed=8, pick_rows=lambda n: seen.append(n) or picks
         )
@@ -544,7 +507,7 @@ class TestSynthetic:
 
 class TestPermutedTasks:
     def base(self, n=10, width=6):
-        rs = RandomStream(55)
+        rs = stream(55)
         return (
             (levels(rs, (n, width)), np.arange(n, dtype=np.int64) % 10),
             (levels(rs, (4, width)), np.arange(4, dtype=np.int64)),
@@ -585,7 +548,7 @@ class TestPermutedTasks:
 
 
 def gather_base(n=1100, width=20, n_test=300):
-    rs = RandomStream(71)
+    rs = stream(71)
     return (
         (levels(rs, (n, width)), np.arange(n, dtype=np.int64) % 10),
         (levels(rs, (n_test, width)), np.arange(n_test, dtype=np.int64) % 10),
@@ -605,6 +568,54 @@ def materialized(task):
 
 
 class TestSharedBase:
+    # A base holds uint8 levels, which map into [0, 1], so a float base,
+    # whose pixels could fall outside it, is rejected. make_permuted_tasks
+    # checks every split fact once per base, through _shared_base.
+    def test_rejects_pixels_outside_unit_interval(self):
+        for pixel in (1.5, 300):
+            with pytest.raises(ShapeError, match="^train_images must be a 2-D uint8 matrix"):
+                make_permuted_tasks(
+                    (np.array([[pixel]]), np.array([0])),
+                    (np.array([[7]], dtype=np.uint8), np.array([0])),
+                    2, seed=1, expected_width=1,
+                )
+
+    def test_rejects_labels_above_nine(self):
+        with pytest.raises(ValueError, match="outside 0..9"):
+            make_permuted_tasks(
+                (np.array([[128]], dtype=np.uint8), np.array([12])),
+                (np.array([[128]], dtype=np.uint8), np.array([0])),
+                2, seed=1, expected_width=1,
+            )
+
+    def test_rejects_count_mismatch(self):
+        with pytest.raises(ShapeError, match="^train: 2 images vs 1 labels$"):
+            make_permuted_tasks(
+                (np.zeros((2, 1), dtype=np.uint8), np.array([0])),
+                (np.zeros((1, 1), dtype=np.uint8), np.array([0])),
+                2, seed=1, expected_width=1,
+            )
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_rejects_empty_split(self, empty):
+        rows = {"train": 1, "test": 1, empty: 0}
+        with pytest.raises(ValueError, match=f"^{empty} split is empty$"):
+            make_permuted_tasks(
+                (np.zeros((rows["train"], 2), dtype=np.uint8), np.zeros(rows["train"], np.int64)),
+                (np.zeros((rows["test"], 2), dtype=np.uint8), np.zeros(rows["test"], np.int64)),
+                2, seed=1, expected_width=2,
+            )
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_rejects_float_labels(self, split):
+        # whole-number floats in 0..9 would pass the range check and then
+        # fail as indices in the model
+        whole = (np.zeros((4, 1), dtype=np.uint8), np.arange(4))
+        floats = (np.zeros((4, 1), dtype=np.uint8), np.array([0.0, 1.0, 2.0, 3.0]))
+        splits = (floats, whole) if split == "train" else (whole, floats)
+        with pytest.raises(ShapeError, match=f"^{split}_labels must be integers, got float64$"):
+            make_permuted_tasks(*splits, 2, seed=1, expected_width=1)
+
     def test_tasks_share_one_base(self):
         train, test = gather_base()
         tasks = make_permuted_tasks(train, test, 4, seed=5, expected_width=20)
@@ -628,7 +639,7 @@ class TestSharedBase:
         train, test = gather_base()
         task = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)[1]
         arrays = [task.rows("train", slice(0, 10)), task.rows("test", np.array([3, 1]))]
-        arrays += [a for batch in batches(task, 256, RandomStream(2)) for a in batch]
+        arrays += [a for batch in batches(task, 256, stream(2)) for a in batch]
         for array in arrays:
             assert array.flags.writeable
             assert not np.shares_memory(array, task.train_images)
@@ -644,7 +655,7 @@ class TestGatherEquivalence:
         return make_permuted_tasks(train, test, 3, seed=8, expected_width=20)[1:]
 
     def test_train_rows(self):
-        idx = RandomStream(3).permutation(1100)[:100]
+        idx = stream(3).permutation(1100)[:100]
         for task in self.tasks():
             rows = task.rows("train", idx)
             assert rows.flags.c_contiguous
@@ -653,7 +664,7 @@ class TestGatherEquivalence:
 
     def test_rows_spanning_several_gather_blocks(self):
         # all 1,100 rows in a scattered order, more than two chunks' worth
-        idx = RandomStream(5).permutation(1100)
+        idx = stream(5).permutation(1100)
         assert 2 * CHUNK_ROWS < 1100 < 3 * CHUNK_ROWS
         for task in self.tasks():
             rows = task.rows("train", idx)
@@ -662,7 +673,7 @@ class TestGatherEquivalence:
             assert rows.tobytes() == expected.tobytes()
 
     def test_test_rows(self):
-        picks = RandomStream(4).choice(300, 120)
+        picks = stream(4).choice(300, 120, replace=False)
         for task in self.tasks():
             rows = task.rows("test", picks)
             assert rows.flags.c_contiguous
@@ -683,7 +694,7 @@ class TestGatherEquivalence:
     def test_rows_are_scaled_levels_permuted(self, kind):
         # one rounding per pixel, to the run dtype, whatever the order of
         # the permute and the scale
-        rows = slice(100, 700) if kind == "slice" else RandomStream(8).choice(1100, 600)
+        rows = slice(100, 700) if kind == "slice" else stream(8).choice(1100, 600, replace=False)
         train, _ = gather_base()
         for task in self.tasks():
             expected = pixels(train[0][rows])[:, task.permutation]
@@ -696,7 +707,7 @@ class TestGatherEquivalence:
         # about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
         task = make_permuted_tasks(train, test, 2, seed=8, expected_width=784)[1]
-        picks = RandomStream(4).choice(3000, 2000)
+        picks = stream(4).choice(3000, 2000, replace=False)
         peak, rows = traced_peak(task.rows, "test", picks)
         assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * rows.itemsize
         assert peak < 1.5 * rows.nbytes
@@ -704,7 +715,7 @@ class TestGatherEquivalence:
     @pytest.mark.parametrize("split, n_picks", [("train", None), ("test", None), ("test", 150)])
     def test_chunks_walk_the_split_in_order(self, monkeypatch, split, n_picks):
         monkeypatch.setattr(data, "CHUNK_ROWS", 64)  # several chunks of the 300 test rows too
-        picks = None if n_picks is None else RandomStream(4).choice(300, n_picks)
+        picks = None if n_picks is None else stream(4).choice(300, n_picks, replace=False)
         for task in self.tasks():
             chunks = list(task.chunks(split, picks))
             sizes = [len(rows) for rows in chunks]
@@ -719,8 +730,8 @@ class TestGatherEquivalence:
     def test_one_epoch_of_batches(self):
         for task in self.tasks():
             old = materialized(task)
-            new_epoch = batches(task, 100, RandomStream(6))
-            old_epoch = batches(old, 100, RandomStream(6))
+            new_epoch = batches(task, 100, stream(6))
+            old_epoch = batches(old, 100, stream(6))
             count = 0
             for (x, y), (old_x, old_y) in zip(new_epoch, old_epoch, strict=True):
                 assert x.flags.c_contiguous
@@ -731,7 +742,7 @@ class TestGatherEquivalence:
 
     @pytest.mark.parametrize("estimate", [estimate_fisher, estimate_total_abs_signal])
     def test_estimators(self, estimate):
-        params = init_params(RandomStream(9), (20, 16, 10))
+        params = init_params(stream(9), (20, 16, 10))
         for task in self.tasks():
             new = estimate(params, task)
             assert new.flat.tobytes() == estimate(params, materialized(task)).flat.tobytes()
@@ -740,7 +751,7 @@ class TestGatherEquivalence:
 class TestBatches:
     def test_epoch_covers_every_row_once(self):
         ds = tiny_task(n=7)
-        seen = np.concatenate([b[0] for b in batches(ds, 3, RandomStream(1))])
+        seen = np.concatenate([b[0] for b in batches(ds, 3, stream(1))])
         assert seen.shape == ds.train_images.shape
         assert np.array_equal(
             np.sort(seen, axis=0), np.sort(ds.rows("train", slice(None)), axis=0)
@@ -748,25 +759,25 @@ class TestBatches:
 
     def test_final_short_batch_kept(self):
         ds = tiny_task(n=7)
-        sizes = [len(b[1]) for b in batches(ds, 3, RandomStream(1))]
+        sizes = [len(b[1]) for b in batches(ds, 3, stream(1))]
         assert sizes == [3, 3, 1]
 
     def test_same_stream_same_order(self):
         ds = tiny_task(n=8)
-        a = [b[1].tolist() for b in batches(ds, 4, RandomStream(2))]
-        b = [b[1].tolist() for b in batches(ds, 4, RandomStream(2))]
+        a = [b[1].tolist() for b in batches(ds, 4, stream(2))]
+        b = [b[1].tolist() for b in batches(ds, 4, stream(2))]
         assert a == b
 
     def test_consecutive_epochs_differ(self):
         ds = tiny_task(n=32)
-        stream = RandomStream(3)
-        first = np.concatenate([b[1] for b in batches(ds, 8, stream)])
-        second = np.concatenate([b[1] for b in batches(ds, 8, stream)])
+        rng = stream(3)
+        first = np.concatenate([b[1] for b in batches(ds, 8, rng)])
+        second = np.concatenate([b[1] for b in batches(ds, 8, rng)])
         assert not np.array_equal(first, second)
 
     def test_labels_follow_images(self):
         ds = tiny_task(n=6)
-        for images, labels in batches(ds, 2, RandomStream(4)):
+        for images, labels in batches(ds, 2, stream(4)):
             for row, lab in zip(images, labels):
                 src = np.flatnonzero((ds.rows("train", slice(None)) == row).all(axis=1))[0]
                 assert ds.train_labels[src] == lab

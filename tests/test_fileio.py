@@ -7,7 +7,7 @@ import pytest
 
 from forgetlab.fileio import atomic_write
 from forgetlab.model import init_params, load_params, save_params
-from forgetlab.numerics import RandomStream
+from forgetlab.numerics import stream
 
 
 class Interrupted(Exception):
@@ -44,7 +44,7 @@ def test_failure_on_a_new_path_leaves_no_file(tmp_path):
 
 def test_interrupted_checkpoint_keeps_the_previous_one(tmp_path, monkeypatch):
     path = str(tmp_path / "params.npz")
-    first = init_params(RandomStream(1), (4, 3, 2))
+    first = init_params(stream(1), (4, 3, 2))
     save_params(first, path)
 
     def savez_then_fail(fh, **arrays):
@@ -53,6 +53,6 @@ def test_interrupted_checkpoint_keeps_the_previous_one(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "savez", savez_then_fail)
     with pytest.raises(Interrupted):
-        save_params(init_params(RandomStream(2), (4, 3, 2)), path)
+        save_params(init_params(stream(2), (4, 3, 2)), path)
     assert np.array_equal(load_params(path).flat, first.flat)
     assert os.listdir(tmp_path) == ["params.npz"]

@@ -34,7 +34,7 @@ from forgetlab.model import (
     load_params,
     param_count,
 )
-from forgetlab.numerics import NonFiniteError, RandomStream
+from forgetlab.numerics import NonFiniteError, stream
 from forgetlab.optim import Optimizer, StepHook, apply
 from forgetlab.reports import emit_surface_csv
 from helpers import one_draw_synth_dataset, same_bits, traced_peak
@@ -140,7 +140,7 @@ class TestBuildTasks:
         config = tiny_config(train_subset=64)
         task = build_tasks(config)[0]
         (images, labels), _ = one_draw_synth_dataset(4, 12, 40, 0.2, seed=7)
-        picks = RandomStream(7).child(numerics.TRAIN_SUBSET_STREAM_ID).choice(len(labels), 64)
+        picks = stream(7, numerics.TRAIN_SUBSET_STREAM_ID).choice(len(labels), 64, replace=False)
         assert same_bits(task.train_images, images[picks])
         assert np.array_equal(task.train_labels, labels[picks])
 
@@ -208,12 +208,12 @@ class TestRunSequence:
         # split in one pass grows this peak by about 80 MB from 1,024 to
         # 8,192 rows, and keeping one chunk's rows and trace while the
         # next is made adds about 1.6 chunks' bytes to the one-chunk peak.
-        params = init_params(RandomStream(30), DEFAULT_LAYER_SIZES)
-        stream = RandomStream(31)
+        params = init_params(stream(30), DEFAULT_LAYER_SIZES)
+        rng = stream(31)
 
         def peak(n_test):
-            train = (stream.uniform(0, 256, (10, 784)).astype(np.uint8), np.arange(10))
-            test = (stream.uniform(0, 256, (n_test, 784)).astype(np.uint8), np.arange(n_test) % 10)
+            train = (rng.uniform(0, 256, (10, 784)).astype(np.uint8), np.arange(10))
+            test = (rng.uniform(0, 256, (n_test, 784)).astype(np.uint8), np.arange(n_test) % 10)
             task = make_permuted_tasks(train, test, 2, seed=32, expected_width=784)[1]
             chunks = task.chunks("test")
             return traced_peak(harness.accuracy, params, chunks, task.test_labels)[0]
@@ -230,11 +230,10 @@ class TestRunSequence:
         # Independent re-derivation of the same run from the stream registry;
         # each task starts a fresh optimizer.
         tasks = build_tasks(config)
-        root = RandomStream(config.seed)
-        params = init_params(root.child(0), config.architecture)
+        params = init_params(stream(config.seed, 0), config.architecture)
         for t, task in enumerate(tasks):
             optimizer = Optimizer(config.optimizer)
-            for xb, yb in batches(task, config.batch_size, root.child(3, t, 0)):
+            for xb, yb in batches(task, config.batch_size, stream(config.seed, 3, t, 0)):
                 grads = backward(params, forward(params, xb), yb)
                 apply(params, grads, optimizer, None)
         assert np.array_equal(result.params.flat, params.flat)

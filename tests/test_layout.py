@@ -1,8 +1,9 @@
 """Source-tree rules: every public definition in src/ has a caller in src/,
 each config choice set is read only by its field's metadata, only the
 owners of finiteness raise NonFiniteError and only the owners of shapes
-and dtypes ShapeError, the random-stream ids are defined once, and README
-names every setting."""
+and dtypes ShapeError, the random-stream ids are defined once, only
+``numerics.stream`` touches ``numpy.random``, and README names every
+setting."""
 
 import ast
 import re
@@ -104,30 +105,29 @@ NON_FINITE_OWNERS = {
 }
 
 
-def raisers(exception: str, src: Path = SRC) -> set:
-    """``(module, scope)`` of each ``raise <exception>`` in ``src``; the
-    scope is the dotted path of enclosing definitions, such as
-    ``Class.method``, or ``<module>`` outside any."""
-    found = set()
+def scoped_nodes(src: Path = SRC):
+    """``(module, scope, node)`` of every AST node in ``src``; the scope is
+    the dotted path of enclosing definitions, such as ``Class.method``, or
+    ``<module>`` outside any."""
 
-    class Raises(ast.NodeVisitor):
-        def __init__(self, module: str):
-            self.module, self.scope = module, []
-
-        def visit_scope(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-
-        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
-
-        def visit_Raise(self, node):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
-                found.add((self.module, ".".join(self.scope) or "<module>"))
+    def walk(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield module, ".".join(scope) or "<module>", child
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from walk(module, child, scope + [child.name] if named else scope)
 
     for path in sorted(src.glob("*.py")):
-        Raises(path.stem).visit(ast.parse(path.read_text()))
+        yield from walk(path.stem, ast.parse(path.read_text()), [])
+
+
+def raisers(exception: str, src: Path = SRC) -> set:
+    """``(module, scope)`` of each ``raise <exception>`` in ``src``."""
+    found = set()
+    for module, scope, node in scoped_nodes(src):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == exception:
+                found.add((module, scope))
     return found
 
 
@@ -169,6 +169,53 @@ def test_stream_ids_are_registered_once_in_numerics():
     assert {module for module, _, _ in found} == {"numerics"}
     values = [value for _, _, value in found]
     assert len(set(values)) == len(values)
+
+
+def numpy_random_users(src: Path = SRC) -> set:
+    """``(module, scope)`` of each use of ``numpy.random`` in ``src`` outside a
+    type annotation: the attribute ``np.random`` or ``numpy.random``, or an
+    import of the module or of a name in it."""
+    nodes = list(scoped_nodes(src))
+    in_annotation = {
+        id(inner)
+        for _, _, node in nodes
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+        for inner in ast.walk(annotation)
+    }
+    found = set()
+    for module, scope, node in nodes:
+        if isinstance(node, ast.Attribute):
+            names = [f"{getattr(node.value, 'id', None)}.{node.attr}"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if id(node) not in in_annotation and any(
+            re.fullmatch(r"(np|numpy)\.random(\..*)?", name) for name in names
+        ):
+            found.add((module, scope))
+    return found
+
+
+def test_only_numerics_stream_uses_numpy_random():
+    # every draw descends from a run's seed through one keyed generator
+    assert numpy_random_users() == {("numerics", "stream")}
+
+
+def test_numpy_random_rule_sees_calls_and_imports_but_not_annotations(tmp_path):
+    (tmp_path / "draws.py").write_text(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+        "    return rng\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return np.random.default_rng(0)\n"
+    )
+    assert numpy_random_users(tmp_path) == {("draws", "<module>"), ("draws", "C.g")}
 
 
 def undocumented_settings(readme: str) -> list:

@@ -23,7 +23,7 @@ from forgetlab.model import (
     save_params,
     softmax,
 )
-from forgetlab.numerics import RUN_DTYPE, NonFiniteError, RandomStream, ShapeError
+from forgetlab.numerics import RUN_DTYPE, NonFiniteError, ShapeError, stream
 
 from helpers import same_bits, traced_peak
 
@@ -40,25 +40,25 @@ def zero_net(layer_sizes):
 
 class TestInit:
     def test_default_shapes(self):
-        params = init_params(RandomStream(0))
+        params = init_params(stream(0))
         assert [w.shape for w in params.weights] == [(300, 784), (150, 300), (10, 150)]
         assert [b.shape for b in params.biases] == [(300,), (150,), (10,)]
         assert params.layer_sizes == DEFAULT_LAYER_SIZES
 
     def test_biases_exactly_zero(self):
-        params = init_params(RandomStream(1))
+        params = init_params(stream(1))
         for b in params.biases:
             assert np.all(b == 0.0)
 
     def test_weight_bounds(self):
-        params = init_params(RandomStream(2))
+        params = init_params(stream(2))
         for w, fan_in in zip(params.weights, DEFAULT_LAYER_SIZES):
             limit = math.sqrt(6.0 / fan_in)
             assert np.abs(w).max() < limit
 
     def test_deterministic_in_stream(self):
-        a = init_params(RandomStream(3), (5, 4, 3))
-        b = init_params(RandomStream(3), (5, 4, 3))
+        a = init_params(stream(3), (5, 4, 3))
+        b = init_params(stream(3), (5, 4, 3))
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
@@ -77,16 +77,16 @@ class TestForward:
         assert np.allclose(trace.probabilities, 0.1, atol=1e-15)
 
     def test_rows_sum_to_one(self):
-        params = init_params(RandomStream(4), (6, 5, 4), dtype=np.float64)
-        trace = forward(params, RandomStream(5).uniform(0, 1, (7, 6)))
+        params = init_params(stream(4), (6, 5, 4), dtype=np.float64)
+        trace = forward(params, stream(5).uniform(0, 1, (7, 6)))
         assert np.all(np.abs(trace.probabilities.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(trace.probabilities > 0.0)
         assert np.all(trace.probabilities < 1.0)
 
     def test_batch_of_another_dtype_fails_in_matmul(self):
         # forward converts no batch, so a stray dtype is named, not narrowed
-        params = init_params(RandomStream(4), (6, 5, 4))
-        batch = RandomStream(5).uniform(0, 1, (7, 6))
+        params = init_params(stream(4), (6, 5, 4))
+        batch = stream(5).uniform(0, 1, (7, 6))
         with pytest.raises(ShapeError, match="differ in dtype: float64 vs float32$"):
             forward(params, batch)
 
@@ -113,7 +113,7 @@ class TestForward:
         assert abs(trace.probabilities[0, 1] - expected[1]) < 1e-12
 
     def test_softmax_shift_invariance(self):
-        logits = RandomStream(6).uniform(-5, 5, (8, 10))
+        logits = stream(6).uniform(-5, 5, (8, 10))
         shifted = softmax(logits + 123.456)
         assert np.max(np.abs(shifted - softmax(logits))) < 1e-12
 
@@ -124,7 +124,7 @@ class TestForward:
         assert abs(p[0, 0] - 1.0) < 1e-12
 
     def test_wrong_width_raises(self):
-        params = init_params(RandomStream(7), (4, 3, 2))
+        params = init_params(stream(7), (4, 3, 2))
         with pytest.raises(ShapeError):
             forward(params, np.zeros((2, 5)))
 
@@ -149,9 +149,8 @@ class TestForward:
         # Each hidden layer's leaky ReLU overwrites its affine output.
         # Keeping the pre-activations plus a where() temporary holds
         # about 2.3x the returned arrays at the peak.
-        stream = RandomStream(5)
-        params = init_params(stream.child(0), DEFAULT_LAYER_SIZES)
-        batch = stream.child(1).uniform(0.0, 1.0, (2000, 784)).astype(params.flat.dtype)
+        params = init_params(stream(5, 0), DEFAULT_LAYER_SIZES)
+        batch = stream(5, 1).uniform(0.0, 1.0, (2000, 784)).astype(params.flat.dtype)
         peak, trace = traced_peak(forward, params, batch)
         kept = trace.layer_inputs[1:] + [trace.logits, trace.probabilities]
         assert peak < 1.5 * sum(a.nbytes for a in kept)
@@ -163,7 +162,7 @@ class TestLeakyRelu:
     EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-322, 1e300, -1e300]
 
     def values(self):
-        return np.concatenate([RandomStream(8).standard_normal(1000), self.EDGES])
+        return np.concatenate([stream(8).standard_normal(1000), self.EDGES])
 
     def test_in_place_matches_where_form_bit_for_bit(self):
         z = self.values()
@@ -209,13 +208,13 @@ class TestCrossEntropy:
         assert cross_entropy(trace, np.zeros(3, dtype=int)) < 1e-12
 
     def test_loss_nonnegative(self):
-        params = init_params(RandomStream(8), (5, 4, 3))
-        trace = forward(params, RandomStream(9).uniform(0, 1, (10, 5)).astype(RUN_DTYPE))
+        params = init_params(stream(8), (5, 4, 3))
+        trace = forward(params, stream(9).uniform(0, 1, (10, 5)).astype(RUN_DTYPE))
         assert cross_entropy(trace, np.arange(10) % 3) >= 0.0
 
     def test_sum_form_additive_over_disjoint_batches(self):
-        params = init_params(RandomStream(10), (6, 4, 3), dtype=np.float64)
-        rs = RandomStream(11)
+        params = init_params(stream(10), (6, 4, 3), dtype=np.float64)
+        rs = stream(11)
         xa, xb = rs.uniform(0, 1, (4, 6)), rs.uniform(0, 1, (5, 6))
         ya, yb = np.arange(4) % 3, np.arange(5) % 3
         loss_a = cross_entropy(forward(params, xa), ya)
@@ -228,8 +227,8 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_output_bias_gradient_is_mean_error(self):
-        params = init_params(RandomStream(12), (5, 4, 3))
-        x = RandomStream(13).uniform(0, 1, (6, 5)).astype(RUN_DTYPE)
+        params = init_params(stream(12), (5, 4, 3))
+        x = stream(13).uniform(0, 1, (6, 5)).astype(RUN_DTYPE)
         labels = np.arange(6) % 3
         trace = forward(params, x)
         grads = backward(params, trace, labels)
@@ -239,15 +238,15 @@ class TestBackward:
         assert np.allclose(grads.biases[-1], expected, atol=1e-15)
 
     def test_zero_inputs_zero_first_layer_weight_grads(self):
-        params = init_params(RandomStream(14), (4, 3, 2))
+        params = init_params(stream(14), (4, 3, 2))
         trace = forward(params, np.zeros((5, 4), dtype=RUN_DTYPE))
         grads = backward(params, trace, np.zeros(5, dtype=int))
         assert np.all(grads.weights[0] == 0.0)
         assert np.any(grads.biases[0] != 0.0)
 
     def test_matches_finite_differences_on_toy_net(self):
-        params = init_params(RandomStream(15), (3, 3, 2), dtype=np.float64)
-        x = RandomStream(16).uniform(0, 1, (4, 3))
+        params = init_params(stream(15), (3, 3, 2), dtype=np.float64)
+        x = stream(16).uniform(0, 1, (4, 3))
         labels = np.array([0, 1, 0, 1])
         assert max_relative_gradient_error(params, x, labels) < 1e-6
 
@@ -268,8 +267,8 @@ class TestAccuracy:
         assert accuracy(params, [x[:1], x[1:]], np.array([0, 0])) == 0.5
 
     def test_bounded(self):
-        params = init_params(RandomStream(18), (4, 3, 2))
-        x = RandomStream(19).uniform(0, 1, (9, 4)).astype(RUN_DTYPE)
+        params = init_params(stream(18), (4, 3, 2))
+        x = stream(19).uniform(0, 1, (9, 4)).astype(RUN_DTYPE)
         acc = accuracy(params, [x], np.arange(9) % 2)
         assert 0.0 <= acc <= 1.0
 
@@ -277,7 +276,7 @@ class TestAccuracy:
         # 1,100 rows walk as two full chunks and a short one of 76.
         (images, labels), _ = synth_dataset(10, 20, 138, 0.9, seed=24)
         task = TaskDataset(0, images, labels, images[:1], labels[:1], np.arange(20))
-        params = init_params(RandomStream(25), (20, 16, 10))
+        params = init_params(stream(25), (20, 16, 10))
         sizes = [len(rows) for rows in task.chunks("train")]
         assert sizes == [CHUNK_ROWS] * (len(sizes) - 1) + [1100 % CHUNK_ROWS]
         assert len(sizes) > 1 and sizes[-1] > 0
@@ -291,7 +290,7 @@ class TestTraining:
     def test_sgd_steps_decrease_epoch_loss_on_separable_task(self):
         (levels, labels), _ = synth_dataset(3, 8, 30, 0.05, seed=22)
         images = (levels / 255.0).astype(RUN_DTYPE)
-        params = init_params(RandomStream(23), (8, 6, 3))
+        params = init_params(stream(23), (8, 6, 3))
         losses = []
         for _ in range(100):
             trace = forward(params, images)
@@ -303,7 +302,7 @@ class TestTraining:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        params = init_params(RandomStream(24), (5, 4, 3))
+        params = init_params(stream(24), (5, 4, 3))
         path = str(tmp_path / "net.npz")
         save_params(params, path)
         restored = load_params(path)
@@ -312,14 +311,14 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_round_trip_keeps_the_dtype_bit_exact(self, tmp_path, dtype):
-        params = init_params(RandomStream(24), (4, 3, 2), dtype=dtype)
+        params = init_params(stream(24), (4, 3, 2), dtype=dtype)
         path = str(tmp_path / "net.npz")
         save_params(params, path)
         assert same_bits(load_params(path).flat, params.flat)
 
     def test_version_1_refused(self, tmp_path):
         # version 1 files predate the dtype contract
-        params = init_params(RandomStream(24), (3, 2), dtype=np.float64)
+        params = init_params(stream(24), (3, 2), dtype=np.float64)
         arrays = {"weights_0": params.weights[0], "biases_0": params.biases[0]}
         path = str(tmp_path / "v1.npz")
         with open(path, "wb") as fh:
@@ -335,7 +334,7 @@ class TestCheckpoints:
             load_params(path)
 
     def test_nonfinite_checkpoint_rejected(self, tmp_path):
-        params = init_params(RandomStream(25), (3, 2))
+        params = init_params(stream(25), (3, 2))
         params.weights[0][0, 0] = np.nan
         path = str(tmp_path / "nan.npz")
         save_params(params, path)
@@ -345,13 +344,13 @@ class TestCheckpoints:
 
 class TestBlockHelpers:
     def test_congruence_enforced(self):
-        a = init_params(RandomStream(26), (3, 2))
-        b = init_params(RandomStream(26), (4, 2))
+        a = init_params(stream(26), (3, 2))
+        b = init_params(stream(26), (4, 2))
         with pytest.raises(ShapeError):
             check_congruent(a, b)
 
     def test_zeros_like(self):
-        params = init_params(RandomStream(27), (3, 3, 2))
+        params = init_params(stream(27), (3, 3, 2))
         zeros = params.zeros_like()
         assert zeros.layer_sizes == params.layer_sizes
         assert np.all(zeros.flat == 0.0)
@@ -359,7 +358,7 @@ class TestBlockHelpers:
 
 class TestFlatLayout:
     def test_weights_then_biases_in_layer_order(self):
-        params = init_params(RandomStream(28), (4, 3, 2))
+        params = init_params(stream(28), (4, 3, 2))
         expected = np.concatenate(
             [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
         )
@@ -367,7 +366,7 @@ class TestFlatLayout:
         assert params.flat.size == 4 * 3 + 3 * 2 + 3 + 2
 
     def test_blocks_are_views_of_flat(self):
-        params = init_params(RandomStream(29), (4, 3, 2))
+        params = init_params(stream(29), (4, 3, 2))
         params.weights[1][0, 1] = 7.5
         params.biases[0][2] = -2.0
         assert params.flat[12 + 1] == 7.5
@@ -435,19 +434,19 @@ class TestFlatLayout:
             )
 
     def test_init_is_the_float64_init_rounded(self):
-        run = init_params(RandomStream(32), (4, 3, 2))
-        oracle = init_params(RandomStream(32), (4, 3, 2), dtype=np.float64)
+        run = init_params(stream(32), (4, 3, 2))
+        oracle = init_params(stream(32), (4, 3, 2), dtype=np.float64)
         assert run.flat.dtype == RUN_DTYPE
         assert same_bits(run.flat, oracle.flat.astype(RUN_DTYPE))
 
     def test_copy_is_independent(self):
-        params = init_params(RandomStream(30), (3, 2))
+        params = init_params(stream(30), (3, 2))
         clone = params.copy()
         clone.flat[:] = 0.0
         assert params.flat.any()
 
     def test_checkpoint_keeps_per_layer_keys(self, tmp_path):
-        params = init_params(RandomStream(31), (4, 3, 2))
+        params = init_params(stream(31), (4, 3, 2))
         path = str(tmp_path / "net.npz")
         save_params(params, path)
         with np.load(path) as archive:

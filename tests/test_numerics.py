@@ -5,10 +5,10 @@ import pytest
 
 from forgetlab.numerics import (
     RUN_DTYPE,
-    RandomStream,
     ShapeError,
     matmul,
     numeric_environment,
+    stream,
 )
 
 
@@ -77,57 +77,60 @@ class TestMatmul:
         assert np.array_equal(matmul(a, b).T, matmul(b.T, a.T))
 
 
-class TestRandomStream:
+class TestStream:
+    def test_is_the_philox_generator_keyed_by_seed_sequence(self):
+        expected = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(9, spawn_key=(3, 1, 0)))
+        )
+        assert np.array_equal(stream(9, 3, 1, 0).random(8), expected.random(8))
+
     def test_same_seed_same_draws(self):
-        a = RandomStream(42)
-        b = RandomStream(42)
+        a = stream(42)
+        b = stream(42)
         assert np.array_equal(a.uniform(0, 1, 10), b.uniform(0, 1, 10))
 
     def test_different_seeds_diverge(self):
-        a = RandomStream(1).uniform(0, 1, 4)
-        b = RandomStream(2).uniform(0, 1, 4)
+        a = stream(1).uniform(0, 1, 4)
+        b = stream(2).uniform(0, 1, 4)
         assert not np.array_equal(a, b)
 
     def test_range_half_open(self):
-        rs = RandomStream(3)
-        draws = rs.uniform(0.0, 1.0, 10_000)
+        draws = stream(3).uniform(0.0, 1.0, 10_000)
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
     def test_uniform_mean(self):
-        rs = RandomStream(5)
-        draws = rs.uniform(0.0, 1.0, 100_000)
+        draws = stream(5).uniform(0.0, 1.0, 100_000)
         assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_invalid_bounds(self):
-        rs = RandomStream(0)
-        with pytest.raises(ValueError):
-            rs.uniform(1.0, 1.0, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            RandomStream(-1)
+            stream(-1)
+
+    @pytest.mark.parametrize("key", [(2**32,), (0, -1)], ids=["2**32", "negative"])
+    def test_key_ids_must_fit_in_uint32(self, key):
+        # SeedSequence would take 2**32 as two words and draw what (0, 1) draws
+        with pytest.raises(ValueError, match="uint32"):
+            stream(1, *key)
 
     def test_children_are_independent_streams(self):
-        root = RandomStream(9)
-        c01 = root.child(0, 1).uniform(0, 1, 16)
-        c10 = root.child(1, 0).uniform(0, 1, 16)
-        c0 = root.child(0).uniform(0, 1, 16)
+        c01 = stream(9, 0, 1).uniform(0, 1, 16)
+        c10 = stream(9, 1, 0).uniform(0, 1, 16)
+        c0 = stream(9, 0).uniform(0, 1, 16)
         assert not np.array_equal(c01, c10)
         assert not np.array_equal(c01, c0)
 
     def test_child_reproducible_without_root_state(self):
-        first = RandomStream(9).child(4, 2).uniform(0, 1, 8)
-        root = RandomStream(9)
-        root.uniform(0, 1, 100)  # consuming the root must not move children
-        second = root.child(4, 2).uniform(0, 1, 8)
+        first = stream(9, 4, 2).uniform(0, 1, 8)
+        stream(9).uniform(0, 1, 100)  # drawing from the seed's root moves no keyed stream
+        second = stream(9, 4, 2).uniform(0, 1, 8)
         assert np.array_equal(first, second)
 
     def test_permutation_is_bijection(self):
-        perm = RandomStream(7).permutation(50)
+        perm = stream(7).permutation(50)
         assert np.array_equal(np.sort(perm), np.arange(50))
 
     def test_choice_without_replacement(self):
-        picks = RandomStream(8).choice(20, 10)
+        picks = stream(8).choice(20, 10, replace=False)
         assert len(set(picks.tolist())) == 10
         assert picks.min() >= 0 and picks.max() < 20
 

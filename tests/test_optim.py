@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from forgetlab.model import MlpParams, init_params
-from forgetlab.numerics import RandomStream, ShapeError
+from forgetlab.numerics import ShapeError, stream
 from forgetlab.optim import (
     ADAM_BLOCK,
     ADAM_EPSILON,
@@ -24,7 +24,7 @@ def scalar_grad(g):
 
 
 def random_grads(seed, layer_sizes=(3, 4, 2)):
-    return init_params(RandomStream(seed), layer_sizes)
+    return init_params(stream(seed), layer_sizes)
 
 
 def full_step(optimizer, grads):
@@ -100,12 +100,12 @@ class TestAdam:
         # over the gradient, which the reference reads first.
         layer_sizes = (2 * ADAM_BLOCK + 16, 1)  # (n_in + 1) * n_out entries
         size = 2 * ADAM_BLOCK + 17
-        stream = RandomStream(17)
+        rng = stream(17)
         for steps in (5, 3):
             state, reference = adam(), WholeVectorAdam()
             for _ in range(steps):
-                scale = 10.0 ** stream.uniform(-6.0, 3.0, size)
-                g = stream.standard_normal(size) * scale
+                scale = 10.0 ** rng.uniform(-6.0, 3.0, size)
+                g = rng.standard_normal(size) * scale
                 expected = reference.step(g)
                 assert step_parts(state, MlpParams.from_flat(g, layer_sizes)) == 1.0
                 assert state.t == reference.t
@@ -177,7 +177,7 @@ class TestApply:
         assert np.array_equal(hooked_change, 0.5 * plain_change)
 
     def test_sgd_pre_and_post_scaling_bit_identical(self):
-        factors = init_params(RandomStream(8), (3, 4, 2))
+        factors = init_params(stream(8), (3, 4, 2))
         factors = map_flat(np.abs, factors)
 
         def scale(values, params):
@@ -186,10 +186,10 @@ class TestApply:
         pre, post = StepHook(pre_optimizer=scale), StepHook(post_optimizer=scale)
         params_pre = random_grads(9)
         params_post = params_pre.copy()
-        stream = RandomStream(10)
+        rng = stream(10)
         for _ in range(100):
             grads = MlpParams.from_flat(
-                stream.standard_normal(params_pre.flat.size).astype(params_pre.flat.dtype),
+                rng.standard_normal(params_pre.flat.size).astype(params_pre.flat.dtype),
                 params_pre.layer_sizes,
             )
             apply(params_pre, grads.copy(), sgd(), pre)

@@ -20,7 +20,7 @@ from forgetlab.harness import (
     desk_preset,
 )
 from forgetlab.model import init_params
-from forgetlab.numerics import RandomStream, numeric_environment
+from forgetlab.numerics import numeric_environment, stream
 from forgetlab.reports import (
     emit_eval_matrix_csv,
     emit_reports,
@@ -188,7 +188,7 @@ def test_emit_reports_dispatches_on_type(tmp_path):
     )
     result = RunResult(
         matrix=small_matrix(),
-        params=init_params(RandomStream(0), (6, 5, 3)),
+        params=init_params(stream(0), (6, 5, 3)),
         config=config,
     )
     run_files = emit_reports(result, str(tmp_path / "run"))
@@ -209,7 +209,7 @@ def test_surface_csv_carries_the_run_manifest(tmp_path):
     config = desk_preset(seed=5)
     run = RunResult(
         matrix=small_matrix(),
-        params=init_params(RandomStream(0), (6, 5, 3)),
+        params=init_params(stream(0), (6, 5, 3)),
         config=config,
     )
     surface = small_surface()
@@ -292,7 +292,7 @@ def pinned_run():
     config = ExperimentConfig(num_tasks=3, architecture=(6, 5, 3))
     return RunResult(
         matrix=EvalMatrix(accuracies=acc, n_samples=n),
-        params=init_params(RandomStream(0), (6, 5, 3)),
+        params=init_params(stream(0), (6, 5, 3)),
         config=config,
     )
 
