@@ -33,8 +33,8 @@ place, so no hook owns an output buffer.
 
 Each fact is checked once: the config fields check every setting's
 choices and bounds (the helpers here trust them),
-:class:`~forgetlab.data.TaskDataset` that no split is empty and the
-labels, :func:`~forgetlab.model.forward` every pre-activation,
+:func:`~forgetlab.data.make_permuted_tasks` that no split is empty and
+the labels, :func:`~forgetlab.model.forward` every pre-activation,
 :meth:`Strategy.finish_task` each task's importance map (an overflowed
 Fisher product too), and :func:`~forgetlab.optim.apply` gradient layouts. A
 run's maps, gradients and anchors share one layout, so

@@ -24,12 +24,13 @@ chunk straight into preallocated uint8 splits.
 
 Each data fact is checked once: :func:`_parse_pair` an IDX pair's
 layout, :func:`make_permuted_tasks` each base split once per build
-(2-D uint8 levels of the input width, so uint8 bounds the pixels; one
-integer label per row; at least one row; labels in 0..9), and
-:class:`TaskDataset` its own permutation. The helpers trust the config's
-bounds (``num_tasks``, ``batch_size`` >= 1).
-The labels the model reads are this layer's alone (int64, one per row,
-below the output width by the config's rules); the model trusts them.
+against the network it feeds (2-D uint8 levels of the input width, so
+uint8 bounds the pixels; one integer label per row; at least one row;
+labels below the output width), and :class:`TaskDataset` its own
+permutation. The helpers trust the config's bounds (``num_tasks``,
+``batch_size`` >= 1).
+The labels the model reads are this layer's alone (integers, one per
+row, each below the output width); the model trusts them.
 
 The layer's draws, the synthetic base, each task's permutation and each
 epoch's shuffle, come from generators :func:`numerics.stream` keys by the
@@ -317,14 +318,14 @@ def synth_dataset(
     )
 
 
-def _shared_base(base_train, base_test, width: int) -> list[np.ndarray]:
+def _shared_base(base_train, base_test, width: int, classes: int) -> list[np.ndarray]:
     """Check both base splits once and return read-only views of them.
 
     Each split's images must be a 2-D uint8 matrix of pixel levels (uint8
     bounds the pixels), with one integer label per row, at least one row
-    and labels in 0..9; both splits must be ``width`` pixels wide. Returns
-    the views in :class:`TaskDataset`'s field order: train images and
-    labels, then test images and labels.
+    and labels in ``0..classes-1``; both splits must be ``width`` pixels
+    wide. Returns the views in :class:`TaskDataset`'s field order: train
+    images and labels, then test images and labels.
     """
     views = []
     for name, (images, labels) in (("train", base_train), ("test", base_test)):
@@ -336,8 +337,8 @@ def _shared_base(base_train, base_test, width: int) -> list[np.ndarray]:
             raise ValueError(f"{name} split is empty")
         if labels.dtype.kind not in "iu":
             raise ShapeError(f"{name}_labels must be integers, got {labels.dtype}")
-        if labels.min() < 0 or labels.max() > 9:
-            raise ValueError(f"{name}_labels outside 0..9")
+        if labels.min() < 0 or labels.max() >= classes:
+            raise ValueError(f"{name}_labels outside 0..{classes - 1}")
         views += [images.view(), labels.view()]
     if base_train[0].shape[1] != width or base_test[0].shape[1] != width:
         raise ShapeError(
@@ -355,6 +356,7 @@ def make_permuted_tasks(
     num_tasks: int,
     seed: int,
     expected_width: int,
+    classes: int,
 ) -> list[TaskDataset]:
     """Derive ``num_tasks`` permuted tasks from one base dataset.
 
@@ -364,12 +366,13 @@ def make_permuted_tasks(
     stay comparable with an unpermuted baseline.
 
     This is the one door for a task base: :func:`_shared_base` checks
-    each split once, ``expected_width`` pixels wide, and every task holds
-    the same read-only views of it, so no task copies the data and none
-    can write into another's. The tasks do see later writes to the
-    caller's own arrays.
+    each split once against the network it feeds, ``expected_width``
+    pixels wide with labels below ``classes``, and every task holds the
+    same read-only views of it, so no task copies the data and none can
+    write into another's. The tasks do see later writes to the caller's
+    own arrays.
     """
-    base = _shared_base(base_train, base_test, expected_width)
+    base = _shared_base(base_train, base_test, expected_width, classes)
     tasks = []
     for t in range(num_tasks):
         if t == 0:

@@ -337,7 +337,7 @@ def accuracy(params: MlpParams, blocks, labels: np.ndarray) -> float:
     ``hits / len(labels)`` is the float ``np.mean`` gives over the whole
     split. The data layer owns the labels, their match with the rows (one
     task, one set of picks) and that the set is never empty
-    (:class:`~forgetlab.data.TaskDataset` rejects an empty split).
+    (:func:`~forgetlab.data.make_permuted_tasks` rejects an empty split).
     """
     hits = seen = 0
     for block in blocks:

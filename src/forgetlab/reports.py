@@ -7,6 +7,9 @@ exact and repeated runs produce byte-identical files; a CSV is read back only
 if encoding what was parsed gives its data rows again. The SVG charts are
 static hand-written XML, each written by one envelope and text template:
 line charts of per-task accuracy over the sequence, and a lambda heatmap.
+Each report kind, an eval matrix or a lambda surface, is one record in
+``_KINDS``: its CSV header, file names, row encoder, parser, chart and
+trailing comments; every writer and the reader look the kind up there.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import os
 import subprocess
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,32 +62,15 @@ def _flatten_config(config: ExperimentConfig) -> list[tuple[str, str]]:
     return list(walk("", dataclasses.asdict(config)))
 
 
-def manifest_lines(config: Optional[ExperimentConfig]) -> list[str]:
+def manifest_lines(config: ExperimentConfig) -> list[str]:
     lines = [f"# forgetlab {__version__}", f"# git = {git_version()}"]
     lines.extend(f"# numeric.{k} = {v!r}" for k, v in numeric_environment().items())
-    if config is not None:
-        lines.extend(f"# {key} = {value}" for key, value in _flatten_config(config))
+    lines.extend(f"# {key} = {value}" for key, value in _flatten_config(config))
     return lines
 
 
-EVAL_MATRIX_HEADER = ("after_task", "eval_task", "accuracy", "n_samples")
-SURFACE_HEADER = ("lambda", "tasks_learned", "avg_accuracy")
-
-
-def _write_csv(path, config, header, rows, comments=()) -> str:
-    """Manifest, header, data rows, then trailing comment lines."""
-    with atomic_write(path, newline="") as fh:
-        for line in manifest_lines(config):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-    return path
-
-
 def _matrix_rows(matrix: EvalMatrix):
+    """The lower triangle, one `after_task,eval_task,accuracy,n_samples` row per cell."""
     return (
         [t, j, repr(float(matrix.accuracies[t, j])), int(matrix.n_samples[t, j])]
         for t in range(matrix.num_tasks)
@@ -93,30 +79,12 @@ def _matrix_rows(matrix: EvalMatrix):
 
 
 def _surface_rows(surface: LambdaSurface):
+    """The full grid, one `lambda,tasks_learned,avg_accuracy` row per cell (`nan` if failed)."""
     return (
         [repr(float(lam)), int(t), repr(float(surface.avg_accuracy[i, k]))]
         for i, lam in enumerate(surface.lambdas)
         for k, t in enumerate(surface.tasks_learned)
     )
-
-
-def emit_eval_matrix_csv(
-    matrix: EvalMatrix, path: str, config: Optional[ExperimentConfig] = None
-) -> str:
-    """Write the lower triangle as `after_task,eval_task,accuracy,n_samples`."""
-    return _write_csv(path, config, EVAL_MATRIX_HEADER, _matrix_rows(matrix))
-
-
-def emit_surface_csv(
-    surface: LambdaSurface, path: str, config: Optional[ExperimentConfig] = None
-) -> str:
-    """Write the full grid as `lambda,tasks_learned,avg_accuracy`.
-
-    Failed cells keep their place with accuracy `nan`; the failure
-    messages ride along as trailing comment lines.
-    """
-    comments = (f"failed lambda={lam!r}: {message}" for lam, message in surface.failures)
-    return _write_csv(path, config, SURFACE_HEADER, _surface_rows(surface), comments)
 
 
 def _eval_matrix(rows: list[list[str]]) -> EvalMatrix:
@@ -140,40 +108,6 @@ def _surface(rows: list[list[str]]) -> LambdaSurface:
     for lam, t, value in rows:
         avg[lambdas.index(float(lam)), tasks.index(int(t))] = float(value)
     return LambdaSurface(np.asarray(lambdas), np.asarray(tasks), avg)
-
-
-# Each CSV format: its header, its parser, and the row encoder its writer uses.
-_FORMATS = {
-    EVAL_MATRIX_HEADER: (_eval_matrix, _matrix_rows),
-    SURFACE_HEADER: (_surface, _surface_rows),
-}
-
-
-def read_report_csv(path: str):
-    """The eval matrix or lambda surface in a CSV, recognised by its header.
-
-    '#' lines and blank lines are skipped. Only rows as forgetlab writes
-    them are read: the result is encoded again, and the first data row
-    that differs (a negative, duplicate or upper-triangle cell, a float not
-    in ``repr`` form) raises ``ValueError``. Every error names the path.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
-        header, rows = tuple(next(reader, ())), list(reader)
-    if header not in _FORMATS:
-        raise ValueError(f"{path}: unrecognized CSV header {','.join(header)!r}")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    parse, encode = _FORMATS[header]
-    try:
-        result = parse(rows)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for number, (row, written) in enumerate(zip(rows, encode(result)), start=1):
-        if row != [str(value) for value in written]:
-            shown = ",".join(row)
-            raise ValueError(f"{path}: data row {number} {shown!r} is not as forgetlab writes it")
-    return result
 
 
 def _text(x, y, body, size, anchor=None) -> str:
@@ -286,25 +220,89 @@ def render_surface_heatmap(surface: LambdaSurface, path: str) -> str:
     return _svg(width, height, "Average accuracy over the lambda grid", parts, path)
 
 
+class _Kind(NamedTuple):
+    """One report kind: how its result is written, read back and drawn."""
+
+    header: tuple[str, ...]
+    names: tuple[str, str]  # the CSV's and the SVG's file names in an output directory
+    encode: Callable  # result -> CSV data rows
+    parse: Callable  # CSV data rows -> result
+    render: Callable  # (result, path) -> path of the chart written
+    comments: Callable = lambda result: ()  # result -> trailing comment lines (failed lambdas)
+
+
+# Each report kind, by the type of the result it describes.
+_KINDS = {
+    EvalMatrix: _Kind(
+        ("after_task", "eval_task", "accuracy", "n_samples"),
+        ("eval_matrix.csv", "accuracy_curves.svg"),
+        _matrix_rows, _eval_matrix, render_accuracy_curves,
+    ),
+    LambdaSurface: _Kind(
+        ("lambda", "tasks_learned", "avg_accuracy"),
+        ("surface.csv", "surface_heatmap.svg"),
+        _surface_rows, _surface, render_surface_heatmap,
+        lambda surface: (f"failed lambda={lam!r}: {message}" for lam, message in surface.failures),
+    ),
+}
+
+
+def _kind(result) -> _Kind:
+    if type(result) not in _KINDS:
+        raise TypeError(f"cannot report on {type(result).__name__}")
+    return _KINDS[type(result)]
+
+
+def emit_csv(result, path: str, config: ExperimentConfig) -> str:
+    """Write ``config``'s manifest, then ``result``'s header, data rows and trailing comments."""
+    kind = _kind(result)
+    with atomic_write(path, newline="") as fh:
+        for line in manifest_lines(config):
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(kind.header)
+        writer.writerows(kind.encode(result))
+        for comment in kind.comments(result):
+            fh.write(f"# {comment}\n")
+    return path
+
+
+def read_report_csv(path: str):
+    """The eval matrix or lambda surface in a CSV, recognised by its header.
+
+    '#' lines and blank lines are skipped. Only rows as forgetlab writes
+    them are read: the result is encoded again, and the first data row
+    that differs (a negative, duplicate or upper-triangle cell, a float not
+    in ``repr`` form) raises ``ValueError``. Every error names the path.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
+        header, rows = tuple(next(reader, ())), list(reader)
+    kind = next((kind for kind in _KINDS.values() if kind.header == header), None)
+    if kind is None:
+        raise ValueError(f"{path}: unrecognized CSV header {','.join(header)!r}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        result = kind.parse(rows)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for number, (row, written) in enumerate(zip(rows, kind.encode(result)), start=1):
+        if row != [str(value) for value in written]:
+            shown = ",".join(row)
+            raise ValueError(f"{path}: data row {number} {shown!r} is not as forgetlab writes it")
+    return result
+
+
 def render_svg(result, path: str) -> str:
     """Accuracy curves for an eval matrix, a heatmap for a lambda surface."""
-    if isinstance(result, EvalMatrix):
-        return render_accuracy_curves(result, path)
-    if isinstance(result, LambdaSurface):
-        return render_surface_heatmap(result, path)
-    raise TypeError(f"cannot render {type(result).__name__}")
+    return _kind(result).render(result, path)
 
 
 def emit_reports(result, outdir: str) -> list[str]:
     """Write the CSV, then its chart through :func:`render_svg`; returns ``[csv, svg]``."""
-    if isinstance(result, RunResult):
-        chart, emit_csv = result.matrix, emit_eval_matrix_csv
-        names = ("eval_matrix.csv", "accuracy_curves.svg")
-    elif isinstance(result, LambdaSurface):
-        chart, emit_csv = result, emit_surface_csv
-        names = ("surface.csv", "surface_heatmap.svg")
-    else:
-        raise TypeError(f"cannot report on {type(result).__name__}")
+    chart = result.matrix if isinstance(result, RunResult) else result
+    kind = _kind(chart)
     os.makedirs(outdir, exist_ok=True)
-    csv_path, svg_path = (os.path.join(outdir, name) for name in names)
+    csv_path, svg_path = (os.path.join(outdir, name) for name in kind.names)
     return [emit_csv(chart, csv_path, result.config), render_svg(chart, svg_path)]

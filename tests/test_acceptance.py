@@ -57,7 +57,7 @@ from forgetlab.harness import (
 from forgetlab.model import MlpParams, init_params, max_relative_gradient_error
 from forgetlab.numerics import stream
 from forgetlab.optim import step_parts
-from forgetlab.reports import emit_eval_matrix_csv
+from forgetlab.reports import emit_csv
 
 from helpers import ScalarAdam, adam, golden_file
 
@@ -283,10 +283,8 @@ def test_criterion_08_lambda_stability(printed_values, grid_step_hyp, grid_step_
 def test_criterion_09_byte_identical_csv(tmp_path, baseline_2task):
     config = desk_preset(num_tasks=2)
     repeat = run_sequence(config)
-    path_a = emit_eval_matrix_csv(
-        baseline_2task.matrix, str(tmp_path / "a.csv"), baseline_2task.config
-    )
-    path_b = emit_eval_matrix_csv(repeat.matrix, str(tmp_path / "b.csv"), repeat.config)
+    path_a = emit_csv(baseline_2task.matrix, str(tmp_path / "a.csv"), baseline_2task.config)
+    path_b = emit_csv(repeat.matrix, str(tmp_path / "b.csv"), repeat.config)
     same = open(path_a, "rb").read() == open(path_b, "rb").read()
     report(9, same, "independent same-seed runs emit byte-identical eval CSVs")
 

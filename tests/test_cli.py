@@ -209,7 +209,7 @@ class TestSettingsLayers:
     @pytest.mark.parametrize(
         "flag,value,name",
         [
-            ("--architecture", "12,10,11", "architecture"),
+            ("--architecture", "12,10,0", "architecture"),
             ("--synthetic-samples-per-class", "1", "synthetic_samples_per_class"),
             ("--synthetic-spread", "0", "synthetic_spread"),
         ],

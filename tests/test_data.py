@@ -397,21 +397,6 @@ def tiny_task(width=4, n=6):
 
 class TestTaskDataset:
     # a task checks its permutation; the base's facts are TestSharedBase's
-    def test_header_only_test_pair_fails_before_training(self, tmp_path, monkeypatch):
-        for key, name in MNIST_FILE_NAMES.items():
-            n = 3 if key.startswith("train") else 0
-            if "images" in key:
-                blob = idx_bytes(IMAGE_MAGIC, [n, 28, 28], bytes(n * 784))
-            else:
-                blob = idx_bytes(LABEL_MAGIC, [n], bytes(n))
-            (tmp_path / name).write_bytes(blob)
-        steps = []
-        monkeypatch.setattr(harness, "apply", lambda *args: steps.append(args))
-        config = ExperimentConfig(source="mnist", num_tasks=2, data_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="^test split is empty$"):
-            harness.run_sequence(config)
-        assert steps == []
-
     def test_rejects_non_bijective_permutation(self):
         with pytest.raises(ValueError):
             TaskDataset(
@@ -515,21 +500,21 @@ class TestPermutedTasks:
 
     def test_first_task_is_identity(self):
         train, test = self.base()
-        tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6)
+        tasks = make_permuted_tasks(train, test, 3, seed=1, expected_width=6, classes=10)
         assert np.array_equal(tasks[0].permutation, np.arange(6))
         assert same_bits(tasks[0].rows("train", slice(None)), pixels(train[0]))
 
     def test_deterministic_and_distinct_across_tasks(self):
         train, test = self.base()
-        a = make_permuted_tasks(train, test, 4, seed=9, expected_width=6)
-        b = make_permuted_tasks(train, test, 4, seed=9, expected_width=6)
+        a = make_permuted_tasks(train, test, 4, seed=9, expected_width=6, classes=10)
+        b = make_permuted_tasks(train, test, 4, seed=9, expected_width=6, classes=10)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.permutation, tb.permutation)
         assert not np.array_equal(a[1].permutation, a[2].permutation)
 
     def test_images_match_permutation(self):
         train, test = self.base()
-        tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6)
+        tasks = make_permuted_tasks(train, test, 3, seed=2, expected_width=6, classes=10)
         t = tasks[2]
         assert same_bits(t.rows("train", slice(None)), pixels(train[0][:, t.permutation]))
         assert same_bits(t.rows("test", slice(None)), pixels(test[0][:, t.permutation]))
@@ -537,14 +522,14 @@ class TestPermutedTasks:
 
     def test_invert_round_trip(self):
         train, test = self.base()
-        task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6)[1]
+        task = make_permuted_tasks(train, test, 2, seed=3, expected_width=6, classes=10)[1]
         restored = task.rows("train", slice(None))[:, np.argsort(task.permutation)]
         assert same_bits(restored, pixels(train[0]))
 
     def test_width_mismatch_raises(self):
         train, test = self.base(width=6)
         with pytest.raises(ShapeError):
-            make_permuted_tasks(train, test, 2, seed=1, expected_width=784)
+            make_permuted_tasks(train, test, 2, seed=1, expected_width=784, classes=10)
 
 
 def gather_base(n=1100, width=20, n_test=300):
@@ -577,23 +562,29 @@ class TestSharedBase:
                 make_permuted_tasks(
                     (np.array([[pixel]]), np.array([0])),
                     (np.array([[7]], dtype=np.uint8), np.array([0])),
-                    2, seed=1, expected_width=1,
+                    2, seed=1, expected_width=1, classes=10,
                 )
 
-    def test_rejects_labels_above_nine(self):
-        with pytest.raises(ValueError, match="outside 0..9"):
-            make_permuted_tasks(
-                (np.array([[128]], dtype=np.uint8), np.array([12])),
+    @pytest.mark.parametrize("classes", [4, 10])
+    def test_rejects_labels_outside_classes(self, classes):
+        # the labels index the network's outputs, so they run 0..classes-1
+        def build(label):
+            return make_permuted_tasks(
+                (np.array([[128]], dtype=np.uint8), np.array([label])),
                 (np.array([[128]], dtype=np.uint8), np.array([0])),
-                2, seed=1, expected_width=1,
+                2, seed=1, expected_width=1, classes=classes,
             )
+
+        assert build(classes - 1)[1].train_labels[0] == classes - 1
+        with pytest.raises(ValueError, match=f"^train_labels outside 0..{classes - 1}$"):
+            build(classes)
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ShapeError, match="^train: 2 images vs 1 labels$"):
             make_permuted_tasks(
                 (np.zeros((2, 1), dtype=np.uint8), np.array([0])),
                 (np.zeros((1, 1), dtype=np.uint8), np.array([0])),
-                2, seed=1, expected_width=1,
+                2, seed=1, expected_width=1, classes=10,
             )
 
     @pytest.mark.parametrize("empty", ["train", "test"])
@@ -603,8 +594,23 @@ class TestSharedBase:
             make_permuted_tasks(
                 (np.zeros((rows["train"], 2), dtype=np.uint8), np.zeros(rows["train"], np.int64)),
                 (np.zeros((rows["test"], 2), dtype=np.uint8), np.zeros(rows["test"], np.int64)),
-                2, seed=1, expected_width=2,
+                2, seed=1, expected_width=2, classes=10,
             )
+
+    def test_header_only_test_pair_fails_before_training(self, tmp_path, monkeypatch):
+        for key, name in MNIST_FILE_NAMES.items():
+            n = 3 if key.startswith("train") else 0
+            if "images" in key:
+                blob = idx_bytes(IMAGE_MAGIC, [n, 28, 28], bytes(n * 784))
+            else:
+                blob = idx_bytes(LABEL_MAGIC, [n], bytes(n))
+            (tmp_path / name).write_bytes(blob)
+        steps = []
+        monkeypatch.setattr(harness, "apply", lambda *args: steps.append(args))
+        config = ExperimentConfig(source="mnist", num_tasks=2, data_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="^test split is empty$"):
+            harness.run_sequence(config)
+        assert steps == []
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_rejects_float_labels(self, split):
@@ -614,11 +620,11 @@ class TestSharedBase:
         floats = (np.zeros((4, 1), dtype=np.uint8), np.array([0.0, 1.0, 2.0, 3.0]))
         splits = (floats, whole) if split == "train" else (whole, floats)
         with pytest.raises(ShapeError, match=f"^{split}_labels must be integers, got float64$"):
-            make_permuted_tasks(*splits, 2, seed=1, expected_width=1)
+            make_permuted_tasks(*splits, 2, seed=1, expected_width=1, classes=10)
 
     def test_tasks_share_one_base(self):
         train, test = gather_base()
-        tasks = make_permuted_tasks(train, test, 4, seed=5, expected_width=20)
+        tasks = make_permuted_tasks(train, test, 4, seed=5, expected_width=20, classes=10)
         for task in tasks:
             assert np.shares_memory(task.train_images, train[0])
             assert np.shares_memory(task.test_images, test[0])
@@ -627,7 +633,7 @@ class TestSharedBase:
 
     def test_base_is_read_only(self):
         train, test = gather_base()
-        tasks = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)
+        tasks = make_permuted_tasks(train, test, 2, seed=5, expected_width=20, classes=10)
         with pytest.raises(ValueError):
             tasks[0].train_images[0, 0] = 0.5
         for name in ("train_labels", "test_images", "test_labels"):
@@ -637,7 +643,7 @@ class TestSharedBase:
 
     def test_rows_and_batches_are_fresh_and_writable(self):
         train, test = gather_base()
-        task = make_permuted_tasks(train, test, 2, seed=5, expected_width=20)[1]
+        task = make_permuted_tasks(train, test, 2, seed=5, expected_width=20, classes=10)[1]
         arrays = [task.rows("train", slice(0, 10)), task.rows("test", np.array([3, 1]))]
         arrays += [a for batch in batches(task, 256, stream(2)) for a in batch]
         for array in arrays:
@@ -652,7 +658,7 @@ class TestGatherEquivalence:
 
     def tasks(self):
         train, test = gather_base()
-        return make_permuted_tasks(train, test, 3, seed=8, expected_width=20)[1:]
+        return make_permuted_tasks(train, test, 3, seed=8, expected_width=20, classes=10)[1:]
 
     def test_train_rows(self):
         idx = stream(3).permutation(1100)[:100]
@@ -706,7 +712,7 @@ class TestGatherEquivalence:
         # of it in float32). Widening first and then permuting holds
         # about 2x the output.
         train, test = gather_base(n=10, width=784, n_test=3000)
-        task = make_permuted_tasks(train, test, 2, seed=8, expected_width=784)[1]
+        task = make_permuted_tasks(train, test, 2, seed=8, expected_width=784, classes=10)[1]
         picks = stream(4).choice(3000, 2000, replace=False)
         peak, rows = traced_peak(task.rows, "test", picks)
         assert peak < rows.nbytes + 1.25 * CHUNK_ROWS * rows.shape[1] * rows.itemsize

@@ -30,7 +30,7 @@ import pytest
 
 from forgetlab.continual import StrategyConfig
 from forgetlab.harness import OptimizerConfig, build_tasks, desk_preset, run_sequence
-from forgetlab.reports import emit_eval_matrix_csv
+from forgetlab.reports import emit_csv
 
 from helpers import BLESS_COMMAND, golden_file
 
@@ -72,7 +72,7 @@ def base_config():
 
 def fingerprint(result) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        path = emit_eval_matrix_csv(result.matrix, str(Path(tmp) / "eval_matrix.csv"))
+        path = emit_csv(result.matrix, str(Path(tmp) / "eval_matrix.csv"), result.config)
         with open(path) as fh:
             rows = [line for line in fh if not line.startswith("#")][1:]
     digest = hashlib.sha256()

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import re
+import struct
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 
 from forgetlab import continual, harness, numerics
 from forgetlab.continual import StrategyConfig, safe_coefficient
-from forgetlab.data import CHUNK_ROWS, batches, make_permuted_tasks
+from forgetlab.data import (
+    CHUNK_ROWS,
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
+    MNIST_FILE_NAMES,
+    batches,
+    make_permuted_tasks,
+)
 from forgetlab.harness import (
     DEFAULT_LAMBDA_GRID,
     _eval_splits,
@@ -29,14 +37,15 @@ from forgetlab.model import (
     DEFAULT_LAYER_SIZES,
     accuracy,
     backward,
+    cross_entropy,
     forward,
     init_params,
     load_params,
     param_count,
 )
-from forgetlab.numerics import NonFiniteError, stream
+from forgetlab.numerics import NonFiniteError, ShapeError, stream
 from forgetlab.optim import Optimizer, StepHook, apply
-from forgetlab.reports import emit_surface_csv
+from forgetlab.reports import emit_csv
 from helpers import one_draw_synth_dataset, same_bits, traced_peak
 
 
@@ -99,11 +108,6 @@ class TestConfigs:
             tiny_config(source="cifar")
         with pytest.raises(ValueError):
             tiny_config(num_tasks=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(source="mnist", architecture=(100, 10, 10))
-        # synthetic labels are 0..9
-        with pytest.raises(ValueError, match="architecture"):
-            tiny_config(architecture=(12, 10, 11))
         with pytest.raises(ValueError, match="architecture"):
             tiny_config(architecture=(12,))
 
@@ -115,6 +119,7 @@ class TestConfigs:
         paper = paper_preset()
         assert (paper.num_tasks, paper.epochs_per_task) == (10, 4)
         assert paper.source == "mnist" and paper.train_subset is None
+        assert paper_preset() == dataclasses.replace(ExperimentConfig(), source="mnist")
         assert len(DESK_LAMBDA_GRID) == 7
         assert len(DEFAULT_LAMBDA_GRID) == 13
         assert DEFAULT_LAMBDA_GRID[0] == pytest.approx(1e-3)
@@ -125,7 +130,48 @@ class TestConfigs:
         assert desk.num_tasks == 2 and desk.seed == 9
 
 
+def write_idx_dir(path):
+    """Four MNIST-named IDX files: 3 train and 2 test blank 28x28 images, labels up to 9."""
+    for key, name in MNIST_FILE_NAMES.items():
+        n = 3 if key.startswith("train") else 2
+        if "images" in key:
+            blob = struct.pack(">4i", IMAGE_MAGIC, n, 28, 28) + bytes(n * 784)
+        else:
+            blob = struct.pack(">2i", LABEL_MAGIC, n) + bytes(range(10 - n, 10))
+        (path / name).write_bytes(blob)
+    return str(path)
+
+
 class TestBuildTasks:
+    # the base's width and labels are checked against the architecture
+    # when tasks are built, whatever the source
+    def test_mnist_width_is_checked_against_architecture(self, tmp_path):
+        config = ExperimentConfig(
+            source="mnist", architecture=(100, 10, 10), data_dir=write_idx_dir(tmp_path)
+        )
+        message = "^expected image width 100, got train 784 / test 784$"
+        with pytest.raises(ShapeError, match=message):
+            build_tasks(config)
+
+    def test_mnist_labels_are_checked_against_the_outputs(self, tmp_path):
+        config = ExperimentConfig(
+            source="mnist", architecture=(784, 10, 5), data_dir=write_idx_dir(tmp_path)
+        )
+        with pytest.raises(ValueError, match="^train_labels outside 0..4$"):
+            build_tasks(config)
+
+    def test_eleven_class_synthetic_builds_and_trains(self):
+        config = tiny_config(architecture=(12, 10, 11))
+        task = build_tasks(config)[1]
+        assert set(task.train_labels) == set(task.test_labels) == set(range(11))
+        params = init_params(stream(config.seed, 0), config.architecture)
+        xb, yb = next(batches(task, config.batch_size, stream(3)))
+        trace = forward(params, xb)
+        assert np.isfinite(cross_entropy(trace, yb))
+        before = params.flat.copy()
+        apply(params, backward(params, trace, yb), Optimizer(config.optimizer), None)
+        assert np.all(np.isfinite(params.flat)) and not np.array_equal(params.flat, before)
+
     def test_task_count_and_width(self):
         tasks = build_tasks(tiny_config(num_tasks=3))
         assert len(tasks) == 3
@@ -214,7 +260,9 @@ class TestRunSequence:
         def peak(n_test):
             train = (rng.uniform(0, 256, (10, 784)).astype(np.uint8), np.arange(10))
             test = (rng.uniform(0, 256, (n_test, 784)).astype(np.uint8), np.arange(n_test) % 10)
-            task = make_permuted_tasks(train, test, 2, seed=32, expected_width=784)[1]
+            task = make_permuted_tasks(
+                train, test, 2, seed=32, expected_width=784, classes=10
+            )[1]
             chunks = task.chunks("test")
             return traced_peak(harness.accuracy, params, chunks, task.test_labels)[0]
 
@@ -618,9 +666,9 @@ class TestGridSearch:
 
     def test_matrices_leave_surface_csv_unchanged(self, tmp_path):
         surface = grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
-        with_matrices = emit_surface_csv(surface, str(tmp_path / "with.csv"))
+        with_matrices = emit_csv(surface, str(tmp_path / "with.csv"), surface.config)
         without = dataclasses.replace(surface, matrices=None)
-        bare = emit_surface_csv(without, str(tmp_path / "without.csv"))
+        bare = emit_csv(without, str(tmp_path / "without.csv"), without.config)
         assert open(with_matrices, "rb").read() == open(bare, "rb").read()
 
     def test_lambda_zero_column_equals_baseline(self):
@@ -664,7 +712,7 @@ class TestGridSearch:
         surface = grid_search(config, [1e-3, 1e60])
         assert len(surface.failures) == 1
         assert surface.failures[0][0] == 1e60
-        csv = Path(emit_surface_csv(surface, str(tmp_path / "surface.csv"))).read_text()
+        csv = Path(emit_csv(surface, str(tmp_path / "surface.csv"), surface.config)).read_text()
         assert re.search(
             r"# failed lambda=1e\+60: NonFiniteError: run diverged in task 1, epoch 0, batch \d+",
             csv,

@@ -22,9 +22,8 @@ from forgetlab.harness import (
 from forgetlab.model import init_params
 from forgetlab.numerics import numeric_environment, stream
 from forgetlab.reports import (
-    emit_eval_matrix_csv,
+    emit_csv,
     emit_reports,
-    emit_surface_csv,
     git_version,
     manifest_lines,
     read_report_csv,
@@ -33,6 +32,10 @@ from forgetlab.reports import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+# the config a CSV's manifest echoes where a test needs none in particular
+CONFIG = ExperimentConfig(num_tasks=2, architecture=(6, 5, 3))
 
 
 def small_matrix():
@@ -51,11 +54,12 @@ def small_surface():
         tasks_learned=np.array([1, 2]),
         avg_accuracy=np.array([[0.8, 0.7], [0.85, 0.75], [np.nan, np.nan]]),
         failures=[(10.0, "NonFiniteError: boom")],
+        config=CONFIG,
     )
 
 
 def test_matrix_csv_has_three_data_rows_for_two_tasks(tmp_path):
-    path = emit_eval_matrix_csv(small_matrix(), str(tmp_path / "m.csv"))
+    path = emit_csv(small_matrix(), str(tmp_path / "m.csv"), CONFIG)
     lines = [
         line
         for line in open(path).read().splitlines()
@@ -67,7 +71,7 @@ def test_matrix_csv_has_three_data_rows_for_two_tasks(tmp_path):
 
 def test_matrix_csv_round_trips_exactly(tmp_path):
     matrix = small_matrix()
-    path = emit_eval_matrix_csv(matrix, str(tmp_path / "m.csv"))
+    path = emit_csv(matrix, str(tmp_path / "m.csv"), CONFIG)
     back = read_report_csv(path)
     assert isinstance(back, EvalMatrix)
     # repr-formatted floats parse back to the identical doubles, and the
@@ -78,7 +82,7 @@ def test_matrix_csv_round_trips_exactly(tmp_path):
 
 def test_matrix_csv_manifest_mentions_seed_and_version(tmp_path):
     config = desk_preset(num_tasks=2, seed=99)
-    path = emit_eval_matrix_csv(small_matrix(), str(tmp_path / "m.csv"), config)
+    path = emit_csv(small_matrix(), str(tmp_path / "m.csv"), config)
     text = open(path).read()
     assert "# seed = 99" in text
     assert text.startswith("# forgetlab")
@@ -118,7 +122,7 @@ def test_surface_csv_rejects_rows_the_writer_never_emits(tmp_path, rows):
 
 def test_surface_csv_round_trips_with_nan_gaps(tmp_path):
     surface = small_surface()
-    path = emit_surface_csv(surface, str(tmp_path / "s.csv"))
+    path = emit_csv(surface, str(tmp_path / "s.csv"), CONFIG)
     back = read_report_csv(path)
     assert isinstance(back, LambdaSurface)
     assert np.array_equal(back.lambdas, surface.lambdas)
@@ -128,15 +132,15 @@ def test_surface_csv_round_trips_with_nan_gaps(tmp_path):
 
 
 def test_surface_csv_records_failures_as_comments(tmp_path):
-    path = emit_surface_csv(small_surface(), str(tmp_path / "s.csv"))
+    path = emit_csv(small_surface(), str(tmp_path / "s.csv"), CONFIG)
     text = open(path).read()
     assert "# failed lambda=10.0: NonFiniteError: boom" in text
 
 
 def test_identical_emits_are_byte_identical(tmp_path):
     config = desk_preset(num_tasks=2)
-    first = emit_eval_matrix_csv(small_matrix(), str(tmp_path / "a.csv"), config)
-    second = emit_eval_matrix_csv(small_matrix(), str(tmp_path / "b.csv"), config)
+    first = emit_csv(small_matrix(), str(tmp_path / "a.csv"), config)
+    second = emit_csv(small_matrix(), str(tmp_path / "b.csv"), config)
     assert open(first, "rb").read() == open(second, "rb").read()
 
 
@@ -177,7 +181,7 @@ def test_svgs_contain_no_scripts(tmp_path):
 def test_write_error_names_the_path(tmp_path):
     missing = tmp_path / "does-not-exist" / "m.csv"
     with pytest.raises(IOError, match="does-not-exist"):
-        emit_eval_matrix_csv(small_matrix(), str(missing))
+        emit_csv(small_matrix(), str(missing), CONFIG)
 
 
 def test_emit_reports_dispatches_on_type(tmp_path):
@@ -203,6 +207,15 @@ def test_emit_reports_dispatches_on_type(tmp_path):
     ]
     with pytest.raises(TypeError, match="cannot report"):
         emit_reports([1, 2, 3], str(tmp_path / "nope"))
+
+
+def test_emit_csv_names_an_unknown_type(tmp_path):
+    # emit_reports writes a run result through its matrix; emit_csv takes only the matrix
+    run = RunResult(small_matrix(), init_params(stream(0), (6, 5, 3)), CONFIG)
+    path = tmp_path / "nope.csv"
+    with pytest.raises(TypeError, match="^cannot report on RunResult$"):
+        emit_csv(run, str(path), CONFIG)
+    assert not path.exists()
 
 
 def test_surface_csv_carries_the_run_manifest(tmp_path):
@@ -278,7 +291,7 @@ def test_manifest_flattens_nested_config():
 
 
 def test_manifest_records_the_numeric_environment():
-    lines = manifest_lines(None)
+    lines = manifest_lines(CONFIG)
     for key, value in numeric_environment().items():
         assert f"# numeric.{key} = {value!r}" in lines
 
@@ -305,6 +318,7 @@ def pinned_surface():
             [[0.9, 0.75, 0.6], [0.875, 0.8, np.nan], [0.85, 0.7, 2.0 / 3.0]]
         ),
         failures=[(10.0, "NonFiniteError: diverged after task 2")],
+        config=ExperimentConfig(num_tasks=3, architecture=(6, 5, 3)),
     )
 
 
