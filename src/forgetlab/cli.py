@@ -1,31 +1,31 @@
 """Command-line front end: run, grid, report, fetch-data, selftest.
 
 Settings are layered in a fixed order: built-in defaults, then a preset
-(``--preset desk|paper``), then an INI config file, then the ``DATA_DIR``
-environment variable (data directory only), then flags. The effective
-config lands in the CSV manifest of every run, so an artifact records
-exactly what produced it. All randomness flows from the single ``seed``
-setting; nothing reads the clock.
+(``--preset desk|paper``), then a config file, then the ``DATA_DIR``
+environment variable (data directory only), then flags. All randomness
+flows from the single ``seed`` setting; nothing reads the clock.
 
-Every setting is a field of :class:`~forgetlab.harness.ExperimentConfig`
-(INI section ``[experiment]``), :class:`~forgetlab.optim.OptimizerConfig`
-(``[optimizer]``) or :class:`~forgetlab.continual.StrategyConfig`
-(``[strategy]``), and each has both an INI key and a flag: the key is the
-field name and the flag is ``--field-name``, except for the older
-spellings in :data:`ALIASES` (``tasks``/``--tasks`` for ``num_tasks``,
-``lambda``/``--lambda`` for ``lam``, ``--strategy`` for the strategy
-``kind``, and so on). Values parse by the field's type: tuples are
-comma-separated (``architecture = 784,300,10``), booleans take
+Every setting's INI key, flag, parser and INI text come from one table,
+:data:`~forgetlab.harness.SETTINGS`: the key is the field name and the
+flag is ``--field-name``, except for the older spellings in
+:data:`~forgetlab.harness.ALIASES` (``tasks``/``--tasks`` for
+``num_tasks``, ``lambda``/``--lambda`` for ``lam``, and so on). Tuples
+are comma-separated (``architecture = 784,300,10``), booleans take
 true/false (flags come in ``--x``/``--no-x`` pairs), and ``none`` clears
 an optional value. A field's ``choices`` metadata gives its flag's
 choices; a config-file value is checked against the same metadata when
-the config is built (:func:`~forgetlab.numerics.check_fields`, which also
-rejects a non-finite float setting). ``grid``
+the config is built (:func:`~forgetlab.numerics.check_fields`). ``grid``
 also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
---help`` lists every flag with its INI key and built-in default (a
-preset may change it). ``report`` re-renders each CSV as the SVG its
-header calls for; it reads every CSV before writing any SVG, and refuses
-two inputs that would write the same SVG.
+--help`` lists every flag with its INI key and built-in default.
+
+A config file is INI, read without ``%`` interpolation, or a CSV that
+forgetlab wrote, whose manifest is the effective config as that INI text:
+``forgetlab run --config out/eval_matrix.csv --out rerun`` reruns it. Bad
+input (``ValueError``, ``OSError``, ``FloatingPointError``) exits 2 with
+one line; any other exception is a bug and keeps its traceback.
+``report`` re-renders each CSV as the SVG its header calls for; it reads
+every CSV before writing any SVG, and refuses two inputs that would write
+the same SVG.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import os
+import re
 import sys
-from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,7 +45,11 @@ from .data import fetch_idx_files
 from .harness import (
     DEFAULT_LAMBDA_GRID,
     DESK_LAMBDA_GRID,
+    LAMBDA_GRID,
+    SECTIONS,
+    SETTINGS,
     ExperimentConfig,
+    Setting,
     average_accuracy,
     desk_preset,
     grid_search,
@@ -58,89 +63,6 @@ from .optim import OptimizerConfig
 from .reports import emit_reports, read_report_csv, render_svg
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parser_for(hint) -> Callable[[str], Any]:
-    """Text-to-value converter for a resolved field type."""
-    if get_origin(hint) is Union:  # Optional[T]
-        (inner,) = (arg for arg in get_args(hint) if arg is not type(None))
-        parse_inner = _parser_for(inner)
-
-        def optional(text):
-            return None if text.strip().lower() in ("", "none") else parse_inner(text)
-
-        optional.__name__ = parse_inner.__name__  # argparse names it in errors
-        return optional
-    if get_origin(hint) is tuple:  # tuple[T, ...]
-        item = get_args(hint)[0]
-
-        def comma_separated(text):
-            return tuple(item(part) for part in text.split(","))
-
-        return comma_separated
-    if hint is bool:
-        return _parse_bool
-    return hint
-
-
-SECTIONS = dict(experiment=ExperimentConfig, optimizer=OptimizerConfig, strategy=StrategyConfig)
-
-# Public spellings that differ from the field name: (INI key, flag).
-ALIASES = {
-    ("experiment", "num_tasks"): ("tasks", "--tasks"),
-    ("experiment", "epochs_per_task"): ("epochs", "--epochs"),
-    ("experiment", "out_dir"): ("out_dir", "--out"),
-    ("optimizer", "kind"): ("kind", "--optimizer"),
-    ("strategy", "kind"): ("kind", "--strategy"),
-    ("strategy", "lam"): ("lambda", "--lambda"),
-    ("strategy", "online_decay"): ("gamma", "--gamma"),
-    ("strategy", "separate_clip_threshold"): ("clip", "--clip"),
-}
-
-
-class Setting(NamedTuple):
-    """One setting's INI key, flag and value parser."""
-
-    section: str
-    name: str
-    key: str
-    flag: str
-    parse: Callable[[str], Any]
-    help: str
-    choices: Optional[tuple] = None
-
-    @property
-    def dest(self) -> str:
-        return f"{self.section}.{self.name}"
-
-
-def _derive_settings() -> list[Setting]:
-    settings = []
-    for section, cls in SECTIONS.items():
-        hints = get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            if dataclasses.is_dataclass(hints[f.name]):
-                continue  # a nested section, not a setting
-            key, flag = ALIASES.get((section, f.name), (f.name, "--" + f.name.replace("_", "-")))
-            parse = _parser_for(hints[f.name])
-            help_text = f"[{section}] {key} (built-in default: {f.default!r})"
-            choices = f.metadata.get("choices")
-            settings.append(Setting(section, f.name, key, flag, parse, help_text, choices))
-    return settings
-
-
-SETTINGS = _derive_settings()
-LAMBDA_GRID = Setting(
-    "grid", "lambdas", "lambdas", "--lambda-grid", _parser_for(tuple[float, ...]),
-    "[grid] lambdas, comma-separated (default: the preset's grid)",
-)
 _BY_KEY = {(s.section, s.key): s for s in SETTINGS + [LAMBDA_GRID]}
 _DESTS = {s.dest for s in _BY_KEY.values()}
 
@@ -151,10 +73,30 @@ PRESETS = {
 
 
 def _read_config_file(path: str) -> dict:
-    """Parsed values of an INI file, keyed by setting ``dest``."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise IOError(f"cannot read config file {path}")
+    """Parsed values of an INI file or of a CSV artifact's manifest, keyed by setting ``dest``.
+
+    A file whose first line is ``# forgetlab <version>`` is an artifact: its
+    settings are the manifest lines from the first ``# [section]`` up to the
+    CSV header, each read without its ``# `` prefix.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError:
+        raise OSError(f"cannot read config file {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if lines and re.fullmatch(r"# forgetlab \d\S*\n?", lines[0]):
+        manifest = itertools.takewhile(lambda line: line.startswith("#"), lines)
+        settings = itertools.dropwhile(lambda line: not line.startswith("# ["), manifest)
+        lines = [line[2:] for line in settings]
+        if not lines:
+            raise ValueError(f"{path}: its manifest holds no [section] of settings")
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read_file(lines, source=path)
+    except configparser.Error as exc:  # no section header, a duplicate key, an unparsable line
+        raise ValueError(" ".join(str(exc).split())) from None
     values = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -198,7 +140,7 @@ def build_config(args) -> tuple[ExperimentConfig, tuple[float, ...]]:
 
 def _add_flag(parser, setting: Setting):
     kwargs = dict(dest=setting.dest, default=argparse.SUPPRESS, help=setting.help)
-    if setting.parse is _parse_bool:
+    if setting.boolean:
         parser.add_argument(setting.flag, action=argparse.BooleanOptionalAction, **kwargs)
     else:
         metavar = None if setting.choices else setting.name.upper()
@@ -208,7 +150,9 @@ def _add_flag(parser, setting: Setting):
 
 
 def _add_experiment_flags(parser):
-    parser.add_argument("--config", help="INI config file (see module docstring)")
+    parser.add_argument(
+        "--config", help="INI config file, or a CSV artifact to rerun (see module docstring)"
+    )
     parser.add_argument("--preset", choices=tuple(PRESETS))
     for setting in SETTINGS:
         _add_flag(parser, setting)
@@ -338,9 +282,7 @@ def parse_and_dispatch(argv) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except KeyboardInterrupt:
-        raise
-    except Exception as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:  # bad input; anything else is a bug
         print(f"forgetlab: error: {exc}", file=sys.stderr)
         return 2
 

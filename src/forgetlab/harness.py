@@ -6,14 +6,20 @@ registered in :mod:`forgetlab.numerics`, and the task (and epoch) it
 serves follow. So a config fully determines the trajectory: repeated
 runs are bit-identical, and two runs differing only in strategy settings
 see exactly the same data order and initial weights.
+
+:data:`SETTINGS` spells each of the 23 config fields once: INI section and
+key, flag, parser, and its inverse, the value's INI text. Config files and
+flags are read through it and CSV manifests written through it, so an
+artifact's manifest reads back as the config that made it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,15 +65,16 @@ class ExperimentConfig:
 
     Together with the fields of :class:`~forgetlab.optim.OptimizerConfig`
     and :class:`~forgetlab.continual.StrategyConfig`, these fields are the
-    lab's settings: the command line derives its INI keys and flags from
-    them (see :mod:`forgetlab.cli`). ``architecture`` runs from the input
+    lab's settings: :data:`SETTINGS` derives their INI keys, flags and
+    text from them. ``architecture`` runs from the input
     width to the class count; the synthetic source makes
     ``architecture[-1]`` classes. Every setting is checked when the config
     is built: each field's choices and bounds are declared in its metadata
     and checked by :func:`~forgetlab.numerics.check_fields` (with float
     finiteness); ``__post_init__`` adds the architecture's own shape (at
-    least two positive widths). The base data's width and labels are
-    checked against ``architecture`` when the tasks are built
+    least two positive widths) and that each path reads back from an INI
+    line. The base data's width and labels are checked against
+    ``architecture`` when the tasks are built
     (:func:`~forgetlab.data.make_permuted_tasks`).
     """
 
@@ -92,6 +99,9 @@ class ExperimentConfig:
         check_fields(self)
         if len(self.architecture) < 2 or any(n < 1 for n in self.architecture):
             raise ValueError(f"bad architecture {self.architecture}")
+        for name in ("data_dir", "out_dir"):  # the free-text settings a manifest records
+            if _MISREAD_IN_INI.search(str(value := getattr(self, name))):
+                raise ValueError(f"{name} must read back from an INI line unchanged: {value!r}")
 
 
 def desk_preset(**overrides) -> ExperimentConfig:
@@ -124,6 +134,112 @@ def desk_preset(**overrides) -> ExperimentConfig:
 def paper_preset(**overrides) -> ExperimentConfig:
     """Full protocol on MNIST: the config defaults are the paper's, on the whole dataset."""
     return ExperimentConfig(**{"source": "mnist", **overrides})
+
+
+# Free text an INI line would not give back as written: the reader strips
+# whitespace at either end, ends the line at a line break, and starts an
+# inline comment at a `#` or `;` that opens the value or follows whitespace.
+_MISREAD_IN_INI = re.compile(r"^\s|\s\Z|[\r\n]|(^|\s)[#;]")
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _spelling(hint) -> tuple[Callable[[str], Any], Callable[[Any], str]]:
+    """A resolved field type's INI text parser and its inverse: ``parse(text(v)) == v``."""
+    if get_origin(hint) is Union:  # Optional[T]
+        (inner,) = (arg for arg in get_args(hint) if arg is not type(None))
+        parse_inner, text_inner = _spelling(inner)
+
+        def optional(text):
+            return None if text.strip().lower() in ("", "none") else parse_inner(text)
+
+        optional.__name__ = parse_inner.__name__  # argparse names it in errors
+        return optional, lambda value: "none" if value is None else text_inner(value)
+    if get_origin(hint) is tuple:  # tuple[T, ...]
+        parse_item, text_item = _spelling(get_args(hint)[0])
+
+        def comma_separated(text):
+            return tuple(parse_item(part) for part in text.split(","))
+
+        return comma_separated, lambda value: ",".join(map(text_item, value))
+    if hint is bool:
+        return _parse_bool, lambda value: "true" if value else "false"
+    if hint is str:
+        return str, str
+    return hint, lambda value: repr(hint(value))  # int or float: repr reads back exactly
+
+
+SECTIONS = dict(experiment=ExperimentConfig, optimizer=OptimizerConfig, strategy=StrategyConfig)
+
+# Public spellings that differ from the field name: (INI key, flag).
+ALIASES = {
+    ("experiment", "num_tasks"): ("tasks", "--tasks"),
+    ("experiment", "epochs_per_task"): ("epochs", "--epochs"),
+    ("experiment", "out_dir"): ("out_dir", "--out"),
+    ("optimizer", "kind"): ("kind", "--optimizer"),
+    ("strategy", "kind"): ("kind", "--strategy"),
+    ("strategy", "lam"): ("lambda", "--lambda"),
+    ("strategy", "online_decay"): ("gamma", "--gamma"),
+    ("strategy", "separate_clip_threshold"): ("clip", "--clip"),
+}
+
+
+class Setting(NamedTuple):
+    """One setting's INI key, flag, value parser and its inverse, ``text``."""
+
+    section: str
+    name: str
+    key: str
+    flag: str
+    parse: Callable[[str], Any]
+    text: Callable[[Any], str]
+    help: str
+    choices: Optional[tuple] = None
+
+    @property
+    def dest(self) -> str:
+        return f"{self.section}.{self.name}"
+
+    @property
+    def boolean(self) -> bool:
+        """A true/false setting, whose flag comes as a ``--x``/``--no-x`` pair."""
+        return self.parse is _parse_bool
+
+    def value(self, config: ExperimentConfig):
+        """This setting's value in ``config``."""
+        owner = config if self.section == "experiment" else getattr(config, self.section)
+        return getattr(owner, self.name)
+
+
+def _derive_settings() -> list[Setting]:
+    settings = []
+    for section, cls in SECTIONS.items():
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(hints[f.name]):
+                continue  # a nested section, not a setting
+            key, flag = ALIASES.get((section, f.name), (f.name, "--" + f.name.replace("_", "-")))
+            parse, text = _spelling(hints[f.name])
+            help_text = f"[{section}] {key} (built-in default: {text(f.default)})"
+            choices = f.metadata.get("choices")
+            settings.append(Setting(section, f.name, key, flag, parse, text, help_text, choices))
+    return settings
+
+
+# Every setting, grouped by section in field order: the command line's INI
+# keys and flags, and the INI text of each CSV manifest.
+SETTINGS = _derive_settings()
+LAMBDA_GRID = Setting(
+    "grid", "lambdas", "lambdas", "--lambda-grid", *_spelling(tuple[float, ...]),
+    "[grid] lambdas, comma-separated (default: the preset's grid)",
+)
 
 
 @dataclass

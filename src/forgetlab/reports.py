@@ -1,12 +1,15 @@
 """CSV and SVG artifacts for runs and lambda surfaces.
 
-CSV files open with '#'-prefixed manifest lines (forgetlab's git version,
-numeric environment, config echo including the seed) followed by a header
-row and data rows. Floats are written with ``repr`` so parsing them back is
-exact and repeated runs produce byte-identical files; a CSV is read back only
-if encoding what was parsed gives its data rows again. The SVG charts are
-static hand-written XML, each written by one envelope and text template:
-line charts of per-task accuracy over the sequence, and a lambda heatmap.
+CSV files open with '#'-prefixed manifest lines (forgetlab's version and git
+describe, the numeric environment, then the config as the INI text
+``forgetlab run --config`` reads, spelled by ``harness.SETTINGS``) followed
+by a header row and data rows. Floats are written with ``repr`` so parsing
+them back is exact and repeated runs produce byte-identical files; a CSV is
+read back only if encoding what was parsed gives its data rows again. A
+result read back carries no config, so no CSV is written from it. The SVG
+charts are static hand-written XML, each written by one envelope and text
+template: line charts of per-task accuracy over the sequence, and a lambda
+heatmap.
 Each report kind, an eval matrix or a lambda surface, is one record in
 ``_KINDS``: its CSV header, file names, row encoder, parser, chart and
 trailing comments; every writer and the reader look the kind up there.
@@ -15,7 +18,6 @@ trailing comments; every writer and the reader look the kind up there.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import os
 import subprocess
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .fileio import atomic_write
-from .harness import EvalMatrix, ExperimentConfig, LambdaSurface, RunResult
+from .harness import SECTIONS, SETTINGS, EvalMatrix, ExperimentConfig, LambdaSurface, RunResult
 from .numerics import numeric_environment
 
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -50,22 +52,16 @@ def git_version() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def _flatten_config(config: ExperimentConfig) -> list[tuple[str, str]]:
-    def walk(prefix, mapping):
-        for key in sorted(mapping):
-            value = mapping[key]
-            if isinstance(value, dict):
-                yield from walk(f"{prefix}{key}.", value)
-            else:
-                yield f"{prefix}{key}", repr(value)
-
-    return list(walk("", dataclasses.asdict(config)))
-
-
 def manifest_lines(config: ExperimentConfig) -> list[str]:
+    """A CSV's opening '#' lines: version, git, numeric environment, then
+    ``config`` as the INI text ``forgetlab run --config`` reads, by section."""
     lines = [f"# forgetlab {__version__}", f"# git = {git_version()}"]
     lines.extend(f"# numeric.{k} = {v!r}" for k, v in numeric_environment().items())
-    lines.extend(f"# {key} = {value}" for key, value in _flatten_config(config))
+    for section in SECTIONS:
+        lines.append(f"# [{section}]")
+        lines.extend(
+            f"# {s.key} = {s.text(s.value(config))}" for s in SETTINGS if s.section == section
+        )
     return lines
 
 
@@ -256,7 +252,9 @@ def _kind(result) -> _Kind:
 def emit_csv(result, path: str, config: ExperimentConfig) -> str:
     """Write ``config``'s manifest, then ``result``'s header, data rows and trailing comments."""
     kind = _kind(result)
-    with atomic_write(path, newline="") as fh:
+    if config is None:
+        raise TypeError(f"cannot report on {type(result).__name__} without its config")
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         for line in manifest_lines(config):
             fh.write(line + "\n")
         writer = csv.writer(fh)
@@ -275,9 +273,12 @@ def read_report_csv(path: str):
     that differs (a negative, duplicate or upper-triangle cell, a float not
     in ``repr`` form) raises ``ValueError``. Every error names the path.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if line.strip() and not line.startswith("#"))
-        header, rows = tuple(next(reader, ())), list(reader)
+        try:
+            header, rows = tuple(next(reader, ())), list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:  # a NUL byte, a field too long, not text
+            raise ValueError(f"{path}: {exc}") from None
     kind = next((kind for kind in _KINDS.values() if kind.header == header), None)
     if kind is None:
         raise ValueError(f"{path}: unrecognized CSV header {','.join(header)!r}")
@@ -305,4 +306,5 @@ def emit_reports(result, outdir: str) -> list[str]:
     kind = _kind(chart)
     os.makedirs(outdir, exist_ok=True)
     csv_path, svg_path = (os.path.join(outdir, name) for name in kind.names)
-    return [emit_csv(chart, csv_path, result.config), render_svg(chart, svg_path)]
+    config = getattr(result, "config", None)  # an eval matrix read back has no config field
+    return [emit_csv(chart, csv_path, config), render_svg(chart, svg_path)]

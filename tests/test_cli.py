@@ -6,15 +6,22 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import typing
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from forgetlab.cli import SETTINGS, build_config, build_parser, main, parse_and_dispatch
+from forgetlab import cli
+from forgetlab.cli import build_config, build_parser, main, parse_and_dispatch
 from forgetlab.continual import StrategyConfig
 from forgetlab.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILE_NAMES
-from forgetlab.harness import ExperimentConfig, OptimizerConfig
+from forgetlab.harness import SETTINGS, EvalMatrix, ExperimentConfig, OptimizerConfig
+from forgetlab.reports import emit_csv
 
 TINY_INI = """
 [experiment]
@@ -95,6 +102,13 @@ class TestUsageErrors:
         assert run_cli("--help") == 0
         assert "run" in capsys.readouterr().out
 
+    def test_run_help_shows_defaults_as_an_ini_file_spells_them(self, capsys):
+        assert run_cli("run", "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for default in ("784,300,150,10", "none", "false", "0.0", "synthetic"):
+            assert f"(built-in default: {default})" in help_text
+        assert "(784, 300, 150, 10)" not in help_text
+
 
 class TestSettingsLayers:
     def test_config_file_overrides_defaults(self, tiny_config):
@@ -174,6 +188,44 @@ class TestSettingsLayers:
     def test_missing_config_file_fails(self, tmp_path, capsys):
         assert run_cli("run", "--config", str(tmp_path / "nope.ini")) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["tasks = 2\n", "[experiment]\ntasks = 2\ntasks = 3\n", "[experiment]\ngarbage\n"],
+        ids=["no-section", "duplicate-key", "no-delimiter"],
+    )
+    def test_malformed_config_file_is_one_line_naming_it(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("run", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[experiment]\ndata_dir = caf\xe9\n")
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"forgetlab: error: {path}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_percent_in_a_value_reads_as_written(self, tmp_path):
+        # no interpolation: a path may hold '%'
+        path = tmp_path / "pct.ini"
+        path.write_text("[experiment]\nout_dir = out/100%done\ndata_dir = %(x)s\n")
+        config, _ = resolve(["run", "--config", str(path)])
+        assert (config.out_dir, config.data_dir) == ("out/100%done", "%(x)s")
+
+    def test_ini_file_opening_with_a_comment_reads_as_ini(self, tmp_path):
+        path = tmp_path / "commented.ini"
+        path.write_text("# forgetlab settings for a short run\n[experiment]\ntasks = 3\n")
+        assert resolve(["run", "--config", str(path)])[0].num_tasks == 3
+
+    def test_artifact_without_settings_is_refused(self, tmp_path, capsys):
+        # a manifest from before the settings were written as INI sections
+        path = tmp_path / "old.csv"
+        path.write_text(f"# forgetlab 0.1.0\n# num_tasks = 3\n{MATRIX_HEADER}\n0,0,0.9,10\n")
+        assert run_cli("run", "--config", str(path)) == 2
+        assert f"{path}: its manifest holds no [section]" in capsys.readouterr().err
 
     def test_bad_config_value_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -402,6 +454,108 @@ class TestSettingsParity:
         assert config.eval_subset == 2_000
 
 
+def data_rows(path):
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+
+def manifest_diff(a, b):
+    pairs = zip(Path(a).read_text().splitlines(), Path(b).read_text().splitlines())
+    return [(x, y) for x, y in pairs if x != y]
+
+
+class TestArtifactsRerun:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--target", "gradient", "--attenuation", "exponential"],
+            ["--strategy", "ewc", "--gamma", "0.9", "--safe-coefficient", "--lambda", "2"],
+            ["--strategy", "ewc_multi_anchor", "--clip", "0.5", "--estimator", "fisher"],
+        ],
+        ids=["wva-step", "wva-gradient", "ewc-gamma-safe", "multi-anchor-clip"],
+    )
+    def test_run_from_its_own_csv_writes_the_same_rows(self, flags, tiny_config, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli("run", "--config", tiny_config, *flags, "--out", str(first)) == 0
+        original = first / "eval_matrix.csv"
+        assert run_cli("run", "--config", str(original), "--out", str(again)) == 0
+        rerun = again / "eval_matrix.csv"
+        assert data_rows(rerun) == data_rows(original)
+        assert manifest_diff(original, rerun) == [
+            (f"# out_dir = {first}", f"# out_dir = {again}")
+        ]
+
+    def test_surface_manifest_reads_back_as_the_grid_config(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        argv = ["grid", "--config", tiny_config, "--out", str(out), "--lambda-grid", "0.1,1.0"]
+        assert run_cli(*argv) == 0
+        config, _ = resolve(["grid", "--config", tiny_config, "--out", str(out)])
+        assert resolve(["grid", "--config", str(out / "surface.csv")])[0] == config
+
+
+def path_text():
+    # any text at all, with the characters an INI reader treats specially drawn often
+    return st.text(st.characters() | st.sampled_from(" \t\r\n\x0b\x0c\x85\xa0#;%=:[]"))
+
+
+def non_negative(**bound):
+    return st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, **bound)
+
+
+def drawn_value(setting):
+    """A strategy for a value of ``setting`` within its declared choices and bounds."""
+    if setting.choices:
+        return st.sampled_from(setting.choices)
+    cls = SECTIONS[setting.section]
+    hint = typing.get_type_hints(cls)[setting.name]
+    meta = {f.name: f.metadata for f in dataclasses.fields(cls)}[setting.name]
+    kinds = numeric_kinds(hint)
+    if hint is str:
+        return path_text()
+    if hint is bool:
+        return st.booleans()
+    if typing.get_origin(hint) is tuple:
+        return st.lists(st.integers(min_value=1), min_size=2).map(tuple)
+    if int in kinds:
+        value = st.integers(min_value=meta["min"])
+    elif "above" in meta:
+        value = non_negative(exclude_min=True)
+    else:
+        value = non_negative(max_value=meta.get("max"))
+    return value | st.none() if type(None) in kinds else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({s.dest: drawn_value(s) for s in SETTINGS}))
+def test_every_config_reads_back_from_its_manifest_or_is_refused(values):
+    fields = {section: {} for section in SECTIONS}
+    for dest, value in values.items():
+        section, name = dest.split(".")
+        fields[section][name] = value
+    # follow the strategy's cross-field rules, so most drawn configs are built
+    strategy = fields["strategy"]
+    if strategy["kind"] not in ("ewc", "ewc_multi_anchor"):
+        strategy.update(safe_coefficient=False, separate_clip_threshold=None)
+    if strategy["kind"] == "ewc_multi_anchor":
+        strategy["online_decay"] = 1.0
+    try:
+        config = ExperimentConfig(
+            optimizer=OptimizerConfig(**fields["optimizer"]),
+            strategy=StrategyConfig(**fields["strategy"]),
+            **fields["experiment"],
+        )
+    except ValueError as exc:  # refused when built, before any training
+        assert (name := str(exc).split()[0]) in {s.name for s in SETTINGS}, exc
+        event(f"refused: {name}")
+        return
+    event("read back")
+    matrix = EvalMatrix(np.array([[0.5]]), np.array([[10]]))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("DATA_DIR", None)
+        path = emit_csv(matrix, os.path.join(tmp, "eval_matrix.csv"), config)
+        assert resolve(["run", "--config", path])[0] == config
+
+
 class TestRunAndGrid:
     def test_run_writes_matrix_and_curves(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -413,7 +567,7 @@ class TestRunAndGrid:
         assert "average accuracy after task 1" in stdout
         manifest = (out / "eval_matrix.csv").read_text()
         assert "# seed = 7" in manifest
-        assert "# strategy.kind = 'wva'" in manifest
+        assert "# [strategy]\n# kind = wva\n" in manifest
 
     def test_run_is_deterministic_on_disk(self, tiny_config, tmp_path):
         # the manifest echoes the effective config (including out_dir), so
@@ -577,6 +731,25 @@ class TestFetchData:
         )
         assert code == 2
         assert capsys.readouterr().err
+
+
+class TestErrors:
+    def test_internal_error_keeps_its_traceback(self, monkeypatch):
+        def broken(args):
+            raise TypeError("a programming error")
+
+        monkeypatch.setattr(cli, "cmd_selftest", broken)
+        with pytest.raises(TypeError, match="a programming error"):
+            run_cli("selftest")
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, FloatingPointError])
+    def test_input_errors_exit_2_with_one_line(self, error, monkeypatch, capsys):
+        def failing(args):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "cmd_selftest", failing)
+        assert run_cli("selftest") == 2
+        assert capsys.readouterr().err == "forgetlab: error: bad input\n"
 
 
 class TestSelftest:

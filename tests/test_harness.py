@@ -25,6 +25,7 @@ from forgetlab.harness import (
     EvalMatrix,
     ExperimentConfig,
     OptimizerConfig,
+    SETTINGS,
     average_accuracy,
     build_tasks,
     desk_preset,
@@ -128,6 +129,49 @@ class TestConfigs:
     def test_preset_overrides(self):
         desk = desk_preset(num_tasks=2, seed=9)
         assert desk.num_tasks == 2 and desk.seed == 9
+
+    @pytest.mark.parametrize("name", ["data_dir", "out_dir"])
+    @pytest.mark.parametrize(
+        "value", ["runs #3", "x ;y", "#x", ";x", " lead", "trail ", "a\nb", "a\rb", "tab\t"]
+    )
+    def test_free_text_that_an_ini_line_would_misread_is_refused(self, name, value):
+        # a manifest records the config as INI text, which must read back as written
+        with pytest.raises(ValueError, match=f"^{name} must read back from an INI line"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", ["runs#3", "x;y", "out/100%done", "a = b", "[x]", "é ü", ""])
+    def test_free_text_an_ini_line_reads_back_is_kept(self, value):
+        config = ExperimentConfig(data_dir=value, out_dir=value)
+        assert (config.data_dir, config.out_dir) == (value, value)
+
+
+class TestSettings:
+    def test_the_table_spells_all_23_settings_once(self):
+        assert len(SETTINGS) == 23
+        assert len({s.dest for s in SETTINGS}) == len({(s.section, s.key) for s in SETTINGS}) == 23
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.dest)
+    def test_text_is_the_inverse_of_parse(self, setting):
+        # the defaults, and a config that sets every optional setting and flips each boolean
+        config = desk_preset(
+            architecture=(784, 20, 10),
+            save_checkpoints=True,
+            optimizer=OptimizerConfig(learning_rate=0.01),
+            strategy=StrategyConfig(
+                kind="ewc", lam=31.6, safe_coefficient=True, separate_clip_threshold=0.1
+            ),
+        )
+        for value in (setting.value(ExperimentConfig()), setting.value(config)):
+            assert setting.parse(setting.text(value)) == value
+
+    def test_text_spells_values_as_an_ini_file_does(self):
+        texts = {s.dest: s.text(s.value(desk_preset())) for s in SETTINGS}
+        assert texts["experiment.architecture"] == "784,300,150,10"
+        assert texts["experiment.train_subset"] == "10000"
+        assert texts["experiment.save_checkpoints"] == "false"
+        assert texts["experiment.synthetic_spread"] == "0.9"
+        assert texts["optimizer.learning_rate"] == "none"
+        assert texts["strategy.kind"] == "none"
 
 
 def write_idx_dir(path):

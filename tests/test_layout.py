@@ -9,7 +9,7 @@ import ast
 import re
 from pathlib import Path
 
-from forgetlab.cli import SETTINGS
+from forgetlab.harness import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "forgetlab"

@@ -218,6 +218,24 @@ def test_emit_csv_names_an_unknown_type(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("kind", ["matrix", "surface"])
+def test_emit_reports_names_a_result_read_back_without_its_config(tmp_path, kind):
+    written = {"matrix": small_matrix, "surface": small_surface}[kind]()
+    back = read_report_csv(emit_csv(written, str(tmp_path / "in.csv"), CONFIG))
+    name = type(back).__name__
+    with pytest.raises(TypeError, match=f"^cannot report on {name} without its config$"):
+        emit_reports(back, str(tmp_path / "out"))
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("bad", [b"\x00", b"\xff"], ids=["nul-byte", "not-utf8"])
+def test_unreadable_csv_names_the_path(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"after_task,eval_task,accuracy,n_samples\n0,0,0.9" + bad + b",10\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_report_csv(str(path))
+
+
 def test_surface_csv_carries_the_run_manifest(tmp_path):
     config = desk_preset(seed=5)
     run = RunResult(
@@ -286,8 +304,8 @@ def test_manifest_flattens_nested_config():
     config = desk_preset(seed=5)
     lines = manifest_lines(config)
     joined = "\n".join(lines)
-    assert "# optimizer.kind = 'adam'" in joined
-    assert "# strategy.lam = 0.0" in joined
+    assert "# [optimizer]\n# kind = adam\n" in joined
+    assert "# [strategy]\n# kind = none\n# lambda = 0.0\n" in joined
 
 
 def test_manifest_records_the_numeric_environment():
