@@ -18,11 +18,15 @@ the config is built (:func:`~forgetlab.numerics.check_fields`). ``grid``
 also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
 --help`` lists every flag with its INI key and built-in default.
 
-A config file is INI, read without ``%`` interpolation, or a CSV that
-forgetlab wrote, whose manifest is the effective config as that INI text:
-``forgetlab run --config out/eval_matrix.csv --out rerun`` reruns it. Bad
-input (``ValueError``, ``OSError``, ``FloatingPointError``) exits 2 with
-one line; any other exception is a bug and keeps its traceback.
+A config file is INI or a CSV that forgetlab wrote, whose manifest is the
+effective config as that INI text: ``forgetlab run --config
+out/eval_matrix.csv --out rerun`` reruns it. This module only opens the
+file; :func:`~forgetlab.reports.manifest_settings` takes a CSV's settings
+out of its manifest and :func:`~forgetlab.harness.read_settings` reads
+the INI text (without ``%`` interpolation; a non-empty ``[DEFAULT]`` is
+refused). Bad input (``ValueError``, ``OSError``, ``FloatingPointError``)
+exits 2 with one line; any other exception is a bug and keeps its
+traceback.
 ``report`` re-renders each CSV as the SVG its header calls for; it reads
 every CSV before writing any SVG, and refuses two inputs that would write
 the same SVG.
@@ -31,11 +35,8 @@ the same SVG.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
-import itertools
 import os
-import re
 import sys
 
 import numpy as np
@@ -54,17 +55,17 @@ from .harness import (
     desk_preset,
     grid_search,
     paper_preset,
+    read_settings,
     run_sequence,
     sgd_target_equivalence,
 )
 from .model import init_params, max_relative_gradient_error
 from .numerics import stream
 from .optim import OptimizerConfig
-from .reports import emit_reports, read_report_csv, render_svg
+from .reports import emit_reports, manifest_settings, read_report_csv, render_svg
 
 
-_BY_KEY = {(s.section, s.key): s for s in SETTINGS + [LAMBDA_GRID]}
-_DESTS = {s.dest for s in _BY_KEY.values()}
+_DESTS = {s.dest for s in SETTINGS + [LAMBDA_GRID]}
 
 PRESETS = {
     "desk": (desk_preset, DESK_LAMBDA_GRID),
@@ -75,9 +76,8 @@ PRESETS = {
 def _read_config_file(path: str) -> dict:
     """Parsed values of an INI file or of a CSV artifact's manifest, keyed by setting ``dest``.
 
-    A file whose first line is ``# forgetlab <version>`` is an artifact: its
-    settings are the manifest lines from the first ``# [section]`` up to the
-    CSV header, each read without its ``# `` prefix.
+    :func:`~forgetlab.reports.manifest_settings` finds an artifact's INI lines
+    and :func:`~forgetlab.harness.read_settings` reads them.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -86,28 +86,9 @@ def _read_config_file(path: str) -> dict:
         raise OSError(f"cannot read config file {path}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if lines and re.fullmatch(r"# forgetlab \d\S*\n?", lines[0]):
-        manifest = itertools.takewhile(lambda line: line.startswith("#"), lines)
-        settings = itertools.dropwhile(lambda line: not line.startswith("# ["), manifest)
-        lines = [line[2:] for line in settings]
-        if not lines:
-            raise ValueError(f"{path}: its manifest holds no [section] of settings")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-    try:
-        parser.read_file(lines, source=path)
-    except configparser.Error as exc:  # no section header, a duplicate key, an unparsable line
-        raise ValueError(" ".join(str(exc).split())) from None
-    values = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            setting = _BY_KEY.get((section, key))
-            if setting is None:
-                raise ValueError(f"{path}: unknown config key [{section}] {key}")
-            try:
-                values[setting.dest] = setting.parse(raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad value for [{section}] {key}: {exc}") from None
-    return values
+    if (settings := manifest_settings(lines)) == []:
+        raise ValueError(f"{path}: its manifest holds no [section] of settings")
+    return read_settings(lines if settings is None else settings, path)
 
 
 def build_config(args) -> tuple[ExperimentConfig, tuple[float, ...]]:

@@ -8,16 +8,20 @@ runs are bit-identical, and two runs differing only in strategy settings
 see exactly the same data order and initial weights.
 
 :data:`SETTINGS` spells each of the 23 config fields once: INI section and
-key, flag, parser, and its inverse, the value's INI text. Config files and
-flags are read through it and CSV manifests written through it, so an
-artifact's manifest reads back as the config that made it.
+key, flag, parser, and its inverse, the value's INI text. Beside it sit the
+one writer and the one reader of that text: :func:`settings_lines` writes a
+config as INI lines (a CSV manifest holds them), and :func:`read_settings`
+reads INI lines back, so an artifact's manifest reads back as the config
+that made it. A free-text path, ``data_dir`` or ``out_dir``, is refused
+unless it is UTF-8 text (as a manifest is) and its line reads back unchanged.
 """
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
+import io
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -72,10 +76,10 @@ class ExperimentConfig:
     is built: each field's choices and bounds are declared in its metadata
     and checked by :func:`~forgetlab.numerics.check_fields` (with float
     finiteness); ``__post_init__`` adds the architecture's own shape (at
-    least two positive widths) and that each path reads back from an INI
-    line. The base data's width and labels are checked against
-    ``architecture`` when the tasks are built
-    (:func:`~forgetlab.data.make_permuted_tasks`).
+    least two positive widths) and that each path reads back unchanged
+    from its INI line through :func:`read_settings`. The base data's width
+    and labels are checked against ``architecture`` when the tasks are
+    built (:func:`~forgetlab.data.make_permuted_tasks`).
     """
 
     source: str = field(default="synthetic", metadata={"choices": SOURCES})
@@ -100,26 +104,30 @@ class ExperimentConfig:
         if len(self.architecture) < 2 or any(n < 1 for n in self.architecture):
             raise ValueError(f"bad architecture {self.architecture}")
         for name in ("data_dir", "out_dir"):  # the free-text settings a manifest records
-            if _MISREAD_IN_INI.search(str(value := getattr(self, name))):
+            value = getattr(self, name)
+            # fed as a file would be, so "\r" breaks the line too; each INI key is its name
+            line = io.StringIO(f"[experiment]\n{name} = {value}\n", newline=None)
+            try:
+                value.encode("utf-8")  # a manifest is UTF-8 text: no lone surrogate
+                read_back = read_settings(line, name)
+            except ValueError:  # not UTF-8, or broke into a line the reader refuses
+                read_back = None
+            if read_back != {f"experiment.{name}": value}:
                 raise ValueError(f"{name} must read back from an INI line unchanged: {value!r}")
 
 
 def desk_preset(**overrides) -> ExperimentConfig:
     """Laptop-scale protocol: 5 tasks, 1 epoch each, subsetted data.
 
-    Uses the synthetic source by default so it runs with no downloads;
-    pass ``source="mnist"`` (with data fetched) for the image version.
-    Pairs with :data:`DESK_LAMBDA_GRID`.
+    Every other setting is the config default, so it runs on the
+    synthetic source with no downloads; pass ``source="mnist"`` (with
+    data fetched) for the image version. Pairs with :data:`DESK_LAMBDA_GRID`.
     """
     base = dict(
-        source="synthetic",
         num_tasks=5,
         epochs_per_task=1,
-        batch_size=100,
-        seed=42,
         train_subset=10_000,
         eval_subset=2_000,
-        synthetic_samples_per_class=1250,
         # spread 0.9 makes the clusters overlap enough that training a
         # new permutation actually moves shared weights: each task still
         # reaches ~0.9+ accuracy, while an unprotected run loses ~20
@@ -134,12 +142,6 @@ def desk_preset(**overrides) -> ExperimentConfig:
 def paper_preset(**overrides) -> ExperimentConfig:
     """Full protocol on MNIST: the config defaults are the paper's, on the whole dataset."""
     return ExperimentConfig(**{"source": "mnist", **overrides})
-
-
-# Free text an INI line would not give back as written: the reader strips
-# whitespace at either end, ends the line at a line break, and starts an
-# inline comment at a `#` or `;` that opens the value or follows whitespace.
-_MISREAD_IN_INI = re.compile(r"^\s|\s\Z|[\r\n]|(^|\s)[#;]")
 
 
 def _parse_bool(text: str) -> bool:
@@ -240,6 +242,46 @@ LAMBDA_GRID = Setting(
     "grid", "lambdas", "lambdas", "--lambda-grid", *_spelling(tuple[float, ...]),
     "[grid] lambdas, comma-separated (default: the preset's grid)",
 )
+_BY_KEY = {(s.section, s.key): s for s in SETTINGS + [LAMBDA_GRID]}
+
+
+def settings_lines(config: ExperimentConfig) -> list[str]:
+    """``config`` as the INI text :func:`read_settings` reads, keys in field order."""
+    lines = []
+    for section in SECTIONS:
+        lines.append(f"[{section}]")
+        lines += (f"{s.key} = {s.text(s.value(config))}" for s in SETTINGS if s.section == section)
+    return lines
+
+
+def read_settings(lines, origin: str) -> dict:
+    """The settings in INI ``lines``, parsed and keyed by setting ``dest``.
+
+    Values are read as written, ``%`` included (no interpolation). A ``#``
+    or ``;`` that opens a value or follows whitespace starts a comment, and
+    whitespace at either end is dropped. Every error is a one-line
+    ``ValueError`` naming ``origin``: a malformed line, an unknown key, a
+    bad value, or a non-empty ``[DEFAULT]``, whose keys the reader would
+    copy into every section.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read_file(lines, source=origin)
+    except configparser.Error as exc:  # no section header, a duplicate key, an unparsable line
+        raise ValueError(" ".join(str(exc).split())) from None
+    if parser.defaults():
+        raise ValueError(f"{origin}: [DEFAULT] is not a section forgetlab reads")
+    values = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            setting = _BY_KEY.get((section, key))
+            if setting is None:
+                raise ValueError(f"{origin}: unknown config key [{section}] {key}")
+            try:
+                values[setting.dest] = setting.parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{origin}: bad value for [{section}] {key}: {exc}") from None
+    return values
 
 
 @dataclass

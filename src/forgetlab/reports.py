@@ -2,9 +2,11 @@
 
 CSV files open with '#'-prefixed manifest lines (forgetlab's version and git
 describe, the numeric environment, then the config as the INI text
-``forgetlab run --config`` reads, spelled by ``harness.SETTINGS``) followed
-by a header row and data rows. Floats are written with ``repr`` so parsing
-them back is exact and repeated runs produce byte-identical files; a CSV is
+``forgetlab run --config`` reads, written by ``harness.settings_lines``)
+followed by a header row and data rows. :func:`manifest_lines` frames that
+text and :func:`manifest_settings` takes it back out of a CSV, for
+``harness.read_settings`` to read. Floats are written with ``repr`` so
+parsing them back is exact and repeated runs produce byte-identical files; a CSV is
 read back only if encoding what was parsed gives its data rows again. A
 result read back carries no config, so no CSV is written from it. The SVG
 charts are static hand-written XML, each written by one envelope and text
@@ -18,17 +20,19 @@ trailing comments; every writer and the reader look the kind up there.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
+import re
 import subprocess
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .fileio import atomic_write
-from .harness import SECTIONS, SETTINGS, EvalMatrix, ExperimentConfig, LambdaSurface, RunResult
+from .harness import EvalMatrix, ExperimentConfig, LambdaSurface, RunResult, settings_lines
 from .numerics import numeric_environment
 
 CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -54,15 +58,25 @@ def git_version() -> str:
 
 def manifest_lines(config: ExperimentConfig) -> list[str]:
     """A CSV's opening '#' lines: version, git, numeric environment, then
-    ``config`` as the INI text ``forgetlab run --config`` reads, by section."""
+    ``config`` as the INI text ``forgetlab run --config`` reads, each line behind ``# ``."""
     lines = [f"# forgetlab {__version__}", f"# git = {git_version()}"]
     lines.extend(f"# numeric.{k} = {v!r}" for k, v in numeric_environment().items())
-    for section in SECTIONS:
-        lines.append(f"# [{section}]")
-        lines.extend(
-            f"# {s.key} = {s.text(s.value(config))}" for s in SETTINGS if s.section == section
-        )
-    return lines
+    return lines + [f"# {line}" for line in settings_lines(config)]
+
+
+def manifest_settings(lines: list[str]) -> Optional[list[str]]:
+    """The INI lines of a forgetlab CSV's manifest, or None for any other text (an INI file).
+
+    A CSV forgetlab wrote opens with ``# forgetlab <version>`` (a version
+    starts with a digit, so ``# forgetlab settings for ...`` opens an INI
+    file). Its settings are the manifest lines from the first ``# [section]``
+    up to the CSV header, each without its ``# ``; an empty list if it has none.
+    """
+    if not (lines and re.fullmatch(r"# forgetlab \d\S*\n?", lines[0])):
+        return None
+    manifest = itertools.takewhile(lambda line: line.startswith("#"), lines)
+    settings = itertools.dropwhile(lambda line: not line.startswith("# ["), manifest)
+    return [line[2:] for line in settings]
 
 
 def _matrix_rows(matrix: EvalMatrix):
@@ -249,11 +263,17 @@ def _kind(result) -> _Kind:
     return _KINDS[type(result)]
 
 
-def emit_csv(result, path: str, config: ExperimentConfig) -> str:
-    """Write ``config``'s manifest, then ``result``'s header, data rows and trailing comments."""
+def _csv_kind(result, config: ExperimentConfig) -> _Kind:
+    """``result``'s kind, if a CSV can be written for it: the config must come with it."""
     kind = _kind(result)
     if config is None:
         raise TypeError(f"cannot report on {type(result).__name__} without its config")
+    return kind
+
+
+def emit_csv(result, path: str, config: ExperimentConfig) -> str:
+    """Write ``config``'s manifest, then ``result``'s header, data rows and trailing comments."""
+    kind = _csv_kind(result, config)
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         for line in manifest_lines(config):
             fh.write(line + "\n")
@@ -301,10 +321,12 @@ def render_svg(result, path: str) -> str:
 
 
 def emit_reports(result, outdir: str) -> list[str]:
-    """Write the CSV, then its chart through :func:`render_svg`; returns ``[csv, svg]``."""
+    """Write the CSV, then its chart through :func:`render_svg`; returns ``[csv, svg]``.
+
+    ``outdir`` is created only for a result a CSV can be written for.
+    """
     chart = result.matrix if isinstance(result, RunResult) else result
-    kind = _kind(chart)
-    os.makedirs(outdir, exist_ok=True)
-    csv_path, svg_path = (os.path.join(outdir, name) for name in kind.names)
     config = getattr(result, "config", None)  # an eval matrix read back has no config field
+    csv_path, svg_path = (os.path.join(outdir, name) for name in _csv_kind(chart, config).names)
+    os.makedirs(outdir, exist_ok=True)
     return [emit_csv(chart, csv_path, config), render_svg(chart, svg_path)]

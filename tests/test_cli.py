@@ -227,6 +227,25 @@ class TestSettingsLayers:
         assert run_cli("run", "--config", str(path)) == 2
         assert f"{path}: its manifest holds no [section]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\ntasks = 3\n", "[DEFAULT]\nseed = 7\n[experiment]\ntasks = 2\n"],
+        ids=["defaults-only", "defaults-into-a-section"],
+    )
+    def test_default_section_is_refused(self, text, tmp_path, capsys):
+        # ConfigParser would ignore its keys, or copy them into every section
+        path = tmp_path / "defaults.ini"
+        path.write_text(text)
+        assert run_cli("run", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"forgetlab: error: {path}: [DEFAULT] is not a section forgetlab reads\n"
+
+    def test_empty_default_section_reads_as_nothing(self, tmp_path):
+        path = tmp_path / "empty-defaults.ini"
+        path.write_text("[DEFAULT]\n[experiment]\ntasks = 2\n")
+        config, _ = resolve(["run", "--config", str(path)])
+        assert (config.num_tasks, config.seed) == (2, ExperimentConfig.seed)
+
     def test_bad_config_value_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[experiment]\ntasks = many\n")

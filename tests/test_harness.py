@@ -121,6 +121,14 @@ class TestConfigs:
         assert (paper.num_tasks, paper.epochs_per_task) == (10, 4)
         assert paper.source == "mnist" and paper.train_subset is None
         assert paper_preset() == dataclasses.replace(ExperimentConfig(), source="mnist")
+        assert desk == dataclasses.replace(
+            ExperimentConfig(),
+            num_tasks=5,
+            epochs_per_task=1,
+            train_subset=10_000,
+            eval_subset=2_000,
+            synthetic_spread=0.9,
+        )
         assert len(DESK_LAMBDA_GRID) == 7
         assert len(DEFAULT_LAMBDA_GRID) == 13
         assert DEFAULT_LAMBDA_GRID[0] == pytest.approx(1e-3)
@@ -138,6 +146,12 @@ class TestConfigs:
         # a manifest records the config as INI text, which must read back as written
         with pytest.raises(ValueError, match=f"^{name} must read back from an INI line"):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["data_dir", "out_dir"])
+    def test_free_text_that_is_not_utf8_is_refused(self, name):
+        # a lone surrogate (an undecodable byte in a path) cannot be written to a UTF-8 manifest
+        with pytest.raises(ValueError, match=f"^{name} must read back from an INI line"):
+            ExperimentConfig(**{name: "runs\udcff"})
 
     @pytest.mark.parametrize("value", ["runs#3", "x;y", "out/100%done", "a = b", "[x]", "é ü", ""])
     def test_free_text_an_ini_line_reads_back_is_kept(self, value):

@@ -2,8 +2,8 @@
 each config choice set is read only by its field's metadata, only the
 owners of finiteness raise NonFiniteError and only the owners of shapes
 and dtypes ShapeError, the random-stream ids are defined once, only
-``numerics.stream`` touches ``numpy.random``, and README names every
-setting."""
+``numerics.stream`` touches ``numpy.random``, only ``harness`` imports
+``configparser``, and README names every setting."""
 
 import ast
 import re
@@ -216,6 +216,34 @@ def test_numpy_random_rule_sees_calls_and_imports_but_not_annotations(tmp_path):
         "        return np.random.default_rng(0)\n"
     )
     assert numpy_random_users(tmp_path) == {("draws", "<module>"), ("draws", "C.g")}
+
+
+def importers(module_name: str, src: Path = SRC) -> set:
+    """The modules in ``src`` that import ``module_name`` or a name from it."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == module_name for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_only_harness_reads_ini_text():
+    # the settings text has one reader, beside the table that spells it
+    assert importers("configparser") == {"harness"}
+
+
+def test_importers_sees_both_import_forms(tmp_path):
+    (tmp_path / "a.py").write_text("import configparser\n")
+    (tmp_path / "b.py").write_text("def f():\n    from configparser import ConfigParser\n")
+    (tmp_path / "c.py").write_text("import configparser_extra\n")
+    assert importers("configparser", tmp_path) == {"a", "b"}
 
 
 def undocumented_settings(readme: str) -> list:
