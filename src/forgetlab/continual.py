@@ -363,14 +363,30 @@ class Strategy:
         self.anchor: Optional[MlpParams] = None
         self.hook: Optional[StepHook] = None
 
-    def finish_task(self, params: MlpParams, task: TaskDataset):
+    def finish_task(
+        self, params: MlpParams, task: TaskDataset, estimated: Optional[ImportanceMap] = None
+    ) -> Optional[ImportanceMap]:
+        """Fold ``task``'s importance in and build the next task's hook.
+
+        ``estimated``, if given, is the task's map as another run at these
+        parameters estimated and checked it; it is folded in place of an
+        estimate, and the fold takes it over, so pass a copy. Returns the
+        map estimated or given, or None when nothing is protected. The
+        fold owns that map: after a first task it is ``omega_total``
+        itself, with no safe coefficient applied, and later tasks fold
+        into it (a later ``ewc_multi_anchor`` task writes over its own
+        map), so a caller that keeps it copies it at once.
+        """
         config = self.config
         if config.kind == "none" or config.lam == 0.0:
-            return
+            return None
         # The finished task's hook is stale; free its buffers before estimating.
         self.hook = None
-        new = _estimate(config, params, task)
-        check_importance(new)  # before the safe coefficient could turn a negative entry positive
+        if estimated is None:
+            estimated = _estimate(config, params, task)
+            # before a safe coefficient could turn a negative entry positive
+            check_importance(estimated)
+        new = estimated
         multi = config.kind == "ewc_multi_anchor"
         if multi and config.safe_coefficient:
             w = safe_coefficient(new.flat, self.learning_rate, config.lam)
@@ -390,3 +406,4 @@ class Strategy:
             np.multiply(share, w, out=w)
             self.anchor.flat += w
         self.hook = _make_hook(config, self.learning_rate, self.omega_total, self.anchor)
+        return estimated

@@ -19,6 +19,7 @@ unless it is UTF-8 text (as a manifest is) and its line reads back unchanged.
 from __future__ import annotations
 
 import configparser
+import contextvars
 import dataclasses
 import io
 import os
@@ -27,7 +28,7 @@ from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_ori
 
 import numpy as np
 
-from .continual import Strategy, StrategyConfig
+from .continual import ImportanceMap, Strategy, StrategyConfig
 from .data import TaskDataset, batches, load_mnist, make_permuted_tasks, synth_dataset
 from .model import (
     DEFAULT_LAYER_SIZES,
@@ -376,6 +377,36 @@ def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
     return splits
 
 
+@dataclass
+class _TaskZero:
+    """Task 0's outcome, shared by the runs of one :func:`grid_search`.
+
+    No strategy has a hook while task 0 trains, so its trained
+    parameters, its eval entry and its raw importance map (from any
+    lambda > 0, checked, no safe coefficient applied) are the same for
+    every lambda. The first run to reach each fills it in.
+    """
+
+    config: ExperimentConfig
+    tasks: list[TaskDataset]
+    params: Optional[MlpParams] = None
+    omega: Optional[ImportanceMap] = None
+    eval_entry: Optional[tuple[float, int]] = None
+
+    def serves(self, config: ExperimentConfig, tasks: list[TaskDataset]) -> bool:
+        """Whether a run of ``config`` on ``tasks`` trains this task 0."""
+        lam = self.config.strategy.lam
+        return tasks is self.tasks and self.config == dataclasses.replace(
+            config, strategy=dataclasses.replace(config.strategy, lam=lam)
+        )
+
+
+# The running grid's task-0 record; set by grid_search alone.
+_GRID_TASK_ZERO: contextvars.ContextVar[Optional[_TaskZero]] = contextvars.ContextVar(
+    "grid_task_zero", default=None
+)
+
+
 def run_sequence(
     config: ExperimentConfig, tasks: Optional[list[TaskDataset]] = None
 ) -> RunResult:
@@ -398,42 +429,69 @@ def run_sequence(
     A :class:`NonFiniteError` raised while a task trains, is estimated or
     is evaluated becomes one naming the task (and a step's epoch and
     batch) with the parameter norm.
+
+    Inside :func:`grid_search`, a run on the grid's own ``tasks`` whose
+    config differs from the grid's only in ``strategy.lam`` forks from
+    the grid's task 0: it starts from a copy of task 0's trained
+    parameters, takes task 0's eval entry, and hands a copy of task 0's
+    importance map to :meth:`Strategy.finish_task`, once an earlier run
+    made each. The results are those of a run that does it all itself.
     """
     if tasks is None:
         tasks = build_tasks(config)
     if len(tasks) != config.num_tasks:
         raise ValueError(f"got {len(tasks)} tasks for num_tasks={config.num_tasks}")
-    params = init_params(stream(config.seed, INIT_STREAM_ID), config.architecture)
+    shared = _GRID_TASK_ZERO.get()
+    if shared is not None and not shared.serves(config, tasks):
+        shared = None
+    if shared is not None and shared.params is not None:
+        params = shared.params.copy()
+    else:
+        params = init_params(stream(config.seed, INIT_STREAM_ID), config.architecture)
     strategy = Strategy(config.strategy, config.optimizer.resolved_rate)
     eval_splits = _eval_splits(config, tasks)
     t_count = len(tasks)
     acc = np.full((t_count, t_count), np.nan)
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
     for t, task in enumerate(tasks):
+        first = shared if t == 0 else None  # the grid's task-0 record, if this run shares it
         try:
-            grads = params.zeros_like()
-            optimizer = Optimizer(config.optimizer)
-            for epoch in range(config.epochs_per_task):
-                shuffle = stream(config.seed, SHUFFLE_STREAM_ID, t, epoch)
-                for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
-                    where = f"epoch {epoch}, batch {step}"
-                    trace = forward(params, xb)
-                    loss = cross_entropy(trace, yb)
-                    if not np.isfinite(loss):
-                        raise NonFiniteError(f"loss {loss}")
-                    backward(params, trace, yb, out=grads)
-                    apply(params, grads, optimizer, strategy.hook)
-            # free the last step's arrays before the task-end work; every task
-            # takes a step, since epochs_per_task >= 1 and no split is empty
-            del xb, yb, trace, grads, optimizer
+            if first is None or first.params is None:
+                grads = params.zeros_like()
+                optimizer = Optimizer(config.optimizer)
+                for epoch in range(config.epochs_per_task):
+                    shuffle = stream(config.seed, SHUFFLE_STREAM_ID, t, epoch)
+                    for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
+                        where = f"epoch {epoch}, batch {step}"
+                        trace = forward(params, xb)
+                        loss = cross_entropy(trace, yb)
+                        if not np.isfinite(loss):
+                            raise NonFiniteError(f"loss {loss}")
+                        backward(params, trace, yb, out=grads)
+                        apply(params, grads, optimizer, strategy.hook)
+                # free the last step's arrays before the task-end work; every task
+                # takes a step, since epochs_per_task >= 1 and no split is empty
+                del xb, yb, trace, grads, optimizer
+                if first is not None:
+                    first.params = params.copy()
             where = "importance estimate"
             if t < t_count - 1 or config.save_checkpoints:
-                strategy.finish_task(params, task)
+                if first is not None and first.omega is not None:
+                    strategy.finish_task(params, task, first.omega.copy())
+                else:
+                    estimated = strategy.finish_task(params, task)
+                    if first is not None and estimated is not None:
+                        first.omega = estimated.copy()
             where = "evaluation"
-            for j in range(t + 1):
-                picks, y = eval_splits[j]
-                acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
-                n_samples[t, j] = len(y)
+            if first is not None and first.eval_entry is not None:
+                acc[0, 0], n_samples[0, 0] = first.eval_entry
+            else:
+                for j in range(t + 1):
+                    picks, y = eval_splits[j]
+                    acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
+                    n_samples[t, j] = len(y)
+                if first is not None:
+                    first.eval_entry = acc[0, 0], n_samples[0, 0]
         except NonFiniteError as exc:
             raise NonFiniteError(
                 f"run diverged in task {t}, {where}: {exc}; "
@@ -517,11 +575,17 @@ class LambdaSurface:
 
 
 def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
-    """One full run per lambda on shared tasks; collects the accuracy surface.
+    """One :func:`run_sequence` call per lambda on shared tasks; collects the accuracy surface.
 
     Every run re-derives its streams from the same ``config.seed``, so
     runs differ only through the strategy: the lambda = 0 column (when
-    present) reproduces an unprotected baseline bit for bit. A run that
+    present) reproduces an unprotected baseline bit for bit. Task 0 is
+    trained, evaluated and (for a lambda > 0) estimated once for the
+    whole grid: the other runs fork from that outcome (see
+    :func:`run_sequence`), which holds two parameter-sized vectors until
+    the grid returns. A run that fails in task 0 leaves out of the record
+    what it did not make, so each later lambda redoes that work and fails
+    with the same message. A run that
     fails numerically (a :class:`FloatingPointError`, such as
     :class:`NonFiniteError` from a diverging run) is recorded in
     ``failures`` and leaves a NaN gap; any other exception propagates.
@@ -545,17 +609,22 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     surface = np.full((len(grid), t_count), np.nan)
     failures: list[tuple[float, str]] = []
     matrices: list[EvalMatrix] = []
-    for i, (lam, run_config) in enumerate(zip(grid, run_configs)):
-        try:
-            matrix = run_sequence(run_config, tasks=tasks).matrix
-        except FloatingPointError as exc:  # record the gap, keep the rest of the surface
-            failures.append((lam, f"{type(exc).__name__}: {exc}"))
-            matrix = EvalMatrix(
-                np.full((t_count, t_count), np.nan), np.zeros((t_count, t_count), dtype=np.int64)
-            )
-        else:
-            surface[i] = [average_accuracy(matrix, t) for t in range(t_count)]
-        matrices.append(matrix)
+    token = _GRID_TASK_ZERO.set(_TaskZero(config, tasks))
+    try:
+        for i, (lam, run_config) in enumerate(zip(grid, run_configs)):
+            try:
+                matrix = run_sequence(run_config, tasks=tasks).matrix
+            except FloatingPointError as exc:  # record the gap, keep the rest of the surface
+                failures.append((lam, f"{type(exc).__name__}: {exc}"))
+                matrix = EvalMatrix(
+                    np.full((t_count, t_count), np.nan),
+                    np.zeros((t_count, t_count), dtype=np.int64),
+                )
+            else:
+                surface[i] = [average_accuracy(matrix, t) for t in range(t_count)]
+            matrices.append(matrix)
+    finally:
+        _GRID_TASK_ZERO.reset(token)
     return LambdaSurface(
         lambdas=np.asarray(grid),
         tasks_learned=np.arange(1, t_count + 1),

@@ -144,7 +144,11 @@ def check_congruent(a: MlpParams, b: MlpParams, what: str = "operands"):
 
 
 def global_norm(params: MlpParams) -> float:
-    return float(np.linalg.norm(params.flat))
+    """The L2 norm of all parameters, summed in float64 and read in their
+    dtype, so finite float32 entries whose squares overflow float32 (from
+    about 1.8e19) still give a finite norm."""
+    norm = np.linalg.norm(params.flat.astype(np.float64))
+    return float(params.flat.dtype.type(norm))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib.util
 import re
@@ -79,6 +80,23 @@ def poison_wva_hooks(monkeypatch, lams=None):
         return StepHook(pre_optimizer=poison)
 
     monkeypatch.setattr(continual, "make_wva_hook", make)
+
+
+def count_batches(monkeypatch):
+    """Count the ``harness.batches`` calls (one per task and epoch) by task id."""
+    drawn = collections.Counter()
+    real = harness.batches
+
+    def counting(task, *args):
+        drawn[task.task_id] += 1
+        return real(task, *args)
+
+    monkeypatch.setattr(harness, "batches", counting)
+    return drawn
+
+
+def with_lam(config, lam):
+    return dataclasses.replace(config, strategy=dataclasses.replace(config.strategy, lam=lam))
 
 
 def mnist_sized_config(num_tasks):
@@ -710,17 +728,160 @@ class TestGridSearch:
         assert np.array_equal(surface.avg_accuracy[0], expected)
         assert surface.failures == []
 
-    def test_matrices_equal_standalone_runs_byte_for_byte(self):
-        config = tiny_config(num_tasks=3, strategy=StrategyConfig(kind="ewc", lam=1.0))
-        grid = [0.1, 10.0]
+    @pytest.mark.parametrize(
+        "strategy, grid",
+        [
+            (StrategyConfig(kind="ewc", lam=1.0), [0.1, 10.0, 100.0]),
+            (StrategyConfig(kind="wva", target="step"), [0.0, 1.0, 10.0, 100.0]),
+            (StrategyConfig(kind="wva", target="gradient"), [0.0, 1.0, 10.0, 100.0]),
+            (
+                StrategyConfig(kind="ewc", online_decay=0.9, safe_coefficient=True),
+                [0.0, 1.0, 100.0, 1e4],
+            ),
+            (
+                StrategyConfig(kind="ewc_multi_anchor", safe_coefficient=True),
+                [0.0, 1.0, 100.0, 1e4],
+            ),
+            (
+                StrategyConfig(kind="ewc_multi_anchor", separate_clip_threshold=0.5),
+                [0.0, 1.0, 100.0, 1e4],
+            ),
+        ],
+        ids=["ewc", "wva-step", "wva-gradient", "ewc-decay-safe", "multi-safe", "multi-clip"],
+    )
+    def test_matrices_equal_standalone_runs_byte_for_byte(self, monkeypatch, strategy, grid):
+        # a grid from lambda 0 takes task 0's map from its second lambda;
+        # each later lambda folds a copy of it. Final parameters are
+        # compared too, since an eval matrix of a tiny task can hide a change.
+        real_run, finals = harness.run_sequence, []
+
+        def keeping_params(cfg, tasks=None):
+            result = real_run(cfg, tasks=tasks)
+            finals.append(result.params.flat)
+            return result
+
+        monkeypatch.setattr(harness, "run_sequence", keeping_params)
+        config = tiny_config(num_tasks=3, strategy=strategy)
         surface = grid_search(config, grid)
-        assert len(surface.matrices) == len(grid)
-        for lam, matrix in zip(grid, surface.matrices):
-            direct = run_sequence(
-                dataclasses.replace(config, strategy=dataclasses.replace(config.strategy, lam=lam))
-            ).matrix
-            assert matrix.accuracies.tobytes() == direct.accuracies.tobytes()
-            assert matrix.n_samples.tobytes() == direct.n_samples.tobytes()
+        assert len(surface.matrices) == len(finals) == len(grid)
+        assert surface.failures == []
+        for lam, matrix, final in zip(grid, surface.matrices, finals):
+            direct = real_run(with_lam(config, lam))
+            assert matrix.accuracies.tobytes() == direct.matrix.accuracies.tobytes()
+            assert matrix.n_samples.tobytes() == direct.matrix.n_samples.tobytes()
+            assert final.tobytes() == direct.params.flat.tobytes()
+
+    def test_task_zero_trained_and_estimated_once_per_grid(self, monkeypatch):
+        drawn = count_batches(monkeypatch)
+        estimated = []
+        real_estimate = continual._estimate
+
+        def recording_estimate(config, params, task):
+            estimated.append(task.task_id)
+            return real_estimate(config, params, task)
+
+        monkeypatch.setattr(continual, "_estimate", recording_estimate)
+        config = tiny_config(num_tasks=3, epochs_per_task=2, strategy=StrategyConfig(kind="wva"))
+        grid_search(config, [0.0, 1.0, 10.0])
+        # task 0's two epochs for one run only; tasks 1 and 2 for every lambda
+        assert drawn == {0: 2, 1: 6, 2: 6}
+        # lambda 0 estimates nothing; task 0 once, and task 1 per lambda > 0
+        assert estimated == [0, 1, 1]
+
+    def test_benchmark_capture_sees_each_lambda_once(self, monkeypatch):
+        # bench/run.py's grid_once forwards every run_sequence call and
+        # fails a lambda whose config it did not see
+        config = tiny_config(num_tasks=3, strategy=StrategyConfig(kind="wva"))
+        grid = [0.0, 1.0, 10.0]
+        unpatched = grid_search(config, grid)
+        real_run, seen = harness.run_sequence, []
+
+        def captured_run(cfg, tasks=None):
+            result = real_run(cfg, tasks=tasks)
+            seen.append(cfg)
+            return result
+
+        monkeypatch.setattr(harness, "run_sequence", captured_run)
+        surface = grid_search(config, grid)
+        assert seen == [with_lam(config, lam) for lam in grid]
+        assert surface.avg_accuracy.tobytes() == unpatched.avg_accuracy.tobytes()
+        for forked, alone in zip(surface.matrices, unpatched.matrices):
+            assert forked.accuracies.tobytes() == alone.accuracies.tobytes()
+            assert forked.n_samples.tobytes() == alone.n_samples.tobytes()
+
+    def test_runs_off_the_grid_do_not_fork(self, monkeypatch):
+        # inside a grid, a run on another task list or with another seed
+        # trains its own task 0 and matches the same run outside the grid
+        config = tiny_config(strategy=StrategyConfig(kind="wva"))
+        drawn = count_batches(monkeypatch)
+        real_run, strays = harness.run_sequence, []
+
+        def run_and_stray(cfg, tasks=None):
+            result = real_run(cfg, tasks=tasks)
+            if not strays:  # the first lambda has filled the grid's record
+                for stray, stray_tasks in (
+                    (cfg, build_tasks(cfg)),
+                    (dataclasses.replace(cfg, seed=8), tasks),
+                ):
+                    before = drawn[0]
+                    strays.append((stray, stray_tasks, real_run(stray, tasks=stray_tasks).matrix))
+                    assert drawn[0] == before + 1
+            return result
+
+        monkeypatch.setattr(harness, "run_sequence", run_and_stray)
+        grid_search(config, [0.5, 1.0])
+        assert len(strays) == 2
+        for stray, tasks, matrix in strays:
+            alone = real_run(stray, tasks=tasks).matrix
+            assert matrix.accuracies.tobytes() == alone.accuracies.tobytes()
+
+    def test_grid_shares_nothing_after_it_returns(self, monkeypatch):
+        real_build, built = harness.build_tasks, []
+
+        def recording_build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_tasks", recording_build)
+        config = tiny_config(strategy=StrategyConfig(kind="wva"))
+        grid_search(config, [0.5, 1.0])
+        drawn = count_batches(monkeypatch)
+        run_sequence(with_lam(config, 1.0), tasks=built[0])
+        assert drawn[0] == 1
+
+    def test_grid_shares_nothing_after_it_raises(self, monkeypatch):
+        config = tiny_config(strategy=StrategyConfig(kind="wva"))
+        real_run, tasks_seen = harness.run_sequence, []
+
+        def broken_second_run(cfg, tasks=None):
+            tasks_seen.append(tasks)
+            if len(tasks_seen) == 2:
+                raise TypeError("unsupported operand")
+            return real_run(cfg, tasks=tasks)
+
+        monkeypatch.setattr(harness, "run_sequence", broken_second_run)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            grid_search(config, [0.5, 1.0])
+        monkeypatch.setattr(harness, "run_sequence", real_run)
+        drawn = count_batches(monkeypatch)
+        matrix = run_sequence(with_lam(config, 1.0), tasks=tasks_seen[0]).matrix
+        assert drawn[0] == 1
+        alone = run_sequence(with_lam(config, 1.0)).matrix
+        assert matrix.accuracies.tobytes() == alone.accuracies.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_task_zero_divergence_fails_every_lambda_alike(self, monkeypatch):
+        drawn = count_batches(monkeypatch)
+        config = tiny_config(
+            optimizer=OptimizerConfig(kind="sgd", learning_rate=1e6),
+            strategy=StrategyConfig(kind="wva"),
+        )
+        surface = grid_search(config, [0.0, 0.5, 1.0])
+        assert [lam for lam, _ in surface.failures] == [0.0, 0.5, 1.0]
+        messages = {message for _, message in surface.failures}
+        assert len(messages) == 1
+        assert "run diverged in task 0" in messages.pop()
+        assert drawn == {0: 3}  # every lambda retrained task 0, and none got further
 
     def test_matrices_leave_surface_csv_unchanged(self, tmp_path):
         surface = grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from forgetlab.model import (
     check_congruent,
     cross_entropy,
     forward,
+    global_norm,
     init_params,
     leaky_relu,
     leaky_relu_grad,
@@ -354,6 +356,25 @@ class TestBlockHelpers:
         zeros = params.zeros_like()
         assert zeros.layer_sizes == params.layer_sizes
         assert np.all(zeros.flat == 0.0)
+
+
+class TestGlobalNorm:
+    def test_float32_squares_past_float32_range_keep_a_finite_norm(self):
+        # 1e20 squared overflows float32; the norm, 5.3e22, does not
+        params = init_params(stream(30), DEFAULT_LAYER_SIZES)
+        params.flat[:] = 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = global_norm(params)
+        assert norm == np.float32(np.linalg.norm(params.flat.astype(np.float64)))
+        assert 5.3e22 < norm < 5.32e22
+
+    def test_infinite_entry_gives_infinite_norm(self):
+        params = init_params(stream(31), (4, 3, 2))
+        params.flat[2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert global_norm(params) == np.inf
 
 
 class TestFlatLayout:
