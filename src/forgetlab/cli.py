@@ -20,8 +20,11 @@ also reads ``[grid] lambdas`` or ``--lambda-grid``. ``forgetlab run
 
 A config file is INI or a CSV that forgetlab wrote, whose manifest is the
 effective config as that INI text: ``forgetlab run --config
-out/eval_matrix.csv --out rerun`` reruns it. This module only opens the
-file; :func:`~forgetlab.reports.manifest_settings` takes a CSV's settings
+out/eval_matrix.csv --out rerun`` reruns it. Without ``--out`` it would
+write to the manifest's ``out_dir``, so a ``run`` or ``grid`` whose CSV
+would overwrite its own config file is refused before any training.
+This module only opens the file;
+:func:`~forgetlab.reports.manifest_settings` takes a CSV's settings
 out of its manifest and :func:`~forgetlab.harness.read_settings` reads
 the INI text (without ``%`` interpolation; a non-empty ``[DEFAULT]`` is
 refused). Bad input (``ValueError``, ``OSError``, ``FloatingPointError``)
@@ -49,7 +52,9 @@ from .harness import (
     LAMBDA_GRID,
     SECTIONS,
     SETTINGS,
+    EvalMatrix,
     ExperimentConfig,
+    LambdaSurface,
     Setting,
     average_accuracy,
     desk_preset,
@@ -62,7 +67,7 @@ from .harness import (
 from .model import init_params, max_relative_gradient_error
 from .numerics import stream
 from .optim import OptimizerConfig
-from .reports import emit_reports, manifest_settings, read_report_csv, render_svg
+from .reports import emit_reports, manifest_settings, read_report_csv, render_svg, report_csv_path
 
 
 _DESTS = {s.dest for s in SETTINGS + [LAMBDA_GRID]}
@@ -119,6 +124,13 @@ def build_config(args) -> tuple[ExperimentConfig, tuple[float, ...]]:
     return config, tuple(grid)
 
 
+def _keep_config_file(args, config: ExperimentConfig, result_type: type):
+    """Refuse, before any training, a run whose CSV would overwrite its own config file."""
+    written = report_csv_path(result_type, config.out_dir)
+    if args.config and os.path.exists(written) and os.path.samefile(args.config, written):
+        raise ValueError(f"config file {args.config} would be overwritten by {written}; pass --out")
+
+
 def _add_flag(parser, setting: Setting):
     kwargs = dict(dest=setting.dest, default=argparse.SUPPRESS, help=setting.help)
     if setting.boolean:
@@ -169,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config, _ = build_config(args)
+    _keep_config_file(args, config, EvalMatrix)
     result = run_sequence(config)
     written = emit_reports(result, config.out_dir)
     final = config.num_tasks - 1
@@ -181,6 +194,7 @@ def cmd_run(args) -> int:
 
 def cmd_grid(args) -> int:
     config, lambda_grid = build_config(args)
+    _keep_config_file(args, config, LambdaSurface)
     surface = grid_search(config, lambda_grid)
     written = emit_reports(surface, config.out_dir)
     for lam, message in surface.failures:

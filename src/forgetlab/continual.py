@@ -188,11 +188,11 @@ def wva_factor(omega, lam: float, kind: str) -> np.ndarray:
     """
     arr = np.asarray(omega, dtype=np.result_type(omega, 1.0))
     out = np.empty_like(arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # forward reports what a huge lam breaks
+        np.multiply(lam if kind == "hyperbolic" else -lam, arr, out=out)
     if kind == "hyperbolic":
-        np.multiply(lam, arr, out=out)
         np.add(out, 1.0, out=out)
         return np.divide(1.0, out, out=out)
-    np.multiply(-lam, arr, out=out)
     return np.exp(out, out=out)
 
 
@@ -308,17 +308,18 @@ def _make_ewc_hook(
     ]
 
     def pre(task_grad: Gradients, params: MlpParams):
-        if threshold is not None:
-            pull = np.subtract(params.flat, anchor.flat)
-            pull *= lam_weight
-            clip_separately(task_grad, MlpParams.from_flat(pull, anchor.layer_sizes), threshold)
-            return
-        for block, a, w in blocks:
-            # lam * weight * (theta - anchor), as ewc_penalty evaluates it
-            o, g = scratch[: a.size], task_grad.flat[block]
-            np.subtract(params.flat[block], a, out=o)
-            np.multiply(w, o, out=o)
-            np.add(g, o, out=g)
+        with np.errstate(over="ignore", invalid="ignore"):  # forward reports a non-finite pull
+            if threshold is not None:
+                pull = np.subtract(params.flat, anchor.flat)
+                pull *= lam_weight
+                clip_separately(task_grad, MlpParams.from_flat(pull, anchor.layer_sizes), threshold)
+                return
+            for block, a, w in blocks:
+                # lam * weight * (theta - anchor), as ewc_penalty evaluates it
+                o, g = scratch[: a.size], task_grad.flat[block]
+                np.subtract(params.flat[block], a, out=o)
+                np.multiply(w, o, out=o)
+                np.add(g, o, out=g)
 
     return StepHook(pre_optimizer=pre)
 
@@ -328,9 +329,11 @@ def _make_hook(config: StrategyConfig, learning_rate: float, omega_total, anchor
     if config.kind == "wva":
         return make_wva_hook(omega_total, config.lam, config.attenuation, config.target)
     weight = omega_total.flat
-    if config.kind == "ewc" and config.safe_coefficient:
-        weight = safe_coefficient(weight, learning_rate, config.lam)
-    return _make_ewc_hook(anchor, config.lam * weight, config.separate_clip_threshold)
+    with np.errstate(over="ignore", invalid="ignore"):  # forward reports what a huge lam breaks
+        if config.kind == "ewc" and config.safe_coefficient:
+            weight = safe_coefficient(weight, learning_rate, config.lam)
+        lam_weight = config.lam * weight
+    return _make_ewc_hook(anchor, lam_weight, config.separate_clip_threshold)
 
 
 class Strategy:

@@ -381,24 +381,37 @@ def _eval_splits(config: ExperimentConfig, tasks: list[TaskDataset]):
 class _TaskZero:
     """Task 0's outcome, shared by the runs of one :func:`grid_search`.
 
-    No strategy has a hook while task 0 trains, so its trained
-    parameters, its eval entry and its raw importance map (from any
-    lambda > 0, checked, no safe coefficient applied) are the same for
-    every lambda. The first run to reach each fills it in.
+    ``configs`` are the grid's run configs, by increasing lambda, and
+    ``tasks`` its task list. No strategy has a hook while task 0 trains,
+    so task 0's trained parameters, its eval entry and its raw importance
+    map (checked, no safe coefficient applied) are the same for every
+    lambda. The first run through task 0 writes them whole
+    (:meth:`write`); until then ``params`` is None.
     """
 
-    config: ExperimentConfig
+    configs: list[ExperimentConfig]
     tasks: list[TaskDataset]
     params: Optional[MlpParams] = None
     omega: Optional[ImportanceMap] = None
     eval_entry: Optional[tuple[float, int]] = None
 
-    def serves(self, config: ExperimentConfig, tasks: list[TaskDataset]) -> bool:
-        """Whether a run of ``config`` on ``tasks`` trains this task 0."""
-        lam = self.config.strategy.lam
-        return tasks is self.tasks and self.config == dataclasses.replace(
-            config, strategy=dataclasses.replace(config.strategy, lam=lam)
-        )
+    def write(self, params: MlpParams, eval_entry: tuple[float, int], omega):
+        """Record copies of task 0's outcome; ``omega`` is what its ``finish_task`` returned.
+
+        A run that estimated no map (lambda 0) takes it from a strategy at
+        the grid's largest lambda, through the same protects rule and map
+        check. If that estimate fails, nothing is recorded: every later
+        lambda retrains task 0 and fails on its own estimate.
+        """
+        if omega is None and len(self.tasks) > 1:
+            largest = self.configs[-1]
+            strategy = Strategy(largest.strategy, largest.optimizer.resolved_rate)
+            try:
+                omega = strategy.finish_task(params, self.tasks[0])
+            except NonFiniteError:
+                return
+        self.params, self.eval_entry = params.copy(), eval_entry
+        self.omega = None if omega is None else omega.copy()
 
 
 # The running grid's task-0 record; set by grid_search alone.
@@ -430,73 +443,67 @@ def run_sequence(
     is evaluated becomes one naming the task (and a step's epoch and
     batch) with the parameter norm.
 
-    Inside :func:`grid_search`, a run on the grid's own ``tasks`` whose
-    config differs from the grid's only in ``strategy.lam`` forks from
-    the grid's task 0: it starts from a copy of task 0's trained
-    parameters, takes task 0's eval entry, and hands a copy of task 0's
-    importance map to :meth:`Strategy.finish_task`, once an earlier run
-    made each. The results are those of a run that does it all itself.
+    Inside :func:`grid_search`, a run of one of the grid's configs on the
+    grid's own ``tasks`` shares task 0 with the grid's other runs. The
+    first to get through task 0's evaluation writes the grid's record of
+    it; each later one forks before its loop: it copies task 0's
+    parameters, takes its eval entry, folds a copy of its importance map
+    through :meth:`Strategy.finish_task`, and starts at task 1. The
+    results are those of a run that does it all itself.
     """
     if tasks is None:
         tasks = build_tasks(config)
     if len(tasks) != config.num_tasks:
         raise ValueError(f"got {len(tasks)} tasks for num_tasks={config.num_tasks}")
-    shared = _GRID_TASK_ZERO.get()
-    if shared is not None and not shared.serves(config, tasks):
-        shared = None
-    if shared is not None and shared.params is not None:
-        params = shared.params.copy()
-    else:
-        params = init_params(stream(config.seed, INIT_STREAM_ID), config.architecture)
+    record = _GRID_TASK_ZERO.get()
+    if record is not None and (tasks is not record.tasks or config not in record.configs):
+        record = None  # a run off the grid trains its own task 0
     strategy = Strategy(config.strategy, config.optimizer.resolved_rate)
     eval_splits = _eval_splits(config, tasks)
     t_count = len(tasks)
     acc = np.full((t_count, t_count), np.nan)
     n_samples = np.zeros((t_count, t_count), dtype=np.int64)
-    for t, task in enumerate(tasks):
-        first = shared if t == 0 else None  # the grid's task-0 record, if this run shares it
+    first = 0 if record is None or record.params is None else 1  # the first task this run trains
+    if first:  # fork from the grid's task 0
+        params = record.params.copy()
+        acc[0, 0], n_samples[0, 0] = record.eval_entry
+        if record.omega is not None:
+            strategy.finish_task(params, tasks[0], record.omega.copy())
+    else:
+        params = init_params(stream(config.seed, INIT_STREAM_ID), config.architecture)
+    for t, task in enumerate(tasks[first:], start=first):
         try:
-            if first is None or first.params is None:
-                grads = params.zeros_like()
-                optimizer = Optimizer(config.optimizer)
-                for epoch in range(config.epochs_per_task):
-                    shuffle = stream(config.seed, SHUFFLE_STREAM_ID, t, epoch)
-                    for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
-                        where = f"epoch {epoch}, batch {step}"
-                        trace = forward(params, xb)
-                        loss = cross_entropy(trace, yb)
-                        if not np.isfinite(loss):
-                            raise NonFiniteError(f"loss {loss}")
-                        backward(params, trace, yb, out=grads)
-                        apply(params, grads, optimizer, strategy.hook)
-                # free the last step's arrays before the task-end work; every task
-                # takes a step, since epochs_per_task >= 1 and no split is empty
-                del xb, yb, trace, grads, optimizer
-                if first is not None:
-                    first.params = params.copy()
+            grads = params.zeros_like()
+            optimizer = Optimizer(config.optimizer)
+            for epoch in range(config.epochs_per_task):
+                shuffle = stream(config.seed, SHUFFLE_STREAM_ID, t, epoch)
+                for step, (xb, yb) in enumerate(batches(task, config.batch_size, shuffle)):
+                    where = f"epoch {epoch}, batch {step}"
+                    trace = forward(params, xb)
+                    loss = cross_entropy(trace, yb)
+                    if not np.isfinite(loss):
+                        raise NonFiniteError(f"loss {loss}")
+                    backward(params, trace, yb, out=grads)
+                    apply(params, grads, optimizer, strategy.hook)
+            # free the last step's arrays before the task-end work; every task
+            # takes a step, since epochs_per_task >= 1 and no split is empty
+            del xb, yb, trace, grads, optimizer
             where = "importance estimate"
+            omega = None
             if t < t_count - 1 or config.save_checkpoints:
-                if first is not None and first.omega is not None:
-                    strategy.finish_task(params, task, first.omega.copy())
-                else:
-                    estimated = strategy.finish_task(params, task)
-                    if first is not None and estimated is not None:
-                        first.omega = estimated.copy()
+                omega = strategy.finish_task(params, task)
             where = "evaluation"
-            if first is not None and first.eval_entry is not None:
-                acc[0, 0], n_samples[0, 0] = first.eval_entry
-            else:
-                for j in range(t + 1):
-                    picks, y = eval_splits[j]
-                    acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
-                    n_samples[t, j] = len(y)
-                if first is not None:
-                    first.eval_entry = acc[0, 0], n_samples[0, 0]
+            for j in range(t + 1):
+                picks, y = eval_splits[j]
+                acc[t, j] = accuracy(params, tasks[j].chunks("test", picks), y)
+                n_samples[t, j] = len(y)
         except NonFiniteError as exc:
             raise NonFiniteError(
                 f"run diverged in task {t}, {where}: {exc}; "
                 f"parameter norm {global_norm(params):.3e}"
             ) from exc
+        if t == 0 and record is not None:
+            record.write(params, (acc[0, 0], n_samples[0, 0]), omega)
         if config.save_checkpoints:
             os.makedirs(config.out_dir, exist_ok=True)
             save_params(params, os.path.join(config.out_dir, f"params_task{t}.npz"))
@@ -580,13 +587,14 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     Every run re-derives its streams from the same ``config.seed``, so
     runs differ only through the strategy: the lambda = 0 column (when
     present) reproduces an unprotected baseline bit for bit. Task 0 is
-    trained, evaluated and (for a lambda > 0) estimated once for the
-    whole grid: the other runs fork from that outcome (see
-    :func:`run_sequence`), which holds two parameter-sized vectors until
-    the grid returns. A run that fails in task 0 leaves out of the record
-    what it did not make, so each later lambda redoes that work and fails
-    with the same message. A run that
-    fails numerically (a :class:`FloatingPointError`, such as
+    trained, evaluated and estimated once for the whole grid: the first
+    run through task 0 writes its outcome whole, and every later run
+    forks from it before its loop (see :func:`run_sequence`), which holds
+    two parameter-sized vectors until the grid returns. A first lambda of
+    0 still estimates task 0's map, at the grid's largest lambda. A run
+    that fails in task 0 records nothing, so each later lambda retrains
+    task 0 and fails with the same message. A run that fails
+    numerically (a :class:`FloatingPointError`, such as
     :class:`NonFiniteError` from a diverging run) is recorded in
     ``failures`` and leaves a NaN gap; any other exception propagates.
     Every lambda's config is built before the first run, so a bad lambda
@@ -609,7 +617,7 @@ def grid_search(config: ExperimentConfig, lambda_grid) -> LambdaSurface:
     surface = np.full((len(grid), t_count), np.nan)
     failures: list[tuple[float, str]] = []
     matrices: list[EvalMatrix] = []
-    token = _GRID_TASK_ZERO.set(_TaskZero(config, tasks))
+    token = _GRID_TASK_ZERO.set(_TaskZero(run_configs, tasks))
     try:
         for i, (lam, run_config) in enumerate(zip(grid, run_configs)):
             try:

@@ -320,6 +320,11 @@ def render_svg(result, path: str) -> str:
     return _kind(result).render(result, path)
 
 
+def report_csv_path(result_type: type, outdir: str) -> str:
+    """The CSV :func:`emit_reports` writes in ``outdir`` for a result of ``result_type``."""
+    return os.path.join(outdir, _KINDS[result_type].names[0])
+
+
 def emit_reports(result, outdir: str) -> list[str]:
     """Write the CSV, then its chart through :func:`render_svg`; returns ``[csv, svg]``.
 

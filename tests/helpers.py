@@ -12,6 +12,7 @@ import platform
 import tracemalloc
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; a traced peak must not pay that import
 
 from forgetlab.continual import clip_separately, ewc_penalty
 from forgetlab.model import MlpParams

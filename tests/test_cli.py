@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from forgetlab import cli
+from forgetlab import cli, harness
 from forgetlab.cli import build_config, build_parser, main, parse_and_dispatch
 from forgetlab.continual import StrategyConfig
 from forgetlab.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILE_NAMES
@@ -503,6 +503,29 @@ class TestArtifactsRerun:
         assert manifest_diff(original, rerun) == [
             (f"# out_dir = {first}", f"# out_dir = {again}")
         ]
+
+    @pytest.mark.parametrize(
+        "argv, csv",
+        [(["run"], "eval_matrix.csv"), (["grid", "--lambda-grid", "0.1,1.0"], "surface.csv")],
+        ids=["run", "grid"],
+    )
+    def test_rerun_over_its_own_csv_is_refused_before_training(
+        self, argv, csv, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        # without --out the rerun takes the manifest's out_dir, where its config file lives
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", tiny_config, "--out", str(out)) == 0
+        artifact = out / csv
+        before = artifact.read_bytes(), artifact.stat().st_mtime_ns
+        capsys.readouterr()
+        builds = []
+        monkeypatch.setattr(harness, "build_tasks", builds.append)
+        assert run_cli(argv[0], "--config", str(artifact)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config file {artifact} would be overwritten by {artifact}" in err
+        assert builds == []
+        assert (artifact.read_bytes(), artifact.stat().st_mtime_ns) == before
 
     def test_surface_manifest_reads_back_as_the_grid_config(self, tiny_config, tmp_path):
         out = tmp_path / "out"

@@ -82,6 +82,19 @@ def poison_wva_hooks(monkeypatch, lams=None):
     monkeypatch.setattr(continual, "make_wva_hook", make)
 
 
+def nan_in_task_zero_map(monkeypatch):
+    """Make every importance estimate of task 0 hold one NaN."""
+    real = continual._estimate
+
+    def estimate(config, params, task):
+        omega = real(config, params, task)
+        if task.task_id == 0:
+            omega.flat[0] = np.nan
+        return omega
+
+    monkeypatch.setattr(continual, "_estimate", estimate)
+
+
 def count_batches(monkeypatch):
     """Count the ``harness.batches`` calls (one per task and epoch) by task id."""
     drawn = collections.Counter()
@@ -475,7 +488,6 @@ class TestRunSequence:
         assert estimated == ([0, 1, 2] if save_checkpoints else [0, 1])
         assert (tmp_path / "importance_task2.npz").exists() == save_checkpoints
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
         # task 0 trains finitely; task 1's pull, at lam 1e30, diverges
         config = tiny_config(
@@ -750,9 +762,10 @@ class TestGridSearch:
         ids=["ewc", "wva-step", "wva-gradient", "ewc-decay-safe", "multi-safe", "multi-clip"],
     )
     def test_matrices_equal_standalone_runs_byte_for_byte(self, monkeypatch, strategy, grid):
-        # a grid from lambda 0 takes task 0's map from its second lambda;
-        # each later lambda folds a copy of it. Final parameters are
-        # compared too, since an eval matrix of a tiny task can hide a change.
+        # a grid from lambda 0 estimates task 0's map in its first run, at
+        # its largest lambda; each later lambda folds a copy of it. Final
+        # parameters are compared too, since an eval matrix of a tiny task
+        # can hide a change.
         real_run, finals = harness.run_sequence, []
 
         def keeping_params(cfg, tasks=None):
@@ -869,7 +882,6 @@ class TestGridSearch:
         alone = run_sequence(with_lam(config, 1.0)).matrix
         assert matrix.accuracies.tobytes() == alone.accuracies.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_task_zero_divergence_fails_every_lambda_alike(self, monkeypatch):
         drawn = count_batches(monkeypatch)
         config = tiny_config(
@@ -882,6 +894,48 @@ class TestGridSearch:
         assert len(messages) == 1
         assert "run diverged in task 0" in messages.pop()
         assert drawn == {0: 3}  # every lambda retrained task 0, and none got further
+
+    def test_task_zero_estimate_failure_fails_every_protecting_lambda_alike(self, monkeypatch):
+        # lambda 0 protects nothing, so its row survives a NaN in task 0's map
+        real_build, built = harness.build_tasks, []
+
+        def recording_build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        nan_in_task_zero_map(monkeypatch)
+        monkeypatch.setattr(harness, "build_tasks", recording_build)
+        config = tiny_config(num_tasks=3, strategy=StrategyConfig(kind="wva"))
+        surface = grid_search(config, [0.0, 1.0, 10.0])
+        baseline = run_sequence(tiny_config(num_tasks=3))
+        assert surface.matrices[0].accuracies.tobytes() == baseline.matrix.accuracies.tobytes()
+        assert [lam for lam, _ in surface.failures] == [1.0, 10.0]
+        messages = {message for _, message in surface.failures}
+        assert len(messages) == 1
+        assert messages.pop().startswith(
+            "NonFiniteError: run diverged in task 0, importance estimate: "
+        )
+        # a run on the grid's tasks after the grid trains its own task 0
+        drawn = count_batches(monkeypatch)
+        with pytest.raises(NonFiniteError, match="run diverged in task 0, importance estimate"):
+            run_sequence(with_lam(config, 1.0), tasks=built[0])
+        assert drawn == {0: 1}
+
+    @pytest.mark.parametrize("nan_map", [False, True], ids=["finite-map", "nan-map"])
+    def test_each_later_run_reads_task_zero_whole_or_not_at_all(self, monkeypatch, nan_map):
+        # the lambda 0 run estimates task 0's map for the grid; a NaN in it records nothing
+        real_run, seen = harness.run_sequence, []
+
+        def peeking_run(cfg, tasks=None):
+            record = harness._GRID_TASK_ZERO.get()
+            seen.append([x is None for x in (record.params, record.eval_entry, record.omega)])
+            return real_run(cfg, tasks=tasks)
+
+        if nan_map:
+            nan_in_task_zero_map(monkeypatch)
+        monkeypatch.setattr(harness, "run_sequence", peeking_run)
+        grid_search(tiny_config(num_tasks=3, strategy=StrategyConfig(kind="wva")), [0.0, 1.0, 10.0])
+        assert seen == [[True] * 3] + [[nan_map] * 3] * 2
 
     def test_matrices_leave_surface_csv_unchanged(self, tmp_path):
         surface = grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [0.1, 1.0])
@@ -919,7 +973,6 @@ class TestGridSearch:
             grid_search(tiny_config(strategy=StrategyConfig(kind="wva")), [1.0, bad])
         assert runs == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_leaves_gap(self, tmp_path):
         # An anchored penalty at an absurd lambda grows parameters
         # multiplicatively under SGD and overflows within one epoch; the
